@@ -8,6 +8,7 @@ identical invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .payoff import (
     lift_feedback,
     switch_matrix,
 )
-from .routes import RouteSet, enumerate_routes, prefix_classes
+from .routes import MAX_LOCATIONS, RouteSet, enumerate_routes, prefix_classes
 from .voi import CSTAR_VARIANTS, build_voi_report, report_to_csv
 
 EXIT_OK = 0
@@ -60,6 +61,30 @@ def _parse_ints(text: str, flag: str) -> list[int]:
         return [int(s) for s in items]
     except ValueError as exc:
         raise UsageError(f"bad value in {flag}: {exc}") from exc
+
+
+def _check_cost(c: float, flag: str) -> None:
+    if not (math.isfinite(c) and c >= 0):
+        raise UsageError(f"{flag} must be finite and >= 0, got {c}")
+
+
+def _parse_costs(args) -> list[float] | None:
+    if args.costs is None:
+        return None
+    c_grid = _parse_floats(args.costs, "--costs")
+    if not c_grid:
+        raise UsageError("--costs is empty")
+    for c in c_grid:
+        _check_cost(c, "--costs")
+    return c_grid
+
+
+def _load(path) -> Instance:
+    """Load an instance that the route enumeration can take."""
+    inst = load_instance(path)
+    if inst.n > MAX_LOCATIONS:
+        raise InstanceError(f"instance has {inst.n} locations; at most {MAX_LOCATIONS} are supported")
+    return inst
 
 
 def _check_t(t: int, n: int) -> None:
@@ -103,8 +128,7 @@ def _model_matrix(inst: Instance, rs: RouteSet, args) -> tuple[PayoffMatrix, lis
     t = 1 if args.t_reveal is None else args.t_reveal
     c = 1.0 if args.cost is None else args.cost
     _check_t(t, rs.n)
-    if c < 0:
-        raise UsageError(f"--cost must be >= 0, got {c}")
+    _check_cost(c, "--cost")
     cfg = SwitchConfig(t, c, convention=args.convention, feedback_mode=args.feedback_mode)
     if args.model == "restricted":
         return switch_matrix(A, rs, cfg), _route_labels(rs)
@@ -113,7 +137,7 @@ def _model_matrix(inst: Instance, rs: RouteSet, args) -> tuple[PayoffMatrix, lis
 
 
 def cmd_solve(args, out) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
     matrix, row_labels = _model_matrix(inst, rs, args)
     sol = solve_zero_sum(matrix)
@@ -126,11 +150,10 @@ def cmd_solve(args, out) -> int:
 
 
 def cmd_voi(args, out) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
     _check_t(args.t_reveal, rs.n)
-    if args.cost < 0:
-        raise UsageError(f"--cost must be >= 0, got {args.cost}")
+    _check_cost(args.cost, "--cost")
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
     if args.hider_mix:
@@ -163,20 +186,14 @@ def cmd_voi(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     n = inst.n
     t_list = None
     if args.t_list:
         t_list = _parse_ints(args.t_list, "--t-list")
         for t in t_list:
             _check_t(t, n)
-    c_grid = None
-    if args.costs is not None:
-        c_grid = _parse_floats(args.costs, "--costs")
-        if not c_grid:
-            raise UsageError("--costs is empty")
-        if min(c_grid) < 0:
-            raise UsageError("--costs must be nonnegative")
+    c_grid = _parse_costs(args)
     rows = sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
                  feedback_mode=args.feedback_mode)
     out.write(sweep_to_csv(rows))
@@ -184,12 +201,13 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.cost < 0:
-        raise UsageError(f"--cost must be >= 0, got {args.cost}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    _check_cost(args.cost, "--cost")
     if not 1 <= args.t_reveal <= rs.n:
         raise UsageError(f"--t-reveal must be in 1..{rs.n} for simulation, got {args.t_reveal}")
     A = base_matrix(inst, rs)
@@ -216,16 +234,16 @@ def cmd_simulate(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(args.instance)
     n = inst.n
+    if n < 2:
+        raise UsageError("verify needs at least 2 locations: with 1 there is no reveal time to check")
     t_list = None
     if args.t_list:
         t_list = _parse_ints(args.t_list, "--t-list")
         for t in t_list:
             _check_t(t, n)
-    c_grid = _parse_floats(args.costs, "--costs") if args.costs is not None else None
-    if c_grid is not None and not c_grid:
-        raise UsageError("--costs is empty")
+    c_grid = _parse_costs(args)
     rows = sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
                  feedback_mode=args.feedback_mode)
     report = verify_bounds(rows, inst=inst, convention=args.convention)
@@ -300,6 +318,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.precision < 0:
+            raise UsageError(f"--precision must be >= 0, got {args.precision}")
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
                 return args.func(args, fh)

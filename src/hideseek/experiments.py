@@ -295,8 +295,8 @@ def simulate(
         raise ValueError("workers must be >= 1")
     if not 1 <= t <= rs.n:
         raise ValueError(f"t {t} out of range 1..{rs.n}")
-    if c < 0:
-        raise ValueError(f"switching cost must be >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
     y = simplex_weights(y, rs.m, "y")
     z = simplex_weights(z, rs.n, "z")
 

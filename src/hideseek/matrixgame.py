@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 GAP_TOL = 1e-6
 SADDLE_TOL = 1e-9
+# A batch of column LPs in game_values closes once it holds this many
+# constraint rows: enough rows to spread scipy's per-call overhead over many
+# tiny subgames, few enough that three 720 x 6 subgames (n = 8) fill one.
+_BATCH_ROWS = 2000
 
 
 class SolverError(RuntimeError):
@@ -81,26 +86,28 @@ def _validate_matrix(A: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
-def _col_lp(A: np.ndarray):
-    """Maximize v subject to A z >= v, sum z = 1, z >= 0."""
-    m, n = A.shape
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-A, np.ones((m, 1))])
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :n] = 1.0
-    res = linprog(
+def _col_lp(blocks: list[np.ndarray]):
+    """Maximize v subject to A z >= v, sum z = 1, z >= 0, for every A at once.
+
+    The games share one block-diagonal LP whose variables are each block's
+    (z, v) in turn and whose rows are each block's A z >= v rows in turn,
+    then one sum z = 1 row per block. The objective is the sum of the v's,
+    so every block reaches its own optimum.
+    """
+    widths = [A.shape[1] for A in blocks]
+    A_ub = block_diag([np.hstack([-A, np.ones((A.shape[0], 1))]) for A in blocks], format="csr")
+    A_eq = block_diag([np.append(np.ones(n), 0.0)[None, :] for n in widths], format="csr")
+    c = np.concatenate([np.append(np.zeros(n), -1.0) for n in widths])
+    lower = np.concatenate([np.append(np.zeros(n), -np.inf) for n in widths])
+    return linprog(
         c,
         A_ub=A_ub,
-        b_ub=np.zeros(m),
+        b_ub=np.zeros(A_ub.shape[0]),
         A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
+        b_eq=np.ones(len(blocks)),
+        bounds=np.column_stack([lower, np.full(len(lower), np.inf)]),
         method="highs",
     )
-    if res.status != 0:
-        raise SolverError(f"column LP failed: {res.message}")
-    return float(res.x[-1]), res.x[:n], res.ineqlin.marginals
 
 
 def _row_lp(A: np.ndarray):
@@ -149,12 +156,15 @@ def solve_zero_sum(A) -> GameSolution:
     """
     A = _entries(A)
     _validate_matrix(A)
-    value, z, marginals = _col_lp(A)
-    z = _clean(z)
+    res = _col_lp([A])
+    if res.status != 0:
+        raise SolverError(f"column LP failed: {res.message}")
+    value = float(res.x[-1])
+    z = _clean(res.x[:-1])
     y = None
-    if marginals is not None:
+    if res.ineqlin.marginals is not None:
         try:
-            y = _clean(-np.asarray(marginals))
+            y = _clean(-np.asarray(res.ineqlin.marginals))
         except SolverError:
             y = None
     if y is not None:
@@ -171,15 +181,8 @@ def solve_zero_sum(A) -> GameSolution:
     return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
 
 
-def game_value(A) -> float:
-    """Game value only, taking closed-form shortcuts where they are exact.
-
-    Pure-saddle, single-row, single-column, and 2x2 games are resolved
-    without an LP; anything else defers to solve_zero_sum. Agrees with the
-    LP to far better than 1e-9 (the shortcuts are exact).
-    """
-    A = _entries(A)
-    _validate_matrix(A)
+def _closed_form(A: np.ndarray) -> float | None:
+    """Exact value of a pure-saddle, single-row, single-column or 2x2 game."""
     saddle = find_pure_saddle(A)
     if saddle is not None:
         return saddle.value
@@ -194,7 +197,66 @@ def game_value(A) -> float:
         den = A[0, 0] + A[1, 1] - A[0, 1] - A[1, 0]
         if abs(den) > 1e-9:
             return float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / den)
-    return solve_zero_sum(A).value
+    return None
+
+
+def _batch_values(blocks: list[np.ndarray]) -> list[float]:
+    """Values of several games from one block-diagonal column LP.
+
+    Each block is certified from its own slice of the solution and of the
+    inequality duals. A block that does not certify to GAP_TOL, or every
+    block when HiGHS fails on the batch, is solved alone by solve_zero_sum.
+    """
+    res = _col_lp(blocks)
+    if res.status != 0:
+        return [solve_zero_sum(A).value for A in blocks]
+    values = []
+    col = row = 0
+    for A in blocks:
+        m, n = A.shape
+        x = res.x[col : col + n + 1]
+        duals = res.ineqlin.marginals[row : row + m]
+        col, row = col + n + 1, row + m
+        value = float(x[-1])
+        try:
+            certified = max(_gaps(A, _clean(-duals), _clean(x[:n]), value)) <= GAP_TOL
+        except SolverError:
+            certified = False
+        values.append(value if certified else solve_zero_sum(A).value)
+    return values
+
+
+def game_values(mats) -> list[float]:
+    """Values of many games, taking closed-form shortcuts where they are exact.
+
+    Pure-saddle, single-row, single-column, and 2x2 games are resolved
+    without an LP. The rest are packed in order into block-diagonal column
+    LPs of about _BATCH_ROWS constraint rows each, so scipy's per-call
+    overhead is paid once per batch instead of once per game. Every value
+    agrees with solve_zero_sum to far better than 1e-9, and a game that
+    cannot be certified raises SolverError as solve_zero_sum does.
+    """
+    mats = [_entries(A) for A in mats]
+    values: list[float | None] = []
+    for A in mats:
+        _validate_matrix(A)
+        values.append(_closed_form(A))
+    batch: list[int] = []
+    rows = 0
+    pending = [k for k, v in enumerate(values) if v is None]
+    for k in pending:
+        batch.append(k)
+        rows += mats[k].shape[0]
+        if rows >= _BATCH_ROWS or k == pending[-1]:
+            for q, v in zip(batch, _batch_values([mats[q] for q in batch])):
+                values[q] = v
+            batch, rows = [], 0
+    return values
+
+
+def game_value(A) -> float:
+    """Game value only: the single-game case of game_values."""
+    return game_values([A])[0]
 
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:

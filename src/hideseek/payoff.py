@@ -15,12 +15,13 @@ and relocation choices are identical under both; game values differ.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import game_value
+from .matrixgame import find_pure_saddle, game_values
 from .routes import InformationSet, RouteSet, prefix_classes
 
 CONVENTIONS = ("total", "remaining")
@@ -39,8 +40,8 @@ class SwitchConfig:
     def __post_init__(self):
         if self.t_reveal < 1:
             raise ValueError(f"t_reveal must be >= 1, got {self.t_reveal}")
-        if self.c < 0:
-            raise ValueError(f"switching cost must be >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"switching cost must be finite and >= 0, got {self.c}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         if self.feedback_mode not in FEEDBACK_MODES:
@@ -188,8 +189,8 @@ def subgame_matrix(
     """
     if i not in iset.unvisited:
         raise ValueError(f"location {i} is visited under prefix {iset.prefix.nodes}")
-    if c < 0:
-        raise ValueError(f"switching cost must be >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
     targets = sorted(iset.unvisited)
     S = A.entries[np.ix_(list(iset.members), [u - 1 for u in targets])] - c
     S[:, targets.index(i)] += c
@@ -203,25 +204,60 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     resolve the reveal-stage subgame over prefix-consistent continuations:
     its mixed game value by default, or the literal minimum over routes of
     the row maxima under feedback_mode="pure_min".
+
+    A subgame depends on its prefix only through the Held-Karp state (the
+    visited set and the last prefix node): the prefix order adds its
+    cumulative cost to every entry. So the mixed values are solved once per
+    state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
+    lexicographically first prefix. A subgame closed by a pure saddle gives
+    a cell, which every prefix of the state reads from its own rows with
+    subgame_matrix's arithmetic; the subgames left go to game_values, which
+    solves them as 2x2 formulas or in block-diagonal LPs, and their values
+    are shifted by the difference of the prefixes' cumulative costs. Visited
+    cells, pure_min cells and saddle cells (which include every cell at
+    t = n-1) are bit-identical to solving each prefix's subgame on its own;
+    the shifted values agree with it to round-off.
     """
     _check_t(rs, cfg.t_reveal)
     classes, _ = prefix_classes(rs, cfg.t_reveal)
     E = A.entries
-    F = np.empty((len(classes), rs.n))
+    members = np.array([iset.members for iset in classes])
+    first = members[:, 0]
+    cum = E[first, [iset.prefix.nodes[-1] - 1 for iset in classes]]
+    offset = cum if cfg.convention == "remaining" else np.zeros(len(classes))
+    unvisited = rs.position_matrix[first] > cfg.t_reveal
+    F = E[first]  # visited cells keep their prefix-constant baseline cost
+    if cfg.feedback_mode == "pure_min":
+        S = E[members] - cfg.c
+        for i in range(1, rs.n + 1):
+            h = np.flatnonzero(unvisited[:, i - 1])
+            sub = np.where(unvisited[h, None, :], S[h], -np.inf)
+            sub[:, :, i - 1] += cfg.c
+            F[h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
+        return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
+
+    states: dict[tuple[frozenset[int], int], list[int]] = {}
     for hi, iset in enumerate(classes):
-        j0 = iset.members[0]
-        offset = 0.0
-        if cfg.convention == "remaining":
-            offset = float(E[j0, iset.prefix.nodes[-1] - 1])
-        for i in iset.visited:
-            F[hi, i - 1] = E[j0, i - 1]
-        for i in sorted(iset.unvisited):
-            sub = subgame_matrix(A, rs, iset, i, cfg.c).entries
-            if cfg.feedback_mode == "pure_min":
-                val = float(sub.max(axis=1).min())
-            else:
-                val = game_value(sub)
-            F[hi, i - 1] = val - offset
+        states.setdefault((iset.visited, iset.prefix.nodes[-1]), []).append(hi)
+    pending, subs = [], []
+    for group in states.values():
+        rep = classes[group[0]]
+        h = np.array(group)
+        targets = sorted(rep.unvisited)
+        for i in targets:
+            sub = subgame_matrix(A, rs, rep, i, cfg.c).entries
+            saddle = find_pure_saddle(sub)
+            if saddle is None:
+                pending.append((h, i))
+                subs.append(sub)
+                continue
+            u = targets[saddle.col]
+            val = E[members[h, saddle.row], u - 1] - cfg.c
+            if u == i:
+                val += cfg.c
+            F[h, i - 1] = val - offset[h]
+    for (h, i), val in zip(pending, game_values(subs)):
+        F[h, i - 1] = (val + (cum[h] - cum[h[0]])) - offset[h]
     return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
 
 

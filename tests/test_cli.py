@@ -240,3 +240,54 @@ def test_precision_flag(capsys, three_sites_path):
     )
     assert code == 0
     assert "value: 3.325141" in out
+
+
+def _write_instance(tmp_path, n):
+    path = tmp_path / f"sites{n}.json"
+    locations = [[1 + k % 3, k // 3] for k in range(n)]
+    path.write_text(json.dumps({"origin": [0, 0], "locations": locations}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("cost", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_cost_exits_2(capsys, three_sites_path, cost):
+    for argv in (
+        ["solve", three_sites_path, "--model", "restricted", "--cost", cost],
+        ["solve", three_sites_path, "--model", "feedback", "--cost", cost],
+        ["simulate", three_sites_path, "--model", "feedback", "--cost", cost, "--trials", "10"],
+        ["voi", three_sites_path, "--cost", cost],
+        ["sweep", three_sites_path, "--costs", f"0,{cost}"],
+        ["verify", three_sites_path, "--costs", f"0,{cost}"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "finite and >= 0" in err, argv
+
+
+def test_too_many_locations_exits_3(capsys, tmp_path):
+    path = _write_instance(tmp_path, 9)
+    for command in ("solve", "voi", "sweep", "simulate", "verify"):
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 3, command
+        assert "at most 8" in err
+
+
+def test_simulate_workers_zero_exits_2(capsys, three_sites_path):
+    code, _, err = run_cli(
+        capsys, "simulate", three_sites_path, "--trials", "10", "--workers", "0",
+    )
+    assert code == 2
+    assert "--workers" in err
+
+
+def test_negative_precision_exits_2(capsys, three_sites_path):
+    code, _, err = run_cli(capsys, "solve", three_sites_path, "--precision", "-2")
+    assert code == 2
+    assert "--precision" in err
+
+
+def test_verify_one_location_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", _write_instance(tmp_path, 1))
+    assert code == 2
+    assert "all checks passed" not in out
+    assert "at least 2 locations" in err

@@ -213,6 +213,9 @@ def test_simulate_validation(demo3, rs3):
         hs.simulate(demo3, rs3, "base", y * 1.1, z, t=1, c=1.0, trials=10, seed=0)
     with pytest.raises(ValueError, match="out of range"):
         hs.simulate(demo3, rs3, "base", y, z, t=4, c=1.0, trials=10, seed=0)
+    for c in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hs.simulate(demo3, rs3, "feedback", y, z, t=1, c=c, trials=10, seed=0)
 
 
 def test_simulate_single_trial(demo3, rs3):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hideseek as hs
+import hideseek.matrixgame as mg
 from hideseek.matrixgame import game_value
 
 import reference as ref
@@ -150,6 +151,90 @@ def test_game_value_fast_paths():
     assert game_value(np.array([[1.0], [5.0], [3.0]])) == 1.0
     sub = np.array([[2.4142, 3.4142], [4.4142, 1.4142]])
     assert game_value(sub) == pytest.approx(2.9142, abs=1e-4)
+
+
+def _mixed_shapes():
+    rng = np.random.default_rng(61)
+    shapes = [(1, 4), (5, 1), (2, 2), (6, 3), (120, 5), (720, 6), (720, 6), (720, 6), (6, 3)]
+    mats = [rng.uniform(-4, 4, size=shape) for shape in shapes]
+    mats.append(np.full((4, 3), 2.5))
+    base = rng.uniform(-4, 4, size=(5, 4))
+    mats.append(base[[0, 1, 1, 2, 3, 4, 4]][:, [0, 1, 1, 2, 3, 3]])
+    return mats
+
+
+def _lp_bound(mats):
+    """How many games have no closed form (random 2x2 games always do)."""
+    return sum(
+        hs.find_pure_saddle(A) is None and A.shape != (2, 2) and min(A.shape) > 1 for A in mats
+    )
+
+
+def test_game_values_match_solve_zero_sum_on_mixed_shapes(monkeypatch):
+    mats = _mixed_shapes()
+    lp_games = _lp_bound(mats)
+    calls = []
+    real_linprog = mg.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mg, "linprog", counting_linprog)
+    values = mg.game_values(mats)
+    assert 1 < len(calls) < lp_games  # more than one batch, several games per batch
+    for A, v in zip(mats, values):
+        assert abs(v - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
+    assert mg.game_values([]) == []
+
+
+def test_game_values_fall_back_per_block(monkeypatch):
+    mats = _mixed_shapes()
+    batched = mg.game_values(mats)
+    target = mats[6]
+    assert hs.find_pure_saddle(target) is None
+    real_gaps, real_solve = mg._gaps, mg.solve_zero_sum
+    failed, solved = [], []
+
+    def failing_gaps(A, y, z, value):
+        if A is target and not failed:
+            failed.append(A)
+            return 1.0, 1.0
+        return real_gaps(A, y, z, value)
+
+    def spy_solve(A):
+        solved.append(A)
+        return real_solve(A)
+
+    monkeypatch.setattr(mg, "_gaps", failing_gaps)
+    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
+    values = mg.game_values(mats)
+    assert len(solved) == 1 and solved[0] is target
+    assert values[6] == real_solve(target).value
+    assert values[:6] + values[7:] == batched[:6] + batched[7:]
+
+
+def test_game_values_fall_back_when_a_batch_fails(monkeypatch):
+    mats = _mixed_shapes()
+    real_col_lp, real_solve = mg._col_lp, mg.solve_zero_sum
+    solved = []
+
+    def failing_col_lp(blocks):
+        res = real_col_lp(blocks)
+        if len(blocks) > 1:
+            res.status = 4
+        return res
+
+    def spy_solve(A):
+        solved.append(A)
+        return real_solve(A)
+
+    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
+    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
+    values = mg.game_values(mats)
+    assert len(solved) == _lp_bound(mats)
+    for A, v in zip(mats, values):
+        assert abs(v - real_solve(A).value) <= 1e-9 * np.abs(A).max()
 
 
 def test_mixed_strategy_validation():

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ import hideseek as hs
 
 import reference as ref
 from conftest import random_instance
+from oracles import feedback_matrices_per_prefix
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 def collinear_base():
@@ -148,8 +153,9 @@ def test_switch_matrix_t_range(base3, rs3):
 
 
 def test_switch_config_validation():
-    with pytest.raises(ValueError, match=">= 0"):
-        hs.SwitchConfig(1, -0.5)
+    for c in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hs.SwitchConfig(1, c)
     with pytest.raises(ValueError, match="convention"):
         hs.SwitchConfig(1, 1.0, convention="other")
     with pytest.raises(ValueError, match="feedback_mode"):
@@ -228,6 +234,13 @@ def test_subgame_rejects_visited(base3, rs3):
     iset = hs.information_set(rs3, hs.Prefix((1,), 1))
     with pytest.raises(ValueError, match="visited"):
         hs.subgame_matrix(base3, rs3, iset, 1, 1.0)
+
+
+def test_subgame_rejects_bad_costs(base3, rs3):
+    iset = hs.information_set(rs3, hs.Prefix((1,), 1))
+    for c in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hs.subgame_matrix(base3, rs3, iset, 2, c)
 
 
 # -------------------------------------------------------------- feedback matrix
@@ -365,3 +378,37 @@ def test_dump_matrix_prefix_labels(base3, rs3):
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     lines = hs.dump_matrix(F).strip().splitlines()
     assert lines[1].startswith("h1,")
+
+
+# ------------------------------------------- per-state versus per-prefix solve
+
+def _equivalence_instances():
+    yield "seeded6", random_instance(np.random.default_rng(606), 6)
+    for name in ("three_sites", "six_sites", "collinear_three"):
+        yield name, hs.load_instance(INSTANCES / f"{name}.json")
+
+
+@pytest.mark.parametrize("name,inst", list(_equivalence_instances()))
+def test_feedback_matches_per_prefix_oracle(name, inst):
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    scale = np.abs(A.entries).max()
+    past = 1.0 + max(
+        hs.cstar_global(hs.cstar(A, rs, t, variant))
+        for t in range(1, rs.n)
+        for variant in ("route", "infoset")
+    )
+    for t in range(1, rs.n):
+        for c in (0.0, 0.5, 2.0, past):
+            for mode in ("mixed_subgame", "pure_min"):
+                expect, closed = feedback_matrices_per_prefix(A, rs, t, c, mode)
+                if t == rs.n - 1:
+                    assert closed.all()
+                for convention in ("total", "remaining"):
+                    cfg = hs.SwitchConfig(t, c, convention=convention, feedback_mode=mode)
+                    F = hs.feedback_matrix(A, rs, cfg).entries
+                    where = f"{name} t={t} c={c} {convention} {mode}"
+                    assert np.abs(F - expect[convention]).max() <= 1e-12 * scale, where
+                    np.testing.assert_array_equal(
+                        F[closed], expect[convention][closed], err_msg=where
+                    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .experiments import MODELS, simulate, sweep, sweep_to_csv, verify_bounds
 from .instance import Instance, InstanceError, load_instance
-from .matrixgame import GameSolution, SolverError, solve_zero_sum
+from .matrixgame import GameSolution, SolverError, simplex_weights, solve_zero_sum
 from .payoff import (
     CONVENTIONS,
     FEEDBACK_MODES,
@@ -157,9 +157,11 @@ def cmd_voi(args, out) -> int:
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
     if args.hider_mix:
-        z = np.array(_parse_floats(args.hider_mix, "--hider-mix"))
-        if len(z) != rs.n or z.min() < 0 or abs(z.sum() - 1.0) > 1e-9:
-            raise UsageError(f"--hider-mix must be {rs.n} nonnegative weights summing to 1")
+        z = _parse_floats(args.hider_mix, "--hider-mix")
+        try:
+            z = simplex_weights(z, rs.n, "--hider-mix")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     report = build_voi_report(inst, rs, cfg, variant=args.cstar_variant, z=z)
     if args.csv:
         out.write(report_to_csv(report))
@@ -205,8 +207,6 @@ def cmd_simulate(args, out) -> int:
     rs = enumerate_routes(inst.n)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     _check_cost(args.cost, "--cost")
     if not 1 <= args.t_reveal <= rs.n:
         raise UsageError(f"--t-reveal must be in 1..{rs.n} for simulation, got {args.t_reveal}")
@@ -221,7 +221,7 @@ def cmd_simulate(args, out) -> int:
         sol = solve_zero_sum(lift_feedback(feedback_matrix(A, rs, cfg), pi))
     result = simulate(
         inst, rs, args.model, sol.row_strategy, sol.col_strategy,
-        args.t_reveal, args.cost, args.trials, args.seed, workers=args.workers,
+        args.t_reveal, args.cost, args.trials, args.seed,
     )
     p = args.precision
     out.write(f"model: {result.model}\n")
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to an instance JSON file")
         p.add_argument("--precision", type=int, default=4, help="decimals in printed values")
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
-        p.add_argument("--convention", choices=CONVENTIONS, default="total")
 
     p_solve = sub.add_parser("solve", help="solve one game model by LP")
     common(p_solve)
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cost", type=float, default=1.0)
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the bound checks over a sweep")
@@ -307,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--costs", default=None)
     p_verify.add_argument("--feedback-mode", choices=FEEDBACK_MODES, default="mixed_subgame")
     p_verify.set_defaults(func=cmd_verify)
+
+    for p in (p_solve, p_voi, p_sweep, p_verify):
+        p.add_argument("--convention", choices=CONVENTIONS, default="total")
 
     return parser
 

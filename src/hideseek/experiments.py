@@ -2,12 +2,14 @@
 
 Simulation randomness uses one Philox counter block (four 64-bit words) per
 trial, keyed by the seed: trial k always sees the same four uniforms no
-matter how trials are partitioned across workers, so results are invariant
-to the worker count and bit-reproducible for a fixed seed.
+matter how trials are split into blocks. Playouts only count how often each
+payoff cell occurs, so results are invariant to the block size and
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -251,15 +253,14 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
     return BoundCheck("fixed_mix_voi_monotone_in_t", True, "non-increasing")
 
 
+_BLOCK = 1 << 16  # trials per block: a 2 MB draw of uniforms
+
+
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Four uniforms per trial from the trial-indexed Philox counter block."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     bg = np.random.Philox(counter=[start, 0, 0, 0], key=key)
     return np.random.Generator(bg).random((count, 4))
-
-
-def _cdf(weights: np.ndarray) -> np.ndarray:
-    return np.cumsum(weights)
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -276,7 +277,6 @@ def simulate(
     c: float,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> SimulationResult:
     """Monte Carlo playout of the two-stage game.
 
@@ -284,15 +284,15 @@ def simulate(
     treasure's visit position is within t (or the model is base), the payoff
     is the baseline cost. Otherwise the restricted Hider relocates to its
     best reduced-payoff target, and in the feedback model the Seeker and
-    Hider instead play their solved reveal-stage subgame mixes. Identical
-    seeds give bit-identical results for any worker count.
+    Hider instead play their solved reveal-stage subgame mixes. Every
+    payoff is a base-matrix cell, less c if the Hider switched, so blocks
+    of _BLOCK trials only count cells: memory stays bounded, and identical
+    seeds give bit-identical results for any block size.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if not 1 <= t <= rs.n:
         raise ValueError(f"t {t} out of range 1..{rs.n}")
     if not (math.isfinite(c) and c >= 0):
@@ -302,69 +302,58 @@ def simulate(
 
     A_pm = base_matrix(inst, rs)
     A = A_pm.entries
-    reveal_active = t < rs.n and model != "base"
-    As = None
-    pi = None
-    subgames: dict[tuple[int, int], tuple] = {}
-    if reveal_active:
-        if model == "restricted":
-            As = switch_matrix(A_pm, rs, SwitchConfig(t, c, convention="total")).entries
-        else:
-            classes, pi = prefix_classes(rs, t)
+    m, n = A.shape
+    feedback = model == "feedback" and t < n
+    if model == "restricted" and t < n:
+        values = switch_matrix(A_pm, rs, SwitchConfig(t, c)).entries.ravel()
+    elif feedback:
+        # codes past m*n are the switched cells, paid minus c
+        values = np.concatenate([A.ravel(), A.ravel() - c])
+        classes, pi = prefix_classes(rs, t)
+    else:
+        values = A.ravel()
 
-    def subgame_play(hi: int, i: int):
-        cached = subgames.get((hi, i))
-        if cached is None:
-            iset = classes[hi]
-            sol = solve_zero_sum(subgame_matrix(A_pm, rs, iset, i, c))
-            cached = (
-                np.array(iset.members),
-                _cdf(sol.row_strategy.weights),
-                np.array(sorted(iset.unvisited)),
-                _cdf(sol.col_strategy.weights),
-            )
-            subgames[(hi, i)] = cached
-        return cached
+    @functools.cache
+    def subgame_play(key: int):
+        hi, i = divmod(key, n)
+        iset = classes[hi]
+        sol = solve_zero_sum(subgame_matrix(A_pm, rs, iset, i + 1, c))
+        return (
+            np.array(iset.members),
+            np.cumsum(sol.row_strategy.weights),
+            np.array(sorted(iset.unvisited)) - 1,
+            np.cumsum(sol.col_strategy.weights),
+        )
 
-    y_cdf, z_cdf = _cdf(y), _cdf(z)
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    payoff_chunks = []
+    y_cdf, z_cdf = np.cumsum(y), np.cumsum(z)
+    counts = np.zeros(len(values), dtype=np.int64)
     ended_total = 0
-    for w in range(workers):
-        start, stop = int(bounds[w]), int(bounds[w + 1])
-        count = stop - start
-        if count == 0:
-            continue
-        u = _trial_uniforms(seed, start, count)
+    for start in range(0, trials, _BLOCK):
+        u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
         j = _draw(y_cdf, u[:, 0])
-        iloc = _draw(z_cdf, u[:, 1]) + 1
-        ended = rs.position_matrix[j, iloc - 1] <= t
+        i = _draw(z_cdf, u[:, 1])
+        ended = rs.position_matrix[j, i] <= t
         ended_total += int(ended.sum())
-        payoff = A[j, iloc - 1].copy()
-        if reveal_active:
+        code = j * n + i
+        if feedback:
             late = np.flatnonzero(~ended)
-            if model == "restricted":
-                payoff[late] = As[j[late], iloc[late] - 1]
-            else:
-                groups: dict[tuple[int, int], list[int]] = {}
-                for idx in late:
-                    groups.setdefault((int(pi[j[idx]]), int(iloc[idx])), []).append(int(idx))
-                for (hi, i), idxs in groups.items():
-                    members, row_cdf, targets, col_cdf = subgame_play(hi, i)
-                    idxs = np.array(idxs)
-                    k = members[_draw(row_cdf, u[idxs, 2])]
-                    hat = targets[_draw(col_cdf, u[idxs, 3])]
-                    payoff[idxs] = A[k, hat - 1] - c * (hat != i)
-        payoff_chunks.append(payoff)
+            key = pi[j[late]] * n + i[late]
+            order = np.argsort(key, kind="stable")
+            groups, first = np.unique(key[order], return_index=True)
+            for g, idxs in zip(groups.tolist(), np.split(late[order], first[1:])):
+                members, row_cdf, targets, col_cdf = subgame_play(g)
+                k = members[_draw(row_cdf, u[idxs, 2])]
+                hat = targets[_draw(col_cdf, u[idxs, 3])]
+                code[idxs] = k * n + hat + m * n * (hat != g % n)
+        counts += np.bincount(code, minlength=len(values))
 
-    payoffs = np.concatenate(payoff_chunks)
-    mean = float(payoffs.sum() / trials)
-    stderr = float(payoffs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean = float(counts @ values / trials)
+    var = float(counts @ (values - mean) ** 2 / (trials - 1)) if trials > 1 else 0.0
     return SimulationResult(
         trials=trials,
         seed=seed,
         mean_payoff=mean,
-        payoff_stderr=stderr,
+        payoff_stderr=math.sqrt(var) / math.sqrt(trials),
         empirical_end_by_t=ended_total / trials,
         model=model,
     )

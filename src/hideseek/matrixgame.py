@@ -41,6 +41,8 @@ class MixedStrategy:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
+        if not np.isfinite(w).all():
+            raise ValueError(f"strategy weights must be finite, got {w}")
         if (w < -1e-12).any():
             raise ValueError(f"negative strategy weight: {w.min()}")
         w = np.maximum(w, 0.0)
@@ -57,7 +59,7 @@ def simplex_weights(strategy, size: int, name: str) -> np.ndarray:
     w = strategy.weights if isinstance(strategy, MixedStrategy) else np.asarray(strategy, dtype=float)
     if w.shape != (size,):
         raise ValueError(f"{name} has shape {w.shape}, expected ({size},)")
-    if (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
+    if not np.isfinite(w).all() or (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} is not on the probability simplex")
     return np.maximum(w, 0.0)
 
@@ -312,8 +314,8 @@ def check_lemma1(A, rs, t: int, c: float) -> Lemma1Report:
     A = _entries(A)
     if not 1 <= t <= rs.n - 1:
         raise ValueError(f"reveal time {t} out of range 1..{rs.n - 1}")
-    if c < 0:
-        raise ValueError(f"switching cost must be nonnegative, got {c}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
     saddle = find_pure_saddle(A)
     if saddle is None or not saddle.unique:
         raise ValueError("no unique pure saddle")

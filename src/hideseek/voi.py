@@ -108,8 +108,8 @@ def cstar_global(C: np.ndarray) -> float:
 
 def theorem1_bound(cstar_global_value: float, c: float) -> float:
     """Upper bound on the expected value-of-information at switching cost c."""
-    if c < 0:
-        raise ValueError(f"switching cost must be >= 0, got {c}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
     return max(cstar_global_value - c, 0.0)
 
 

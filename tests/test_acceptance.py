@@ -11,11 +11,13 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hideseek as hs
+from hideseek import experiments
 from hideseek.cli import main as cli_main
 
 import reference as ref
@@ -252,9 +254,9 @@ def test_c15_determinism(tmp_path, capsys, demo3, rs3):
 
         y = np.full(6, 1 / 6)
         z = np.array([0.3, 0.4, 0.3])
-        runs = [
-            hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0,
-                        trials=30_000, seed=3, workers=w)
-            for w in (1, 2, 5)
-        ]
+        runs = []
+        for block in (30_000, 4_096, 7):
+            with mock.patch.object(experiments, "_BLOCK", block):
+                runs.append(hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0,
+                                        trials=30_000, seed=3))
         assert runs[0] == runs[1] == runs[2]

@@ -142,9 +142,10 @@ def test_voi_csv_and_overrides(capsys, three_sites_path):
     )
     assert code == 0
     assert out.startswith("# t_reveal=1,c=1,convention=total,variant=infoset")
-    code, _, err = run_cli(capsys, "voi", three_sites_path, "--hider-mix", "0.2,0.3")
-    assert code == 2
-    assert "hider-mix" in err
+    for mix in ("0.2,0.3", "nan,0.5,0.5", "inf,0.5,0.5", "-0.5,0.5,1", "0.2,0.3,0.4"):
+        code, _, err = run_cli(capsys, "voi", three_sites_path, "--hider-mix", mix)
+        assert code == 2, mix
+        assert "hider-mix" in err, mix
 
 
 def test_sweep_csv(capsys, three_sites_path):
@@ -219,10 +220,6 @@ def test_simulate_deterministic_output(capsys, three_sites_path):
     assert out1 == out2
     assert "mean payoff:" in out1
 
-    argv_workers = argv + ["--workers", "4"]
-    _, out3, _ = run_cli(capsys, *argv_workers)
-    assert out3 == out1  # worker count cannot change the numbers
-
 
 def test_output_file(capsys, three_sites_path, tmp_path):
     target = tmp_path / "out.txt"
@@ -272,12 +269,14 @@ def test_too_many_locations_exits_3(capsys, tmp_path):
         assert "at most 8" in err
 
 
-def test_simulate_workers_zero_exits_2(capsys, three_sites_path):
-    code, _, err = run_cli(
-        capsys, "simulate", three_sites_path, "--trials", "10", "--workers", "0",
-    )
+@pytest.mark.parametrize(
+    "flag", [["--workers", "4"], ["--convention", "remaining"]], ids=["workers", "convention"]
+)
+def test_simulate_rejects_retired_flags(capsys, three_sites_path, flag):
+    # simulate never used either: trials are not split, payoffs are total-convention
+    code, _, err = run_cli(capsys, "simulate", three_sites_path, "--trials", "10", *flag)
     assert code == 2
-    assert "--workers" in err
+    assert flag[0] in err
 
 
 def test_negative_precision_exits_2(capsys, three_sites_path):

@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hideseek as hs
+from hideseek import experiments
 
 import reference as ref
 
@@ -178,17 +183,35 @@ def test_simulate_reproducible_and_seed_sensitive(demo3, rs3):
     assert c.mean_payoff != a.mean_payoff
 
 
-def test_simulate_worker_invariance(demo3, rs3):
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    trials=st.integers(1, 3_000),
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(["restricted", "feedback"]),
+)
+def test_simulate_block_invariance(demo3, rs3, data, trials, seed, model):
+    # the cell histogram makes every result exact for any block size
+    y = np.array([0.1, 0.2, 0.05, 0.3, 0.15, 0.2])
+    z = np.array([0.2, 0.45, 0.35])
+    block = data.draw(st.integers(1, trials + 1), label="block")
+    run = lambda: hs.simulate(demo3, rs3, model, y, z, t=1, c=0.8, trials=trials, seed=seed)
+    whole = run()
+    with mock.patch.object(experiments, "_BLOCK", block):
+        assert run() == whole
+
+
+@pytest.mark.parametrize("model", ["restricted", "feedback"])
+def test_simulate_memory_is_bounded(demo3, rs3, model):
     y = np.full(6, 1 / 6)
     z = np.array([0.2, 0.45, 0.35])
-    results = [
-        hs.simulate(
-            demo3, rs3, "feedback", y, z, t=1, c=0.8,
-            trials=30_001, seed=9, workers=w,
-        )
-        for w in (1, 3, 8)
-    ]
-    assert results[0] == results[1] == results[2]
+    tracemalloc.start()
+    try:
+        hs.simulate(demo3, rs3, model, y, z, t=1, c=0.8, trials=1_000_000, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_simulate_empirical_end_matches_closed_form(demo3, rs3):

@@ -137,6 +137,14 @@ def test_check_lemma1_requires_unique_saddle(base3, rs3):
         hs.check_lemma1(base3, rs3, 1, 1.0)
 
 
+def test_check_lemma1_rejects_bad_costs(collinear3):
+    rs = hs.enumerate_routes(3)
+    A = hs.base_matrix(collinear3, rs)
+    for c in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            hs.check_lemma1(A, rs, 1, c)
+
+
 def test_game_value_matches_lp_on_small_randoms():
     rng = np.random.default_rng(31)
     for _ in range(60):
@@ -242,6 +250,11 @@ def test_mixed_strategy_validation():
         hs.MixedStrategy(np.array([-0.2, 1.2]))
     with pytest.raises(ValueError, match="sum"):
         hs.MixedStrategy(np.array([0.4, 0.4]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hs.MixedStrategy(np.array([bad, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="simplex"):
+            mg.simplex_weights(np.array([bad, 0.5, 0.5]), 3, "z")
     w = hs.MixedStrategy(np.array([0.5, 0.5 - 1e-13, 1e-13]))
     assert (w.weights >= 0).all()
 

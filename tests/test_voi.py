@@ -156,8 +156,9 @@ def test_theorem1_bound():
     assert hs.theorem1_bound(2.0, 1.0) == pytest.approx(1.0)
     assert hs.theorem1_bound(2.0, 2.5) == 0.0
     assert hs.theorem1_bound(2.0, 0.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError, match=">= 0"):
-        hs.theorem1_bound(2.0, -0.1)
+    for c in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=">= 0"):
+            hs.theorem1_bound(2.0, c)
 
 
 def test_worst_case_voi_respects_route_bound():

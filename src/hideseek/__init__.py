@@ -24,21 +24,16 @@ from .routes import (
     Prefix,
     RouteSet,
     enumerate_routes,
-    information_set,
-    position,
     prefix_classes,
-    prefix_of,
 )
 from .payoff import (
     PayoffMatrix,
     SwitchConfig,
     base_matrix,
-    best_relocations,
     dump_matrix,
     entrywise_gap,
     feedback_matrix,
     lift_feedback,
-    reduced_payoff,
     subgame_matrix,
     switch_matrix,
 )
@@ -51,7 +46,7 @@ from .matrixgame import (
     best_response_gap,
     check_lemma1,
     find_pure_saddle,
-    game_value,
+    solve_games,
     solve_zero_sum,
 )
 from .voi import (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .matrixgame import simplex_weights, solve_zero_sum
+from .matrixgame import check_cost, simplex_weights, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     base_matrix,
@@ -26,7 +26,7 @@ from .payoff import (
     subgame_matrix,
     switch_matrix,
 )
-from .routes import RouteSet, enumerate_routes, prefix_classes
+from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_classes
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
@@ -293,10 +293,8 @@ def simulate(
         raise ValueError(f"model must be one of {MODELS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 1 <= t <= rs.n:
-        raise ValueError(f"t {t} out of range 1..{rs.n}")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
+    check_reveal_time(t, rs.n)
+    check_cost(c)
     y = simplex_weights(y, rs.m, "y")
     z = simplex_weights(z, rs.n, "z")
 

@@ -10,15 +10,18 @@ best-response gaps rather than by trusting the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import block_diag
 
+from .routes import check_reveal_time
+
 GAP_TOL = 1e-6
 SADDLE_TOL = 1e-9
-# A batch of column LPs in game_values closes once it holds this many
+# A batch of column LPs in solve_games closes once it holds this many
 # constraint rows: enough rows to spread scipy's per-call overhead over many
 # tiny subgames, few enough that three 720 x 6 subgames (n = 8) fill one.
 _BATCH_ROWS = 2000
@@ -26,6 +29,12 @@ _BATCH_ROWS = 2000
 
 class SolverError(RuntimeError):
     """The LP failed or produced an uncertifiable solution."""
+
+
+def check_cost(c: float) -> None:
+    """Reject a switching cost that is negative, NaN or infinite."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
 
 
 def _entries(mat) -> np.ndarray:
@@ -112,8 +121,8 @@ def _col_lp(blocks: list[np.ndarray]):
     )
 
 
-def _row_lp(A: np.ndarray):
-    """Minimize w subject to A^T y <= w, sum y = 1, y >= 0."""
+def _row_lp(A: np.ndarray) -> np.ndarray:
+    """The y that minimizes w subject to A^T y <= w, sum y = 1, y >= 0."""
     m, n = A.shape
     c = np.zeros(m + 1)
     c[-1] = 1.0
@@ -131,7 +140,7 @@ def _row_lp(A: np.ndarray):
     )
     if res.status != 0:
         raise SolverError(f"row LP failed: {res.message}")
-    return float(res.x[-1]), res.x[:m]
+    return res.x[:m]
 
 
 def _clean(w: np.ndarray) -> np.ndarray:
@@ -148,33 +157,10 @@ def _gaps(A: np.ndarray, y: np.ndarray, z: np.ndarray, value: float):
     return row_gap, col_gap
 
 
-def solve_zero_sum(A) -> GameSolution:
-    """Equilibrium value and certified mixed strategies of a zero-sum game.
-
-    The column player's LP is solved directly; the row strategy comes from
-    the inequality duals. If the dual certificate is slack (degenerate
-    bases occasionally produce one), the explicit row LP is solved instead.
-    Raises SolverError if no solution certifies to GAP_TOL.
-    """
-    A = _entries(A)
-    _validate_matrix(A)
-    res = _col_lp([A])
-    if res.status != 0:
-        raise SolverError(f"column LP failed: {res.message}")
-    value = float(res.x[-1])
-    z = _clean(res.x[:-1])
-    y = None
-    if res.ineqlin.marginals is not None:
-        try:
-            y = _clean(-np.asarray(res.ineqlin.marginals))
-        except SolverError:
-            y = None
-    if y is not None:
-        row_gap, col_gap = _gaps(A, y, z, value)
-        if max(row_gap, col_gap) <= GAP_TOL:
-            return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
-    _, y = _row_lp(A)
-    y = _clean(y)
+def _certified(A: np.ndarray, y, z, value: float) -> GameSolution:
+    """The solution (y, z, value) of A, or SolverError if its best-response
+    gaps exceed GAP_TOL."""
+    y, z = _clean(y), _clean(z)
     row_gap, col_gap = _gaps(A, y, z, value)
     if max(row_gap, col_gap) > GAP_TOL:
         raise SolverError(
@@ -183,82 +169,58 @@ def solve_zero_sum(A) -> GameSolution:
     return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
 
 
-def _closed_form(A: np.ndarray) -> float | None:
-    """Exact value of a pure-saddle, single-row, single-column or 2x2 game."""
-    saddle = find_pure_saddle(A)
-    if saddle is not None:
-        return saddle.value
-    m, n = A.shape
-    if m == 1:
-        return float(A.max())
-    if n == 1:
-        return float(A.min())
-    if (m, n) == (2, 2):
-        # with no saddle the mixed formula applies; a near-zero denominator
-        # means a near-saddle the scan's tolerance missed, so use the LP
-        den = A[0, 0] + A[1, 1] - A[0, 1] - A[1, 0]
-        if abs(den) > 1e-9:
-            return float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / den)
-    return None
+def solve_games(mats) -> list[GameSolution]:
+    """Equilibrium values and certified mixed strategies of many zero-sum games.
 
-
-def _batch_values(blocks: list[np.ndarray]) -> list[float]:
-    """Values of several games from one block-diagonal column LP.
-
-    Each block is certified from its own slice of the solution and of the
-    inequality duals. A block that does not certify to GAP_TOL, or every
-    block when HiGHS fails on the batch, is solved alone by solve_zero_sum.
-    """
-    res = _col_lp(blocks)
-    if res.status != 0:
-        return [solve_zero_sum(A).value for A in blocks]
-    values = []
-    col = row = 0
-    for A in blocks:
-        m, n = A.shape
-        x = res.x[col : col + n + 1]
-        duals = res.ineqlin.marginals[row : row + m]
-        col, row = col + n + 1, row + m
-        value = float(x[-1])
-        try:
-            certified = max(_gaps(A, _clean(-duals), _clean(x[:n]), value)) <= GAP_TOL
-        except SolverError:
-            certified = False
-        values.append(value if certified else solve_zero_sum(A).value)
-    return values
-
-
-def game_values(mats) -> list[float]:
-    """Values of many games, taking closed-form shortcuts where they are exact.
-
-    Pure-saddle, single-row, single-column, and 2x2 games are resolved
-    without an LP. The rest are packed in order into block-diagonal column
-    LPs of about _BATCH_ROWS constraint rows each, so scipy's per-call
-    overhead is paid once per batch instead of once per game. Every value
-    agrees with solve_zero_sum to far better than 1e-9, and a game that
-    cannot be certified raises SolverError as solve_zero_sum does.
+    The games are packed in order into block-diagonal column LPs of about
+    _BATCH_ROWS constraint rows each, so scipy's per-call overhead is paid
+    once per batch instead of once per game. Each game takes its value and
+    column strategy from its own slice of the solution, and its row strategy
+    from its slice of the inequality duals. A game whose certificate is
+    slack (degenerate bases occasionally produce one), or every game of a
+    batch HiGHS fails on, is solved again alone; alone, a slack certificate
+    falls back to the explicit row LP. Raises SolverError if a game does
+    not certify to GAP_TOL.
     """
     mats = [_entries(A) for A in mats]
-    values: list[float | None] = []
     for A in mats:
         _validate_matrix(A)
-        values.append(_closed_form(A))
-    batch: list[int] = []
-    rows = 0
-    pending = [k for k, v in enumerate(values) if v is None]
-    for k in pending:
-        batch.append(k)
-        rows += mats[k].shape[0]
-        if rows >= _BATCH_ROWS or k == pending[-1]:
-            for q, v in zip(batch, _batch_values([mats[q] for q in batch])):
-                values[q] = v
-            batch, rows = [], 0
-    return values
+    sols: list[GameSolution] = []
+    start = rows = 0
+    for k, A in enumerate(mats):
+        rows += A.shape[0]
+        if rows < _BATCH_ROWS and k < len(mats) - 1:
+            continue
+        blocks = mats[start : k + 1]
+        start, rows = k + 1, 0
+        alone = len(blocks) == 1
+        res = _col_lp(blocks)
+        if res.status != 0:
+            if alone:
+                raise SolverError(f"column LP failed: {res.message}")
+            sols += [solve_zero_sum(A) for A in blocks]
+            continue
+        col = row = 0
+        for A in blocks:
+            m, n = A.shape
+            x = res.x[col : col + n + 1]
+            value = float(x[-1])
+            try:
+                sol = _certified(A, -res.ineqlin.marginals[row : row + m], x[:n], value)
+            except SolverError:
+                if alone:
+                    sol = _certified(A, _row_lp(A), x[:n], value)
+                else:
+                    sol = solve_zero_sum(A)
+            sols.append(sol)
+            col, row = col + n + 1, row + m
+    return sols
 
 
-def game_value(A) -> float:
-    """Game value only: the single-game case of game_values."""
-    return game_values([A])[0]
+def solve_zero_sum(A) -> GameSolution:
+    """Equilibrium value and certified mixed strategies of one zero-sum game:
+    the single-game case of solve_games."""
+    return solve_games([A])[0]
 
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:
@@ -312,10 +274,8 @@ def check_lemma1(A, rs, t: int, c: float) -> Lemma1Report:
     pure saddle (the precondition of the structural result this checks).
     """
     A = _entries(A)
-    if not 1 <= t <= rs.n - 1:
-        raise ValueError(f"reveal time {t} out of range 1..{rs.n - 1}")
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
+    check_reveal_time(t, rs.n - 1)
+    check_cost(c)
     saddle = find_pure_saddle(A)
     if saddle is None or not saddle.unique:
         raise ValueError("no unique pure saddle")

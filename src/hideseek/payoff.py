@@ -15,14 +15,13 @@ and relocation choices are identical under both; game values differ.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import find_pure_saddle, game_values
-from .routes import InformationSet, RouteSet, prefix_classes
+from .matrixgame import check_cost, find_pure_saddle, solve_games
+from .routes import InformationSet, RouteSet, check_reveal_time, prefix_classes
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
@@ -40,8 +39,7 @@ class SwitchConfig:
     def __post_init__(self):
         if self.t_reveal < 1:
             raise ValueError(f"t_reveal must be >= 1, got {self.t_reveal}")
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ValueError(f"switching cost must be finite and >= 0, got {self.c}")
+        check_cost(self.c)
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
         if self.feedback_mode not in FEEDBACK_MODES:
@@ -77,11 +75,6 @@ class PayoffMatrix:
         return self.entries.shape[1]
 
 
-def _check_t(rs: RouteSet, t: int) -> None:
-    if not 1 <= t <= rs.n - 1:
-        raise ValueError(f"t_reveal {t} out of range 1..{rs.n - 1} for n={rs.n}")
-
-
 def base_matrix(inst: Instance, rs: RouteSet) -> PayoffMatrix:
     """Cumulative travel distance to reach each location along each route.
 
@@ -102,29 +95,6 @@ def base_matrix(inst: Instance, rs: RouteSet) -> PayoffMatrix:
     return PayoffMatrix(A)
 
 
-def reduced_payoff(
-    A: PayoffMatrix, rs: RouteSet, j: int, cfg: SwitchConfig, i: int, i_hat: int
-) -> float:
-    """Reveal-stage payoff when route j is committed, the treasure started at
-    i, and the Hider relocates to i_hat (staying when i_hat == i)."""
-    if not 0 <= j < rs.m:
-        raise ValueError(f"route index {j} out of range 0..{rs.m - 1}")
-    _check_t(rs, cfg.t_reveal)
-    route = rs.routes[j]
-    unvisited = set(route[cfg.t_reveal :])
-    if i not in unvisited or i_hat not in unvisited:
-        raise ValueError(
-            f"locations must be unvisited at t={cfg.t_reveal} on route {route}: "
-            f"i={i}, i_hat={i_hat}"
-        )
-    value = float(A.entries[j, i_hat - 1])
-    if cfg.convention == "remaining":
-        value -= float(A.entries[j, route[cfg.t_reveal - 1] - 1])
-    if i_hat != i:
-        value -= cfg.c
-    return value
-
-
 def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMatrix:
     """Payoffs with the Hider's optimal stay/relocate decision folded in.
 
@@ -133,7 +103,7 @@ def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMat
     Under the total convention every unvisited cell weakly dominates the
     baseline, and for c past the largest residual gain the matrix equals A.
     """
-    _check_t(rs, cfg.t_reveal)
+    check_reveal_time(cfg.t_reveal, rs.n - 1)
     E = A.entries
     m, n = E.shape
     rows = np.arange(m)
@@ -156,27 +126,6 @@ def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMat
     return PayoffMatrix(S, cfg=cfg)
 
 
-def best_relocations(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
-    """Optimal relocation target per (route, initial location), 0 where visited.
-
-    Ties between targets break toward the lowest location index. The chosen
-    target's reduced payoff equals the switch_matrix entry; the target itself
-    does not depend on the convention (the row offset cancels).
-    """
-    _check_t(rs, cfg.t_reveal)
-    E = A.entries
-    target = np.zeros((rs.m, rs.n), dtype=np.int64)
-    for j in range(rs.m):
-        route = rs.routes[j]
-        unv = sorted(route[cfg.t_reveal :])
-        vals = np.array([E[j, u - 1] for u in unv])
-        for i in unv:
-            paid = vals - cfg.c
-            paid[unv.index(i)] += cfg.c
-            target[j, i - 1] = unv[int(np.argmax(paid))]
-    return target
-
-
 def subgame_matrix(
     A: PayoffMatrix, rs: RouteSet, iset: InformationSet, i: int, c: float
 ) -> PayoffMatrix:
@@ -189,8 +138,7 @@ def subgame_matrix(
     """
     if i not in iset.unvisited:
         raise ValueError(f"location {i} is visited under prefix {iset.prefix.nodes}")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
+    check_cost(c)
     targets = sorted(iset.unvisited)
     S = A.entries[np.ix_(list(iset.members), [u - 1 for u in targets])] - c
     S[:, targets.index(i)] += c
@@ -211,14 +159,13 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
     lexicographically first prefix. A subgame closed by a pure saddle gives
     a cell, which every prefix of the state reads from its own rows with
-    subgame_matrix's arithmetic; the subgames left go to game_values, which
-    solves them as 2x2 formulas or in block-diagonal LPs, and their values
-    are shifted by the difference of the prefixes' cumulative costs. Visited
-    cells, pure_min cells and saddle cells (which include every cell at
-    t = n-1) are bit-identical to solving each prefix's subgame on its own;
-    the shifted values agree with it to round-off.
+    subgame_matrix's arithmetic; the subgames left go to solve_games, which
+    solves them in block-diagonal LPs, and their values are shifted by the
+    difference of the prefixes' cumulative costs. Visited cells, pure_min
+    cells and saddle cells (which include every cell at t = n-1) are
+    bit-identical to solving each prefix's subgame on its own; the shifted
+    values agree with it to round-off.
     """
-    _check_t(rs, cfg.t_reveal)
     classes, _ = prefix_classes(rs, cfg.t_reveal)
     E = A.entries
     members = np.array([iset.members for iset in classes])
@@ -256,8 +203,8 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
             if u == i:
                 val += cfg.c
             F[h, i - 1] = val - offset[h]
-    for (h, i), val in zip(pending, game_values(subs)):
-        F[h, i - 1] = (val + (cum[h] - cum[h[0]])) - offset[h]
+    for (h, i), sol in zip(pending, solve_games(subs)):
+        F[h, i - 1] = (sol.value + (cum[h] - cum[h[0]])) - offset[h]
     return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
 
 

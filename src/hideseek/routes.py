@@ -74,34 +74,11 @@ def enumerate_routes(n: int) -> RouteSet:
     return RouteSet(n)
 
 
-def position(route: Route, i: int) -> int:
-    """1-based visit position of location i along the route."""
-    return route.index(i) + 1
-
-
-def prefix_of(route: Route, t: int) -> Prefix:
-    """The first t visited locations. t may run up to n for termination queries."""
-    if not 1 <= t <= len(route):
-        raise ValueError(f"reveal time {t} out of range 1..{len(route)}")
-    return Prefix(tuple(route[:t]), t)
-
-
-def information_set(rs: RouteSet, h: Prefix) -> InformationSet:
-    """The routes whose first t_reveal entries equal the prefix."""
-    t = h.t_reveal
-    if not 1 <= t <= rs.n:
-        raise ValueError(f"reveal time {t} out of range 1..{rs.n}")
-    if any(not 1 <= v <= rs.n for v in h.nodes):
-        raise ValueError(f"prefix node out of range 1..{rs.n}: {h.nodes}")
-    match = (rs.route_array[:, :t] == np.array(h.nodes)).all(axis=1)
-    members = tuple(int(j) for j in np.flatnonzero(match))
-    visited = frozenset(h.nodes)
-    return InformationSet(
-        prefix=h,
-        members=members,
-        visited=visited,
-        unvisited=frozenset(range(1, rs.n + 1)) - visited,
-    )
+def check_reveal_time(t: int, top: int) -> None:
+    """Reject a reveal time outside 1..top: n-1 where the Hider can still
+    relocate, n where t may run to the end of a route."""
+    if not 1 <= t <= top:
+        raise ValueError(f"reveal time {t} out of range 1..{top}")
 
 
 def prefix_classes(rs: RouteSet, t: int) -> tuple[tuple[InformationSet, ...], np.ndarray]:
@@ -111,8 +88,7 @@ def prefix_classes(rs: RouteSet, t: int) -> tuple[tuple[InformationSet, ...], np
     pi[j] is the class index of route j. There are n!/(n-t)! classes and the
     member lists partition the route set.
     """
-    if not 1 <= t <= rs.n - 1:
-        raise ValueError(f"reveal time {t} out of range 1..{rs.n - 1}")
+    check_reveal_time(t, rs.n - 1)
     cached = rs._class_cache.get(t)
     if cached is not None:
         return cached

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .matrixgame import simplex_weights, solve_zero_sum
+from .matrixgame import check_cost, simplex_weights, solve_zero_sum
 from .payoff import PayoffMatrix, SwitchConfig, base_matrix, switch_matrix
-from .routes import RouteSet, prefix_classes
+from .routes import RouteSet, check_reveal_time, prefix_classes
 
 CSTAR_VARIANTS = ("route", "infoset")
 
@@ -35,8 +35,7 @@ def voi_matrix(As: PayoffMatrix, rs: RouteSet, t: int) -> np.ndarray:
         raise ValueError(
             f"switch matrix was built at t={As.cfg.t_reveal}, queried with t={t}"
         )
-    if not 1 <= t <= rs.n - 1:
-        raise ValueError(f"t {t} out of range 1..{rs.n - 1}")
+    check_reveal_time(t, rs.n - 1)
     unvisited = rs.position_matrix > t
     masked = np.where(unvisited, As.entries, np.inf)
     row_min = masked.min(axis=1)
@@ -76,8 +75,7 @@ def cstar(A: PayoffMatrix, rs: RouteSet, t: int, variant: str = "infoset") -> np
     """
     if variant not in CSTAR_VARIANTS:
         raise ValueError(f"variant must be one of {CSTAR_VARIANTS}")
-    if not 1 <= t <= rs.n - 1:
-        raise ValueError(f"t {t} out of range 1..{rs.n - 1}")
+    check_reveal_time(t, rs.n - 1)
     E = A.entries
     if variant == "route":
         unvisited = rs.position_matrix > t
@@ -93,8 +91,7 @@ def cstar(A: PayoffMatrix, rs: RouteSet, t: int, variant: str = "infoset") -> np
         reduced = E[np.ix_(list(iset.members), cols)] - E[list(iset.members), reveal][:, None]
         m_min = reduced.min(axis=0)
         spread = np.maximum(m_min.max() - m_min, 0.0)
-        for j in iset.members:
-            C[j, cols] = spread
+        C[np.ix_(iset.members, cols)] = spread
     return C
 
 
@@ -108,8 +105,7 @@ def cstar_global(C: np.ndarray) -> float:
 
 def theorem1_bound(cstar_global_value: float, c: float) -> float:
     """Upper bound on the expected value-of-information at switching cost c."""
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
+    check_cost(c)
     return max(cstar_global_value - c, 0.0)
 
 
@@ -119,8 +115,7 @@ def termination_probability(rs: RouteSet, y, z, t: int) -> float:
     Closed form: sum over locations of z_i times the y-mass of routes that
     visit i at position <= t. Affine in each strategy separately.
     """
-    if not 1 <= t <= rs.n:
-        raise ValueError(f"t {t} out of range 1..{rs.n}")
+    check_reveal_time(t, rs.n)
     y = simplex_weights(y, rs.m, "y")
     z = simplex_weights(z, rs.n, "z")
     z_on_route = z[rs.route_array - 1]

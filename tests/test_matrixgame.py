@@ -3,7 +3,6 @@ import pytest
 
 import hideseek as hs
 import hideseek.matrixgame as mg
-from hideseek.matrixgame import game_value
 
 import reference as ref
 
@@ -145,20 +144,32 @@ def test_check_lemma1_rejects_bad_costs(collinear3):
             hs.check_lemma1(A, rs, 1, c)
 
 
-def test_game_value_matches_lp_on_small_randoms():
+def _assert_certified(mats, sols):
+    for A, sol in zip(mats, sols):
+        assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
+
+
+def _bits(sol):
+    """Everything a GameSolution holds, comparable with ==."""
+    return (
+        sol.value,
+        sol.row_strategy.weights.tobytes(),
+        sol.col_strategy.weights.tobytes(),
+        sol.row_gap,
+        sol.col_gap,
+    )
+
+
+def test_solve_games_match_solve_zero_sum_on_small_randoms():
     rng = np.random.default_rng(31)
-    for _ in range(60):
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 5))
-        A = rng.uniform(-4, 4, size=(m, n))
-        assert game_value(A) == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-9)
-
-
-def test_game_value_fast_paths():
-    assert game_value(np.array([[1.0, 5.0, 3.0]])) == 5.0
-    assert game_value(np.array([[1.0], [5.0], [3.0]])) == 1.0
-    sub = np.array([[2.4142, 3.4142], [4.4142, 1.4142]])
-    assert game_value(sub) == pytest.approx(2.9142, abs=1e-4)
+    mats = [
+        rng.uniform(-4, 4, size=(int(rng.integers(1, 7)), int(rng.integers(1, 5))))
+        for _ in range(60)
+    ]
+    sols = mg.solve_games(mats)
+    _assert_certified(mats, sols)
+    for A, sol in zip(mats, sols):
+        assert sol.value == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-9)
 
 
 def _mixed_shapes():
@@ -168,19 +179,29 @@ def _mixed_shapes():
     mats.append(np.full((4, 3), 2.5))
     base = rng.uniform(-4, 4, size=(5, 4))
     mats.append(base[[0, 1, 1, 2, 3, 4, 4]][:, [0, 1, 1, 2, 3, 3]])
+    mats.extend(_small_shapes())
     return mats
 
 
-def _lp_bound(mats):
-    """How many games have no closed form (random 2x2 games always do)."""
-    return sum(
-        hs.find_pure_saddle(A) is None and A.shape != (2, 2) and min(A.shape) > 1 for A in mats
-    )
+def _small_shapes():
+    """One row, one column and a mixed 2x2 reveal-stage subgame."""
+    return [
+        np.array([[1.0, 5.0, 3.0]]),
+        np.array([[1.0], [5.0], [3.0]]),
+        np.array([[2.4142, 3.4142], [4.4142, 1.4142]]),
+    ]
+
+
+def test_game_value_fast_paths():
+    mats = _small_shapes()
+    for values in ([hs.solve_zero_sum(A).value for A in mats], [s.value for s in mg.solve_games(mats)]):
+        assert values[0] == 5.0
+        assert values[1] == 1.0
+        assert values[2] == pytest.approx(2.9142, abs=1e-4)
 
 
 def test_game_values_match_solve_zero_sum_on_mixed_shapes(monkeypatch):
     mats = _mixed_shapes()
-    lp_games = _lp_bound(mats)
     calls = []
     real_linprog = mg.linprog
 
@@ -189,16 +210,17 @@ def test_game_values_match_solve_zero_sum_on_mixed_shapes(monkeypatch):
         return real_linprog(*args, **kwargs)
 
     monkeypatch.setattr(mg, "linprog", counting_linprog)
-    values = mg.game_values(mats)
-    assert 1 < len(calls) < lp_games  # more than one batch, several games per batch
-    for A, v in zip(mats, values):
-        assert abs(v - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
-    assert mg.game_values([]) == []
+    sols = mg.solve_games(mats)
+    assert 1 < len(calls) < len(mats)  # more than one batch, several games per batch
+    _assert_certified(mats, sols)
+    for A, sol in zip(mats, sols):
+        assert abs(sol.value - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
+    assert mg.solve_games([]) == []
 
 
-def test_game_values_fall_back_per_block(monkeypatch):
+def test_solve_games_fall_back_per_block(monkeypatch):
     mats = _mixed_shapes()
-    batched = mg.game_values(mats)
+    batched = mg.solve_games(mats)
     target = mats[6]
     assert hs.find_pure_saddle(target) is None
     real_gaps, real_solve = mg._gaps, mg.solve_zero_sum
@@ -216,13 +238,14 @@ def test_game_values_fall_back_per_block(monkeypatch):
 
     monkeypatch.setattr(mg, "_gaps", failing_gaps)
     monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
-    values = mg.game_values(mats)
+    sols = mg.solve_games(mats)
     assert len(solved) == 1 and solved[0] is target
-    assert values[6] == real_solve(target).value
-    assert values[:6] + values[7:] == batched[:6] + batched[7:]
+    assert _bits(sols[6]) == _bits(real_solve(target))
+    assert [_bits(s) for s in sols[:6] + sols[7:]] == [_bits(s) for s in batched[:6] + batched[7:]]
+    _assert_certified(mats, sols)
 
 
-def test_game_values_fall_back_when_a_batch_fails(monkeypatch):
+def test_solve_games_fall_back_when_a_batch_fails(monkeypatch):
     mats = _mixed_shapes()
     real_col_lp, real_solve = mg._col_lp, mg.solve_zero_sum
     solved = []
@@ -239,10 +262,37 @@ def test_game_values_fall_back_when_a_batch_fails(monkeypatch):
 
     monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
     monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
-    values = mg.game_values(mats)
-    assert len(solved) == _lp_bound(mats)
-    for A, v in zip(mats, values):
-        assert abs(v - real_solve(A).value) <= 1e-9 * np.abs(A).max()
+    sols = mg.solve_games(mats)
+    assert len(solved) == len(mats)
+    assert all(A is B for A, B in zip(solved, mats))
+    _assert_certified(mats, sols)
+    for A, sol in zip(mats, sols):
+        assert abs(sol.value - real_solve(A).value) <= 1e-9 * np.abs(A).max()
+
+
+def test_solve_zero_sum_falls_back_to_row_lp(monkeypatch):
+    A = _mixed_shapes()[3]
+    expect = hs.solve_zero_sum(A)
+    real_gaps, real_row_lp = mg._gaps, mg._row_lp
+    failed, row_lps = [], []
+
+    def failing_gaps(A, y, z, value):
+        if not failed:
+            failed.append(A)
+            return 1.0, 1.0
+        return real_gaps(A, y, z, value)
+
+    def spy_row_lp(A):
+        row_lps.append(A)
+        return real_row_lp(A)
+
+    monkeypatch.setattr(mg, "_gaps", failing_gaps)
+    monkeypatch.setattr(mg, "_row_lp", spy_row_lp)
+    sol = hs.solve_zero_sum(A)
+    assert len(row_lps) == 1
+    assert sol.value == expect.value
+    np.testing.assert_array_equal(sol.col_strategy.weights, expect.col_strategy.weights)
+    _assert_certified([A], [sol])
 
 
 def test_mixed_strategy_validation():

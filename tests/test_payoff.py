@@ -1,13 +1,21 @@
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 import hideseek as hs
+import hideseek.matrixgame as mg
+import hideseek.payoff as payoff
 
 import reference as ref
 from conftest import random_instance
-from oracles import feedback_matrices_per_prefix
+from oracles import (
+    best_relocations,
+    feedback_matrices_per_prefix,
+    information_set,
+    reduced_payoff,
+)
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -61,27 +69,47 @@ def test_base_rows_nondecreasing_in_visit_order():
 
 # ------------------------------------------------------------- reduced payoff
 
+def switch_by_oracle(A, rs, cfg):
+    """switch_matrix rebuilt cell by cell as the best reduced payoff."""
+    S = A.entries.copy()
+    for j, route in enumerate(rs.routes):
+        unvisited = route[cfg.t_reveal :]
+        for i in unvisited:
+            S[j, i - 1] = max(reduced_payoff(A, rs, j, cfg, i, h) for h in unvisited)
+    return S
+
+
 def test_reduced_payoff_total(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0)
     # route (1,2,3), treasure at 2: stay, or pay 1 to move to 3
-    assert hs.reduced_payoff(base3, rs3, 0, cfg, 2, 3) == pytest.approx(3.4142, abs=1e-4)
-    assert hs.reduced_payoff(base3, rs3, 0, cfg, 2, 2) == pytest.approx(2.4142, abs=1e-4)
+    assert reduced_payoff(base3, rs3, 0, cfg, 2, 3) == pytest.approx(3.4142, abs=1e-4)
+    assert reduced_payoff(base3, rs3, 0, cfg, 2, 2) == pytest.approx(2.4142, abs=1e-4)
+    for t in (1, 2):
+        for c in (0.0, 0.6, 1.0, 2.5):
+            cfg = hs.SwitchConfig(t, c)
+            S = hs.switch_matrix(base3, rs3, cfg).entries
+            np.testing.assert_array_equal(S, switch_by_oracle(base3, rs3, cfg))
 
 
 def test_reduced_payoff_remaining(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0, convention="remaining")
     # total value minus the cumulative distance to the reveal node (1.0)
-    assert hs.reduced_payoff(base3, rs3, 0, cfg, 2, 3) == pytest.approx(2.4142, abs=1e-4)
+    assert reduced_payoff(base3, rs3, 0, cfg, 2, 3) == pytest.approx(2.4142, abs=1e-4)
+    for t in (1, 2):
+        for c in (0.0, 0.6, 1.0, 2.5):
+            cfg = hs.SwitchConfig(t, c, convention="remaining")
+            S = hs.switch_matrix(base3, rs3, cfg).entries
+            np.testing.assert_allclose(S, switch_by_oracle(base3, rs3, cfg), rtol=0, atol=1e-12)
 
 
 def test_reduced_payoff_rejects_visited(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0)
     with pytest.raises(ValueError, match="unvisited"):
-        hs.reduced_payoff(base3, rs3, 0, cfg, 1, 2)
+        reduced_payoff(base3, rs3, 0, cfg, 1, 2)
     with pytest.raises(ValueError, match="unvisited"):
-        hs.reduced_payoff(base3, rs3, 0, cfg, 2, 1)
+        reduced_payoff(base3, rs3, 0, cfg, 2, 1)
     with pytest.raises(ValueError, match="route index"):
-        hs.reduced_payoff(base3, rs3, 6, cfg, 2, 3)
+        reduced_payoff(base3, rs3, 6, cfg, 2, 3)
 
 
 # --------------------------------------------------------------- switch matrix
@@ -167,7 +195,7 @@ def test_switch_config_validation():
 def test_best_relocations_match_switch_values(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0)
     S = hs.switch_matrix(base3, rs3, cfg).entries
-    targets = hs.best_relocations(base3, rs3, cfg)
+    targets = best_relocations(base3, rs3, cfg)
     for j, route in enumerate(rs3.routes):
         for i in route[1:]:
             hat = targets[j, i - 1]
@@ -190,7 +218,7 @@ def test_best_relocations_tie_breaks_low_index():
     inst = hs.make_instance((0, 0), [(0, 0)] * 3, table)
     rs = hs.enumerate_routes(3)
     A = hs.base_matrix(inst, rs)
-    targets = hs.best_relocations(A, rs, hs.SwitchConfig(1, 0.0))
+    targets = best_relocations(A, rs, hs.SwitchConfig(1, 0.0))
     j = rs.routes.index((1, 2, 3))
     assert A.entries[j, 1] == A.entries[j, 2]
     assert targets[j, 1] == 2 and targets[j, 2] == 2
@@ -199,8 +227,8 @@ def test_best_relocations_tie_breaks_low_index():
 def test_best_relocations_convention_invariant(base3, rs3):
     for t in (1, 2):
         for c in (0.0, 0.6, 2.5):
-            t_total = hs.best_relocations(base3, rs3, hs.SwitchConfig(t, c))
-            t_rem = hs.best_relocations(
+            t_total = best_relocations(base3, rs3, hs.SwitchConfig(t, c))
+            t_rem = best_relocations(
                 base3, rs3, hs.SwitchConfig(t, c, convention="remaining")
             )
             np.testing.assert_array_equal(t_total, t_rem)
@@ -209,13 +237,13 @@ def test_best_relocations_convention_invariant(base3, rs3):
 # --------------------------------------------------------------- subgame matrix
 
 def test_subgame_three_sites(base3, rs3):
-    iset = hs.information_set(rs3, hs.Prefix((1,), 1))
+    iset = information_set(rs3, hs.Prefix((1,), 1))
     sub = hs.subgame_matrix(base3, rs3, iset, 2, 1.0)
     np.testing.assert_allclose(sub.entries, [[2.4142, 3.4142], [4.4142, 1.4142]], atol=1e-3)
 
 
 def test_subgame_derived_from_base_entries(base3, rs3):
-    iset = hs.information_set(rs3, hs.Prefix((2,), 1))
+    iset = information_set(rs3, hs.Prefix((2,), 1))
     sub = hs.subgame_matrix(base3, rs3, iset, 1, 1.0)
     A = base3.entries
     expect = [[A[2, 0], A[2, 2] - 1.0], [A[3, 0], A[3, 2] - 1.0]]
@@ -224,20 +252,20 @@ def test_subgame_derived_from_base_entries(base3, rs3):
 
 
 def test_subgame_singleton_unvisited(base3, rs3):
-    iset = hs.information_set(rs3, hs.Prefix((1, 2), 2))
+    iset = information_set(rs3, hs.Prefix((1, 2), 2))
     sub = hs.subgame_matrix(base3, rs3, iset, 3, 5.0)
     assert sub.entries.shape == (1, 1)
     assert sub.entries[0, 0] == pytest.approx(base3.entries[0, 2])
 
 
 def test_subgame_rejects_visited(base3, rs3):
-    iset = hs.information_set(rs3, hs.Prefix((1,), 1))
+    iset = information_set(rs3, hs.Prefix((1,), 1))
     with pytest.raises(ValueError, match="visited"):
         hs.subgame_matrix(base3, rs3, iset, 1, 1.0)
 
 
 def test_subgame_rejects_bad_costs(base3, rs3):
-    iset = hs.information_set(rs3, hs.Prefix((1,), 1))
+    iset = information_set(rs3, hs.Prefix((1,), 1))
     for c in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):
             hs.subgame_matrix(base3, rs3, iset, 2, c)
@@ -324,6 +352,25 @@ def test_lifted_feedback_below_switch_everywhere():
             _, pi = hs.prefix_classes(rs, t)
             L = hs.lift_feedback(hs.feedback_matrix(A, rs, cfg), pi).entries
             assert (L <= S + 1e-9).all()
+
+
+def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
+    # one saddle scan per Held-Karp state and start location: C(n,t)*t
+    # states, each with n-t unvisited start locations
+    calls = []
+    real = mg.find_pure_saddle
+
+    def spy(A, *args, **kwargs):
+        calls.append(1)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(payoff, "find_pure_saddle", spy)
+    monkeypatch.setattr(mg, "find_pure_saddle", spy)
+    A = hs.base_matrix(demo6, rs6)
+    for t in range(1, 6):
+        calls.clear()
+        hs.feedback_matrix(A, rs6, hs.SwitchConfig(t, 0.5))
+        assert len(calls) == math.comb(6, t) * t * (6 - t), t
 
 
 # ----------------------------------------------------------------- gap matrix

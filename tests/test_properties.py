@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import hideseek as hs
-from hideseek.matrixgame import game_value
 
 from conftest import random_instance
+from oracles import game_value
 
 
 def degenerate_instance(rng, n):
@@ -90,6 +90,7 @@ def test_switch_equals_base_at_last_reveal():
 
 
 def test_game_value_fast_path_on_real_subgames():
+    """The oracle's saddle and 2x2 shortcuts agree with the LP on real subgames."""
     rng = np.random.default_rng(229)
     checked = 0
     for _ in range(8):
@@ -102,7 +103,7 @@ def test_game_value_fast_path_on_real_subgames():
             iset = classes[int(rng.integers(0, len(classes)))]
             c = float(rng.uniform(0, 2))
             for i in sorted(iset.unvisited):
-                sub = hs.subgame_matrix(A, rs, iset, i, c)
+                sub = hs.subgame_matrix(A, rs, iset, i, c).entries
                 assert game_value(sub) == pytest.approx(
                     hs.solve_zero_sum(sub).value, abs=1e-9
                 )

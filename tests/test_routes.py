@@ -6,6 +6,8 @@ import pytest
 import hideseek as hs
 from hideseek.routes import MAX_LOCATIONS
 
+from oracles import information_set, position, prefix_of
+
 
 def test_enumeration_order_n3(rs3):
     assert rs3.routes == (
@@ -31,45 +33,58 @@ def test_enumeration_cap():
 
 
 def test_position():
-    assert hs.position((1, 2, 3), 3) == 3
-    assert hs.position((2, 3, 1), 1) == 3
-    assert hs.position((3, 1, 2), 1) == 2
+    assert position((1, 2, 3), 3) == 3
+    assert position((2, 3, 1), 1) == 3
+    assert position((3, 1, 2), 1) == 2
 
 
 def test_position_matrix(rs3):
     for j, route in enumerate(rs3.routes):
         for i in route:
-            assert rs3.position_matrix[j, i - 1] == hs.position(route, i)
+            assert rs3.position_matrix[j, i - 1] == position(route, i)
 
 
-def test_prefix_of():
-    h = hs.prefix_of((1, 2, 3), 1)
+def test_prefix_of(rs3):
+    h = prefix_of((1, 2, 3), 1)
     assert h.nodes == (1,) and h.t_reveal == 1
-    assert hs.prefix_of((2, 1, 3), 3).nodes == (2, 1, 3)
-    assert hs.prefix_of((2, 3, 1), 2).nodes == (2, 3)
+    assert prefix_of((2, 1, 3), 3).nodes == (2, 1, 3)
+    assert prefix_of((2, 3, 1), 2).nodes == (2, 3)
     with pytest.raises(ValueError, match="out of range"):
-        hs.prefix_of((1, 2, 3), 4)
+        prefix_of((1, 2, 3), 4)
     with pytest.raises(ValueError, match="out of range"):
-        hs.prefix_of((1, 2, 3), 0)
+        prefix_of((1, 2, 3), 0)
+    for t in (1, 2):
+        classes, pi = hs.prefix_classes(rs3, t)
+        for j, route in enumerate(rs3.routes):
+            assert classes[pi[j]].prefix == prefix_of(route, t)
 
 
 def test_information_set_n3(rs3):
-    iset = hs.information_set(rs3, hs.Prefix((1,), 1))
+    iset = information_set(rs3, hs.Prefix((1,), 1))
     assert iset.members == (0, 1)  # routes r1, r2
     assert iset.visited == {1} and iset.unvisited == {2, 3}
 
-    assert hs.information_set(rs3, hs.Prefix((3,), 1)).members == (4, 5)  # r5, r6
+    assert information_set(rs3, hs.Prefix((3,), 1)).members == (4, 5)  # r5, r6
 
-    pinned = hs.information_set(rs3, hs.Prefix((1, 2), 2))
+    pinned = information_set(rs3, hs.Prefix((1, 2), 2))
     assert pinned.members == (0,)
     assert pinned.unvisited == {3}
+
+    for t in (1, 2):
+        for cls in hs.prefix_classes(rs3, t)[0]:
+            iset = information_set(rs3, cls.prefix)
+            assert (iset.members, iset.visited, iset.unvisited) == (
+                cls.members,
+                cls.visited,
+                cls.unvisited,
+            )
 
 
 def test_information_set_validation(rs3):
     with pytest.raises(ValueError, match="duplicate"):
-        hs.information_set(rs3, hs.Prefix((1, 1), 2))
+        information_set(rs3, hs.Prefix((1, 1), 2))
     with pytest.raises(ValueError, match="out of range"):
-        hs.information_set(rs3, hs.Prefix((4,), 1))
+        information_set(rs3, hs.Prefix((4,), 1))
 
 
 def test_prefix_classes_n3(rs3):

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .experiments import MODELS, simulate, sweep, sweep_to_csv, verify_bounds
+from .experiments import MODELS, SweepRow, simulate, sweep, sweep_to_csv, verify_bounds
 from .instance import Instance, InstanceError, load_instance
 from .matrixgame import GameSolution, SolverError, simplex_weights, solve_zero_sum
 from .payoff import (
@@ -24,7 +24,6 @@ from .payoff import (
     base_matrix,
     dump_matrix,
     feedback_matrix,
-    lift_feedback,
     switch_matrix,
 )
 from .routes import MAX_LOCATIONS, RouteSet, enumerate_routes, prefix_classes
@@ -68,17 +67,6 @@ def _check_cost(c: float, flag: str) -> None:
         raise UsageError(f"{flag} must be finite and >= 0, got {c}")
 
 
-def _parse_costs(args) -> list[float] | None:
-    if args.costs is None:
-        return None
-    c_grid = _parse_floats(args.costs, "--costs")
-    if not c_grid:
-        raise UsageError("--costs is empty")
-    for c in c_grid:
-        _check_cost(c, "--costs")
-    return c_grid
-
-
 def _load(path) -> Instance:
     """Load an instance that the route enumeration can take."""
     inst = load_instance(path)
@@ -87,9 +75,9 @@ def _load(path) -> Instance:
     return inst
 
 
-def _check_t(t: int, n: int) -> None:
-    if not 1 <= t <= n - 1:
-        raise UsageError(f"--t-reveal must be in 1..{n - 1} for this instance, got {t}")
+def _check_t(t: int, flag: str, top: int) -> None:
+    if not 1 <= t <= top:
+        raise UsageError(f"{flag} must be in 1..{top} for this instance, got {t}")
 
 
 def _strategy_lines(weights, labels, prec: int) -> list[str]:
@@ -119,28 +107,36 @@ def _print_solution(out, title: str, sol: GameSolution, row_labels, col_labels, 
     out.write("\n".join(_strategy_lines(sol.col_strategy.weights, col_labels, prec)) + "\n")
 
 
-def _model_matrix(inst: Instance, rs: RouteSet, args) -> tuple[PayoffMatrix, list[str]]:
+def _model_matrix(
+    inst: Instance, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
+) -> PayoffMatrix:
+    """The payoff matrix of one game model; base ignores t and c."""
     A = base_matrix(inst, rs)
-    if args.model == "base":
-        if args.t_reveal is not None or args.cost is not None:
-            raise UsageError("--t-reveal/--cost apply only to restricted or feedback models")
-        return A, _route_labels(rs)
-    t = 1 if args.t_reveal is None else args.t_reveal
-    c = 1.0 if args.cost is None else args.cost
-    _check_t(t, rs.n)
-    _check_cost(c, "--cost")
-    cfg = SwitchConfig(t, c, convention=args.convention, feedback_mode=args.feedback_mode)
-    if args.model == "restricted":
-        return switch_matrix(A, rs, cfg), _route_labels(rs)
-    classes, _ = prefix_classes(rs, t)
-    return feedback_matrix(A, rs, cfg), _prefix_labels(classes)
+    if model == "base":
+        return A
+    cfg = SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
+    if model == "restricted":
+        return switch_matrix(A, rs, cfg)
+    return feedback_matrix(A, rs, cfg)
 
 
 def cmd_solve(args, out) -> int:
     inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
-    matrix, row_labels = _model_matrix(inst, rs, args)
+    t = 1 if args.t_reveal is None else args.t_reveal
+    c = 1.0 if args.cost is None else args.cost
+    if args.model == "base":
+        if args.t_reveal is not None or args.cost is not None:
+            raise UsageError("--t-reveal/--cost apply only to restricted or feedback models")
+    else:
+        _check_t(t, "--t-reveal", rs.n - 1)
+        _check_cost(c, "--cost")
+    matrix = _model_matrix(inst, rs, args.model, t, c, args.convention, args.feedback_mode)
     sol = solve_zero_sum(matrix)
+    if args.model == "feedback":
+        row_labels = _prefix_labels(prefix_classes(rs, t)[0])
+    else:
+        row_labels = _route_labels(rs)
     col_labels = [str(i) for i in range(1, rs.n + 1)]
     _print_solution(out, args.model, sol, row_labels, col_labels, args.precision)
     if args.emit_matrix:
@@ -152,7 +148,7 @@ def cmd_solve(args, out) -> int:
 def cmd_voi(args, out) -> int:
     inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
-    _check_t(args.t_reveal, rs.n)
+    _check_t(args.t_reveal, "--t-reveal", rs.n - 1)
     _check_cost(args.cost, "--cost")
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
@@ -187,18 +183,25 @@ def cmd_voi(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, out) -> int:
-    inst = _load(args.instance)
-    n = inst.n
-    t_list = None
+def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
+    """Check `--t-list` and `--costs`, then run the sweep that `sweep` and `verify` share."""
+    t_list = c_grid = None
     if args.t_list:
         t_list = _parse_ints(args.t_list, "--t-list")
         for t in t_list:
-            _check_t(t, n)
-    c_grid = _parse_costs(args)
-    rows = sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
+            _check_t(t, "--t-list", inst.n - 1)
+    if args.costs is not None:
+        c_grid = _parse_floats(args.costs, "--costs")
+        if not c_grid:
+            raise UsageError("--costs is empty")
+        for c in c_grid:
+            _check_cost(c, "--costs")
+    return sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
                  feedback_mode=args.feedback_mode)
-    out.write(sweep_to_csv(rows))
+
+
+def cmd_sweep(args, out) -> int:
+    out.write(sweep_to_csv(_sweep_rows(_load(args.instance), args)))
     return EXIT_OK
 
 
@@ -208,19 +211,23 @@ def cmd_simulate(args, out) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_cost(args.cost, "--cost")
-    if not 1 <= args.t_reveal <= rs.n:
-        raise UsageError(f"--t-reveal must be in 1..{rs.n} for simulation, got {args.t_reveal}")
-    A = base_matrix(inst, rs)
-    cfg = SwitchConfig(min(args.t_reveal, rs.n - 1) if rs.n > 1 else 1, args.cost)
-    if args.model == "base" or args.t_reveal == rs.n:
-        sol = solve_zero_sum(A)
-    elif args.model == "restricted":
-        sol = solve_zero_sum(switch_matrix(A, rs, cfg))
-    else:
-        _, pi = prefix_classes(rs, cfg.t_reveal)
-        sol = solve_zero_sum(lift_feedback(feedback_matrix(A, rs, cfg), pi))
+    _check_t(args.t_reveal, "--t-reveal", rs.n)
+    # revealing after the last visit reveals nothing: every model plays the base game
+    model = "base" if args.t_reveal == rs.n else args.model
+    # the playout pays total-convention costs and plays mixed subgame strategies
+    matrix = _model_matrix(inst, rs, model, args.t_reveal, args.cost, "total", "mixed_subgame")
+    sol = solve_zero_sum(matrix)
+    y = sol.row_strategy.weights
+    if model == "feedback":
+        # The playout draws a route, but the Seeker of the prefix game picks
+        # only a prefix. Any split of a prefix's weight over its routes is an
+        # equilibrium of the route lift, whose prefix-mate rows are equal, and
+        # the playout reads only the prefix: cells ended by t are constant
+        # within a prefix, and late trials redraw the route from the subgame.
+        _, pi = prefix_classes(rs, args.t_reveal)
+        y = y[pi] / (rs.m // matrix.rows)
     result = simulate(
-        inst, rs, args.model, sol.row_strategy, sol.col_strategy,
+        inst, rs, args.model, y, sol.col_strategy,
         args.t_reveal, args.cost, args.trials, args.seed,
     )
     p = args.precision
@@ -235,18 +242,9 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     inst = _load(args.instance)
-    n = inst.n
-    if n < 2:
+    if inst.n < 2:
         raise UsageError("verify needs at least 2 locations: with 1 there is no reveal time to check")
-    t_list = None
-    if args.t_list:
-        t_list = _parse_ints(args.t_list, "--t-list")
-        for t in t_list:
-            _check_t(t, n)
-    c_grid = _parse_costs(args)
-    rows = sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
-                 feedback_mode=args.feedback_mode)
-    report = verify_bounds(rows, inst=inst, convention=args.convention)
+    report = verify_bounds(_sweep_rows(inst, args), inst=inst, convention=args.convention)
     for check in report.checks:
         out.write(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}\n")
     out.write("all checks passed\n" if report.passed else "some checks FAILED\n")

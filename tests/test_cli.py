@@ -1,10 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
 from hideseek.cli import main
+from hideseek.experiments import MODELS
 
 import reference as ref
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 @pytest.fixture()
@@ -55,6 +59,43 @@ def test_solve_t_reveal_out_of_range(capsys, three_sites_path):
     )
     assert code == 2
     assert "1..2" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--t-list", "1,5"], "--t-list must be in 1..2"),
+        (["verify", "--t-list", "0"], "--t-list must be in 1..2"),
+        (["voi", "--t-reveal", "3"], "--t-reveal must be in 1..2"),
+        (["simulate", "--t-reveal", "4", "--trials", "10"], "--t-reveal must be in 1..3"),
+    ],
+    ids=["sweep", "verify", "voi", "simulate"],
+)
+def test_reveal_time_errors_name_the_flag(capsys, three_sites_path, argv, message):
+    code, _, err = run_cli(capsys, argv[0], three_sites_path, *argv[1:])
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("name,n", [("three_sites", 3), ("six_sites", 6)])
+def test_simulate_plays_the_game_solve_solves(capsys, name, n):
+    path = str(INSTANCES / f"{name}.json")
+
+    def value(command, key, *argv):
+        code, out, _ = run_cli(capsys, command, path, "--precision", "12", *argv)
+        assert code == 0, argv
+        return next(line for line in out.splitlines() if line.startswith(key))[len(key):]
+
+    base = value("solve", "value: ", "--model", "base")
+    for model in MODELS:
+        for t in (1, n - 1):
+            for c in ("0.5", "1"):
+                flags = ["--model", model, "--t-reveal", str(t), "--cost", c]
+                solved = base if model == "base" else value("solve", "value: ", *flags)
+                assert value("simulate", "game value: ", *flags, "--trials", "1") == solved, flags
+        # revealing after the last visit leaves every model with the base game
+        last = ["--model", model, "--t-reveal", str(n), "--trials", "1"]
+        assert value("simulate", "game value: ", *last) == base, model
 
 
 def test_solve_base_rejects_reveal_flags(capsys, three_sites_path):

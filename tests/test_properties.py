@@ -3,6 +3,8 @@ off-equilibrium playout means, and fast-path agreement on real subgames."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hideseek as hs
 
@@ -76,6 +78,24 @@ def test_feedback_value_equals_lifted_value():
         v_prefix = hs.solve_zero_sum(F).value
         v_lifted = hs.solve_zero_sum(L).value
         assert v_prefix == pytest.approx(v_lifted, abs=1e-8)
+
+
+def _three_values(inst, t, c):
+    _, A, S, F, _ = full_stack(inst, t, c)
+    return np.array([hs.solve_zero_sum(M).value for M in (A, S, F)]), np.abs(A.entries).max()
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_values_invariant_under_relabelling(data, n, seed):
+    # numbering the locations differently permutes rows and columns of every game
+    coords = np.random.default_rng(seed).uniform(0.0, 5.0, size=(n + 1, 2))
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    t = data.draw(st.integers(1, n - 1), label="t")
+    c = data.draw(st.floats(0.0, 3.0), label="c")
+    values, scale = _three_values(hs.make_instance(coords[0], coords[1:]), t, c)
+    relabelled, _ = _three_values(hs.make_instance(coords[0], coords[1:][list(perm)]), t, c)
+    np.testing.assert_allclose(relabelled, values, rtol=0, atol=1e-9 * scale)
 
 
 def test_switch_equals_base_at_last_reveal():

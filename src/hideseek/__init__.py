@@ -20,11 +20,9 @@ from .instance import (
 )
 from .routes import (
     MAX_LOCATIONS,
-    InformationSet,
-    Prefix,
     RouteSet,
     enumerate_routes,
-    prefix_classes,
+    prefix_block,
 )
 from .payoff import (
     PayoffMatrix,

@@ -26,7 +26,7 @@ from .payoff import (
     feedback_matrix,
     switch_matrix,
 )
-from .routes import MAX_LOCATIONS, RouteSet, enumerate_routes, prefix_classes
+from .routes import MAX_LOCATIONS, RouteSet, enumerate_routes, prefix_block
 from .voi import CSTAR_VARIANTS, build_voi_report, report_to_csv
 
 EXIT_OK = 0
@@ -92,8 +92,8 @@ def _route_labels(rs: RouteSet) -> list[str]:
     return [f"r{j + 1}=({','.join(str(v) for v in r)})" for j, r in enumerate(rs.routes)]
 
 
-def _prefix_labels(classes) -> list[str]:
-    return [f"h=({','.join(str(v) for v in s.prefix.nodes)})" for s in classes]
+def _prefix_labels(rs: RouteSet, t: int) -> list[str]:
+    return [f"h=({','.join(str(v) for v in r[:t])})" for r in rs.routes[:: prefix_block(rs, t)]]
 
 
 def _print_solution(out, title: str, sol: GameSolution, row_labels, col_labels, prec: int):
@@ -134,7 +134,7 @@ def cmd_solve(args, out) -> int:
     matrix = _model_matrix(inst, rs, args.model, t, c, args.convention, args.feedback_mode)
     sol = solve_zero_sum(matrix)
     if args.model == "feedback":
-        row_labels = _prefix_labels(prefix_classes(rs, t)[0])
+        row_labels = _prefix_labels(rs, t)
     else:
         row_labels = _route_labels(rs)
     col_labels = [str(i) for i in range(1, rs.n + 1)]
@@ -210,6 +210,8 @@ def cmd_simulate(args, out) -> int:
     rs = enumerate_routes(inst.n)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_cost(args.cost, "--cost")
     _check_t(args.t_reveal, "--t-reveal", rs.n)
     # revealing after the last visit reveals nothing: every model plays the base game
@@ -224,8 +226,8 @@ def cmd_simulate(args, out) -> int:
         # equilibrium of the route lift, whose prefix-mate rows are equal, and
         # the playout reads only the prefix: cells ended by t are constant
         # within a prefix, and late trials redraw the route from the subgame.
-        _, pi = prefix_classes(rs, args.t_reveal)
-        y = y[pi] / (rs.m // matrix.rows)
+        block = prefix_block(rs, args.t_reveal)
+        y = np.repeat(y, block) / block
     result = simulate(
         inst, rs, args.model, y, sol.col_strategy,
         args.t_reveal, args.cost, args.trials, args.seed,
@@ -320,7 +322,11 @@ def main(argv=None) -> int:
         if args.precision < 0:
             raise UsageError(f"--precision must be >= 0, got {args.precision}")
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                fh = open(args.output, "w", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write --output {args.output}: {exc.strerror}") from exc
+            with fh:
                 return args.func(args, fh)
         return args.func(args, sys.stdout)
     except UsageError as exc:

@@ -26,7 +26,7 @@ from .payoff import (
     subgame_matrix,
     switch_matrix,
 )
-from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_classes
+from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
@@ -120,8 +120,7 @@ def sweep(
             As = switch_matrix(A, rs, cfg)
             sw = solve_zero_sum(As)
             F = feedback_matrix(A, rs, cfg)
-            _, pi = prefix_classes(rs, t)
-            _, delta, _ = entrywise_gap(As, lift_feedback(F, pi))
+            _, delta, _ = entrywise_gap(As, lift_feedback(F))
             bar = worst_case_voi(voi_matrix(As, rs, t))
             rows.append(
                 SweepRow(
@@ -307,19 +306,18 @@ def simulate(
     elif feedback:
         # codes past m*n are the switched cells, paid minus c
         values = np.concatenate([A.ravel(), A.ravel() - c])
-        classes, pi = prefix_classes(rs, t)
+        block = prefix_block(rs, t)
     else:
         values = A.ravel()
 
     @functools.cache
     def subgame_play(key: int):
-        hi, i = divmod(key, n)
-        iset = classes[hi]
-        sol = solve_zero_sum(subgame_matrix(A_pm, rs, iset, i + 1, c))
+        h, i = divmod(key, n)
+        sol = solve_zero_sum(subgame_matrix(A_pm, rs, t, h, i + 1, c))
         return (
-            np.array(iset.members),
+            h * block + np.arange(block),
             np.cumsum(sol.row_strategy.weights),
-            np.array(sorted(iset.unvisited)) - 1,
+            np.flatnonzero(rs.position_matrix[h * block] > t),
             np.cumsum(sol.col_strategy.weights),
         )
 
@@ -335,7 +333,7 @@ def simulate(
         code = j * n + i
         if feedback:
             late = np.flatnonzero(~ended)
-            key = pi[j[late]] * n + i[late]
+            key = j[late] // block * n + i[late]
             order = np.argsort(key, kind="stable")
             groups, first = np.unique(key[order], return_index=True)
             for g, idxs in zip(groups.tolist(), np.split(late[order], first[1:])):

@@ -233,6 +233,12 @@ def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:
     return _gaps(A, y, z, sol.value)
 
 
+def _saddle_mask(A: np.ndarray, tol: float = SADDLE_TOL) -> np.ndarray:
+    """Cells that are their row's maximum and their column's minimum (within
+    tol), over the last two axes, so a stack of games is scanned at once."""
+    return (A >= A.max(axis=-1, keepdims=True) - tol) & (A <= A.min(axis=-2, keepdims=True) + tol)
+
+
 def find_pure_saddle(A, tol: float = SADDLE_TOL) -> PureSaddle | None:
     """Scan for a cell that is its row's maximum and its column's minimum.
 
@@ -241,10 +247,7 @@ def find_pure_saddle(A, tol: float = SADDLE_TOL) -> PureSaddle | None:
     """
     A = _entries(A)
     _validate_matrix(A)
-    row_max = A.max(axis=1, keepdims=True)
-    col_min = A.min(axis=0, keepdims=True)
-    mask = (A >= row_max - tol) & (A <= col_min + tol)
-    cells = np.argwhere(mask)
+    cells = np.argwhere(_saddle_mask(A, tol))
     if len(cells) == 0:
         return None
     r, c = (int(v) for v in cells[0])

@@ -15,13 +15,14 @@ and relocation choices are identical under both; game values differ.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import check_cost, find_pure_saddle, solve_games
-from .routes import InformationSet, RouteSet, check_reveal_time, prefix_classes
+from .matrixgame import _saddle_mask, check_cost, solve_games
+from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
@@ -126,23 +127,30 @@ def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMat
     return PayoffMatrix(S, cfg=cfg)
 
 
-def subgame_matrix(
-    A: PayoffMatrix, rs: RouteSet, iset: InformationSet, i: int, c: float
-) -> PayoffMatrix:
-    """Reveal-stage subgame at a prefix: prefix-consistent routes versus
-    relocation targets, for a treasure initially at i.
+def subgame_matrix(A: PayoffMatrix, rs: RouteSet, t: int, h, i, c: float):
+    """Reveal-stage subgame at prefix h for a treasure initially at i: the
+    prefix's routes versus relocation targets.
 
-    Rows are the information set's members in ascending route order; columns
-    are the unvisited locations ascending. Entries use the total convention:
-    baseline cost of the target minus c off the stay column.
+    Rows are the prefix's routes in order; columns are the unvisited
+    locations ascending. Entries use the total convention: baseline cost of
+    the target minus c off the stay column. For an int h this is a
+    PayoffMatrix. For an array of prefix indices, with i an int or an array
+    of the same shape, it is a stack of shape h.shape + ((n-t)!, n-t).
     """
-    if i not in iset.unvisited:
-        raise ValueError(f"location {i} is visited under prefix {iset.prefix.nodes}")
+    block = prefix_block(rs, t)
     check_cost(c)
-    targets = sorted(iset.unvisited)
-    S = A.entries[np.ix_(list(iset.members), [u - 1 for u in targets])] - c
-    S[:, targets.index(i)] += c
-    return PayoffMatrix(S)
+    h, i = np.asarray(h), np.asarray(i)
+    if ((h < 0) | (h >= rs.m // block)).any():
+        raise ValueError(f"prefix index out of range 0..{rs.m // block - 1}")
+    first = h * block
+    unvisited = rs.position_matrix[first] > t
+    cols = np.nonzero(unvisited)[-1].reshape(*h.shape, rs.n - t)
+    stay = cols == i[..., None] - 1
+    if not stay.any(axis=-1).all():
+        raise ValueError(f"location {i} is visited under prefix {h} at t={t}")
+    S = A.entries[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]] - c
+    np.add(S, c, out=S, where=stay[..., None, :])
+    return PayoffMatrix(S) if S.ndim == 2 else S
 
 
 def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMatrix:
@@ -157,65 +165,65 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     visited set and the last prefix node): the prefix order adds its
     cumulative cost to every entry. So the mixed values are solved once per
     state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
-    lexicographically first prefix. A subgame closed by a pure saddle gives
-    a cell, which every prefix of the state reads from its own rows with
-    subgame_matrix's arithmetic; the subgames left go to solve_games, which
-    solves them in block-diagonal LPs, and their values are shifted by the
-    difference of the prefixes' cumulative costs. Visited cells, pure_min
-    cells and saddle cells (which include every cell at t = n-1) are
-    bit-identical to solving each prefix's subgame on its own; the shifted
-    values agree with it to round-off.
+    lexicographically first prefix. For each start location i one stack
+    holds the subgames of every prefix that leaves i unvisited, and one
+    saddle scan covers the states' first prefixes in it. A subgame closed
+    by a pure saddle gives a cell, which every prefix of the state reads
+    from its own subgame; the subgames left go to solve_games, state by
+    state and start by start, which solves them in block-diagonal LPs, and
+    their values are shifted by the difference of the prefixes' cumulative
+    costs. Visited cells, pure_min cells and saddle
+    cells (which include every cell at t = n-1) are bit-identical to solving
+    each prefix's subgame on its own; the shifted values agree with it to
+    round-off.
     """
-    classes, _ = prefix_classes(rs, cfg.t_reveal)
+    t, c, n = cfg.t_reveal, cfg.c, rs.n
     E = A.entries
-    members = np.array([iset.members for iset in classes])
-    first = members[:, 0]
-    cum = E[first, [iset.prefix.nodes[-1] - 1 for iset in classes]]
-    offset = cum if cfg.convention == "remaining" else np.zeros(len(classes))
-    unvisited = rs.position_matrix[first] > cfg.t_reveal
+    first = np.arange(0, rs.m, prefix_block(rs, t))  # each prefix's first route
+    nodes = rs.route_array[first, :t]
+    cum = E[first, nodes[:, -1] - 1]
+    offset = cum if cfg.convention == "remaining" else np.zeros(len(first))
+    unvisited = rs.position_matrix[first] > t
     F = E[first]  # visited cells keep their prefix-constant baseline cost
-    if cfg.feedback_mode == "pure_min":
-        S = E[members] - cfg.c
-        for i in range(1, rs.n + 1):
-            h = np.flatnonzero(unvisited[:, i - 1])
-            sub = np.where(unvisited[h, None, :], S[h], -np.inf)
-            sub[:, :, i - 1] += cfg.c
+    # Held-Karp states, numbered in order of their first prefix rep[s]
+    key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
+    _, rep, state = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(rep)
+    rep, state = rep[order], np.argsort(order)[state]
+    lp = np.zeros((len(rep), n), dtype=bool)  # (state, start) subgames left to the LP
+    for i in range(1, n + 1):
+        h = np.flatnonzero(unvisited[:, i - 1])
+        sub = subgame_matrix(A, rs, t, h, i, c)
+        if cfg.feedback_mode == "pure_min":
             F[h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
-        return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
+            continue
+        lead = rep[state[h]] == h  # the prefixes whose subgames are scanned
+        mask = _saddle_mask(sub[lead]).reshape(lead.sum(), -1)
+        cell = np.full(len(rep), -1)  # each state's first saddle, row-major
+        cell[state[h[lead]]] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+        lp[state[h[lead]], i - 1] = ~mask.any(axis=1)
+        hit = cell[state[h]] >= 0
+        F[h[hit], i - 1] = sub.reshape(len(h), -1)[hit, cell[state[h[hit]]]] - offset[h[hit]]
 
-    states: dict[tuple[frozenset[int], int], list[int]] = {}
-    for hi, iset in enumerate(classes):
-        states.setdefault((iset.visited, iset.prefix.nodes[-1]), []).append(hi)
-    pending, subs = [], []
-    for group in states.values():
-        rep = classes[group[0]]
-        h = np.array(group)
-        targets = sorted(rep.unvisited)
-        for i in targets:
-            sub = subgame_matrix(A, rs, rep, i, cfg.c).entries
-            saddle = find_pure_saddle(sub)
-            if saddle is None:
-                pending.append((h, i))
-                subs.append(sub)
-                continue
-            u = targets[saddle.col]
-            val = E[members[h, saddle.row], u - 1] - cfg.c
-            if u == i:
-                val += cfg.c
-            F[h, i - 1] = val - offset[h]
-    for (h, i), sol in zip(pending, solve_games(subs)):
-        F[h, i - 1] = (sol.value + (cum[h] - cum[h[0]])) - offset[h]
+    s, i0 = np.nonzero(lp)
+    value = np.zeros((len(rep), n))
+    value[s, i0] = [sol.value for sol in solve_games(subgame_matrix(A, rs, t, rep[s], i0 + 1, c))]
+    h, i0 = np.nonzero(lp[state])
+    F[h, i0] = (value[state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
 
 
-def lift_feedback(Afb: PayoffMatrix, pi: np.ndarray) -> PayoffMatrix:
-    """Re-index a prefix-row matrix by routes; prefix-mates get equal rows."""
+def lift_feedback(Afb: PayoffMatrix) -> PayoffMatrix:
+    """Re-index a prefix-row matrix by routes; prefix-mates get equal rows.
+
+    Each prefix's routes are consecutive, so every row repeats n!/rows times.
+    """
     if Afb.row_kind != "prefix":
         raise ValueError("lift_feedback expects a prefix-indexed matrix")
-    pi = np.asarray(pi)
-    if pi.max() >= Afb.rows or pi.min() < 0:
-        raise ValueError("prefix map does not match the matrix rows")
-    return PayoffMatrix(Afb.entries[pi], cfg=Afb.cfg)
+    block, rest = divmod(math.factorial(Afb.cols), Afb.rows)
+    if rest:
+        raise ValueError(f"{Afb.rows} prefix rows do not split the {Afb.cols}! routes")
+    return PayoffMatrix(np.repeat(Afb.entries, block, axis=0), cfg=Afb.cfg)
 
 
 def entrywise_gap(

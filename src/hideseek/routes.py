@@ -1,15 +1,16 @@
-"""Seeker route enumeration and prefix / information-set indexing.
+"""Seeker route enumeration and the prefix block layout.
 
 Routes are permutations of the locations 1..n, enumerated in lexicographic
 order; the row index of every payoff matrix refers to this order. Route
-indices are 0-based in code (row j holds the (j+1)-th route).
+indices are 0-based in code (row j holds the (j+1)-th route). The Seeker's
+information set at reveal time t is every route sharing a t-visit prefix;
+in this order it is a block of (n-t)! consecutive routes (prefix_block).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +21,8 @@ MAX_LOCATIONS = 8
 Route = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """The first ``t_reveal`` visited locations of a route."""
-
-    nodes: Route
-    t_reveal: int
-
-    def __post_init__(self):
-        if self.t_reveal != len(self.nodes):
-            raise ValueError("prefix length disagrees with t_reveal")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"prefix has duplicate nodes: {self.nodes}")
-
-
-@dataclass(frozen=True, eq=False)
-class InformationSet:
-    """All routes agreeing with a prefix, with the induced visited split."""
-
-    prefix: Prefix
-    members: tuple[int, ...]  # 0-based route indices, ascending
-    visited: frozenset[int]
-    unvisited: frozenset[int]
-
-
 class RouteSet:
-    """All n! visiting orders plus derived index structures.
-
-    Immutable after construction; information-set partitions are computed
-    once per reveal time and cached.
-    """
+    """All n! visiting orders plus each location's visit position. Immutable."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_LOCATIONS:
@@ -63,7 +36,6 @@ class RouteSet:
         cols = self.route_array - 1
         rows = np.arange(self.m)[:, None]
         self.position_matrix[rows, cols] = np.arange(1, n + 1)[None, :]
-        self._class_cache: dict[int, tuple[tuple[InformationSet, ...], np.ndarray]] = {}
 
     def __repr__(self):
         return f"RouteSet(n={self.n}, m={self.m})"
@@ -81,33 +53,13 @@ def check_reveal_time(t: int, top: int) -> None:
         raise ValueError(f"reveal time {t} out of range 1..{top}")
 
 
-def prefix_classes(rs: RouteSet, t: int) -> tuple[tuple[InformationSet, ...], np.ndarray]:
-    """All distinct prefixes at reveal time t, plus the route-to-class map.
+def prefix_block(rs: RouteSet, t: int) -> int:
+    """Routes per prefix at reveal time t: B = (n-t)!.
 
-    Returns (classes, pi) where classes are in lexicographic prefix order and
-    pi[j] is the class index of route j. There are n!/(n-t)! classes and the
-    member lists partition the route set.
+    Routes sharing their first t visits are consecutive in lexicographic
+    order, so prefix h (0-based, in lexicographic prefix order) holds routes
+    h*B .. h*B+B-1, and E.reshape(-1, B, n) views a route-indexed matrix E
+    prefix by prefix.
     """
     check_reveal_time(t, rs.n - 1)
-    cached = rs._class_cache.get(t)
-    if cached is not None:
-        return cached
-
-    classes: list[InformationSet] = []
-    pi = np.empty(rs.m, dtype=np.int64)
-    block = math.factorial(rs.n - t)  # routes sharing a prefix are contiguous
-    for start in range(0, rs.m, block):
-        h = Prefix(rs.routes[start][:t], t)
-        visited = frozenset(h.nodes)
-        classes.append(
-            InformationSet(
-                prefix=h,
-                members=tuple(range(start, start + block)),
-                visited=visited,
-                unvisited=frozenset(range(1, rs.n + 1)) - visited,
-            )
-        )
-        pi[start : start + block] = len(classes) - 1
-    result = (tuple(classes), pi)
-    rs._class_cache[t] = result
-    return result
+    return math.factorial(rs.n - t)

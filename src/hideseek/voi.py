@@ -20,7 +20,7 @@ import numpy as np
 from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_zero_sum
 from .payoff import PayoffMatrix, SwitchConfig, base_matrix, switch_matrix
-from .routes import RouteSet, check_reveal_time, prefix_classes
+from .routes import RouteSet, check_reveal_time, prefix_block
 
 CSTAR_VARIANTS = ("route", "infoset")
 
@@ -82,17 +82,15 @@ def cstar(A: PayoffMatrix, rs: RouteSet, t: int, variant: str = "infoset") -> np
         masked = np.where(unvisited, E, -np.inf)
         row_max = masked.max(axis=1)
         return np.where(unvisited, row_max[:, None] - E, np.nan)
-    C = np.full((rs.m, rs.n), np.nan)
-    classes, _ = prefix_classes(rs, t)
-    for iset in classes:
-        targets = sorted(iset.unvisited)
-        cols = [u - 1 for u in targets]
-        reveal = iset.prefix.nodes[-1] - 1
-        reduced = E[np.ix_(list(iset.members), cols)] - E[list(iset.members), reveal][:, None]
-        m_min = reduced.min(axis=0)
-        spread = np.maximum(m_min.max() - m_min, 0.0)
-        C[np.ix_(iset.members, cols)] = spread
-    return C
+    block = prefix_block(rs, t)
+    V = E.reshape(-1, block, rs.n)  # V[h] holds prefix h's routes
+    unvisited = rs.position_matrix[::block] > t
+    reveal = rs.route_array[::block, t - 1] - 1
+    reduced = V - np.take_along_axis(V, reveal[:, None, None], axis=2)
+    m_min = reduced.min(axis=1)
+    top = np.where(unvisited, m_min, -np.inf).max(axis=1)
+    spread = np.where(unvisited, np.maximum(top[:, None] - m_min, 0.0), np.nan)
+    return np.repeat(spread, block, axis=0)
 
 
 def cstar_global(C: np.ndarray) -> float:

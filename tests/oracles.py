@@ -17,24 +17,36 @@ def position(route, i):
 def prefix_of(route, t):
     """The first t visited locations. t may run up to n for termination queries."""
     check_reveal_time(t, len(route))
-    return hs.Prefix(tuple(route[:t]), t)
+    return tuple(route[:t])
 
 
-def information_set(rs, h):
-    """The routes whose first t_reveal entries equal the prefix."""
-    t = h.t_reveal
+def prefixes(rs, t):
+    """Every distinct t-visit prefix, in lexicographic order."""
+    return sorted({prefix_of(route, t) for route in rs.routes})
+
+
+def information_set(rs, nodes):
+    """The routes whose first len(nodes) entries equal the prefix, ascending,
+    found by scanning every route."""
+    t = len(nodes)
     check_reveal_time(t, rs.n)
-    if any(not 1 <= v <= rs.n for v in h.nodes):
-        raise ValueError(f"prefix node out of range 1..{rs.n}: {h.nodes}")
-    match = (rs.route_array[:, :t] == np.array(h.nodes)).all(axis=1)
-    members = tuple(int(j) for j in np.flatnonzero(match))
-    visited = frozenset(h.nodes)
-    return hs.InformationSet(
-        prefix=h,
-        members=members,
-        visited=visited,
-        unvisited=frozenset(range(1, rs.n + 1)) - visited,
-    )
+    if any(not 1 <= v <= rs.n for v in nodes):
+        raise ValueError(f"prefix node out of range 1..{rs.n}: {nodes}")
+    return np.flatnonzero((rs.route_array[:, :t] == np.array(nodes)).all(axis=1))
+
+
+def unvisited_after(rs, nodes):
+    """The locations a prefix leaves unvisited, ascending."""
+    return sorted(set(range(1, rs.n + 1)) - set(nodes))
+
+
+def subgame(A, members, targets, i, c):
+    """Reveal-stage subgame on the given routes and ascending targets for a
+    treasure initially at i: the target's baseline cost, minus c unless it
+    stays."""
+    S = A.entries[np.ix_(members, [u - 1 for u in targets])] - c
+    S[:, targets.index(i)] += c
+    return S
 
 
 def reduced_payoff(A, rs, j, cfg, i, i_hat):
@@ -103,19 +115,21 @@ def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
     cells read straight from a matrix entry (visited cells, pure_min cells
     and subgames with a pure saddle), where the package must agree exactly.
     """
-    classes, _ = hs.prefix_classes(rs, t)
     E = A.entries
-    F = {conv: np.empty((len(classes), rs.n)) for conv in ("total", "remaining")}
-    closed = np.zeros((len(classes), rs.n), dtype=bool)
-    for hi, iset in enumerate(classes):
-        j0 = iset.members[0]
-        offsets = {"total": 0.0, "remaining": float(E[j0, iset.prefix.nodes[-1] - 1])}
-        for i in iset.visited:
+    heads = prefixes(rs, t)
+    F = {conv: np.empty((len(heads), rs.n)) for conv in ("total", "remaining")}
+    closed = np.zeros((len(heads), rs.n), dtype=bool)
+    for hi, nodes in enumerate(heads):
+        members = information_set(rs, nodes)
+        j0 = members[0]
+        offsets = {"total": 0.0, "remaining": float(E[j0, nodes[-1] - 1])}
+        for i in nodes:
             for conv in F:
                 F[conv][hi, i - 1] = E[j0, i - 1]
             closed[hi, i - 1] = True
-        for i in sorted(iset.unvisited):
-            sub = hs.subgame_matrix(A, rs, iset, i, c).entries
+        targets = unvisited_after(rs, nodes)
+        for i in targets:
+            sub = subgame(A, members, targets, i, c)
             if feedback_mode == "pure_min":
                 val = float(sub.max(axis=1).min())
                 closed[hi, i - 1] = True
@@ -125,3 +139,17 @@ def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
             for conv, offset in offsets.items():
                 F[conv][hi, i - 1] = val - offset
     return F, closed
+
+
+def cstar_infoset_per_prefix(A, rs, t):
+    """The infoset-variant thresholds computed prefix by prefix: each target's
+    reduced payoff minimized over the prefix's routes, against the best one."""
+    E = A.entries
+    C = np.full((rs.m, rs.n), np.nan)
+    for nodes in prefixes(rs, t):
+        members = information_set(rs, nodes)
+        cols = [u - 1 for u in unvisited_after(rs, nodes)]
+        reduced = E[np.ix_(members, cols)] - E[members, nodes[-1] - 1][:, None]
+        m_min = reduced.min(axis=0)
+        C[np.ix_(members, cols)] = np.maximum(m_min.max() - m_min, 0.0)
+    return C

@@ -77,8 +77,7 @@ def test_c06_feedback_matrices_and_value(base3, rs3):
         cfg = hs.SwitchConfig(1, 1.0, feedback_mode="mixed_subgame")
         F = hs.feedback_matrix(base3, rs3, cfg)
         np.testing.assert_allclose(F.entries, ref.FEEDBACK_3_C1, atol=1e-3)
-        _, pi = hs.prefix_classes(rs3, 1)
-        L = hs.lift_feedback(F, pi)
+        L = hs.lift_feedback(F)
         np.testing.assert_allclose(L.entries, ref.LIFTED_3_C1, atol=1e-3)
         sol = hs.solve_zero_sum(F)
         assert abs(sol.value - ref.VALUE_FEEDBACK_3_C1) <= 1e-3
@@ -92,8 +91,7 @@ def test_c07_awareness_gap_sandwich(base3, rs3):
     with criterion(7, "seeker-awareness gap sandwich"):
         cfg = hs.SwitchConfig(1, 1.0)
         S = hs.switch_matrix(base3, rs3, cfg)
-        _, pi = hs.prefix_classes(rs3, 1)
-        L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg), pi)
+        L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
         G, delta, cells = hs.entrywise_gap(S, L)
         np.testing.assert_allclose(G.entries, ref.GAP_3_C1, atol=1e-3)
         assert abs(delta - ref.DELTA_3_C1) <= 1e-3
@@ -114,8 +112,7 @@ def test_c08_large_cost_case(base3, rs3):
         assert abs(v_switch - ref.VALUE_SWITCH_3_C100) <= 1e-3
         F = hs.feedback_matrix(base3, rs3, cfg)
         assert abs(hs.solve_zero_sum(F).value - ref.VALUE_FEEDBACK_3_C100) <= 1e-3
-        _, pi = hs.prefix_classes(rs3, 1)
-        _, delta, _ = hs.entrywise_gap(S, hs.lift_feedback(F, pi))
+        _, delta, _ = hs.entrywise_gap(S, hs.lift_feedback(F))
         assert abs(delta - ref.DELTA_3_C100) <= 1e-3
 
 

@@ -331,3 +331,19 @@ def test_verify_one_location_exits_2(capsys, tmp_path):
     assert code == 2
     assert "all checks passed" not in out
     assert "at least 2 locations" in err
+
+
+def test_simulate_negative_seed_exits_2(capsys, three_sites_path):
+    code, out, err = run_cli(capsys, "simulate", three_sites_path, "--seed", "-1", "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert "--seed must be >= 0" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_exits_2(capsys, three_sites_path, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "solve", three_sites_path, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write --output {target}" in err

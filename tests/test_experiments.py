@@ -154,8 +154,7 @@ def test_simulate_restricted_converges(demo3, rs3, base3):
 
 def test_simulate_feedback_converges(demo3, rs3, base3):
     cfg = hs.SwitchConfig(1, 1.0)
-    _, pi = hs.prefix_classes(rs3, 1)
-    lifted = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg), pi)
+    lifted = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
     sol = hs.solve_zero_sum(lifted)
     res = hs.simulate(
         demo3, rs3, "feedback", sol.row_strategy, sol.col_strategy,

@@ -14,7 +14,10 @@ from oracles import (
     best_relocations,
     feedback_matrices_per_prefix,
     information_set,
+    prefixes,
     reduced_payoff,
+    subgame,
+    unvisited_after,
 )
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -237,14 +240,12 @@ def test_best_relocations_convention_invariant(base3, rs3):
 # --------------------------------------------------------------- subgame matrix
 
 def test_subgame_three_sites(base3, rs3):
-    iset = information_set(rs3, hs.Prefix((1,), 1))
-    sub = hs.subgame_matrix(base3, rs3, iset, 2, 1.0)
+    sub = hs.subgame_matrix(base3, rs3, 1, prefixes(rs3, 1).index((1,)), 2, 1.0)
     np.testing.assert_allclose(sub.entries, [[2.4142, 3.4142], [4.4142, 1.4142]], atol=1e-3)
 
 
 def test_subgame_derived_from_base_entries(base3, rs3):
-    iset = information_set(rs3, hs.Prefix((2,), 1))
-    sub = hs.subgame_matrix(base3, rs3, iset, 1, 1.0)
+    sub = hs.subgame_matrix(base3, rs3, 1, prefixes(rs3, 1).index((2,)), 1, 1.0)
     A = base3.entries
     expect = [[A[2, 0], A[2, 2] - 1.0], [A[3, 0], A[3, 2] - 1.0]]
     np.testing.assert_allclose(sub.entries, expect)
@@ -252,23 +253,47 @@ def test_subgame_derived_from_base_entries(base3, rs3):
 
 
 def test_subgame_singleton_unvisited(base3, rs3):
-    iset = information_set(rs3, hs.Prefix((1, 2), 2))
-    sub = hs.subgame_matrix(base3, rs3, iset, 3, 5.0)
+    sub = hs.subgame_matrix(base3, rs3, 2, prefixes(rs3, 2).index((1, 2)), 3, 5.0)
     assert sub.entries.shape == (1, 1)
     assert sub.entries[0, 0] == pytest.approx(base3.entries[0, 2])
 
 
 def test_subgame_rejects_visited(base3, rs3):
-    iset = information_set(rs3, hs.Prefix((1,), 1))
     with pytest.raises(ValueError, match="visited"):
-        hs.subgame_matrix(base3, rs3, iset, 1, 1.0)
+        hs.subgame_matrix(base3, rs3, 1, 0, 1, 1.0)
+    with pytest.raises(ValueError, match="visited"):
+        hs.subgame_matrix(base3, rs3, 1, [0, 1], 1, 1.0)  # prefix (2,) leaves 1 open
+    for h in (-1, 3):
+        with pytest.raises(ValueError, match="prefix index out of range"):
+            hs.subgame_matrix(base3, rs3, 1, h, 2, 1.0)
 
 
 def test_subgame_rejects_bad_costs(base3, rs3):
-    iset = information_set(rs3, hs.Prefix((1,), 1))
     for c in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            hs.subgame_matrix(base3, rs3, iset, 2, c)
+            hs.subgame_matrix(base3, rs3, 1, 0, 2, c)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_subgame_stack_matches_per_prefix_oracle(t):
+    # a stack of prefixes, with one start location each, equals the
+    # subgames built entry by entry from the brute-force information sets
+    inst = random_instance(np.random.default_rng(41), 4)
+    rs = hs.enumerate_routes(4)
+    A = hs.base_matrix(inst, rs)
+    h, i = [], []
+    for hi, nodes in enumerate(prefixes(rs, t)):
+        for start in unvisited_after(rs, nodes):
+            h.append(hi)
+            i.append(start)
+    stack = hs.subgame_matrix(A, rs, t, np.array(h), np.array(i), 0.7)
+    assert stack.shape == (len(h), math.factorial(4 - t), 4 - t)
+    heads = prefixes(rs, t)
+    for k, (hi, start) in enumerate(zip(h, i)):
+        nodes = heads[hi]
+        expect = subgame(A, information_set(rs, nodes), unvisited_after(rs, nodes), start, 0.7)
+        np.testing.assert_array_equal(stack[k], expect)
+        np.testing.assert_array_equal(hs.subgame_matrix(A, rs, t, hi, start, 0.7).entries, expect)
 
 
 # -------------------------------------------------------------- feedback matrix
@@ -296,11 +321,10 @@ def test_feedback_remaining_shifts_unvisited_cells(base3, rs3):
     cfg_r = hs.SwitchConfig(1, 1.0, convention="remaining")
     total = hs.feedback_matrix(base3, rs3, cfg_t).entries
     remaining = hs.feedback_matrix(base3, rs3, cfg_r).entries
-    classes, _ = hs.prefix_classes(rs3, 1)
-    for hi, iset in enumerate(classes):
-        offset = base3.entries[iset.members[0], iset.prefix.nodes[-1] - 1]
+    for hi, nodes in enumerate(prefixes(rs3, 1)):
+        offset = base3.entries[information_set(rs3, nodes)[0], nodes[-1] - 1]
         for i in range(1, 4):
-            if i in iset.visited:
+            if i in nodes:
                 assert remaining[hi, i - 1] == total[hi, i - 1]
             else:
                 assert remaining[hi, i - 1] == pytest.approx(total[hi, i - 1] - offset)
@@ -308,8 +332,7 @@ def test_feedback_remaining_shifts_unvisited_cells(base3, rs3):
 
 def test_lift_feedback_three_sites(base3, rs3):
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
-    classes, pi = hs.prefix_classes(rs3, 1)
-    L = hs.lift_feedback(F, pi)
+    L = hs.lift_feedback(F)
     np.testing.assert_allclose(L.entries, ref.LIFTED_3_C1, atol=1e-3)
     assert L.entries[3, 0] == pytest.approx(3.9432, abs=1e-4)
     np.testing.assert_array_equal(L.entries[0], L.entries[1])
@@ -322,8 +345,7 @@ def test_lift_feedback_last_reveal_keeps_stay_payoffs(base3, rs3):
     # at t = n-1 each class is a singleton and the lone unvisited cell
     # can only stay
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(2, 1.0))
-    classes, pi = hs.prefix_classes(rs3, 2)
-    L = hs.lift_feedback(F, pi).entries
+    L = hs.lift_feedback(F).entries
     for j, route in enumerate(rs3.routes):
         i = route[-1]
         assert L[j, i - 1] == pytest.approx(base3.entries[j, i - 1])
@@ -331,10 +353,9 @@ def test_lift_feedback_last_reveal_keeps_stay_payoffs(base3, rs3):
 
 def test_lift_feedback_validation(base3, rs3):
     with pytest.raises(ValueError, match="prefix-indexed"):
-        hs.lift_feedback(base3, np.zeros(6, dtype=int))
-    F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
-    with pytest.raises(ValueError, match="prefix map"):
-        hs.lift_feedback(F, np.array([0, 1, 2, 3, 4, 5]))
+        hs.lift_feedback(base3)
+    with pytest.raises(ValueError, match="do not split"):
+        hs.lift_feedback(hs.PayoffMatrix(np.zeros((4, 3)), row_kind="prefix"))
 
 
 def test_lifted_feedback_below_switch_everywhere():
@@ -349,28 +370,26 @@ def test_lifted_feedback_below_switch_everywhere():
             c = float(rng.uniform(0, 2))
             cfg = hs.SwitchConfig(t, c, feedback_mode=mode)
             S = hs.switch_matrix(A, rs, cfg).entries
-            _, pi = hs.prefix_classes(rs, t)
-            L = hs.lift_feedback(hs.feedback_matrix(A, rs, cfg), pi).entries
+            L = hs.lift_feedback(hs.feedback_matrix(A, rs, cfg)).entries
             assert (L <= S + 1e-9).all()
 
 
 def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
     # one saddle scan per Held-Karp state and start location: C(n,t)*t
-    # states, each with n-t unvisited start locations
-    calls = []
-    real = mg.find_pure_saddle
+    # states, each with n-t unvisited start locations, scanned in stacks
+    games = []
+    real = mg._saddle_mask
 
     def spy(A, *args, **kwargs):
-        calls.append(1)
+        games.append(A.shape[0] if A.ndim == 3 else 1)
         return real(A, *args, **kwargs)
 
-    monkeypatch.setattr(payoff, "find_pure_saddle", spy)
-    monkeypatch.setattr(mg, "find_pure_saddle", spy)
+    monkeypatch.setattr(payoff, "_saddle_mask", spy)
     A = hs.base_matrix(demo6, rs6)
     for t in range(1, 6):
-        calls.clear()
+        games.clear()
         hs.feedback_matrix(A, rs6, hs.SwitchConfig(t, 0.5))
-        assert len(calls) == math.comb(6, t) * t * (6 - t), t
+        assert sum(games) == math.comb(6, t) * t * (6 - t), t
 
 
 # ----------------------------------------------------------------- gap matrix
@@ -378,8 +397,7 @@ def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
 def test_entrywise_gap_three_sites(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0)
     S = hs.switch_matrix(base3, rs3, cfg)
-    _, pi = hs.prefix_classes(rs3, 1)
-    L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg), pi)
+    L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
     G, delta, cells = hs.entrywise_gap(S, L)
     np.testing.assert_allclose(G.entries, ref.GAP_3_C1, atol=1e-3)
     assert delta == pytest.approx(ref.DELTA_3_C1, abs=1e-4)
@@ -393,8 +411,7 @@ def test_entrywise_gap_identical_and_large_cost(base3, rs3):
 
     cfg = hs.SwitchConfig(1, 100.0)
     S100 = hs.switch_matrix(base3, rs3, cfg)
-    _, pi = hs.prefix_classes(rs3, 1)
-    L100 = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg), pi)
+    L100 = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
     _, delta100, _ = hs.entrywise_gap(S100, L100)
     assert delta100 == pytest.approx(2.0, abs=1e-4)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hideseek as hs
 
 from conftest import random_instance
-from oracles import game_value
+from oracles import game_value, prefixes, unvisited_after
 
 
 def degenerate_instance(rng, n):
@@ -26,8 +26,7 @@ def full_stack(inst, t, c, convention="total", mode="mixed_subgame"):
     cfg = hs.SwitchConfig(t, c, convention=convention, feedback_mode=mode)
     S = hs.switch_matrix(A, rs, cfg)
     F = hs.feedback_matrix(A, rs, cfg)
-    _, pi = hs.prefix_classes(rs, t)
-    L = hs.lift_feedback(F, pi)
+    L = hs.lift_feedback(F)
     return rs, A, S, F, L
 
 
@@ -98,6 +97,33 @@ def test_values_invariant_under_relabelling(data, n, seed):
     np.testing.assert_allclose(relabelled, values, rtol=0, atol=1e-9 * scale)
 
 
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_games_nonincreasing_in_cost(data, n, seed):
+    # a dearer relocation never pays the Hider more, cell by cell and in value
+    inst = random_instance(np.random.default_rng(seed), n)
+    t = data.draw(st.integers(1, n - 1), label="t")
+    c1 = data.draw(st.floats(0.0, 3.0), label="c1")
+    c2 = data.draw(st.floats(c1, 4.0), label="c2")
+    convention = data.draw(st.sampled_from(["total", "remaining"]), label="convention")
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    tol = 1e-9 * np.abs(A.entries).max()
+    for build, mode in (
+        (hs.switch_matrix, "mixed_subgame"),
+        (hs.feedback_matrix, "mixed_subgame"),
+        (hs.feedback_matrix, "pure_min"),
+    ):
+        cheap, dear = (
+            build(A, rs, hs.SwitchConfig(t, c, convention=convention, feedback_mode=mode))
+            for c in (c1, c2)
+        )
+        assert (dear.entries <= cheap.entries + tol).all(), (build.__name__, mode)
+        assert hs.solve_zero_sum(dear).value <= hs.solve_zero_sum(cheap).value + tol, (
+            build.__name__, mode
+        )
+
 def test_switch_equals_base_at_last_reveal():
     rng = np.random.default_rng(227)
     for _ in range(5):
@@ -119,11 +145,11 @@ def test_game_value_fast_path_on_real_subgames():
         rs = hs.enumerate_routes(n)
         A = hs.base_matrix(inst, rs)
         for t in range(1, n):
-            classes, _ = hs.prefix_classes(rs, t)
-            iset = classes[int(rng.integers(0, len(classes)))]
+            heads = prefixes(rs, t)
+            h = int(rng.integers(0, len(heads)))
             c = float(rng.uniform(0, 2))
-            for i in sorted(iset.unvisited):
-                sub = hs.subgame_matrix(A, rs, iset, i, c).entries
+            for i in unvisited_after(rs, heads[h]):
+                sub = hs.subgame_matrix(A, rs, t, h, i, c).entries
                 assert game_value(sub) == pytest.approx(
                     hs.solve_zero_sum(sub).value, abs=1e-9
                 )
@@ -135,10 +161,7 @@ def test_simulate_feedback_mean_is_lifted_bilinear(demo3, rs3, base3):
     rng = np.random.default_rng(233)
     y = rng.dirichlet(np.ones(6))
     z = rng.dirichlet(np.ones(3))
-    _, pi = hs.prefix_classes(rs3, 1)
-    L = hs.lift_feedback(
-        hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0)), pi
-    ).entries
+    L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))).entries
     target = float(y @ L @ z)
     res = hs.simulate(demo3, rs3, "feedback", y, z, t=1, c=1.0, trials=400_000, seed=19)
     assert abs(res.mean_payoff - target) <= 4 * res.payoff_stderr

@@ -6,7 +6,7 @@ import pytest
 import hideseek as hs
 from hideseek.routes import MAX_LOCATIONS
 
-from oracles import information_set, position, prefix_of
+from oracles import information_set, position, prefix_of, prefixes
 
 
 def test_enumeration_order_n3(rs3):
@@ -45,92 +45,68 @@ def test_position_matrix(rs3):
 
 
 def test_prefix_of(rs3):
-    h = prefix_of((1, 2, 3), 1)
-    assert h.nodes == (1,) and h.t_reveal == 1
-    assert prefix_of((2, 1, 3), 3).nodes == (2, 1, 3)
-    assert prefix_of((2, 3, 1), 2).nodes == (2, 3)
+    assert prefix_of((1, 2, 3), 1) == (1,)
+    assert prefix_of((2, 1, 3), 3) == (2, 1, 3)
+    assert prefix_of((2, 3, 1), 2) == (2, 3)
     with pytest.raises(ValueError, match="out of range"):
         prefix_of((1, 2, 3), 4)
     with pytest.raises(ValueError, match="out of range"):
         prefix_of((1, 2, 3), 0)
     for t in (1, 2):
-        classes, pi = hs.prefix_classes(rs3, t)
+        block = hs.prefix_block(rs3, t)
         for j, route in enumerate(rs3.routes):
-            assert classes[pi[j]].prefix == prefix_of(route, t)
+            # route j belongs to prefix j // block, whose first route is its head
+            assert rs3.routes[j // block * block][:t] == prefix_of(route, t)
 
 
 def test_information_set_n3(rs3):
-    iset = information_set(rs3, hs.Prefix((1,), 1))
-    assert iset.members == (0, 1)  # routes r1, r2
-    assert iset.visited == {1} and iset.unvisited == {2, 3}
-
-    assert information_set(rs3, hs.Prefix((3,), 1)).members == (4, 5)  # r5, r6
-
-    pinned = information_set(rs3, hs.Prefix((1, 2), 2))
-    assert pinned.members == (0,)
-    assert pinned.unvisited == {3}
+    assert information_set(rs3, (1,)).tolist() == [0, 1]  # routes r1, r2
+    assert information_set(rs3, (3,)).tolist() == [4, 5]  # r5, r6
+    assert information_set(rs3, (1, 2)).tolist() == [0]
 
     for t in (1, 2):
-        for cls in hs.prefix_classes(rs3, t)[0]:
-            iset = information_set(rs3, cls.prefix)
-            assert (iset.members, iset.visited, iset.unvisited) == (
-                cls.members,
-                cls.visited,
-                cls.unvisited,
-            )
+        block = hs.prefix_block(rs3, t)
+        for h, nodes in enumerate(prefixes(rs3, t)):
+            assert information_set(rs3, nodes).tolist() == list(range(h * block, (h + 1) * block))
 
 
 def test_information_set_validation(rs3):
-    with pytest.raises(ValueError, match="duplicate"):
-        information_set(rs3, hs.Prefix((1, 1), 2))
     with pytest.raises(ValueError, match="out of range"):
-        information_set(rs3, hs.Prefix((4,), 1))
-
-
-def test_prefix_classes_n3(rs3):
-    classes, pi = hs.prefix_classes(rs3, 1)
-    assert [c.prefix.nodes for c in classes] == [(1,), (2,), (3,)]
-    assert all(len(c.members) == 2 for c in classes)
-    classes2, _ = hs.prefix_classes(rs3, 2)
-    assert len(classes2) == 6
-    assert all(len(c.members) == 1 for c in classes2)
+        information_set(rs3, (4,))
     with pytest.raises(ValueError, match="out of range"):
-        hs.prefix_classes(rs3, 3)
+        information_set(rs3, ())
 
 
-def test_prefix_classes_n6_counts(rs6):
-    classes, pi = hs.prefix_classes(rs6, 1)
-    assert len(classes) == 6
-    assert all(len(c.members) == math.factorial(5) for c in classes)
-    assert pi.shape == (720,)
+def test_prefix_block_n3(rs3):
+    assert hs.prefix_block(rs3, 1) == 2
+    assert [r[:1] for r in rs3.routes[::2]] == [(1,), (2,), (3,)]
+    assert hs.prefix_block(rs3, 2) == 1
+    for t in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            hs.prefix_block(rs3, t)
 
 
-def test_prefix_classes_cached(rs3):
-    a = hs.prefix_classes(rs3, 1)
-    b = hs.prefix_classes(rs3, 1)
-    assert a is b
+def test_prefix_block_n6_counts(rs6):
+    block = hs.prefix_block(rs6, 1)
+    assert block == math.factorial(5)
+    assert rs6.m // block == 6
 
 
 @pytest.mark.parametrize("n,t", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)])
 def test_partition_properties(n, t):
+    # every block of prefix_block(rs, t) consecutive routes is one
+    # information set of the brute-force oracle, in lexicographic order
     rs = hs.enumerate_routes(n)
-    classes, pi = hs.prefix_classes(rs, t)
-    assert len(classes) == math.factorial(n) // math.factorial(n - t)
-    seen = []
-    for ci, iset in enumerate(classes):
-        assert len(iset.members) == math.factorial(n - t)
-        assert iset.members == tuple(sorted(iset.members))
-        assert iset.visited | iset.unvisited == set(range(1, n + 1))
-        assert not iset.visited & iset.unvisited
-        assert len(iset.visited) == t
-        for j in iset.members:
-            assert pi[j] == ci
-            assert rs.routes[j][:t] == iset.prefix.nodes
-        seen.extend(iset.members)
-    assert sorted(seen) == list(range(rs.m))  # classes partition the route set
-    # prefixes strictly increasing lexicographically
-    prefixes = [c.prefix.nodes for c in classes]
-    assert prefixes == sorted(prefixes)
+    block = hs.prefix_block(rs, t)
+    assert block == math.factorial(n - t)
+    heads = prefixes(rs, t)
+    assert len(heads) == rs.m // block == math.factorial(n) // math.factorial(n - t)
+    for h, nodes in enumerate(heads):
+        assert len(set(nodes)) == t
+        members = information_set(rs, nodes)
+        assert members.tolist() == list(range(h * block, (h + 1) * block))
+        assert (rs.position_matrix[members][:, np.array(nodes) - 1] <= t).all()
+    assert np.array_equal(rs.route_array[::block, :t], np.array(heads))
 
 
 def test_routes_strictly_increasing(rs6):

@@ -5,6 +5,7 @@ import hideseek as hs
 
 import reference as ref
 from conftest import random_instance
+from oracles import cstar_infoset_per_prefix
 
 VOI_3_C1 = np.array(
     [
@@ -110,6 +111,17 @@ def test_cstar_infoset_matches_thresholds(base3, rs3):
     assert np.isnan(C[0, 0]) and np.isnan(C[2, 1])  # visited markers
     assert hs.cstar_global(C) == pytest.approx(0.5858, abs=1e-4)
 
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_cstar_infoset_matches_per_prefix_oracle(n):
+    inst = random_instance(np.random.default_rng(53 + n), n)
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    for t in range(1, n):
+        np.testing.assert_array_equal(
+            hs.cstar(A, rs, t, "infoset"), cstar_infoset_per_prefix(A, rs, t), err_msg=f"t={t}"
+        )
 
 def test_cstar_route_brute_force(base3, rs3):
     C = hs.cstar(base3, rs3, 1, "route")

@@ -186,8 +186,10 @@ def cmd_voi(args, out) -> int:
 def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
     """Check `--t-list` and `--costs`, then run the sweep that `sweep` and `verify` share."""
     t_list = c_grid = None
-    if args.t_list:
+    if args.t_list is not None:
         t_list = _parse_ints(args.t_list, "--t-list")
+        if not t_list:
+            raise UsageError("--t-list is empty")
         for t in t_list:
             _check_t(t, "--t-list", inst.n - 1)
     if args.costs is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_zero_sum
 from .payoff import (
     SwitchConfig,
+    _csv_rows,
     base_matrix,
     entrywise_gap,
     feedback_matrix,
@@ -146,15 +147,9 @@ SWEEP_HEADER = (
 
 
 def sweep_to_csv(rows: list[SweepRow], digits: int = 10) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.t_reveal},{r.c:.{digits}g},{r.v_base:.{digits}g},"
-            f"{r.v_switch:.{digits}g},{r.v_fb:.{digits}g},{r.expected_voi:.{digits}g},"
-            f"{r.theorem1_bound:.{digits}g},{r.delta:.{digits}g},"
-            f"{r.cstar_global_route:.{digits}g},{r.cstar_global_infoset:.{digits}g}"
-        )
-    return "\n".join(lines) + "\n"
+    """The sweep as CSV: one line per (t, c) cell, labelled by its reveal time."""
+    cells = [astuple(r)[1:] for r in rows]
+    return SWEEP_HEADER + "\n" + _csv_rows([r.t_reveal for r in rows], cells, digits)
 
 
 def verify_bounds(

@@ -50,6 +50,10 @@ class Instance:
                 raise InstanceError(f"distance table is not numeric: {exc}") from exc
             object.__setattr__(self, "distance_table", table)
             _check_table(table, self.n)
+        # every route length sums some of these entries, so a finite total bounds them all
+        with np.errstate(over="ignore"):
+            if not np.isfinite(distance_matrix(self).sum()):
+                raise InstanceError("distances overflow: their sum is not finite")
 
     @property
     def n(self) -> int:

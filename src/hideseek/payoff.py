@@ -14,7 +14,6 @@ and relocation choices are identical under both; game values differ.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -245,14 +244,23 @@ def entrywise_gap(
     return PayoffMatrix(G), delta, cells
 
 
+def _csv_rows(labels, values, digits: int) -> str:
+    """One CSV line per label: the label, then its row of values to `digits`
+    significant digits, NaN as `--`."""
+    if not len(labels):
+        return ""
+    rows = np.asarray(values, dtype=float).reshape(len(labels), -1)
+    cells = f",%.{digits}g" * rows.shape[1]
+    return "".join(f"{lb}{(cells % tuple(r)).replace('nan', '--')}\n" for lb, r in zip(labels, rows.tolist()))
+
+
 def dump_matrix(pm: PayoffMatrix, labels=None, digits: int = 10) -> str:
-    """CSV rendering: header of location indices, one route/prefix per line."""
-    n = pm.cols
-    out = io.StringIO()
-    out.write("row," + ",".join(str(i) for i in range(1, n + 1)) + "\n")
+    """CSV rendering: header of location indices, then one route/prefix per
+    line through the one CSV row writer (NaN as `--`). labels, if given,
+    names every row."""
     if labels is None:
-        prefix_char = "h" if pm.row_kind == "prefix" else "r"
-        labels = [f"{prefix_char}{j + 1}" for j in range(pm.rows)]
-    for label, row in zip(labels, pm.entries):
-        out.write(str(label) + "," + ",".join(f"{v:.{digits}g}" for v in row) + "\n")
-    return out.getvalue()
+        labels = [f"{'h' if pm.row_kind == 'prefix' else 'r'}{j + 1}" for j in range(pm.rows)]
+    elif len(labels) != pm.rows:
+        raise ValueError(f"got {len(labels)} labels for {pm.rows} rows")
+    header = "row," + ",".join(str(i) for i in range(1, pm.cols + 1)) + "\n"
+    return header + _csv_rows(labels, pm.entries, digits)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_zero_sum
-from .payoff import PayoffMatrix, SwitchConfig, base_matrix, switch_matrix
+from .payoff import PayoffMatrix, SwitchConfig, _csv_rows, base_matrix, switch_matrix
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CSTAR_VARIANTS = ("route", "infoset")
@@ -185,25 +185,22 @@ def build_voi_report(
 
 
 def report_to_csv(report: VoiReport, digits: int = 10) -> str:
-    """Serialize a VoiReport in the matrix CSV format with a metadata line."""
+    """Serialize a VoiReport in the matrix CSV format with a metadata line.
+
+    Every line after the header goes through the one CSV row writer, which
+    writes NaN (the visited cstar cells) as `--`; scalar lines leave the row
+    field empty.
+    """
     cfg = report.cfg
-    n = report.voi_matrix.shape[1]
-
-    def fmt(v: float) -> str:
-        return "--" if np.isnan(v) else f"{v:.{digits}g}"
-
-    lines = [
+    m, n = report.voi_matrix.shape
+    return (
         f"# t_reveal={cfg.t_reveal},c={cfg.c:.{digits}g},"
-        f"convention={cfg.convention},variant={report.variant}",
-        "section,row," + ",".join(str(i) for i in range(1, n + 1)),
-    ]
-    for j, row in enumerate(report.voi_matrix):
-        lines.append(f"voi,r{j + 1}," + ",".join(fmt(v) for v in row))
-    lines.append("bar_voi,," + ",".join(fmt(v) for v in report.bar_voi))
-    lines.append(f"expected_voi,,{fmt(report.expected_voi)}")
-    lines.append(f"route_averaged_voi,,{fmt(report.route_averaged_voi)}")
-    for j, row in enumerate(report.cstar_matrix):
-        lines.append(f"cstar,r{j + 1}," + ",".join(fmt(v) for v in row))
-    lines.append(f"cstar_global,,{fmt(report.cstar_global)}")
-    lines.append(f"theorem1_bound,,{fmt(report.bound)}")
-    return "\n".join(lines) + "\n"
+        f"convention={cfg.convention},variant={report.variant}\n"
+        "section,row," + ",".join(str(i) for i in range(1, n + 1)) + "\n"
+        + _csv_rows([f"voi,r{j}" for j in range(1, m + 1)], report.voi_matrix, digits)
+        + _csv_rows(["bar_voi,"], report.bar_voi, digits)
+        + _csv_rows(["expected_voi,", "route_averaged_voi,"],
+                    [report.expected_voi, report.route_averaged_voi], digits)
+        + _csv_rows([f"cstar,r{j}" for j in range(1, m + 1)], report.cstar_matrix, digits)
+        + _csv_rows(["cstar_global,", "theorem1_bound,"], [report.cstar_global, report.bound], digits)
+    )

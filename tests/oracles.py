@@ -153,3 +153,57 @@ def cstar_infoset_per_prefix(A, rs, t):
         m_min = reduced.min(axis=0)
         C[np.ix_(members, cols)] = np.maximum(m_min.max() - m_min, 0.0)
     return C
+
+
+def csv_cell(v, digits):
+    """One table cell as the CSV writers formatted it cell by cell: `digits`
+    significant digits, NaN as `--`."""
+    return "--" if np.isnan(v) else f"{v:.{digits}g}"
+
+
+def dump_matrix_cells(pm, labels=None, digits=10):
+    """dump_matrix written cell by cell."""
+    lines = ["row," + ",".join(str(i) for i in range(1, pm.cols + 1))]
+    if labels is None:
+        labels = [f"{'h' if pm.row_kind == 'prefix' else 'r'}{j + 1}" for j in range(pm.rows)]
+    for label, row in zip(labels, pm.entries):
+        lines.append(f"{label}," + ",".join(csv_cell(v, digits) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def report_to_csv_cells(report, digits=10):
+    """report_to_csv written cell by cell."""
+    cfg = report.cfg
+    n = report.voi_matrix.shape[1]
+
+    def fmt(v):
+        return csv_cell(v, digits)
+
+    lines = [
+        f"# t_reveal={cfg.t_reveal},c={cfg.c:.{digits}g},"
+        f"convention={cfg.convention},variant={report.variant}",
+        "section,row," + ",".join(str(i) for i in range(1, n + 1)),
+    ]
+    for j, row in enumerate(report.voi_matrix):
+        lines.append(f"voi,r{j + 1}," + ",".join(fmt(v) for v in row))
+    lines.append("bar_voi,," + ",".join(fmt(v) for v in report.bar_voi))
+    lines.append(f"expected_voi,,{fmt(report.expected_voi)}")
+    lines.append(f"route_averaged_voi,,{fmt(report.route_averaged_voi)}")
+    for j, row in enumerate(report.cstar_matrix):
+        lines.append(f"cstar,r{j + 1}," + ",".join(fmt(v) for v in row))
+    lines.append(f"cstar_global,,{fmt(report.cstar_global)}")
+    lines.append(f"theorem1_bound,,{fmt(report.bound)}")
+    return "\n".join(lines) + "\n"
+
+
+def sweep_to_csv_cells(rows, digits=10):
+    """sweep_to_csv written field by field."""
+    lines = [hs.experiments.SWEEP_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r.t_reveal},{r.c:.{digits}g},{r.v_base:.{digits}g},"
+            f"{r.v_switch:.{digits}g},{r.v_fb:.{digits}g},{r.expected_voi:.{digits}g},"
+            f"{r.theorem1_bound:.{digits}g},{r.delta:.{digits}g},"
+            f"{r.cstar_global_route:.{digits}g},{r.cstar_global_infoset:.{digits}g}"
+        )
+    return "\n".join(lines) + "\n"

@@ -90,3 +90,14 @@ VALUE_BASE_6 = 8.0276
 VALUE_SWITCH_6_C1_REMAINING = 8.5255
 
 COLLINEAR_3 = {"origin": (0.0, 0.0), "locations": [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]}
+
+# instances whose route lengths overflow to infinity
+OVERFLOWING = {
+    "coordinates": {"origin": [0, 0], "locations": [[1e308, 0], [-1e308, 0], [1, 1]]},
+    # every entry is finite, but a route sums three of them
+    "table": {
+        "origin": [0, 0],
+        "locations": [[1, 0], [2, 0], [3, 0]],
+        "distance_table": [[0 if u == v else 1e308 for v in range(4)] for u in range(4)],
+    },
+}

@@ -347,3 +347,22 @@ def test_unwritable_output_exits_2(capsys, three_sites_path, tmp_path, where):
     assert code == 2
     assert out == ""
     assert f"cannot write --output {target}" in err
+
+
+@pytest.mark.parametrize("case", ["coordinates", "table"])
+def test_overflowing_distances_exit_3(capsys, tmp_path, case):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(ref.OVERFLOWING[case]), encoding="utf-8")
+    for argv in (["solve"], ["voi"], ["sweep"], ["verify"], ["simulate", "--trials", "10"]):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 3, argv
+        assert out == ""
+        assert "instance error: distances overflow" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_empty_t_list_exits_2(capsys, three_sites_path, command):
+    code, out, err = run_cli(capsys, command, three_sites_path, "--t-list", ",")
+    assert code == 2
+    assert out == ""
+    assert "error: --t-list is empty" in err

@@ -12,6 +12,7 @@ import hideseek as hs
 from hideseek import experiments
 
 import reference as ref
+from oracles import sweep_to_csv_cells
 
 
 def mc_tolerance(p: float, trials: int, k: float = 4.0) -> float:
@@ -80,6 +81,14 @@ def test_sweep_to_csv(demo3):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "1" and float(first[2]) == pytest.approx(3.3251, abs=1e-3)
+
+
+def test_sweep_to_csv_matches_field_by_field_oracle(demo3, demo6):
+    for inst in (demo3, demo6):
+        rows = hs.sweep(inst, t_list=[1, 2], c_grid=[0.0, 0.5, 1.0, 100.0])
+        for digits in (3, 10, 17):
+            assert hs.sweep_to_csv(rows, digits) == sweep_to_csv_cells(rows, digits)
+    assert hs.sweep_to_csv([]) == sweep_to_csv_cells([])
 
 
 # ------------------------------------------------------------- verify_bounds

@@ -123,3 +123,11 @@ def test_distance_matrix_matches_pointwise(demo6):
     for u in range(7):
         for v in range(7):
             assert D[u, v] == pytest.approx(hs.distance(demo6, u, v), abs=1e-15)
+
+
+@pytest.mark.parametrize("payload", ref.OVERFLOWING.values(), ids=ref.OVERFLOWING.keys())
+def test_overflowing_distances_rejected(tmp_path, payload):
+    with pytest.raises(hs.InstanceError, match="distances overflow"):
+        hs.make_instance(payload["origin"], payload["locations"], payload.get("distance_table"))
+    with pytest.raises(hs.InstanceError, match="distances overflow"):
+        hs.load_instance(write_instance(tmp_path, payload))

@@ -12,6 +12,7 @@ import reference as ref
 from conftest import random_instance
 from oracles import (
     best_relocations,
+    dump_matrix_cells,
     feedback_matrices_per_prefix,
     information_set,
     prefixes,
@@ -442,6 +443,21 @@ def test_dump_matrix_prefix_labels(base3, rs3):
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     lines = hs.dump_matrix(F).strip().splitlines()
     assert lines[1].startswith("h1,")
+
+
+@pytest.mark.parametrize("digits", [3, 10, 17])
+def test_dump_matrix_matches_cell_by_cell_oracle(base3, rs3, demo6, rs6, digits):
+    F = hs.feedback_matrix(hs.base_matrix(demo6, rs6), rs6, hs.SwitchConfig(2, 0.5))
+    for pm in (base3, F, hs.PayoffMatrix(-base3.entries)):
+        assert hs.dump_matrix(pm, digits=digits) == dump_matrix_cells(pm, digits=digits)
+    labels = [f"route {j}" for j in range(base3.rows)]
+    assert hs.dump_matrix(base3, labels, digits) == dump_matrix_cells(base3, labels, digits)
+
+
+@pytest.mark.parametrize("count", [2, 7], ids=["short", "long"])
+def test_dump_matrix_rejects_wrong_label_count(base3, count):
+    with pytest.raises(ValueError, match=f"got {count} labels for 6 rows"):
+        hs.dump_matrix(base3, labels=[f"x{j}" for j in range(count)])
 
 
 # ------------------------------------------- per-state versus per-prefix solve

@@ -1,15 +1,18 @@
 """Cross-module stress properties: degenerate geometry, value identities,
 off-equilibrium playout means, and fast-path agreement on real subgames."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hideseek as hs
+from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
-from oracles import game_value, prefixes, unvisited_after
+from oracles import csv_cell, game_value, prefixes, unvisited_after
 
 
 def degenerate_instance(rng, n):
@@ -193,3 +196,24 @@ def test_five_site_pipeline_sanity():
         rs, np.full(rs.m, 1 / rs.m), np.full(5, 0.2), 2
     )
     assert term == pytest.approx(2 / 5, abs=1e-9)
+
+
+CELLS = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 5), digits=st.integers(1, 17))
+def test_csv_rows_matches_cell_by_cell_formatting(data, rows, cols, digits):
+    # labels pass through untouched, even when they read "nan" or end in a comma
+    label = st.text(alphabet="an,r1", max_size=5)
+    labels = data.draw(st.lists(label, min_size=rows, max_size=rows), label="labels")
+    row = st.lists(CELLS, min_size=cols, max_size=cols)
+    values = data.draw(st.lists(row, min_size=rows, max_size=rows), label="values")
+    expect = "".join(
+        f"{lb}," + ",".join(csv_cell(v, digits) for v in vals) + "\n"
+        for lb, vals in zip(labels, values)
+    )
+    assert _csv_rows(labels, values, digits) == expect

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ import hideseek as hs
 
 import reference as ref
 from conftest import random_instance
-from oracles import cstar_infoset_per_prefix
+from oracles import cstar_infoset_per_prefix, report_to_csv_cells
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 VOI_3_C1 = np.array(
     [
@@ -278,3 +282,16 @@ def test_report_to_csv(demo3, rs3):
     assert any(line.startswith("cstar,r1,--") for line in lines)
     assert "expected_voi,,0" in text
     assert "cstar_global,,0.585786" in text
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_report_to_csv_matches_cell_by_cell_oracle(name):
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    for t in range(1, inst.n):
+        for variant in ("route", "infoset"):
+            report = hs.build_voi_report(inst, rs, hs.SwitchConfig(t, 0.5), variant=variant)
+            assert np.isnan(report.cstar_matrix).any()
+            for digits in (4, 10):
+                expect = report_to_csv_cells(report, digits)
+                assert hs.report_to_csv(report, digits) == expect, (t, variant, digits)

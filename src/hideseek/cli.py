@@ -15,7 +15,7 @@ import numpy as np
 
 from .experiments import MODELS, SweepRow, simulate, sweep, sweep_to_csv, verify_bounds
 from .instance import Instance, InstanceError, load_instance
-from .matrixgame import GameSolution, SolverError, simplex_weights, solve_zero_sum
+from .matrixgame import SolverError, simplex_weights, solve_zero_sum
 from .payoff import (
     CONVENTIONS,
     FEEDBACK_MODES,
@@ -39,11 +39,21 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float, prec: int) -> str:
-    x = float(x)
-    if x == 0:
-        x = 0.0  # avoid "-0.0000"
-    return f"{x:.{prec}f}"
+# A double carries 17 significant digits; far larger precisions only build
+# huge strings of zeros.
+MAX_PRECISION = 100
+
+
+def _fixed_rows(labels, values, prec: int, width: int = 0) -> str:
+    """One text line per label: the label, then its row of values as
+    ` %{width}.{prec}f` cells, NaN as a right-justified `--` and -0 as 0.
+    The fixed-point twin of payoff._csv_rows."""
+    if not len(labels):
+        return ""
+    rows = np.asarray(values, dtype=float).reshape(len(labels), -1) + 0.0  # -0 + 0 is +0
+    cells = f" %{width}.{prec}f" * rows.shape[1]
+    nan = "--".rjust(min(width, 3))  # "nan" is 3 wide where "--" is 2
+    return "".join(f"{lb}{(cells % tuple(r)).replace('nan', nan)}\n" for lb, r in zip(labels, rows.tolist()))
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -80,33 +90,6 @@ def _check_t(t: int, flag: str, top: int) -> None:
         raise UsageError(f"{flag} must be in 1..{top} for this instance, got {t}")
 
 
-def _strategy_lines(weights, labels, prec: int) -> list[str]:
-    lines = []
-    for idx, w in enumerate(weights):
-        if w > 1e-9:
-            lines.append(f"  {labels[idx]}: {_fmt(w, prec)}")
-    return lines
-
-
-def _route_labels(rs: RouteSet) -> list[str]:
-    return [f"r{j + 1}=({','.join(str(v) for v in r)})" for j, r in enumerate(rs.routes)]
-
-
-def _prefix_labels(rs: RouteSet, t: int) -> list[str]:
-    return [f"h=({','.join(str(v) for v in r[:t])})" for r in rs.routes[:: prefix_block(rs, t)]]
-
-
-def _print_solution(out, title: str, sol: GameSolution, row_labels, col_labels, prec: int):
-    out.write(f"model: {title}\n")
-    out.write(f"value: {_fmt(sol.value, prec)}\n")
-    out.write(f"row gap: {sol.row_gap:.3e}\n")
-    out.write(f"col gap: {sol.col_gap:.3e}\n")
-    out.write("seeker mix:\n")
-    out.write("\n".join(_strategy_lines(sol.row_strategy.weights, row_labels, prec)) + "\n")
-    out.write("hider mix:\n")
-    out.write("\n".join(_strategy_lines(sol.col_strategy.weights, col_labels, prec)) + "\n")
-
-
 def _model_matrix(
     inst: Instance, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
 ) -> PayoffMatrix:
@@ -133,12 +116,21 @@ def cmd_solve(args, out) -> int:
         _check_cost(c, "--cost")
     matrix = _model_matrix(inst, rs, args.model, t, c, args.convention, args.feedback_mode)
     sol = solve_zero_sum(matrix)
+    y, z = sol.row_strategy.weights, sol.col_strategy.weights
+    # label only the rows that print: row h of the feedback game is the
+    # prefix of route h * (n-t)!, every other row is a route
+    rows, cols = np.flatnonzero(y > 1e-9), np.flatnonzero(z > 1e-9)
     if args.model == "feedback":
-        row_labels = _prefix_labels(rs, t)
+        seeker = [f"  h=({','.join(map(str, r))}):"
+                  for r in rs.route_array[rows * prefix_block(rs, t), :t].tolist()]
     else:
-        row_labels = _route_labels(rs)
-    col_labels = [str(i) for i in range(1, rs.n + 1)]
-    _print_solution(out, args.model, sol, row_labels, col_labels, args.precision)
+        seeker = [f"  r{j + 1}=({','.join(map(str, r))}):"
+                  for j, r in zip(rows.tolist(), rs.route_array[rows].tolist())]
+    p = args.precision
+    out.write(f"model: {args.model}\n" + _fixed_rows(["value:"], [sol.value], p))
+    out.write(f"row gap: {sol.row_gap:.3e}\ncol gap: {sol.col_gap:.3e}\n")
+    out.write("seeker mix:\n" + _fixed_rows(seeker, y[rows], p))
+    out.write("hider mix:\n" + _fixed_rows([f"  {i + 1}:" for i in cols.tolist()], z[cols], p))
     if args.emit_matrix:
         out.write("payoff matrix:\n")
         out.write(dump_matrix(matrix))
@@ -162,24 +154,19 @@ def cmd_voi(args, out) -> int:
     if args.csv:
         out.write(report_to_csv(report))
         return EXIT_OK
-    p = args.precision
-    out.write(f"t_reveal: {cfg.t_reveal}\ncost: {_fmt(cfg.c, p)}\n")
+    p, V = args.precision, report.voi_matrix
+    out.write(f"t_reveal: {cfg.t_reveal}\n" + _fixed_rows(["cost:"], [cfg.c], p))
     out.write(f"voi matrix ({rs.m}x{rs.n}), nonzero cells:\n")
-    nonzero = [
-        f"  r{j + 1},{i + 1}: {_fmt(report.voi_matrix[j, i], p)}"
-        for j, i in np.argwhere(report.voi_matrix > 1e-12)
-    ]
-    out.write("\n".join(nonzero) + ("\n" if nonzero else "(none)\n"))
-    out.write("worst-case voi per location: ")
-    out.write(" ".join(_fmt(v, p) for v in report.bar_voi) + "\n")
-    out.write(f"expected voi: {_fmt(report.expected_voi, p)}\n")
-    out.write(f"route-averaged voi: {_fmt(report.route_averaged_voi, p)}\n")
+    nonzero = V > 1e-12
+    cells = [f"  r{j + 1},{i + 1}:" for j, i in np.argwhere(nonzero).tolist()]
+    out.write(_fixed_rows(cells, V[nonzero], p) or "(none)\n")
+    out.write(_fixed_rows(["worst-case voi per location:"], report.bar_voi, p))
+    out.write(_fixed_rows(["expected voi:", "route-averaged voi:"],
+                          [report.expected_voi, report.route_averaged_voi], p))
     out.write(f"cstar table (variant={report.variant}):\n")
-    for j, row in enumerate(report.cstar_matrix):
-        cells = " ".join("--".rjust(p + 3) if np.isnan(v) else _fmt(v, p).rjust(p + 3) for v in row)
-        out.write(f"  r{j + 1}: {cells}\n")
-    out.write(f"cstar global: {_fmt(report.cstar_global, p)}\n")
-    out.write(f"expected-voi bound at this cost: {_fmt(report.bound, p)}\n")
+    out.write(_fixed_rows([f"  r{j}:" for j in range(1, rs.m + 1)], report.cstar_matrix, p, p + 3))
+    out.write(_fixed_rows(["cstar global:", "expected-voi bound at this cost:"],
+                          [report.cstar_global, report.bound], p))
     return EXIT_OK
 
 
@@ -234,13 +221,12 @@ def cmd_simulate(args, out) -> int:
         inst, rs, args.model, y, sol.col_strategy,
         args.t_reveal, args.cost, args.trials, args.seed,
     )
-    p = args.precision
-    out.write(f"model: {result.model}\n")
-    out.write(f"trials: {result.trials}\nseed: {result.seed}\n")
-    out.write(f"game value: {_fmt(sol.value, p)}\n")
-    out.write(f"mean payoff: {_fmt(result.mean_payoff, p)}\n")
-    out.write(f"stderr: {_fmt(result.payoff_stderr, p)}\n")
-    out.write(f"ended by t: {_fmt(result.empirical_end_by_t, p)}\n")
+    out.write(f"model: {result.model}\ntrials: {result.trials}\nseed: {result.seed}\n")
+    out.write(_fixed_rows(
+        ["game value:", "mean payoff:", "stderr:", "ended by t:"],
+        [sol.value, result.mean_payoff, result.payoff_stderr, result.empirical_end_by_t],
+        args.precision,
+    ))
     return EXIT_OK
 
 
@@ -323,6 +309,8 @@ def main(argv=None) -> int:
     try:
         if args.precision < 0:
             raise UsageError(f"--precision must be >= 0, got {args.precision}")
+        if args.precision > MAX_PRECISION:
+            raise UsageError(f"--precision must be <= {MAX_PRECISION}, got {args.precision}")
         if args.output:
             try:
                 fh = open(args.output, "w", encoding="utf-8", newline="\n")

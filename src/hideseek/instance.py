@@ -82,6 +82,8 @@ def make_instance(origin, locations, distance_table=None) -> Instance:
         lps = tuple(Point(float(x), float(y)) for x, y in locations)
     except (TypeError, ValueError, IndexError) as exc:
         raise InstanceError(f"bad coordinates: {exc}") from exc
+    except KeyError as exc:  # a JSON object where an [x, y] pair belongs
+        raise InstanceError(f"bad coordinates: not an [x, y] pair (no index {exc})") from exc
     return Instance(op, lps, distance_table)
 
 

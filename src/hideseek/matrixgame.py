@@ -68,7 +68,9 @@ def simplex_weights(strategy, size: int, name: str) -> np.ndarray:
     w = strategy.weights if isinstance(strategy, MixedStrategy) else np.asarray(strategy, dtype=float)
     if w.shape != (size,):
         raise ValueError(f"{name} has shape {w.shape}, expected ({size},)")
-    if not np.isfinite(w).all() or (w < -1e-9).any() or abs(w.sum() - 1.0) > 1e-9:
+    with np.errstate(over="ignore"):  # an overflowing sum is off the simplex too
+        total = w.sum()
+    if not np.isfinite(w).all() or (w < -1e-9).any() or abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name} is not on the probability simplex")
     return np.maximum(w, 0.0)
 
@@ -282,13 +284,11 @@ def check_lemma1(A, rs, t: int, c: float) -> Lemma1Report:
     saddle = find_pure_saddle(A)
     if saddle is None or not saddle.unique:
         raise ValueError("no unique pure saddle")
-    route = rs.routes[saddle.row]
     stay = float(A[saddle.row, saddle.col])
-    unvisited = sorted(set(route) - set(route[:t]))
     checks = []
-    for i_hat in unvisited:
-        switch_payoff = float(A[saddle.row, i_hat - 1]) - c
-        checks.append((i_hat, switch_payoff, stay, switch_payoff <= stay + SADDLE_TOL))
+    for i_hat in np.flatnonzero(rs.position_matrix[saddle.row] > t).tolist():
+        switch_payoff = float(A[saddle.row, i_hat]) - c
+        checks.append((i_hat + 1, switch_payoff, stay, switch_payoff <= stay + SADDLE_TOL))
     return Lemma1Report(
         saddle=saddle,
         t_reveal=t,

@@ -132,9 +132,9 @@ def subgame_matrix(A: PayoffMatrix, rs: RouteSet, t: int, h, i, c: float):
 
     Rows are the prefix's routes in order; columns are the unvisited
     locations ascending. Entries use the total convention: baseline cost of
-    the target minus c off the stay column. For an int h this is a
-    PayoffMatrix. For an array of prefix indices, with i an int or an array
-    of the same shape, it is a stack of shape h.shape + ((n-t)!, n-t).
+    the target, minus c off every column but the stay column. For an int h
+    this is a PayoffMatrix. For an array of prefix indices, with i an int or
+    an array of the same shape, it is a stack of shape h.shape + ((n-t)!, n-t).
     """
     block = prefix_block(rs, t)
     check_cost(c)
@@ -147,8 +147,8 @@ def subgame_matrix(A: PayoffMatrix, rs: RouteSet, t: int, h, i, c: float):
     stay = cols == i[..., None] - 1
     if not stay.any(axis=-1).all():
         raise ValueError(f"location {i} is visited under prefix {h} at t={t}")
-    S = A.entries[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]] - c
-    np.add(S, c, out=S, where=stay[..., None, :])
+    S = A.entries[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]]
+    np.subtract(S, c, out=S, where=~stay[..., None, :])
     return PayoffMatrix(S) if S.ndim == 2 else S
 
 

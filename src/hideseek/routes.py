@@ -18,8 +18,6 @@ import numpy as np
 # larger n is rejected outright rather than degrading silently.
 MAX_LOCATIONS = 8
 
-Route = tuple[int, ...]
-
 
 class RouteSet:
     """All n! visiting orders plus each location's visit position. Immutable."""
@@ -28,9 +26,11 @@ class RouteSet:
         if not 1 <= n <= MAX_LOCATIONS:
             raise ValueError(f"location count must be in 1..{MAX_LOCATIONS}, got {n}")
         self.n = n
-        self.routes: tuple[Route, ...] = tuple(itertools.permutations(range(1, n + 1)))
-        self.m = len(self.routes)
-        self.route_array = np.array(self.routes, dtype=np.int64)
+        self.m = math.factorial(n)
+        # route_array[j] = route j's visits in order
+        self.route_array = np.fromiter(
+            itertools.permutations(range(1, n + 1)), dtype=np.dtype((np.int64, n)), count=self.m
+        )
         # position_matrix[j, i-1] = 1-based visit position of location i on route j
         self.position_matrix = np.empty((self.m, n), dtype=np.int64)
         cols = self.route_array - 1

@@ -6,9 +6,10 @@ defined for the restricted model: VOI(j, i) is the switch-matrix entry at i
 minus the row minimum over unvisited locations, and 0 where i was already
 visited. The worst case over routes and its expectation under the Hider's
 mix follow from that literal definition. Because the route set contains
-every permutation, some route always makes i the cheapest unvisited cell,
-so the worst case is typically zero; the bilinear route-averaged quantity
-is the one that stays strictly positive at equilibrium.
+every permutation, some route visits i first, where VOI is 0, and VOI is
+nonnegative everywhere, so for every t >= 1 the worst case is exactly zero
+and so is its expectation; the bilinear route-averaged quantity is the one
+that stays strictly positive at equilibrium.
 """
 
 from __future__ import annotations
@@ -43,12 +44,17 @@ def voi_matrix(As: PayoffMatrix, rs: RouteSet, t: int) -> np.ndarray:
 
 
 def worst_case_voi(V: np.ndarray) -> np.ndarray:
-    """Per-location worst case over routes: the columnwise minimum."""
+    """Per-location worst case over routes: the columnwise minimum.
+
+    Exactly 0 in every column of a voi_matrix: the route that visits a
+    location first holds 0 there, and no cell is negative.
+    """
     return np.asarray(V, dtype=float).min(axis=0)
 
 
 def expected_voi(bar: np.ndarray, z) -> float:
-    """Expectation of the worst-case value-of-information under the Hider's mix."""
+    """Expectation of the worst-case value-of-information under the Hider's
+    mix; 0 for the worst case of a voi_matrix, which is 0 everywhere."""
     bar = np.asarray(bar, dtype=float)
     return float(simplex_weights(z, len(bar), "z") @ bar)
 

@@ -1,12 +1,23 @@
 """Reference implementations that the package's faster paths are checked
-against: per-prefix and per-route loops the package vectorises, and an
-independent closed form for small reveal-stage subgames."""
+against: per-prefix and per-route loops the package vectorises, an
+independent closed form for small reveal-stage subgames, and the
+cell-by-cell formatters the one-row writers replaced."""
+
+import functools
+import itertools
 
 import numpy as np
 
 import hideseek as hs
 from hideseek.matrixgame import find_pure_saddle
 from hideseek.routes import check_reveal_time
+
+
+@functools.cache
+def routes(n):
+    """Every visiting order of 1..n as a tuple, in lexicographic order,
+    enumerated independently of RouteSet."""
+    return tuple(itertools.permutations(range(1, n + 1)))
 
 
 def position(route, i):
@@ -22,7 +33,7 @@ def prefix_of(route, t):
 
 def prefixes(rs, t):
     """Every distinct t-visit prefix, in lexicographic order."""
-    return sorted({prefix_of(route, t) for route in rs.routes})
+    return sorted({prefix_of(route, t) for route in routes(rs.n)})
 
 
 def information_set(rs, nodes):
@@ -44,8 +55,10 @@ def subgame(A, members, targets, i, c):
     """Reveal-stage subgame on the given routes and ascending targets for a
     treasure initially at i: the target's baseline cost, minus c unless it
     stays."""
-    S = A.entries[np.ix_(members, [u - 1 for u in targets])] - c
-    S[:, targets.index(i)] += c
+    S = A.entries[np.ix_(members, [u - 1 for u in targets])].copy()
+    for k, u in enumerate(targets):
+        if u != i:
+            S[:, k] -= c
     return S
 
 
@@ -55,7 +68,7 @@ def reduced_payoff(A, rs, j, cfg, i, i_hat):
     if not 0 <= j < rs.m:
         raise ValueError(f"route index {j} out of range 0..{rs.m - 1}")
     check_reveal_time(cfg.t_reveal, rs.n - 1)
-    route = rs.routes[j]
+    route = routes(rs.n)[j]
     unvisited = set(route[cfg.t_reveal :])
     if i not in unvisited or i_hat not in unvisited:
         raise ValueError(
@@ -80,8 +93,7 @@ def best_relocations(A, rs, cfg):
     check_reveal_time(cfg.t_reveal, rs.n - 1)
     E = A.entries
     target = np.zeros((rs.m, rs.n), dtype=np.int64)
-    for j in range(rs.m):
-        route = rs.routes[j]
+    for j, route in enumerate(routes(rs.n)):
         unv = sorted(route[cfg.t_reveal :])
         vals = np.array([E[j, u - 1] for u in unv])
         for i in unv:
@@ -207,3 +219,72 @@ def sweep_to_csv_cells(rows, digits=10):
             f"{r.cstar_global_route:.{digits}g},{r.cstar_global_infoset:.{digits}g}"
         )
     return "\n".join(lines) + "\n"
+
+
+def fmt(x, prec):
+    """One fixed-point value as the CLI formatted it cell by cell: -0 as 0."""
+    x = float(x)
+    if x == 0:
+        x = 0.0  # avoid "-0.0000"
+    return f"{x:.{prec}f}"
+
+
+def fixed_cell(v, prec, width):
+    """One fixed-point table cell: `prec` decimals right-justified to
+    `width`, NaN as `--`."""
+    return "--".rjust(width) if np.isnan(v) else fmt(v, prec).rjust(width)
+
+
+def strategy_lines(weights, labels, prec):
+    """The support of a mix, one `  label: weight` line per weight > 1e-9."""
+    return [f"  {labels[idx]}: {fmt(w, prec)}" for idx, w in enumerate(weights) if w > 1e-9]
+
+
+def solve_text(model, sol, n, t, prec):
+    """`solve`'s output before its optional matrix dump, with a label built
+    for every row: n! routes, or the (n-t)!-route prefixes of the feedback
+    game."""
+    if model == "feedback":
+        row_labels = [f"h=({','.join(str(v) for v in h)})" for h in sorted({r[:t] for r in routes(n)})]
+    else:
+        row_labels = [f"r{j + 1}=({','.join(str(v) for v in r)})" for j, r in enumerate(routes(n))]
+    col_labels = [str(i) for i in range(1, n + 1)]
+    return (
+        f"model: {model}\nvalue: {fmt(sol.value, prec)}\n"
+        f"row gap: {sol.row_gap:.3e}\ncol gap: {sol.col_gap:.3e}\n"
+        "seeker mix:\n" + "\n".join(strategy_lines(sol.row_strategy.weights, row_labels, prec)) + "\n"
+        "hider mix:\n" + "\n".join(strategy_lines(sol.col_strategy.weights, col_labels, prec)) + "\n"
+    )
+
+
+def voi_text(report, prec):
+    """`voi`'s text output written cell by cell."""
+    p = prec
+    m, n = report.voi_matrix.shape
+    out = [f"t_reveal: {report.cfg.t_reveal}\ncost: {fmt(report.cfg.c, p)}\n"]
+    out.append(f"voi matrix ({m}x{n}), nonzero cells:\n")
+    nonzero = [
+        f"  r{j + 1},{i + 1}: {fmt(report.voi_matrix[j, i], p)}"
+        for j, i in np.argwhere(report.voi_matrix > 1e-12)
+    ]
+    out.append("\n".join(nonzero) + ("\n" if nonzero else "(none)\n"))
+    out.append("worst-case voi per location: ")
+    out.append(" ".join(fmt(v, p) for v in report.bar_voi) + "\n")
+    out.append(f"expected voi: {fmt(report.expected_voi, p)}\n")
+    out.append(f"route-averaged voi: {fmt(report.route_averaged_voi, p)}\n")
+    out.append(f"cstar table (variant={report.variant}):\n")
+    for j, row in enumerate(report.cstar_matrix):
+        out.append(f"  r{j + 1}: " + " ".join(fixed_cell(v, p, p + 3) for v in row) + "\n")
+    out.append(f"cstar global: {fmt(report.cstar_global, p)}\n")
+    out.append(f"expected-voi bound at this cost: {fmt(report.bound, p)}\n")
+    return "".join(out)
+
+
+def simulate_text(result, value, prec):
+    """`simulate`'s output written line by line."""
+    return (
+        f"model: {result.model}\ntrials: {result.trials}\nseed: {result.seed}\n"
+        f"game value: {fmt(value, prec)}\nmean payoff: {fmt(result.mean_payoff, prec)}\n"
+        f"stderr: {fmt(result.payoff_stderr, prec)}\n"
+        f"ended by t: {fmt(result.empirical_end_by_t, prec)}\n"
+    )

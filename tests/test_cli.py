@@ -3,10 +3,12 @@ import pathlib
 
 import pytest
 
+import hideseek.cli as cli
 from hideseek.cli import main
 from hideseek.experiments import MODELS
 
 import reference as ref
+from oracles import simulate_text, solve_text, voi_text
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -123,6 +125,15 @@ def test_corrupt_instance_exits_3(capsys, tmp_path):
     assert "instance error" in err
     code, _, _ = run_cli(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+def test_dict_origin_exits_3(capsys, tmp_path):
+    path = tmp_path / "dict.json"
+    path.write_text(json.dumps({"origin": {"x": 0}, "locations": [[1, 0]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert "instance error: bad coordinates" in err
 
 
 def test_unknown_flag_exits_2(capsys, three_sites_path):
@@ -326,6 +337,50 @@ def test_negative_precision_exits_2(capsys, three_sites_path):
     assert "--precision" in err
 
 
+@pytest.mark.parametrize("precision", ["101", "3000000000", "100000000000"])
+def test_huge_precision_exits_2(capsys, three_sites_path, precision):
+    code, out, err = run_cli(capsys, "solve", three_sites_path, "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --precision must be <= 100, got {precision}\n"
+    code, out, _ = run_cli(capsys, "solve", three_sites_path, "--precision", "100")
+    assert code == 0
+    assert "value: 3.32514076993644236424" in out
+
+
+def test_overflowing_hider_mix_exits_2_without_warning(capsys, three_sites_path):
+    code, out, err = run_cli(capsys, "voi", three_sites_path, "--hider-mix", "1e308,1e308,1e308")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --hider-mix is not on the probability simplex\n"
+
+
+@pytest.mark.parametrize("cost", ["10", "1e12", "1e100", "1e308"])
+def test_large_cost_keeps_the_stay_payoff(capsys, cost):
+    # past every threshold the Hider stays, whatever the size of c
+    code, out, _ = run_cli(
+        capsys, "solve", str(INSTANCES / "three_sites.json"),
+        "--model", "feedback", "--cost", cost, "--precision", "8",
+    )
+    assert code == 0
+    assert "value: 2.41421356\n" in out
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_sweep_at_the_largest_cost_matches_a_cost_past_cstar(capsys, name):
+    path = str(INSTANCES / f"{name}.json")
+
+    def rows(costs):
+        code, out, _ = run_cli(capsys, "sweep", path, "--costs", costs)
+        assert code == 0
+        return [dict(zip(out.splitlines()[0].split(","), line.split(",")))
+                for line in out.splitlines()[1:]]
+
+    huge = rows("1e308")
+    past = 2 * max(float(r[k]) for r in huge for k in ("cstar_route", "cstar_infoset")) + 1
+    assert [r["v_fb"] for r in huge] == [r["v_fb"] for r in rows(repr(past))]
+
+
 def test_verify_one_location_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", _write_instance(tmp_path, 1))
     assert code == 2
@@ -366,3 +421,44 @@ def test_empty_t_list_exits_2(capsys, three_sites_path, command):
     assert code == 2
     assert out == ""
     assert "error: --t-list is empty" in err
+
+
+def _record(monkeypatch, name):
+    """Wrap cli.<name> so that every value it returns is kept, in order."""
+    real, kept = getattr(cli, name), []
+
+    def recording(*args, **kwargs):
+        kept.append(real(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, name, recording)
+    return kept
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_fixed_point_output_matches_cell_by_cell_oracle(capsys, monkeypatch, name):
+    path = str(INSTANCES / f"{name}.json")
+    n = len(json.loads(pathlib.Path(path).read_text(encoding="utf-8"))["locations"])
+    solved = _record(monkeypatch, "solve_zero_sum")
+    reports = _record(monkeypatch, "build_voi_report")
+    played = _record(monkeypatch, "simulate")
+
+    def out_of(*argv):
+        code, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0, argv
+        return out
+
+    for prec in (0, 4, 12):
+        p = ["--precision", str(prec)]
+        assert out_of("solve", *p) == solve_text("base", solved[-1], n, 1, prec)
+        for t in range(1, n):
+            flags = ["--t-reveal", str(t), "--cost", "0.5", *p]
+            for model in ("restricted", "feedback"):
+                out = out_of("solve", "--model", model, *flags)
+                assert out == solve_text(model, solved[-1], n, t, prec), (model, flags)
+            for variant in ("infoset", "route"):
+                out = out_of("voi", "--cstar-variant", variant, *flags)
+                assert out == voi_text(reports[-1], prec), (variant, flags)
+        for model in MODELS:
+            out = out_of("simulate", "--model", model, "--trials", "500", *p)
+            assert out == simulate_text(played[-1], solved[-1].value, prec), (model, prec)

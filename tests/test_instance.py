@@ -49,6 +49,7 @@ def test_load_asymmetric_table_rejected(tmp_path):
         {"origin": [0, 0]},
         {"locations": [[1, 0]]},
         [1, 2, 3],
+        {"origin": {"x": 0}, "locations": [[1, 0]]},
     ],
 )
 def test_load_rejects_bad_payloads(tmp_path, payload):

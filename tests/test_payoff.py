@@ -17,6 +17,7 @@ from oracles import (
     information_set,
     prefixes,
     reduced_payoff,
+    routes,
     subgame,
     unvisited_after,
 )
@@ -66,7 +67,7 @@ def test_base_rows_nondecreasing_in_visit_order():
         inst = random_instance(rng, n)
         rs = hs.enumerate_routes(n)
         A = hs.base_matrix(inst, rs).entries
-        for j, route in enumerate(rs.routes):
+        for j, route in enumerate(routes(rs.n)):
             along = A[j, np.array(route) - 1]
             assert (np.diff(along) >= -1e-12).all()
 
@@ -76,7 +77,7 @@ def test_base_rows_nondecreasing_in_visit_order():
 def switch_by_oracle(A, rs, cfg):
     """switch_matrix rebuilt cell by cell as the best reduced payoff."""
     S = A.entries.copy()
-    for j, route in enumerate(rs.routes):
+    for j, route in enumerate(routes(rs.n)):
         unvisited = route[cfg.t_reveal :]
         for i in unvisited:
             S[j, i - 1] = max(reduced_payoff(A, rs, j, cfg, i, h) for h in unvisited)
@@ -129,7 +130,7 @@ def test_switch_matrix_three_sites(base3, rs3):
 
 def test_switch_matrix_free_switching_hits_row_max(base3, rs3):
     S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 0.0)).entries
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(rs3.n)):
         last = route[-1]
         for i in route[1:]:
             assert S[j, i - 1] == pytest.approx(base3.entries[j, last - 1])
@@ -141,7 +142,7 @@ def test_switch_matrix_collapses_for_large_cost(base3, rs3):
     A = base3.entries
     residual = max(
         A[j, route[-1] - 1] - A[j, i - 1]
-        for j, route in enumerate(rs3.routes)
+        for j, route in enumerate(routes(rs3.n))
         for i in route[1:]
     )
     assert residual == pytest.approx(2.0, abs=1e-9)
@@ -157,7 +158,7 @@ def test_switch_matrix_remaining_is_total_minus_reveal_cost(base3, rs3):
         cfg_r = hs.SwitchConfig(t, 0.7, convention="remaining")
         total = hs.switch_matrix(base3, rs3, cfg_t).entries
         remaining = hs.switch_matrix(base3, rs3, cfg_r).entries
-        for j, route in enumerate(rs3.routes):
+        for j, route in enumerate(routes(rs3.n)):
             offset = base3.entries[j, route[t - 1] - 1]
             for i in range(1, 4):
                 if i in route[:t]:
@@ -200,7 +201,7 @@ def test_best_relocations_match_switch_values(base3, rs3):
     cfg = hs.SwitchConfig(1, 1.0)
     S = hs.switch_matrix(base3, rs3, cfg).entries
     targets = best_relocations(base3, rs3, cfg)
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(rs3.n)):
         for i in route[1:]:
             hat = targets[j, i - 1]
             got = base3.entries[j, hat - 1] - (1.0 if hat != i else 0.0)
@@ -223,7 +224,7 @@ def test_best_relocations_tie_breaks_low_index():
     rs = hs.enumerate_routes(3)
     A = hs.base_matrix(inst, rs)
     targets = best_relocations(A, rs, hs.SwitchConfig(1, 0.0))
-    j = rs.routes.index((1, 2, 3))
+    j = routes(rs.n).index((1, 2, 3))
     assert A.entries[j, 1] == A.entries[j, 2]
     assert targets[j, 1] == 2 and targets[j, 2] == 2
 
@@ -347,7 +348,7 @@ def test_lift_feedback_last_reveal_keeps_stay_payoffs(base3, rs3):
     # can only stay
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(2, 1.0))
     L = hs.lift_feedback(F).entries
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(rs3.n)):
         i = route[-1]
         assert L[j, i - 1] == pytest.approx(base3.entries[j, i - 1])
 

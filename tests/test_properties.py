@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hideseek as hs
+from hideseek.cli import _fixed_rows
 from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
-from oracles import csv_cell, game_value, prefixes, unvisited_after
+from oracles import csv_cell, fixed_cell, game_value, prefixes, unvisited_after
 
 
 def degenerate_instance(rng, n):
@@ -199,7 +200,9 @@ def test_five_site_pipeline_sanity():
 
 
 CELLS = st.one_of(
-    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]),
+    st.sampled_from([
+        math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+    ]),
     st.floats(),
 )
 
@@ -217,3 +220,20 @@ def test_csv_rows_matches_cell_by_cell_formatting(data, rows, cols, digits):
         for lb, vals in zip(labels, values)
     )
     assert _csv_rows(labels, values, digits) == expect
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 5), prec=st.integers(0, 100))
+def test_fixed_rows_matches_cell_by_cell_formatting(data, rows, cols, prec):
+    # width 0 for the bare scalar lines, p + 3 for the cstar table, or any
+    # other; labels pass through untouched, even when they read "nan"
+    width = data.draw(st.one_of(st.sampled_from([0, prec + 3]), st.integers(3, 110)), label="width")
+    label = st.text(alphabet="an: r1", max_size=6)
+    labels = data.draw(st.lists(label, min_size=rows, max_size=rows), label="labels")
+    row = st.lists(CELLS, min_size=cols, max_size=cols)
+    values = data.draw(st.lists(row, min_size=rows, max_size=rows), label="values")
+    expect = "".join(
+        f"{lb} " + " ".join(fixed_cell(v, prec, width) for v in vals) + "\n"
+        for lb, vals in zip(labels, values)
+    )
+    assert _fixed_rows(labels, values, prec, width) == expect

@@ -6,22 +6,30 @@ import pytest
 import hideseek as hs
 from hideseek.routes import MAX_LOCATIONS
 
-from oracles import information_set, position, prefix_of, prefixes
+from oracles import information_set, position, prefix_of, prefixes, routes
 
 
 def test_enumeration_order_n3(rs3):
-    assert rs3.routes == (
-        (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-    )
+    assert rs3.route_array.tolist() == [
+        [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
+    ]
     assert rs3.m == 6
 
 
 def test_enumeration_edges():
-    assert hs.enumerate_routes(1).routes == ((1,),)
+    assert hs.enumerate_routes(1).route_array.tolist() == [[1]]
     rs4 = hs.enumerate_routes(4)
     assert rs4.m == 24
-    assert rs4.routes[0] == (1, 2, 3, 4)
-    assert rs4.routes[-1] == (4, 3, 2, 1)
+    assert rs4.route_array[0].tolist() == [1, 2, 3, 4]
+    assert rs4.route_array[-1].tolist() == [4, 3, 2, 1]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_LOCATIONS + 1))
+def test_route_array_matches_permutations(n):
+    rs = hs.enumerate_routes(n)
+    assert rs.route_array.dtype == np.int64
+    assert rs.route_array.shape == (rs.m, n)
+    assert np.array_equal(rs.route_array, np.array(routes(n)))
 
 
 def test_enumeration_cap():
@@ -39,7 +47,7 @@ def test_position():
 
 
 def test_position_matrix(rs3):
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(3)):
         for i in route:
             assert rs3.position_matrix[j, i - 1] == position(route, i)
 
@@ -54,9 +62,9 @@ def test_prefix_of(rs3):
         prefix_of((1, 2, 3), 0)
     for t in (1, 2):
         block = hs.prefix_block(rs3, t)
-        for j, route in enumerate(rs3.routes):
+        for j, route in enumerate(routes(3)):
             # route j belongs to prefix j // block, whose first route is its head
-            assert rs3.routes[j // block * block][:t] == prefix_of(route, t)
+            assert tuple(rs3.route_array[j // block * block, :t]) == prefix_of(route, t)
 
 
 def test_information_set_n3(rs3):
@@ -79,7 +87,7 @@ def test_information_set_validation(rs3):
 
 def test_prefix_block_n3(rs3):
     assert hs.prefix_block(rs3, 1) == 2
-    assert [r[:1] for r in rs3.routes[::2]] == [(1,), (2,), (3,)]
+    assert rs3.route_array[::2, :1].tolist() == [[1], [2], [3]]
     assert hs.prefix_block(rs3, 2) == 1
     for t in (0, 3):
         with pytest.raises(ValueError, match="out of range"):
@@ -112,5 +120,6 @@ def test_partition_properties(n, t):
 def test_routes_strictly_increasing(rs6):
     arr = rs6.route_array
     assert (np.diff(arr, axis=0) != 0).any(axis=1).all()
-    for a, b in zip(rs6.routes, rs6.routes[1:]):
+    rows = [tuple(r) for r in arr.tolist()]
+    for a, b in zip(rows, rows[1:]):
         assert a < b

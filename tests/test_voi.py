@@ -7,7 +7,7 @@ import hideseek as hs
 
 import reference as ref
 from conftest import random_instance
-from oracles import cstar_infoset_per_prefix, report_to_csv_cells
+from oracles import cstar_infoset_per_prefix, report_to_csv_cells, routes
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -130,7 +130,7 @@ def test_cstar_infoset_matches_per_prefix_oracle(n):
 def test_cstar_route_brute_force(base3, rs3):
     C = hs.cstar(base3, rs3, 1, "route")
     A = base3.entries
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(rs3.n)):
         unvisited = route[1:]
         for i in range(1, 4):
             if i not in unvisited:
@@ -144,7 +144,7 @@ def test_cstar_route_brute_force(base3, rs3):
             )
     assert C[0, 1] == pytest.approx(2.0, abs=1e-9)
     # staying at the final stop already collects the row maximum
-    for j, route in enumerate(rs3.routes):
+    for j, route in enumerate(routes(rs3.n)):
         assert C[j, route[-1] - 1] == pytest.approx(0.0, abs=1e-12)
     assert hs.cstar_global(C) == pytest.approx(2.0, abs=1e-9)
 
@@ -216,7 +216,7 @@ def test_termination_probability_brute_force(rs3):
         for t in (1, 2, 3):
             # direct triple-sum of the closed form
             brute = sum(
-                z[i - 1] * sum(y[j] for j, r in enumerate(rs3.routes) if i in r[:t])
+                z[i - 1] * sum(y[j] for j, r in enumerate(routes(rs3.n)) if i in r[:t])
                 for i in range(1, 4)
             )
             got = hs.termination_probability(rs3, y, z, t)

@@ -171,7 +171,10 @@ def cmd_voi(args, out) -> int:
 
 
 def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
-    """Check `--t-list` and `--costs`, then run the sweep that `sweep` and `verify` share."""
+    """Check the instance, `--t-list` and `--costs`, then run the sweep that
+    `sweep` and `verify` share."""
+    if inst.n < 2:
+        raise UsageError(f"{args.command} needs at least 2 locations: with 1 there is no reveal time")
     t_list = c_grid = None
     if args.t_list is not None:
         t_list = _parse_ints(args.t_list, "--t-list")
@@ -232,8 +235,6 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     inst = _load(args.instance)
-    if inst.n < 2:
-        raise UsageError("verify needs at least 2 locations: with 1 there is no reveal time to check")
     report = verify_bounds(_sweep_rows(inst, args), inst=inst, convention=args.convention)
     for check in report.checks:
         out.write(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}\n")

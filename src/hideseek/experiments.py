@@ -308,13 +308,20 @@ def simulate(
     @functools.cache
     def subgame_play(key: int):
         h, i = divmod(key, n)
-        sol = solve_zero_sum(subgame_matrix(A_pm, rs, t, h, i + 1, c))
-        return (
-            h * block + np.arange(block),
-            np.cumsum(sol.row_strategy.weights),
-            np.flatnonzero(rs.position_matrix[h * block] > t),
-            np.cumsum(sol.col_strategy.weights),
-        )
+        targets = np.flatnonzero(rs.position_matrix[h * block] > t)
+        S = subgame_matrix(A_pm, rs, t, h, i + 1, c).entries
+        stay = targets == i
+        if (S[:, stay] > S[:, ~stay]).all():
+            # Staying beats every switch on every route, so the Hider stays
+            # and every Seeker equilibrium mix is supported on the routes
+            # that reach i soonest, which all pay the same. Playing the
+            # first of them needs no LP, which HiGHS rejects once c dwarfs
+            # the distances.
+            y, z = (np.arange(block) == S[:, stay].argmin()).astype(float), stay.astype(float)
+        else:
+            sol = solve_zero_sum(S)
+            y, z = sol.row_strategy.weights, sol.col_strategy.weights
+        return h * block + np.arange(block), np.cumsum(y), targets, np.cumsum(z)
 
     y_cdf, z_cdf = np.cumsum(y), np.cumsum(z)
     counts = np.zeros(len(values), dtype=np.int64)
@@ -339,7 +346,10 @@ def simulate(
         counts += np.bincount(code, minlength=len(values))
 
     mean = float(counts @ values / trials)
-    var = float(counts @ (values - mean) ** 2 / (trials - 1)) if trials > 1 else 0.0
+    # cells never drawn add nothing, even where a huge c makes their square overflow
+    spread = values - mean
+    spread[counts == 0] = 0.0
+    var = float(counts @ np.square(spread, out=spread) / (trials - 1)) if trials > 1 else 0.0
     return SimulationResult(
         trials=trials,
         seed=seed,

@@ -4,8 +4,11 @@ Throughout, the row player minimizes and the column player maximizes, so a
 pure saddle point is a cell that is the maximum of its row and the minimum
 of its column. Equilibria are computed by linear programming on the column
 player (N variables, M constraints; these games are extremely tall) with the
-row strategy recovered from the constraint duals. Solutions are certified by
-best-response gaps rather than by trusting the solver.
+row strategy recovered from the constraint duals. Where only the values of
+a stack of games are needed, game_values finds them by row generation over
+the same LPs, on a growing subset of each game's rows. Solutions are
+certified by best-response gaps against the full matrix rather than by
+trusting the solver.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ SADDLE_TOL = 1e-9
 # constraint rows: enough rows to spread scipy's per-call overhead over many
 # tiny subgames, few enough that three 720 x 6 subgames (n = 8) fill one.
 _BATCH_ROWS = 2000
+# game_values starts each game from this many rows and adds at most
+# _ADD_ROWS per round: at n = 8 a 720 x 6 subgame then closes in a few
+# rounds, each one batched LP over every game still open.
+_SEED_ROWS = 48
+_ADD_ROWS = 32
 
 
 class SolverError(RuntimeError):
@@ -223,6 +231,61 @@ def solve_zero_sum(A) -> GameSolution:
     """Equilibrium value and certified mixed strategies of one zero-sum game:
     the single-game case of solve_games."""
     return solve_games([A])[0]
+
+
+def game_values(S) -> np.ndarray:
+    """Certified values of a stack of same-shape zero-sum games, shape (G, m, k).
+
+    A game's value is unique, so it can come from a subset of its rows. The
+    games are solved together by lockstep row generation: each starts from
+    the _SEED_ROWS rows of smallest row maximum, and each round is one
+    solve_games call over the active rows of every game still open. The
+    Seeker's best responses to each Hider mix are one einsum over the stack;
+    a game gains its _ADD_ROWS most violated inactive rows, and closes once
+    no inactive row is violated by more than 1e-12 * max|A|. Active rows are
+    never re-added: HiGHS's feasibility tolerance can report one as violated,
+    and re-adding it would loop forever. A closed game's solution is then
+    certified against its full matrix, with the Seeker mix zero off the
+    active rows. A game of at most _SEED_ROWS rows is active in full from
+    the start, so it closes after its first round with solve_games's value.
+    Raises SolverError if a value does not certify to GAP_TOL.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 3:
+        raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
+    if len(S) == 0:
+        return np.empty(0)
+    _validate_matrix(S[0])
+    G, m, k = S.shape
+    hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise ValueError("matrix has non-finite entries")
+    tol = 1e-12 * np.maximum(hi, -lo)  # 1e-12 * max|A|
+    seed = np.argsort(S.max(axis=2), axis=1, kind="stable")[:, :_SEED_ROWS]
+    active = np.zeros((G, m), dtype=bool)
+    np.put_along_axis(active, seed, True, axis=1)
+    values = np.empty(G)
+    open_ = np.arange(G)
+    z = np.zeros((G, k))  # each open game's latest Hider mix
+    while len(open_):
+        sols = solve_games([S[g][active[g]] for g in open_])
+        z[open_] = [sol.col_strategy.weights for sol in sols]
+        # over the whole stack, so that no copy of the open games' rows is made
+        slack = np.einsum("gmk,gk->gm", S, z)[open_]
+        slack -= np.array([sol.value for sol in sols])[:, None]
+        slack[active[open_]] = np.inf  # only inactive rows count
+        worst = np.argsort(slack, axis=1, kind="stable")[:, :_ADD_ROWS]
+        add = np.take_along_axis(slack, worst, axis=1) < -tol[open_, None]
+        closed = ~add.any(axis=1)
+        for g, sol, done in zip(open_, sols, closed):
+            if done:
+                y = np.zeros(m)
+                y[active[g]] = sol.row_strategy.weights
+                values[g] = _certified(S[g], y, sol.col_strategy.weights, sol.value).value
+        g, r = np.nonzero(add)
+        active[open_[g], worst[g, r]] = True
+        open_ = open_[~closed]
+    return values
 
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import _saddle_mask, check_cost, solve_games
+from .matrixgame import _saddle_mask, check_cost, game_values
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
@@ -168,10 +168,10 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     holds the subgames of every prefix that leaves i unvisited, and one
     saddle scan covers the states' first prefixes in it. A subgame closed
     by a pure saddle gives a cell, which every prefix of the state reads
-    from its own subgame; the subgames left go to solve_games, state by
-    state and start by start, which solves them in block-diagonal LPs, and
-    their values are shifted by the difference of the prefixes' cumulative
-    costs. Visited cells, pure_min cells and saddle
+    from its own subgame; the values of the subgames left come from
+    game_values, state by state and start by start, by row generation in
+    block-diagonal LPs, and are shifted by the difference of the prefixes'
+    cumulative costs. Visited cells, pure_min cells and saddle
     cells (which include every cell at t = n-1) are bit-identical to solving
     each prefix's subgame on its own; the shifted values agree with it to
     round-off.
@@ -206,7 +206,7 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
 
     s, i0 = np.nonzero(lp)
     value = np.zeros((len(rep), n))
-    value[s, i0] = [sol.value for sol in solve_games(subgame_matrix(A, rs, t, rep[s], i0 + 1, c))]
+    value[s, i0] = game_values(subgame_matrix(A, rs, t, rep[s], i0 + 1, c))
     h, i0 = np.nonzero(lp[state])
     F[h, i0] = (value[state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return PayoffMatrix(F, row_kind="prefix", cfg=cfg)

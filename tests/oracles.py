@@ -1,7 +1,7 @@
 """Reference implementations that the package's faster paths are checked
 against: per-prefix and per-route loops the package vectorises, an
-independent closed form for small reveal-stage subgames, and the
-cell-by-cell formatters the one-row writers replaced."""
+independent closed form for small reveal-stage subgames, full-LP game
+values, and the cell-by-cell formatters the one-row writers replaced."""
 
 import functools
 import itertools
@@ -117,6 +117,12 @@ def game_value(A):
         den = A[0, 0] + A[1, 1] - A[0, 1] - A[1, 0]
         return float((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / den)
     return hs.solve_zero_sum(A).value
+
+
+def full_lp_values(S):
+    """Each game's value from one column LP over all its rows: the reference
+    that game_values' row generation is checked against."""
+    return np.array([sol.value for sol in hs.solve_games(S)])
 
 
 def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):

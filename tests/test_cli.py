@@ -366,6 +366,18 @@ def test_large_cost_keeps_the_stay_payoff(capsys, cost):
     assert "value: 2.41421356\n" in out
 
 
+@pytest.mark.parametrize("cost", ["1e16", "1e20", "1e308"])
+def test_feedback_simulate_at_huge_costs_plays_the_stay_payoff(capsys, cost):
+    # HiGHS rejects the subgame LPs at these costs; the Hider's dominant stay needs none
+    code, out, _ = run_cli(
+        capsys, "simulate", str(INSTANCES / "three_sites.json"),
+        "--model", "feedback", "--t-reveal", "1", "--cost", cost, "--trials", "10",
+    )
+    assert code == 0
+    assert "game value: 2.4142\n" in out
+    assert "stderr: 0.0000\n" in out
+
+
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
 def test_sweep_at_the_largest_cost_matches_a_cost_past_cstar(capsys, name):
     path = str(INSTANCES / f"{name}.json")
@@ -385,6 +397,13 @@ def test_verify_one_location_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", _write_instance(tmp_path, 1))
     assert code == 2
     assert "all checks passed" not in out
+    assert "at least 2 locations" in err
+
+
+def test_sweep_one_location_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "sweep", _write_instance(tmp_path, 1))
+    assert code == 2
+    assert out == ""
     assert "at least 2 locations" in err
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,10 @@ import hideseek as hs
 import hideseek.matrixgame as mg
 
 import reference as ref
+from conftest import random_instance
+from oracles import full_lp_values
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def brute_force_saddles(A):
@@ -293,6 +300,124 @@ def test_solve_zero_sum_falls_back_to_row_lp(monkeypatch):
     assert sol.value == expect.value
     np.testing.assert_array_equal(sol.col_strategy.weights, expect.col_strategy.weights)
     _assert_certified([A], [sol])
+
+
+def _lp_bound_stacks(inst, t, c):
+    """For each start location, the stack of its reveal-stage subgames (one
+    per prefix) that no pure saddle closes: the games feedback_matrix leaves
+    to game_values."""
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    first = np.arange(0, rs.m, hs.prefix_block(rs, t))
+    for i in range(1, inst.n + 1):
+        h = np.flatnonzero(rs.position_matrix[first, i - 1] > t)
+        S = hs.subgame_matrix(A, rs, t, h, i, c)
+        yield S[~mg._saddle_mask(S).any(axis=(1, 2))]
+
+
+def _assert_values_match_full_lp(S):
+    values = mg.game_values(S)
+    assert values.shape == (len(S),)
+    scale = np.abs(S).max(axis=(1, 2)) if len(S) else 0.0
+    assert (np.abs(values - full_lp_values(S)) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_game_values_match_full_lp_on_bundled_subgames(name):
+    inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
+    tall = 0
+    for t in range(1, inst.n):
+        for c in (0.0, 0.5, 1.0, 3.0):
+            for S in _lp_bound_stacks(inst, t, c):
+                _assert_values_match_full_lp(S)
+                tall += S.shape[1] > mg._SEED_ROWS and len(S) > 0
+    assert tall > 0 if name == "six_sites" else tall == 0
+
+
+@pytest.mark.parametrize("n, t", [(6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (8, 1), (8, 2)])
+def test_game_values_match_full_lp_on_seeded_instances(n, t):
+    inst = random_instance(np.random.default_rng(3), n)
+    for c in (0.5,) if n == 8 else (0.0, 1.0):
+        for S in _lp_bound_stacks(inst, t, c):
+            _assert_values_match_full_lp(S)
+
+
+def test_game_values_of_short_stacks_are_the_full_lp_values():
+    rng = np.random.default_rng(71)
+    for m in (1, 2, 17, mg._SEED_ROWS):
+        S = rng.uniform(-4, 4, size=(5, m, 4))
+        np.testing.assert_array_equal(mg.game_values(S), full_lp_values(S))
+
+
+def test_game_values_of_an_empty_stack():
+    for shape in ((0, 720, 6), (0, 3, 2)):
+        values = mg.game_values(np.empty(shape))
+        assert values.shape == (0,) and values.dtype == float
+
+
+def test_game_values_validate_the_stack():
+    with pytest.raises(ValueError, match="stack"):
+        mg.game_values(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="degenerate"):
+        mg.game_values(np.zeros((2, 0, 3)))
+    S = np.zeros((2, 60, 3))
+    S[1, 59, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mg.game_values(S)
+
+
+def test_game_values_certify_against_the_full_matrix(monkeypatch):
+    S = next(S for S in _lp_bound_stacks(random_instance(np.random.default_rng(2), 7), 1, 1.0) if len(S))
+    assert S.shape[1] > mg._SEED_ROWS
+    real_certified = mg._certified
+    full = []
+
+    def spy_certified(A, y, z, value):
+        sol = real_certified(A, y, z, value)
+        if A.shape == S.shape[1:]:
+            full.append((A, sol))
+        return sol
+
+    monkeypatch.setattr(mg, "_certified", spy_certified)
+    values = mg.game_values(S)
+    assert len(full) == len(S)
+    assert sorted(sol.value for _, sol in full) == sorted(values)
+    for A, sol in full:
+        assert any(np.array_equal(A, G) for G in S)
+        assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
+
+
+def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
+    S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
+    real_gaps = mg._gaps
+
+    def slack_on_full_matrix(A, y, z, value):
+        if A.shape[0] == S.shape[1]:
+            return 1.0, 1.0
+        return real_gaps(A, y, z, value)
+
+    monkeypatch.setattr(mg, "_gaps", slack_on_full_matrix)
+    with pytest.raises(hs.SolverError, match="certification"):
+        mg.game_values(S)
+
+
+def test_game_values_never_re_add_active_rows(monkeypatch):
+    # HiGHS's feasibility tolerance can leave an active row "violated"; the
+    # loop must close the game instead of adding that row forever
+    S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
+    real_solve_games = mg.solve_games
+    rounds = []
+
+    def loose_solve_games(mats):
+        rounds.append(len(mats))
+        if len(rounds) > 400 // mg._ADD_ROWS + 2:
+            raise AssertionError("row generation does not terminate")
+        bump = 1e-9 * np.abs(S).max()
+        return [dataclasses.replace(sol, value=sol.value + bump) for sol in real_solve_games(mats)]
+
+    monkeypatch.setattr(mg, "solve_games", loose_solve_games)
+    values = mg.game_values(S)
+    np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=2e-9 * np.abs(S).max())
 
 
 def test_mixed_strategy_validation():

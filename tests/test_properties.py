@@ -1,5 +1,6 @@
 """Cross-module stress properties: degenerate geometry, value identities,
-off-equilibrium playout means, and fast-path agreement on real subgames."""
+off-equilibrium playout means, and fast-path agreement on real subgames and
+on degenerate tall games."""
 
 import math
 
@@ -13,7 +14,7 @@ from hideseek.cli import _fixed_rows
 from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
-from oracles import csv_cell, fixed_cell, game_value, prefixes, unvisited_after
+from oracles import csv_cell, fixed_cell, full_lp_values, game_value, prefixes, unvisited_after
 
 
 def degenerate_instance(rng, n):
@@ -237,3 +238,28 @@ def test_fixed_rows_matches_cell_by_cell_formatting(data, rows, cols, prec):
         for lb, vals in zip(labels, values)
     )
     assert _fixed_rows(labels, values, prec, width) == expect
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    games=st.integers(0, 4),
+    m=st.integers(1, 200),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_game_values_match_the_full_lp_on_degenerate_tall_games(data, games, m, k, seed):
+    # few distinct entries make exact ties, a small row pool makes duplicate
+    # rows, and a constant column makes a weakly dominant Hider action
+    rng = np.random.default_rng(seed)
+    levels = data.draw(st.integers(1, 40), label="levels")
+    pool_rows = data.draw(st.integers(1, m), label="pool rows")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]), label="scale")
+    pool = rng.integers(0, levels, size=(games, pool_rows, k)) * scale
+    S = pool[:, rng.integers(0, pool_rows, size=m)]
+    if data.draw(st.booleans(), label="constant column"):
+        S[:, :, rng.integers(k)] = float(rng.integers(0, levels)) * scale
+    values = hs.game_values(S)
+    assert values.shape == (games,)
+    tol = 1e-12 * np.abs(S).max(axis=(1, 2)) if games else 0.0
+    assert (np.abs(values - full_lp_values(S)) <= tol).all()

@@ -25,13 +25,11 @@ from .routes import (
     prefix_block,
 )
 from .payoff import (
-    PayoffMatrix,
     SwitchConfig,
     base_matrix,
     dump_matrix,
     entrywise_gap,
     feedback_matrix,
-    lift_feedback,
     subgame_matrix,
     switch_matrix,
 )

@@ -19,7 +19,6 @@ from .matrixgame import SolverError, simplex_weights, solve_zero_sum
 from .payoff import (
     CONVENTIONS,
     FEEDBACK_MODES,
-    PayoffMatrix,
     SwitchConfig,
     base_matrix,
     dump_matrix,
@@ -56,18 +55,11 @@ def _fixed_rows(labels, values, prec: int, width: int = 0) -> str:
     return "".join(f"{lb}{(cells % tuple(r)).replace('nan', nan)}\n" for lb, r in zip(labels, rows.tolist()))
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
-    items = [s for s in text.split(",") if s.strip()]
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated values of a flag as kind (int or float); blank
+    items are skipped."""
     try:
-        return [float(s) for s in items]
-    except ValueError as exc:
-        raise UsageError(f"bad value in {flag}: {exc}") from exc
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    items = [s for s in text.split(",") if s.strip()]
-    try:
-        return [int(s) for s in items]
+        return [kind(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise UsageError(f"bad value in {flag}: {exc}") from exc
 
@@ -92,7 +84,7 @@ def _check_t(t: int, flag: str, top: int) -> None:
 
 def _model_matrix(
     inst: Instance, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
-) -> PayoffMatrix:
+) -> np.ndarray:
     """The payoff matrix of one game model; base ignores t and c."""
     A = base_matrix(inst, rs)
     if model == "base":
@@ -120,7 +112,8 @@ def cmd_solve(args, out) -> int:
     # label only the rows that print: row h of the feedback game is the
     # prefix of route h * (n-t)!, every other row is a route
     rows, cols = np.flatnonzero(y > 1e-9), np.flatnonzero(z > 1e-9)
-    if args.model == "feedback":
+    feedback = args.model == "feedback"
+    if feedback:
         seeker = [f"  h=({','.join(map(str, r))}):"
                   for r in rs.route_array[rows * prefix_block(rs, t), :t].tolist()]
     else:
@@ -132,8 +125,8 @@ def cmd_solve(args, out) -> int:
     out.write("seeker mix:\n" + _fixed_rows(seeker, y[rows], p))
     out.write("hider mix:\n" + _fixed_rows([f"  {i + 1}:" for i in cols.tolist()], z[cols], p))
     if args.emit_matrix:
-        out.write("payoff matrix:\n")
-        out.write(dump_matrix(matrix))
+        labels = [f"h{h}" for h in range(1, len(matrix) + 1)] if feedback else None
+        out.write("payoff matrix:\n" + dump_matrix(matrix, labels))
     return EXIT_OK
 
 
@@ -145,7 +138,7 @@ def cmd_voi(args, out) -> int:
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
     if args.hider_mix:
-        z = _parse_floats(args.hider_mix, "--hider-mix")
+        z = _parse_list(args.hider_mix, "--hider-mix", float)
         try:
             z = simplex_weights(z, rs.n, "--hider-mix")
         except ValueError as exc:
@@ -177,13 +170,13 @@ def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
         raise UsageError(f"{args.command} needs at least 2 locations: with 1 there is no reveal time")
     t_list = c_grid = None
     if args.t_list is not None:
-        t_list = _parse_ints(args.t_list, "--t-list")
+        t_list = _parse_list(args.t_list, "--t-list", int)
         if not t_list:
             raise UsageError("--t-list is empty")
         for t in t_list:
             _check_t(t, "--t-list", inst.n - 1)
     if args.costs is not None:
-        c_grid = _parse_floats(args.costs, "--costs")
+        c_grid = _parse_list(args.costs, "--costs", float)
         if not c_grid:
             raise UsageError("--costs is empty")
         for c in c_grid:
@@ -211,17 +204,8 @@ def cmd_simulate(args, out) -> int:
     # the playout pays total-convention costs and plays mixed subgame strategies
     matrix = _model_matrix(inst, rs, model, args.t_reveal, args.cost, "total", "mixed_subgame")
     sol = solve_zero_sum(matrix)
-    y = sol.row_strategy.weights
-    if model == "feedback":
-        # The playout draws a route, but the Seeker of the prefix game picks
-        # only a prefix. Any split of a prefix's weight over its routes is an
-        # equilibrium of the route lift, whose prefix-mate rows are equal, and
-        # the playout reads only the prefix: cells ended by t are constant
-        # within a prefix, and late trials redraw the route from the subgame.
-        block = prefix_block(rs, args.t_reveal)
-        y = np.repeat(y, block) / block
     result = simulate(
-        inst, rs, args.model, y, sol.col_strategy,
+        inst, rs, args.model, sol.row_strategy, sol.col_strategy,
         args.t_reveal, args.cost, args.trials, args.seed,
     )
     out.write(f"model: {result.model}\ntrials: {result.trials}\nseed: {result.seed}\n")

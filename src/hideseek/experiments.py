@@ -23,7 +23,6 @@ from .payoff import (
     base_matrix,
     entrywise_gap,
     feedback_matrix,
-    lift_feedback,
     subgame_matrix,
     switch_matrix,
 )
@@ -121,7 +120,7 @@ def sweep(
             As = switch_matrix(A, rs, cfg)
             sw = solve_zero_sum(As)
             F = feedback_matrix(A, rs, cfg)
-            _, delta, _ = entrywise_gap(As, lift_feedback(F))
+            _, delta, _ = entrywise_gap(As, F)
             bar = worst_case_voi(voi_matrix(As, rs, t))
             rows.append(
                 SweepRow(
@@ -274,14 +273,17 @@ def simulate(
 ) -> SimulationResult:
     """Monte Carlo playout of the two-stage game.
 
-    Each trial draws a route from y and an initial location from z. If the
+    y is the Seeker's mix over the played game's rows: the routes, or for
+    the feedback model with t < n the prefixes of feedback_matrix. Each
+    trial draws a row from y and an initial location from z. If the
     treasure's visit position is within t (or the model is base), the payoff
-    is the baseline cost. Otherwise the restricted Hider relocates to its
-    best reduced-payoff target, and in the feedback model the Seeker and
-    Hider instead play their solved reveal-stage subgame mixes. Every
-    payoff is a base-matrix cell, less c if the Hider switched, so blocks
-    of _BLOCK trials only count cells: memory stays bounded, and identical
-    seeds give bit-identical results for any block size.
+    is the baseline cost, which a prefix h reads at its first route h*B.
+    Otherwise the restricted Hider relocates to its best reduced-payoff
+    target, and in the feedback model the Seeker and Hider instead play
+    their solved reveal-stage subgame mixes. Every payoff is a base-matrix
+    cell, less c if the Hider switched, so blocks of _BLOCK trials only
+    count cells: memory stays bounded, and identical seeds give
+    bit-identical results for any block size.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -289,19 +291,17 @@ def simulate(
         raise ValueError("trials must be >= 1")
     check_reveal_time(t, rs.n)
     check_cost(c)
-    y = simplex_weights(y, rs.m, "y")
-    z = simplex_weights(z, rs.n, "z")
-
-    A_pm = base_matrix(inst, rs)
-    A = A_pm.entries
+    A = base_matrix(inst, rs)
     m, n = A.shape
     feedback = model == "feedback" and t < n
+    block = prefix_block(rs, t) if feedback else 1  # routes per row of y
+    y = simplex_weights(y, m // block, "y")
+    z = simplex_weights(z, n, "z")
     if model == "restricted" and t < n:
-        values = switch_matrix(A_pm, rs, SwitchConfig(t, c)).entries.ravel()
+        values = switch_matrix(A, rs, SwitchConfig(t, c)).ravel()
     elif feedback:
         # codes past m*n are the switched cells, paid minus c
         values = np.concatenate([A.ravel(), A.ravel() - c])
-        block = prefix_block(rs, t)
     else:
         values = A.ravel()
 
@@ -309,7 +309,7 @@ def simulate(
     def subgame_play(key: int):
         h, i = divmod(key, n)
         targets = np.flatnonzero(rs.position_matrix[h * block] > t)
-        S = subgame_matrix(A_pm, rs, t, h, i + 1, c).entries
+        S = subgame_matrix(A, rs, t, h, i + 1, c)
         stay = targets == i
         if (S[:, stay] > S[:, ~stay]).all():
             # Staying beats every switch on every route, so the Hider stays
@@ -328,14 +328,14 @@ def simulate(
     ended_total = 0
     for start in range(0, trials, _BLOCK):
         u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
-        j = _draw(y_cdf, u[:, 0])
+        h = _draw(y_cdf, u[:, 0])
         i = _draw(z_cdf, u[:, 1])
-        ended = rs.position_matrix[j, i] <= t
+        ended = rs.position_matrix[h * block, i] <= t
         ended_total += int(ended.sum())
-        code = j * n + i
+        code = h * block * n + i
         if feedback:
             late = np.flatnonzero(~ended)
-            key = j[late] // block * n + i[late]
+            key = h[late] * n + i[late]
             order = np.argsort(key, kind="stable")
             groups, first = np.unique(key[order], return_index=True)
             for g, idxs in zip(groups.tolist(), np.split(late[order], first[1:])):

@@ -45,11 +45,6 @@ def check_cost(c: float) -> None:
         raise ValueError(f"switching cost must be finite and >= 0, got {c}")
 
 
-def _entries(mat) -> np.ndarray:
-    """Accept a PayoffMatrix-like object or a plain array."""
-    return np.asarray(getattr(mat, "entries", mat), dtype=float)
-
-
 @dataclass(frozen=True)
 class MixedStrategy:
     """A probability vector over a finite action set."""
@@ -192,7 +187,7 @@ def solve_games(mats) -> list[GameSolution]:
     falls back to the explicit row LP. Raises SolverError if a game does
     not certify to GAP_TOL.
     """
-    mats = [_entries(A) for A in mats]
+    mats = [np.asarray(A, dtype=float) for A in mats]
     for A in mats:
         _validate_matrix(A)
     sols: list[GameSolution] = []
@@ -290,7 +285,7 @@ def game_values(S) -> np.ndarray:
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:
     """Recompute certification gaps from scratch, independent of the solver."""
-    A = _entries(A)
+    A = np.asarray(A, dtype=float)
     y = sol.row_strategy.weights
     z = sol.col_strategy.weights
     if len(y) != A.shape[0] or len(z) != A.shape[1]:
@@ -310,7 +305,7 @@ def find_pure_saddle(A, tol: float = SADDLE_TOL) -> PureSaddle | None:
     Returns the first such cell in row-major order, flagged unique when it
     is the only one (ties compared within tol).
     """
-    A = _entries(A)
+    A = np.asarray(A, dtype=float)
     _validate_matrix(A)
     cells = np.argwhere(_saddle_mask(A, tol))
     if len(cells) == 0:
@@ -341,7 +336,7 @@ def check_lemma1(A, rs, t: int, c: float) -> Lemma1Report:
     satisfy A(r*, i_hat) - c <= A(r*, i*). Raises if the matrix has no unique
     pure saddle (the precondition of the structural result this checks).
     """
-    A = _entries(A)
+    A = np.asarray(A, dtype=float)
     check_reveal_time(t, rs.n - 1)
     check_cost(c)
     saddle = find_pure_saddle(A)

@@ -2,8 +2,10 @@
 
 Builds the baseline travel-cost matrix, the restricted-model switch matrix
 (Seeker committed, Hider may relocate once after the reveal), the
-reveal-stage subgames, and the seeker-aware feedback matrix with its
-route-indexed lift.
+reveal-stage subgames, and the seeker-aware feedback matrix. Every matrix
+is a float array whose rows minimize and columns maximize. Route-indexed
+matrices have one row per route; the feedback matrix has one row per
+prefix, and prefix h covers routes h*B .. h*B+B-1 (routes.prefix_block).
 
 Two value conventions are supported for post-reveal payoffs. ``total`` keeps
 full cumulative distances from the origin; ``remaining`` subtracts the
@@ -14,7 +16,6 @@ and relocation choices are identical under both; game values differ.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,36 +47,7 @@ class SwitchConfig:
             raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
 
 
-@dataclass(frozen=True, eq=False)
-class PayoffMatrix:
-    """A travel-cost matrix with rows minimizing and columns maximizing.
-
-    row_kind says whether rows are committed routes or revealed prefixes.
-    Matrices derived from a SwitchConfig carry it for consistency checks.
-    """
-
-    entries: np.ndarray
-    row_kind: str = "route"
-    cfg: SwitchConfig | None = None
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2:
-            raise ValueError(f"matrix must be 2-d, got shape {e.shape}")
-        if not np.isfinite(e).all():
-            raise ValueError("matrix has non-finite entries")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
-def base_matrix(inst: Instance, rs: RouteSet) -> PayoffMatrix:
+def base_matrix(inst: Instance, rs: RouteSet) -> np.ndarray:
     """Cumulative travel distance to reach each location along each route.
 
     Entry (j, i) is the origin leg plus all legs up to location i's visit
@@ -92,10 +64,10 @@ def base_matrix(inst: Instance, rs: RouteSet) -> PayoffMatrix:
     cum = legs.cumsum(axis=1)
     A = np.empty(R.shape)
     A[np.arange(rs.m)[:, None], R - 1] = cum
-    return PayoffMatrix(A)
+    return A
 
 
-def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMatrix:
+def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     """Payoffs with the Hider's optimal stay/relocate decision folded in.
 
     Visited cells keep the baseline cost (the game ended before the reveal).
@@ -104,12 +76,11 @@ def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMat
     baseline, and for c past the largest residual gain the matrix equals A.
     """
     check_reveal_time(cfg.t_reveal, rs.n - 1)
-    E = A.entries
-    m, n = E.shape
+    m, n = A.shape
     rows = np.arange(m)
     unvisited = rs.position_matrix > cfg.t_reveal
 
-    masked = np.where(unvisited, E, -np.inf)
+    masked = np.where(unvisited, A, -np.inf)
     top = masked.max(axis=1)
     top_col = masked.argmax(axis=1)
     masked2 = masked.copy()
@@ -118,23 +89,24 @@ def switch_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMat
     # best paid target other than i itself: the row max, or the runner-up
     # when i is the argmax
     best_other = np.where(np.arange(n)[None, :] == top_col[:, None], second[:, None], top[:, None])
-    switched = np.maximum(E, best_other - cfg.c)
-    S = np.where(unvisited, switched, E)
+    switched = np.maximum(A, best_other - cfg.c)
+    S = np.where(unvisited, switched, A)
     if cfg.convention == "remaining":
-        reveal_cum = E[rows, rs.route_array[:, cfg.t_reveal - 1] - 1]
+        reveal_cum = A[rows, rs.route_array[:, cfg.t_reveal - 1] - 1]
         S = np.where(unvisited, S - reveal_cum[:, None], S)
-    return PayoffMatrix(S, cfg=cfg)
+    return S
 
 
-def subgame_matrix(A: PayoffMatrix, rs: RouteSet, t: int, h, i, c: float):
+def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c: float) -> np.ndarray:
     """Reveal-stage subgame at prefix h for a treasure initially at i: the
     prefix's routes versus relocation targets.
 
     Rows are the prefix's routes in order; columns are the unvisited
     locations ascending. Entries use the total convention: baseline cost of
     the target, minus c off every column but the stay column. For an int h
-    this is a PayoffMatrix. For an array of prefix indices, with i an int or
-    an array of the same shape, it is a stack of shape h.shape + ((n-t)!, n-t).
+    this is one (n-t)! x (n-t) matrix. For an array of prefix indices, with
+    i an int or an array of the same shape, it is a stack of shape
+    h.shape + ((n-t)!, n-t).
     """
     block = prefix_block(rs, t)
     check_cost(c)
@@ -147,12 +119,12 @@ def subgame_matrix(A: PayoffMatrix, rs: RouteSet, t: int, h, i, c: float):
     stay = cols == i[..., None] - 1
     if not stay.any(axis=-1).all():
         raise ValueError(f"location {i} is visited under prefix {h} at t={t}")
-    S = A.entries[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]]
+    S = A[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]]
     np.subtract(S, c, out=S, where=~stay[..., None, :])
-    return PayoffMatrix(S) if S.ndim == 2 else S
+    return S
 
 
-def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffMatrix:
+def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     """Prefix-indexed payoffs when the Seeker anticipates relocation.
 
     Visited cells carry the (prefix-constant) baseline cost. Unvisited cells
@@ -177,13 +149,12 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     round-off.
     """
     t, c, n = cfg.t_reveal, cfg.c, rs.n
-    E = A.entries
     first = np.arange(0, rs.m, prefix_block(rs, t))  # each prefix's first route
     nodes = rs.route_array[first, :t]
-    cum = E[first, nodes[:, -1] - 1]
+    cum = A[first, nodes[:, -1] - 1]
     offset = cum if cfg.convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t
-    F = E[first]  # visited cells keep their prefix-constant baseline cost
+    F = A[first]  # visited cells keep their prefix-constant baseline cost
     # Held-Karp states, numbered in order of their first prefix rep[s]
     key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
     _, rep, state = np.unique(key, return_index=True, return_inverse=True)
@@ -209,39 +180,24 @@ def feedback_matrix(A: PayoffMatrix, rs: RouteSet, cfg: SwitchConfig) -> PayoffM
     value[s, i0] = game_values(subgame_matrix(A, rs, t, rep[s], i0 + 1, c))
     h, i0 = np.nonzero(lp[state])
     F[h, i0] = (value[state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
-    return PayoffMatrix(F, row_kind="prefix", cfg=cfg)
+    return F
 
 
-def lift_feedback(Afb: PayoffMatrix) -> PayoffMatrix:
-    """Re-index a prefix-row matrix by routes; prefix-mates get equal rows.
-
-    Each prefix's routes are consecutive, so every row repeats n!/rows times.
-    """
-    if Afb.row_kind != "prefix":
-        raise ValueError("lift_feedback expects a prefix-indexed matrix")
-    block, rest = divmod(math.factorial(Afb.cols), Afb.rows)
-    if rest:
-        raise ValueError(f"{Afb.rows} prefix rows do not split the {Afb.cols}! routes")
-    return PayoffMatrix(np.repeat(Afb.entries, block, axis=0), cfg=Afb.cfg)
-
-
-def entrywise_gap(
-    As: PayoffMatrix, Afb_lifted: PayoffMatrix
-) -> tuple[PayoffMatrix, float, list[tuple[int, int]]]:
+def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
     """Absolute switch-vs-feedback difference, its maximum, and the argmax cells.
 
-    Cells are 0-based (route, location-1) pairs within 1e-9 of the maximum.
+    F is prefix-indexed: each of its rows is compared with the block of As
+    rows (the prefix's routes) that it covers, so G is route-indexed like
+    As. Cells are 0-based (route, location-1) pairs within 1e-9 of the
+    maximum.
     """
-    if As.entries.shape != Afb_lifted.entries.shape:
-        raise ValueError(
-            f"shape mismatch: {As.entries.shape} vs {Afb_lifted.entries.shape}"
-        )
-    if As.row_kind != "route" or Afb_lifted.row_kind != "route":
-        raise ValueError("entrywise_gap expects two route-indexed matrices")
-    G = np.abs(As.entries - Afb_lifted.entries)
+    (m, n), (rows, cols) = As.shape, F.shape
+    if not rows or m % rows or n != cols:
+        raise ValueError(f"shape mismatch: {As.shape} vs {F.shape}")
+    G = np.abs(As.reshape(rows, -1, n) - F[:, None, :]).reshape(m, n)
     delta = float(G.max())
     cells = [(int(r), int(c)) for r, c in np.argwhere(G >= delta - 1e-9)]
-    return PayoffMatrix(G), delta, cells
+    return G, delta, cells
 
 
 def _csv_rows(labels, values, digits: int) -> str:
@@ -254,13 +210,14 @@ def _csv_rows(labels, values, digits: int) -> str:
     return "".join(f"{lb}{(cells % tuple(r)).replace('nan', '--')}\n" for lb, r in zip(labels, rows.tolist()))
 
 
-def dump_matrix(pm: PayoffMatrix, labels=None, digits: int = 10) -> str:
-    """CSV rendering: header of location indices, then one route/prefix per
-    line through the one CSV row writer (NaN as `--`). labels, if given,
-    names every row."""
+def dump_matrix(A: np.ndarray, labels=None, digits: int = 10) -> str:
+    """CSV rendering: header of location indices, then one row per line
+    through the one CSV row writer (NaN as `--`). Rows are labelled r1, r2,
+    ... unless labels names every row."""
+    rows, cols = A.shape
     if labels is None:
-        labels = [f"{'h' if pm.row_kind == 'prefix' else 'r'}{j + 1}" for j in range(pm.rows)]
-    elif len(labels) != pm.rows:
-        raise ValueError(f"got {len(labels)} labels for {pm.rows} rows")
-    header = "row," + ",".join(str(i) for i in range(1, pm.cols + 1)) + "\n"
-    return header + _csv_rows(labels, pm.entries, digits)
+        labels = [f"r{j + 1}" for j in range(rows)]
+    elif len(labels) != rows:
+        raise ValueError(f"got {len(labels)} labels for {rows} rows")
+    header = "row," + ",".join(str(i) for i in range(1, cols + 1)) + "\n"
+    return header + _csv_rows(labels, A, digits)

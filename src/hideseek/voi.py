@@ -20,27 +20,23 @@ import numpy as np
 
 from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_zero_sum
-from .payoff import PayoffMatrix, SwitchConfig, _csv_rows, base_matrix, switch_matrix
+from .payoff import SwitchConfig, _csv_rows, base_matrix, switch_matrix
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CSTAR_VARIANTS = ("route", "infoset")
 
 
-def voi_matrix(As: PayoffMatrix, rs: RouteSet, t: int) -> np.ndarray:
+def voi_matrix(As: np.ndarray, rs: RouteSet, t: int) -> np.ndarray:
     """Route-level value-of-information from a switch matrix built at t.
 
     Identical under both payoff conventions: the per-row offset cancels in
     the within-row difference.
     """
-    if As.cfg is not None and As.cfg.t_reveal != t:
-        raise ValueError(
-            f"switch matrix was built at t={As.cfg.t_reveal}, queried with t={t}"
-        )
     check_reveal_time(t, rs.n - 1)
     unvisited = rs.position_matrix > t
-    masked = np.where(unvisited, As.entries, np.inf)
+    masked = np.where(unvisited, As, np.inf)
     row_min = masked.min(axis=1)
-    return np.where(unvisited, As.entries - row_min[:, None], 0.0)
+    return np.where(unvisited, As - row_min[:, None], 0.0)
 
 
 def worst_case_voi(V: np.ndarray) -> np.ndarray:
@@ -67,7 +63,7 @@ def route_averaged_voi(V: np.ndarray, y, z) -> float:
     return float(y @ V @ z)
 
 
-def cstar(A: PayoffMatrix, rs: RouteSet, t: int, variant: str = "infoset") -> np.ndarray:
+def cstar(A: np.ndarray, rs: RouteSet, t: int, variant: str = "infoset") -> np.ndarray:
     """Free-switching advantage thresholds per (route, initial location).
 
     Cells where the location is visited by t hold NaN (not applicable) and
@@ -82,14 +78,13 @@ def cstar(A: PayoffMatrix, rs: RouteSet, t: int, variant: str = "infoset") -> np
     if variant not in CSTAR_VARIANTS:
         raise ValueError(f"variant must be one of {CSTAR_VARIANTS}")
     check_reveal_time(t, rs.n - 1)
-    E = A.entries
     if variant == "route":
         unvisited = rs.position_matrix > t
-        masked = np.where(unvisited, E, -np.inf)
+        masked = np.where(unvisited, A, -np.inf)
         row_max = masked.max(axis=1)
-        return np.where(unvisited, row_max[:, None] - E, np.nan)
+        return np.where(unvisited, row_max[:, None] - A, np.nan)
     block = prefix_block(rs, t)
-    V = E.reshape(-1, block, rs.n)  # V[h] holds prefix h's routes
+    V = A.reshape(-1, block, rs.n)  # V[h] holds prefix h's routes
     unvisited = rs.position_matrix[::block] > t
     reveal = rs.route_array[::block, t - 1] - 1
     reduced = V - np.take_along_axis(V, reveal[:, None, None], axis=2)

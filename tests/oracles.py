@@ -5,6 +5,7 @@ values, and the cell-by-cell formatters the one-row writers replaced."""
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -31,6 +32,12 @@ def prefix_of(route, t):
     return tuple(route[:t])
 
 
+def lift(F):
+    """A prefix-indexed matrix re-indexed by routes: each prefix's row
+    repeated once per route of its block of n!/rows consecutive routes."""
+    return np.repeat(F, math.factorial(F.shape[1]) // len(F), axis=0)
+
+
 def prefixes(rs, t):
     """Every distinct t-visit prefix, in lexicographic order."""
     return sorted({prefix_of(route, t) for route in routes(rs.n)})
@@ -55,7 +62,7 @@ def subgame(A, members, targets, i, c):
     """Reveal-stage subgame on the given routes and ascending targets for a
     treasure initially at i: the target's baseline cost, minus c unless it
     stays."""
-    S = A.entries[np.ix_(members, [u - 1 for u in targets])].copy()
+    S = A[np.ix_(members, [u - 1 for u in targets])].copy()
     for k, u in enumerate(targets):
         if u != i:
             S[:, k] -= c
@@ -75,9 +82,9 @@ def reduced_payoff(A, rs, j, cfg, i, i_hat):
             f"locations must be unvisited at t={cfg.t_reveal} on route {route}: "
             f"i={i}, i_hat={i_hat}"
         )
-    value = float(A.entries[j, i_hat - 1])
+    value = float(A[j, i_hat - 1])
     if cfg.convention == "remaining":
-        value -= float(A.entries[j, route[cfg.t_reveal - 1] - 1])
+        value -= float(A[j, route[cfg.t_reveal - 1] - 1])
     if i_hat != i:
         value -= cfg.c
     return value
@@ -91,7 +98,7 @@ def best_relocations(A, rs, cfg):
     does not depend on the convention (the row offset cancels).
     """
     check_reveal_time(cfg.t_reveal, rs.n - 1)
-    E = A.entries
+    E = A
     target = np.zeros((rs.m, rs.n), dtype=np.int64)
     for j, route in enumerate(routes(rs.n)):
         unv = sorted(route[cfg.t_reveal :])
@@ -133,7 +140,7 @@ def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
     cells read straight from a matrix entry (visited cells, pure_min cells
     and subgames with a pure saddle), where the package must agree exactly.
     """
-    E = A.entries
+    E = A
     heads = prefixes(rs, t)
     F = {conv: np.empty((len(heads), rs.n)) for conv in ("total", "remaining")}
     closed = np.zeros((len(heads), rs.n), dtype=bool)
@@ -162,7 +169,7 @@ def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
 def cstar_infoset_per_prefix(A, rs, t):
     """The infoset-variant thresholds computed prefix by prefix: each target's
     reduced payoff minimized over the prefix's routes, against the best one."""
-    E = A.entries
+    E = A
     C = np.full((rs.m, rs.n), np.nan)
     for nodes in prefixes(rs, t):
         members = information_set(rs, nodes)
@@ -179,12 +186,12 @@ def csv_cell(v, digits):
     return "--" if np.isnan(v) else f"{v:.{digits}g}"
 
 
-def dump_matrix_cells(pm, labels=None, digits=10):
+def dump_matrix_cells(A, labels=None, digits=10):
     """dump_matrix written cell by cell."""
-    lines = ["row," + ",".join(str(i) for i in range(1, pm.cols + 1))]
+    lines = ["row," + ",".join(str(i) for i in range(1, A.shape[1] + 1))]
     if labels is None:
-        labels = [f"{'h' if pm.row_kind == 'prefix' else 'r'}{j + 1}" for j in range(pm.rows)]
-    for label, row in zip(labels, pm.entries):
+        labels = [f"r{j + 1}" for j in range(len(A))]
+    for label, row in zip(labels, A):
         lines.append(f"{label}," + ",".join(csv_cell(v, digits) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -22,6 +22,7 @@ from hideseek.cli import main as cli_main
 
 import reference as ref
 from conftest import random_instance
+from oracles import lift
 
 
 @contextmanager
@@ -36,7 +37,7 @@ def criterion(num, name):
 
 def test_c01_base_matrix_regression(demo3, rs3, base3):
     with criterion(1, "base matrix regression"):
-        np.testing.assert_allclose(base3.entries, ref.BASE_3, atol=1e-3)
+        np.testing.assert_allclose(base3, ref.BASE_3, atol=1e-3)
 
 
 def test_c02_base_value(base3):
@@ -51,7 +52,7 @@ def test_c02_base_value(base3):
 def test_c03_switch_matrix_and_value(base3, rs3):
     with criterion(3, "switch matrix and value"):
         S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0, convention="total"))
-        np.testing.assert_allclose(S.entries, ref.SWITCH_3_C1, atol=1e-3)
+        np.testing.assert_allclose(S, ref.SWITCH_3_C1, atol=1e-3)
         sol = hs.solve_zero_sum(S)
         assert abs(sol.value - ref.VALUE_SWITCH_3_C1) <= 1e-3
         assert max(sol.row_gap, sol.col_gap) <= 1e-6
@@ -76,28 +77,27 @@ def test_c06_feedback_matrices_and_value(base3, rs3):
     with criterion(6, "feedback matrices and value"):
         cfg = hs.SwitchConfig(1, 1.0, feedback_mode="mixed_subgame")
         F = hs.feedback_matrix(base3, rs3, cfg)
-        np.testing.assert_allclose(F.entries, ref.FEEDBACK_3_C1, atol=1e-3)
-        L = hs.lift_feedback(F)
-        np.testing.assert_allclose(L.entries, ref.LIFTED_3_C1, atol=1e-3)
+        np.testing.assert_allclose(F, ref.FEEDBACK_3_C1, atol=1e-3)
+        np.testing.assert_allclose(lift(F), ref.LIFTED_3_C1, atol=1e-3)
         sol = hs.solve_zero_sum(F)
         assert abs(sol.value - ref.VALUE_FEEDBACK_3_C1) <= 1e-3
         assert max(sol.row_gap, sol.col_gap) <= 1e-6
         # informational: committing to the first prefix class caps the payoff
         # at the value, i.e. that pure row is one optimal Seeker strategy
-        assert F.entries[0].max() == pytest.approx(sol.value, abs=1e-6)
+        assert F[0].max() == pytest.approx(sol.value, abs=1e-6)
 
 
 def test_c07_awareness_gap_sandwich(base3, rs3):
     with criterion(7, "seeker-awareness gap sandwich"):
         cfg = hs.SwitchConfig(1, 1.0)
         S = hs.switch_matrix(base3, rs3, cfg)
-        L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
-        G, delta, cells = hs.entrywise_gap(S, L)
-        np.testing.assert_allclose(G.entries, ref.GAP_3_C1, atol=1e-3)
+        F = hs.feedback_matrix(base3, rs3, cfg)
+        G, delta, cells = hs.entrywise_gap(S, F)
+        np.testing.assert_allclose(G, ref.GAP_3_C1, atol=1e-3)
         assert abs(delta - ref.DELTA_3_C1) <= 1e-3
         assert set(cells) == ref.DELTA_CELLS_3_C1
         v_switch = hs.solve_zero_sum(S).value
-        v_fb = hs.solve_zero_sum(L).value
+        v_fb = hs.solve_zero_sum(lift(F)).value
         assert v_fb <= v_switch <= v_fb + delta + 1e-9
         assert v_fb + delta == pytest.approx(4.6213, abs=1e-3)
 
@@ -112,7 +112,7 @@ def test_c08_large_cost_case(base3, rs3):
         assert abs(v_switch - ref.VALUE_SWITCH_3_C100) <= 1e-3
         F = hs.feedback_matrix(base3, rs3, cfg)
         assert abs(hs.solve_zero_sum(F).value - ref.VALUE_FEEDBACK_3_C100) <= 1e-3
-        _, delta, _ = hs.entrywise_gap(S, hs.lift_feedback(F))
+        _, delta, _ = hs.entrywise_gap(S, F)
         assert abs(delta - ref.DELTA_3_C100) <= 1e-3
 
 
@@ -200,8 +200,8 @@ def test_c13_pure_saddle_and_no_switch_incentive(collinear3):
             (j, i)
             for j in range(rs.m)
             for i in range(rs.n)
-            if A.entries[j, i] >= A.entries[j].max() - 1e-9
-            and A.entries[j, i] <= A.entries[:, i].min() + 1e-9
+            if A[j, i] >= A[j].max() - 1e-9
+            and A[j, i] <= A[:, i].min() + 1e-9
         ]
         assert scan == [(0, 2)]  # route (1,2,3), location 3
         saddle = hs.find_pure_saddle(A)

@@ -117,6 +117,74 @@ def test_emit_matrix(capsys, three_sites_path):
     assert "row,1,2,3" in out
 
 
+# stdout of `solve instances/three_sites.json --t-reveal 1 --cost 1
+# --emit-matrix`: the feedback game's rows are prefixes, labelled h1.., the
+# restricted game's rows are routes, labelled r1..
+EMITTED = {
+    "feedback": """model: feedback
+value: 2.9142
+row gap: 0.000e+00
+col gap: 0.000e+00
+seeker mix:
+  h=(1): 1.0000
+hider mix:
+  2: 0.6803
+  3: 0.3197
+payoff matrix:
+row,1,2,3
+h1,1,2.914213562,2.914213562
+h2,3.943174759,2.236067977,4.357388321
+h3,3.943174759,4.357388321,2.236067977
+""",
+    "restricted": """model: restricted
+value: 3.6462
+row gap: 4.441e-16
+col gap: -4.441e-16
+seeker mix:
+  r1=(1,2,3): 0.4310
+  r4=(2,3,1): 0.1953
+  r6=(3,2,1): 0.3738
+hider mix:
+  1: 0.0920
+  2: 0.4540
+  3: 0.4540
+payoff matrix:
+row,1,2,3
+r1,1,3.414213562,4.414213562
+r2,1,4.414213562,3.414213562
+r3,4.064495102,2.236067977,5.064495102
+r4,5.65028154,2.236067977,4.65028154
+r5,4.064495102,5.064495102,2.236067977
+r6,5.65028154,4.65028154,2.236067977
+""",
+}
+
+
+@pytest.mark.parametrize("model", sorted(EMITTED))
+def test_emit_matrix_labels_prefix_and_route_rows(capsys, model):
+    code, out, err = run_cli(
+        capsys, "solve", str(INSTANCES / "three_sites.json"),
+        "--model", model, "--t-reveal", "1", "--cost", "1", "--emit-matrix",
+    )
+    assert (code, out, err) == (0, EMITTED[model], "")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "--costs", "1,x"], "--costs: could not convert string to float: 'x'"),
+        (["verify", "--costs", "0.5,,nan0"], "--costs: could not convert string to float: 'nan0'"),
+        (["sweep", "--t-list", "1,a"], "--t-list: invalid literal for int() with base 10: 'a'"),
+        (["verify", "--t-list", "1.5"], "--t-list: invalid literal for int() with base 10: '1.5'"),
+        (["voi", "--hider-mix", "0.5,y,0.5"], "--hider-mix: could not convert string to float: 'y'"),
+    ],
+    ids=["costs", "costs-verify", "t-list", "t-list-float", "hider-mix"],
+)
+def test_bad_list_value_exits_2(capsys, three_sites_path, argv, message):
+    code, out, err = run_cli(capsys, argv[0], three_sites_path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: bad value in {message}\n")
+
+
 def test_corrupt_instance_exits_3(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope", encoding="utf-8")

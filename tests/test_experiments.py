@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import tracemalloc
 from unittest import mock
 
@@ -13,6 +14,8 @@ from hideseek import experiments
 
 import reference as ref
 from oracles import sweep_to_csv_cells
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 def mc_tolerance(p: float, trials: int, k: float = 4.0) -> float:
@@ -163,8 +166,7 @@ def test_simulate_restricted_converges(demo3, rs3, base3):
 
 def test_simulate_feedback_converges(demo3, rs3, base3):
     cfg = hs.SwitchConfig(1, 1.0)
-    lifted = hs.lift_feedback(hs.feedback_matrix(base3, rs3, cfg))
-    sol = hs.solve_zero_sum(lifted)
+    sol = hs.solve_zero_sum(hs.feedback_matrix(base3, rs3, cfg))
     res = hs.simulate(
         demo3, rs3, "feedback", sol.row_strategy, sol.col_strategy,
         t=1, c=1.0, trials=400_000, seed=107,
@@ -201,6 +203,8 @@ def test_simulate_reproducible_and_seed_sensitive(demo3, rs3):
 def test_simulate_block_invariance(demo3, rs3, data, trials, seed, model):
     # the cell histogram makes every result exact for any block size
     y = np.array([0.1, 0.2, 0.05, 0.3, 0.15, 0.2])
+    if model == "feedback":
+        y = y.reshape(3, 2).sum(axis=1)  # the feedback Seeker picks a prefix
     z = np.array([0.2, 0.45, 0.35])
     block = data.draw(st.integers(1, trials + 1), label="block")
     run = lambda: hs.simulate(demo3, rs3, model, y, z, t=1, c=0.8, trials=trials, seed=seed)
@@ -209,9 +213,42 @@ def test_simulate_block_invariance(demo3, rs3, data, trials, seed, model):
         assert run() == whole
 
 
+# (instance, t, c): (mean_payoff, payoff_stderr, empirical_end_by_t) of the
+# feedback playout at the prefix game's equilibrium, 20,000 trials, seed 11,
+# as recorded when the playout still drew a route from the route lift of the
+# prefix mix
+FEEDBACK_PLAYOUTS = {
+    ("three_sites", 1, 0.5): (3.159138562373095, 0.006833999370509175, 0.0),
+    ("three_sites", 1, 1.0): (2.9138635623730953, 0.0061095711975564125, 0.0),
+    ("three_sites", 2, 0.5): (3.316112951967224, 0.007642104468492786, 0.74405),
+    ("three_sites", 2, 1.0): (3.316112951967224, 0.007642104468492786, 0.74405),
+    ("six_sites", 1, 0.5): (7.884066549446396, 0.01720870814556072, 0.0038),
+    ("six_sites", 1, 1.0): (7.6589469846626335, 0.01721437590509516, 0.00845),
+    ("six_sites", 2, 0.5): (8.191131722085341, 0.017054125468527637, 0.008),
+    ("six_sites", 2, 1.0): (7.963347217948876, 0.016910613201987026, 0.01775),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FEEDBACK_PLAYOUTS), ids=lambda k: "-".join(map(str, k)))
+def test_feedback_playout_draws_a_prefix(key):
+    # The same trials end by t and pay the same cells as when a route was
+    # drawn, so the ended share and the stderr are bit-identical. The mean
+    # sums the histogram in another order, because a prefix's ended trials
+    # now count in one cell instead of across its routes: within 2 ulp.
+    name, t, c = key
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    sol = hs.solve_zero_sum(hs.feedback_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(t, c)))
+    res = hs.simulate(inst, rs, "feedback", sol.row_strategy, sol.col_strategy, t, c, 20_000, 11)
+    mean, stderr, ended = FEEDBACK_PLAYOUTS[key]
+    assert abs(res.mean_payoff - mean) <= 2 * math.ulp(mean)
+    assert (res.payoff_stderr, res.empirical_end_by_t) == (stderr, ended)
+
+
 @pytest.mark.parametrize("model", ["restricted", "feedback"])
 def test_simulate_memory_is_bounded(demo3, rs3, model):
-    y = np.full(6, 1 / 6)
+    rows = 3 if model == "feedback" else 6  # prefixes or routes at t=1
+    y = np.full(rows, 1 / rows)
     z = np.array([0.2, 0.45, 0.35])
     tracemalloc.start()
     try:
@@ -262,7 +299,7 @@ def test_simulate_restricted_mean_is_switch_bilinear(demo3, rs3, base3):
     rng = np.random.default_rng(127)
     y = rng.dirichlet(np.ones(6))
     z = rng.dirichlet(np.ones(3))
-    S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0)).entries
+    S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     target = float(y @ S @ z)
     res = hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0, trials=400_000, seed=17)
     assert abs(res.mean_payoff - target) <= 4 * res.payoff_stderr

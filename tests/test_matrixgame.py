@@ -48,7 +48,7 @@ def test_solve_three_site_switch(base3, rs3):
     # quoted one is optimal too and should achieve the value
     z_quoted = np.array([0.0920, 0.4540, 0.4540])
     z_quoted = z_quoted / z_quoted.sum()
-    assert (S.entries @ z_quoted).min() == pytest.approx(sol.value, abs=1e-3)
+    assert (S @ z_quoted).min() == pytest.approx(sol.value, abs=1e-3)
 
 
 def test_solve_validation():
@@ -87,7 +87,7 @@ def test_uniform_hider_mix_is_not_optimal(base3):
         col_gap=0.0,
     )
     _, col_gap = hs.best_response_gap(base3, uniform)
-    direct = sol.value - (base3.entries @ np.full(3, 1 / 3)).min()
+    direct = sol.value - (base3 @ np.full(3, 1 / 3)).min()
     assert col_gap == pytest.approx(direct, abs=1e-12)
     assert col_gap > 1e-3
 
@@ -105,14 +105,14 @@ def test_find_pure_saddle_simple():
 
 
 def test_find_pure_saddle_none_on_three_sites(base3):
-    assert brute_force_saddles(base3.entries) == []
+    assert brute_force_saddles(base3) == []
     assert hs.find_pure_saddle(base3) is None
 
 
 def test_find_pure_saddle_collinear(collinear3):
     rs = hs.enumerate_routes(3)
     A = hs.base_matrix(collinear3, rs)
-    cells = brute_force_saddles(A.entries)
+    cells = brute_force_saddles(A)
     assert cells == [(0, 2)]
     saddle = hs.find_pure_saddle(A)
     assert (saddle.row, saddle.col) == (0, 2)

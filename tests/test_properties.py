@@ -14,7 +14,7 @@ from hideseek.cli import _fixed_rows
 from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
-from oracles import csv_cell, fixed_cell, full_lp_values, game_value, prefixes, unvisited_after
+from oracles import csv_cell, fixed_cell, full_lp_values, game_value, lift, prefixes, unvisited_after
 
 
 def degenerate_instance(rng, n):
@@ -31,8 +31,7 @@ def full_stack(inst, t, c, convention="total", mode="mixed_subgame"):
     cfg = hs.SwitchConfig(t, c, convention=convention, feedback_mode=mode)
     S = hs.switch_matrix(A, rs, cfg)
     F = hs.feedback_matrix(A, rs, cfg)
-    L = hs.lift_feedback(F)
-    return rs, A, S, F, L
+    return rs, A, S, F, lift(F)
 
 
 def test_degenerate_geometry_keeps_all_invariants():
@@ -43,9 +42,9 @@ def test_degenerate_geometry_keeps_all_invariants():
         t = int(rng.integers(1, n))
         c = float(rng.choice([0.0, 0.4, 2.0]))
         rs, A, S, F, L = full_stack(inst, t, c)
-        assert np.isfinite(S.entries).all() and np.isfinite(F.entries).all()
-        assert (S.entries >= A.entries - 1e-12).all()
-        assert (L.entries <= S.entries + 1e-9).all()
+        assert np.isfinite(S).all() and np.isfinite(F).all()
+        assert (S >= A - 1e-12).all()
+        assert (L <= S + 1e-9).all()
         v_base = hs.solve_zero_sum(A).value
         v_switch = hs.solve_zero_sum(S).value
         v_fb = hs.solve_zero_sum(F).value
@@ -62,9 +61,9 @@ def test_zero_distance_table_everything_zero():
     inst = hs.make_instance((0, 0), [(0, 0)] * n, table)
     rs = hs.enumerate_routes(n)
     A = hs.base_matrix(inst, rs)
-    assert (A.entries == 0).all()
+    assert (A == 0).all()
     S = hs.switch_matrix(A, rs, hs.SwitchConfig(1, 0.0))
-    assert (S.entries == 0).all()
+    assert (S == 0).all()
     sol = hs.solve_zero_sum(A)
     assert sol.value == 0.0
     saddle = hs.find_pure_saddle(A)
@@ -86,7 +85,7 @@ def test_feedback_value_equals_lifted_value():
 
 def _three_values(inst, t, c):
     _, A, S, F, _ = full_stack(inst, t, c)
-    return np.array([hs.solve_zero_sum(M).value for M in (A, S, F)]), np.abs(A.entries).max()
+    return np.array([hs.solve_zero_sum(M).value for M in (A, S, F)]), np.abs(A).max()
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -114,7 +113,7 @@ def test_games_nonincreasing_in_cost(data, n, seed):
     convention = data.draw(st.sampled_from(["total", "remaining"]), label="convention")
     rs = hs.enumerate_routes(n)
     A = hs.base_matrix(inst, rs)
-    tol = 1e-9 * np.abs(A.entries).max()
+    tol = 1e-9 * np.abs(A).max()
     for build, mode in (
         (hs.switch_matrix, "mixed_subgame"),
         (hs.feedback_matrix, "mixed_subgame"),
@@ -124,7 +123,7 @@ def test_games_nonincreasing_in_cost(data, n, seed):
             build(A, rs, hs.SwitchConfig(t, c, convention=convention, feedback_mode=mode))
             for c in (c1, c2)
         )
-        assert (dear.entries <= cheap.entries + tol).all(), (build.__name__, mode)
+        assert (dear <= cheap + tol).all(), (build.__name__, mode)
         assert hs.solve_zero_sum(dear).value <= hs.solve_zero_sum(cheap).value + tol, (
             build.__name__, mode
         )
@@ -137,7 +136,7 @@ def test_switch_equals_base_at_last_reveal():
         rs = hs.enumerate_routes(n)
         A = hs.base_matrix(inst, rs)
         S = hs.switch_matrix(A, rs, hs.SwitchConfig(n - 1, 0.3))
-        np.testing.assert_allclose(S.entries, A.entries)  # lone target = stay
+        np.testing.assert_allclose(S, A)  # lone target = stay
 
 
 def test_game_value_fast_path_on_real_subgames():
@@ -154,7 +153,7 @@ def test_game_value_fast_path_on_real_subgames():
             h = int(rng.integers(0, len(heads)))
             c = float(rng.uniform(0, 2))
             for i in unvisited_after(rs, heads[h]):
-                sub = hs.subgame_matrix(A, rs, t, h, i, c).entries
+                sub = hs.subgame_matrix(A, rs, t, h, i, c)
                 assert game_value(sub) == pytest.approx(
                     hs.solve_zero_sum(sub).value, abs=1e-9
                 )
@@ -166,9 +165,11 @@ def test_simulate_feedback_mean_is_lifted_bilinear(demo3, rs3, base3):
     rng = np.random.default_rng(233)
     y = rng.dirichlet(np.ones(6))
     z = rng.dirichlet(np.ones(3))
-    L = hs.lift_feedback(hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))).entries
+    L = lift(hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0)))
     target = float(y @ L @ z)
-    res = hs.simulate(demo3, rs3, "feedback", y, z, t=1, c=1.0, trials=400_000, seed=19)
+    # the playout draws a prefix: each prefix carries its two routes' weight
+    y_prefix = y.reshape(3, 2).sum(axis=1)
+    res = hs.simulate(demo3, rs3, "feedback", y_prefix, z, t=1, c=1.0, trials=400_000, seed=19)
     assert abs(res.mean_payoff - target) <= 4 * res.payoff_stderr
 
 
@@ -186,8 +187,8 @@ def test_five_site_pipeline_sanity():
     rng = np.random.default_rng(239)
     inst = random_instance(rng, 5)
     rs, A, S, F, L = full_stack(inst, 2, 0.8)
-    assert S.entries.shape == (120, 5)
-    assert F.entries.shape == (20, 5)
+    assert S.shape == (120, 5)
+    assert F.shape == (20, 5)
     v_base = hs.solve_zero_sum(A).value
     v_switch = hs.solve_zero_sum(S).value
     v_fb = hs.solve_zero_sum(F).value

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .instance import Instance
-from .matrixgame import check_cost, simplex_weights, solve_zero_sum
+from .matrixgame import check_cost, game_values, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
@@ -30,6 +30,10 @@ from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
+# sweep solves the costs of a reveal time together in chunks whose switch
+# matrices take at most this many bytes: every cost at once up to n = 6, one
+# at a time at n = 8, where a 40320 x 8 switch LP sets the peak memory.
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -72,15 +76,17 @@ class BoundReport:
         return all(c.passed for c in self.checks)
 
 
+def _cost_grid(top: float) -> np.ndarray:
+    return np.linspace(0.0, 1.2 * top, 25)
+
+
 def default_cost_grid(inst: Instance, rs: RouteSet | None = None, t: int = 1) -> np.ndarray:
     """0 to 1.2x the route-variant global threshold in 25 steps.
 
     The grid brackets the cost beyond which switching never pays.
     """
     rs = rs or enumerate_routes(inst.n)
-    A = base_matrix(inst, rs)
-    top = cstar_global(cstar(A, rs, t, "route"))
-    return np.linspace(0.0, 1.2 * top, 25)
+    return _cost_grid(cstar_global(cstar(base_matrix(inst, rs), rs, t, "route")))
 
 
 def sweep(
@@ -92,9 +98,19 @@ def sweep(
 ) -> list[SweepRow]:
     """Solve the three games over a (reveal time, switching cost) grid.
 
-    Rows come out in lexicographic (t, c) order. The expected VOI column is
+    Rows come out in lexicographic (t, c) order, one per grid cost, so a
+    repeated cost gives repeated rows. The default grid is
+    default_cost_grid at the first reveal time. The expected VOI column is
     evaluated at each cell's own switch-game equilibrium mix; the bound
     column uses the route-variant threshold at that reveal time.
+
+    The subgame shapes depend on t and not on c, so each reveal time solves
+    its distinct costs together: the switch games in one solve_games call,
+    which keeps the Hider mixes expected_voi reads, the feedback matrices in
+    one feedback_matrix call, and the feedback values, the only part of
+    that game printed, in one game_values call. From n = 7 on, the costs go
+    in chunks whose switch matrices take at most _CHUNK_BYTES: a switch
+    game there fills an LP on its own, so more at once only takes memory.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -102,34 +118,38 @@ def sweep(
     t_list = sorted(set(int(t) for t in t_list))
     if not t_list:
         return []
+    A = base_matrix(inst, rs)
+    cg_route = {t: cstar_global(cstar(A, rs, t, "route")) for t in t_list}
     if c_grid is None:
-        c_grid = default_cost_grid(inst, rs, t=t_list[0])
-    c_grid = [float(c) for c in c_grid]
+        c_grid = _cost_grid(cg_route[t_list[0]])
+    c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ValueError("empty cost grid")
-
-    A = base_matrix(inst, rs)
     v_base = solve_zero_sum(A).value
-    cg_route = {t: cstar_global(cstar(A, rs, t, "route")) for t in t_list}
     cg_inf = {t: cstar_global(cstar(A, rs, t, "infoset")) for t in t_list}
 
+    costs = sorted(set(c_grid))
+    chunk = max(1, _CHUNK_BYTES // A.nbytes)  # costs per chunk
     rows = []
     for t in t_list:
-        for c in sorted(c_grid):
-            cfg = SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
-            As = switch_matrix(A, rs, cfg)
-            sw = solve_zero_sum(As)
-            F = feedback_matrix(A, rs, cfg)
-            _, delta, _ = entrywise_gap(As, F)
-            bar = worst_case_voi(voi_matrix(As, rs, t))
+        cells = {}
+        for j in range(0, len(costs), chunk):
+            cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs[j : j + chunk]]
+            As = [switch_matrix(A, rs, cfg) for cfg in cfgs]
+            Fs = feedback_matrix(A, rs, cfgs)
+            for cfg, S, sw, F, v_fb in zip(cfgs, As, solve_games(As), Fs, game_values(Fs)):
+                bar = worst_case_voi(voi_matrix(S, rs, t))
+                cells[cfg.c] = (sw.value, v_fb, expected_voi(bar, sw.col_strategy), entrywise_gap(S, F)[1])
+        for c in c_grid:
+            v_switch, v_fb, ev, delta = cells[c]
             rows.append(
                 SweepRow(
                     t_reveal=t,
                     c=c,
                     v_base=v_base,
-                    v_switch=sw.value,
-                    v_fb=solve_zero_sum(F).value,
-                    expected_voi=expected_voi(bar, sw.col_strategy),
+                    v_switch=v_switch,
+                    v_fb=v_fb,
+                    expected_voi=ev,
                     theorem1_bound=theorem1_bound(cg_route[t], c),
                     delta=delta,
                     cstar_global_route=cg_route[t],

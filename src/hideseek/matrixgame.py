@@ -174,6 +174,20 @@ def _certified(A: np.ndarray, y, z, value: float) -> GameSolution:
     return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
 
 
+def _lp_batches(mats):
+    """Pack the games in order into block-diagonal column LPs of about
+    _BATCH_ROWS constraint rows each; yield each batch's games with its
+    linprog result."""
+    start = rows = 0
+    for k, A in enumerate(mats):
+        rows += A.shape[0]
+        if rows < _BATCH_ROWS and k < len(mats) - 1:
+            continue
+        blocks = mats[start : k + 1]
+        start, rows = k + 1, 0
+        yield blocks, _col_lp(blocks)
+
+
 def solve_games(mats) -> list[GameSolution]:
     """Equilibrium values and certified mixed strategies of many zero-sum games.
 
@@ -191,15 +205,8 @@ def solve_games(mats) -> list[GameSolution]:
     for A in mats:
         _validate_matrix(A)
     sols: list[GameSolution] = []
-    start = rows = 0
-    for k, A in enumerate(mats):
-        rows += A.shape[0]
-        if rows < _BATCH_ROWS and k < len(mats) - 1:
-            continue
-        blocks = mats[start : k + 1]
-        start, rows = k + 1, 0
+    for blocks, res in _lp_batches(mats):
         alone = len(blocks) == 1
-        res = _col_lp(blocks)
         if res.status != 0:
             if alone:
                 raise SolverError(f"column LP failed: {res.message}")
@@ -228,22 +235,64 @@ def solve_zero_sum(A) -> GameSolution:
     return solve_games([A])[0]
 
 
+def _batch_solutions(mats):
+    """Uncertified values, Hider mixes and Seeker mixes of same-width games,
+    as arrays, from the same batched column LPs as solve_games.
+
+    The Seeker mixes come one after another in one flat array, game j's
+    over the rows of mats[j]. The games of a batch HiGHS fails on get NaN.
+    """
+    k = mats[0].shape[1]
+    sizes = np.array([len(A) for A in mats])
+    x = np.full((len(mats), k + 1), np.nan)  # each game's (z, v)
+    y = np.full(sizes.sum(), np.nan)
+    done = row = 0
+    for blocks, res in _lp_batches(mats):
+        rows = sizes[done : done + len(blocks)].sum()
+        if res.status == 0:
+            x[done : done + len(blocks)] = res.x.reshape(len(blocks), k + 1)
+            y[row : row + rows] = -res.ineqlin.marginals
+        done, row = done + len(blocks), row + rows
+    # _clean, game by game; a mix of no weight turns NaN, and its game slack
+    z, y = np.maximum(x[:, :-1], 0.0), np.maximum(y, 0.0)
+    with np.errstate(invalid="ignore"):
+        z /= z.sum(axis=1, keepdims=True)
+        y /= np.repeat(np.add.reduceat(y, np.cumsum(sizes) - sizes), sizes)
+    return x[:, -1], z, y
+
+
+def _stack_gaps(S, y, z, v, games):
+    """Best-response gaps of the solutions (y[g], z[g], v[g]) to the games
+    S[g] of a stack, for g in games, against the whole matrices; and S[g]
+    z[g] row by row.
+
+    One einsum for the row gaps and one for the column gaps, each over the
+    whole stack, so no copy of it is made.
+    """
+    Sz = np.einsum("gmk,gk->gm", S, z)[games]
+    row_gap = np.einsum("gm,gmk->gk", y, S)[games].max(axis=1) - v[games]
+    return row_gap, v[games] - Sz.min(axis=1), Sz
+
+
 def game_values(S) -> np.ndarray:
     """Certified values of a stack of same-shape zero-sum games, shape (G, m, k).
 
     A game's value is unique, so it can come from a subset of its rows. The
     games are solved together by lockstep row generation: each starts from
-    the _SEED_ROWS rows of smallest row maximum, and each round is one
-    solve_games call over the active rows of every game still open. The
-    Seeker's best responses to each Hider mix are one einsum over the stack;
-    a game gains its _ADD_ROWS most violated inactive rows, and closes once
-    no inactive row is violated by more than 1e-12 * max|A|. Active rows are
-    never re-added: HiGHS's feasibility tolerance can report one as violated,
-    and re-adding it would loop forever. A closed game's solution is then
-    certified against its full matrix, with the Seeker mix zero off the
-    active rows. A game of at most _SEED_ROWS rows is active in full from
-    the start, so it closes after its first round with solve_games's value.
-    Raises SolverError if a value does not certify to GAP_TOL.
+    the _SEED_ROWS rows of smallest row maximum, and each round solves the
+    active rows of every game still open in the batched LPs of solve_games,
+    kept as arrays of values and mixes. Both best-response gaps of every
+    game, and the Seeker's best responses to each Hider mix, are two einsums
+    over the stack. A game whose gaps on its active rows are slack is solved
+    again through solve_games (alone, then by the row LP). A game gains its
+    _ADD_ROWS most violated inactive rows, and closes once no inactive row
+    is violated by more than 1e-12 * max|A|. Active rows are never re-added:
+    HiGHS's feasibility tolerance can report one as violated, and re-adding
+    it would loop forever. A closed game's solution is certified against
+    its full matrix, with the Seeker mix zero off the active rows. A game of
+    at most _SEED_ROWS rows is active in full from the start, so it closes
+    after its first round with solve_games's value. Raises SolverError if a
+    value does not certify to GAP_TOL.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
@@ -260,23 +309,37 @@ def game_values(S) -> np.ndarray:
     active = np.zeros((G, m), dtype=bool)
     np.put_along_axis(active, seed, True, axis=1)
     values = np.empty(G)
+    # each game's latest value, Hider mix and Seeker mix (zero off its active rows)
+    v, z, y = np.zeros(G), np.zeros((G, k)), np.zeros((G, m))
     open_ = np.arange(G)
-    z = np.zeros((G, k))  # each open game's latest Hider mix
     while len(open_):
-        sols = solve_games([S[g][active[g]] for g in open_])
-        z[open_] = [sol.col_strategy.weights for sol in sols]
-        # over the whole stack, so that no copy of the open games' rows is made
-        slack = np.einsum("gmk,gk->gm", S, z)[open_]
-        slack -= np.array([sol.value for sol in sols])[:, None]
-        slack[active[open_]] = np.inf  # only inactive rows count
-        worst = np.argsort(slack, axis=1, kind="stable")[:, :_ADD_ROWS]
-        add = np.take_along_axis(slack, worst, axis=1) < -tol[open_, None]
+        mats = [S[g][active[g]] for g in open_]
+        v[open_], z[open_], y_active = _batch_solutions(mats)
+        y[open_] = 0.0
+        g, r = np.nonzero(active[open_])
+        y[open_[g], r] = y_active
+        row_gap, col_gap, violation = _stack_gaps(S, y, z, v, open_)
+        violation -= v[open_, None]
+        own_col_gap = -violation.min(axis=1, where=active[open_], initial=np.inf)
+        slack = np.flatnonzero(~(np.maximum(row_gap, own_col_gap) <= GAP_TOL))
+        for j in slack:
+            g, sol = open_[j], solve_games([mats[j]])[0]
+            v[g], z[g], y[g] = sol.value, sol.col_strategy.weights, 0.0
+            y[g, active[g]] = sol.row_strategy.weights
+        if len(slack):
+            row_gap, col_gap, violation = _stack_gaps(S, y, z, v, open_)
+            violation -= v[open_, None]
+        violation[active[open_]] = np.inf  # only inactive rows count
+        worst = np.argsort(violation, axis=1, kind="stable")[:, :_ADD_ROWS]
+        add = np.take_along_axis(violation, worst, axis=1) < -tol[open_, None]
         closed = ~add.any(axis=1)
-        for g, sol, done in zip(open_, sols, closed):
-            if done:
-                y = np.zeros(m)
-                y[active[g]] = sol.row_strategy.weights
-                values[g] = _certified(S[g], y, sol.col_strategy.weights, sol.value).value
+        bad = ~(np.maximum(row_gap, col_gap)[closed] <= GAP_TOL)
+        if bad.any():
+            j = np.flatnonzero(closed)[bad][0]
+            raise SolverError(
+                f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
+            )
+        values[open_[closed]] = v[open_[closed]]
         g, r = np.nonzero(add)
         active[open_[g], worst[g, r]] = True
         open_ = open_[~closed]

@@ -16,6 +16,7 @@ and relocation choices are identical under both; game values differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
+# feedback_matrix hands its LP-bound subgames to game_values in stacks of at
+# most this many bytes: one cost's stack at n = 8, t = 1 (15.8 MB) fits in one.
+_STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     return S
 
 
-def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c: float) -> np.ndarray:
+def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     """Reveal-stage subgame at prefix h for a treasure initially at i: the
     prefix's routes versus relocation targets.
 
@@ -105,12 +109,13 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c: float) -> np.nd
     locations ascending. Entries use the total convention: baseline cost of
     the target, minus c off every column but the stay column. For an int h
     this is one (n-t)! x (n-t) matrix. For an array of prefix indices, with
-    i an int or an array of the same shape, it is a stack of shape
-    h.shape + ((n-t)!, n-t).
+    i and c each a scalar or an array of the same shape, it is a stack of
+    shape h.shape + ((n-t)!, n-t).
     """
     block = prefix_block(rs, t)
-    check_cost(c)
-    h, i = np.asarray(h), np.asarray(i)
+    h, i, c = np.asarray(h), np.asarray(i), np.asarray(c, dtype=float)
+    for cost in np.unique(c).tolist():
+        check_cost(cost)
     if ((h < 0) | (h >= rs.m // block)).any():
         raise ValueError(f"prefix index out of range 0..{rs.m // block - 1}")
     first = h * block
@@ -120,83 +125,102 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c: float) -> np.nd
     if not stay.any(axis=-1).all():
         raise ValueError(f"location {i} is visited under prefix {h} at t={t}")
     S = A[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]]
-    np.subtract(S, c, out=S, where=~stay[..., None, :])
+    np.subtract(S, c[..., None, None], out=S, where=~stay[..., None, :])
     return S
 
 
-def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
+def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     """Prefix-indexed payoffs when the Seeker anticipates relocation.
 
-    Visited cells carry the (prefix-constant) baseline cost. Unvisited cells
-    resolve the reveal-stage subgame over prefix-consistent continuations:
-    its mixed game value by default, or the literal minimum over routes of
-    the row maxima under feedback_mode="pure_min".
+    For one SwitchConfig this is one (n!/(n-t)!, n) matrix. For a sequence
+    of configs that share the reveal time, convention and feedback mode,
+    and may differ in the switching cost, it is the stack of their
+    matrices, shape (len(cfg), n!/(n-t)!, n). Visited cells carry the
+    (prefix-constant) baseline cost. Unvisited cells resolve the
+    reveal-stage subgame over prefix-consistent continuations: its mixed
+    game value by default, or the literal minimum over routes of the row
+    maxima under feedback_mode="pure_min".
 
     A subgame depends on its prefix only through the Held-Karp state (the
     visited set and the last prefix node): the prefix order adds its
     cumulative cost to every entry. So the mixed values are solved once per
     state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
-    lexicographically first prefix. For each start location i one stack
-    holds the subgames of every prefix that leaves i unvisited, and one
-    saddle scan covers the states' first prefixes in it. A subgame closed
-    by a pure saddle gives a cell, which every prefix of the state reads
-    from its own subgame; the values of the subgames left come from
-    game_values, state by state and start by start, by row generation in
-    block-diagonal LPs, and are shifted by the difference of the prefixes'
-    cumulative costs. Visited cells, pure_min cells and saddle
-    cells (which include every cell at t = n-1) are bit-identical to solving
-    each prefix's subgame on its own; the shifted values agree with it to
-    round-off.
+    lexicographically first prefix. For each cost and start location i one
+    stack holds the subgames of every prefix that leaves i unvisited, and
+    one saddle scan covers the states' first prefixes in it. A subgame
+    closed by a pure saddle gives a cell, which every prefix of the state
+    reads from its own subgame. The subgame shapes depend on t alone, so
+    the (cost, state, start) subgames left over from every cost go to
+    game_values together, in stacks of at most _STACK_BYTES, and their
+    values are shifted by the difference of the prefixes' cumulative costs.
+    Visited cells, pure_min cells and saddle cells (which include every cell
+    at t = n-1) are bit-identical to solving each prefix's subgame on its
+    own; the shifted values agree with it to round-off.
     """
-    t, c, n = cfg.t_reveal, cfg.c, rs.n
-    first = np.arange(0, rs.m, prefix_block(rs, t))  # each prefix's first route
+    one = isinstance(cfg, SwitchConfig)
+    cfgs = [cfg] if one else list(cfg)
+    if not cfgs:
+        raise ValueError("no switch configs")
+    t, convention, mode = cfgs[0].t_reveal, cfgs[0].convention, cfgs[0].feedback_mode
+    if any((cfg.t_reveal, cfg.convention, cfg.feedback_mode) != (t, convention, mode) for cfg in cfgs):
+        raise ValueError("the configs must share the reveal time, convention and feedback mode")
+    n, block = rs.n, prefix_block(rs, t)
+    first = np.arange(0, rs.m, block)  # each prefix's first route
     nodes = rs.route_array[first, :t]
     cum = A[first, nodes[:, -1] - 1]
-    offset = cum if cfg.convention == "remaining" else np.zeros(len(first))
+    offset = cum if convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t
-    F = A[first]  # visited cells keep their prefix-constant baseline cost
+    # visited cells keep their prefix-constant baseline cost
+    F = np.repeat(A[first][None], len(cfgs), axis=0)
     # Held-Karp states, numbered in order of their first prefix rep[s]
     key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
     _, rep, state = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(rep)
     rep, state = rep[order], np.argsort(order)[state]
-    lp = np.zeros((len(rep), n), dtype=bool)  # (state, start) subgames left to the LP
+    lp = np.zeros((len(cfgs), len(rep), n), dtype=bool)  # (cost, state, start) subgames left to the LP
     for i in range(1, n + 1):
         h = np.flatnonzero(unvisited[:, i - 1])
-        sub = subgame_matrix(A, rs, t, h, i, c)
-        if cfg.feedback_mode == "pure_min":
-            F[h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
-            continue
         lead = rep[state[h]] == h  # the prefixes whose subgames are scanned
-        mask = _saddle_mask(sub[lead]).reshape(lead.sum(), -1)
-        cell = np.full(len(rep), -1)  # each state's first saddle, row-major
-        cell[state[h[lead]]] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
-        lp[state[h[lead]], i - 1] = ~mask.any(axis=1)
-        hit = cell[state[h]] >= 0
-        F[h[hit], i - 1] = sub.reshape(len(h), -1)[hit, cell[state[h[hit]]]] - offset[h[hit]]
+        for k, cfg in enumerate(cfgs):
+            sub = subgame_matrix(A, rs, t, h, i, cfg.c)
+            if mode == "pure_min":
+                F[k, h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
+                continue
+            mask = _saddle_mask(sub[lead]).reshape(lead.sum(), -1)
+            cell = np.full(len(rep), -1)  # each state's first saddle, row-major
+            cell[state[h[lead]]] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
+            lp[k, state[h[lead]], i - 1] = ~mask.any(axis=1)
+            hit = cell[state[h]] >= 0
+            F[k, h[hit], i - 1] = sub.reshape(len(h), -1)[hit, cell[state[h[hit]]]] - offset[h[hit]]
 
-    s, i0 = np.nonzero(lp)
-    value = np.zeros((len(rep), n))
-    value[s, i0] = game_values(subgame_matrix(A, rs, t, rep[s], i0 + 1, c))
-    h, i0 = np.nonzero(lp[state])
-    F[h, i0] = (value[state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
-    return F
+    k, s, i0 = np.nonzero(lp)
+    costs = np.array([cfg.c for cfg in cfgs])
+    value = np.zeros(lp.shape)
+    size = max(1, _STACK_BYTES // (block * (n - t) * 8))  # subgames per stack
+    for j in range(0, len(s), size):
+        g = slice(j, j + size)
+        value[k[g], s[g], i0[g]] = game_values(subgame_matrix(A, rs, t, rep[s[g]], i0[g] + 1, costs[k[g]]))
+    k, h, i0 = np.nonzero(lp[:, state])
+    F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
+    return F[0] if one else F
 
 
 def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
     """Absolute switch-vs-feedback difference, its maximum, and the argmax cells.
 
-    F is prefix-indexed: each of its rows is compared with the block of As
-    rows (the prefix's routes) that it covers, so G is route-indexed like
-    As. Cells are 0-based (route, location-1) pairs within 1e-9 of the
-    maximum.
+    As has one row per route, n! of them, and F one row per prefix at some
+    reveal time t in 1..n-1: each of its rows is compared with the block of
+    (n-t)! As rows (the prefix's routes) that it covers, so G is
+    route-indexed like As. Cells are 0-based (route, location-1) pairs
+    within 1e-9 of the maximum.
     """
     (m, n), (rows, cols) = As.shape, F.shape
-    if not rows or m % rows or n != cols:
+    blocks = {math.factorial(n - t) for t in range(1, n)}
+    if n != cols or m != math.factorial(n) or not rows or m % rows or m // rows not in blocks:
         raise ValueError(f"shape mismatch: {As.shape} vs {F.shape}")
     G = np.abs(As.reshape(rows, -1, n) - F[:, None, :]).reshape(m, n)
     delta = float(G.max())
-    cells = [(int(r), int(c)) for r, c in np.argwhere(G >= delta - 1e-9)]
+    cells = list(map(tuple, np.argwhere(G >= delta - 1e-9).tolist()))
     return G, delta, cells
 
 

@@ -221,6 +221,48 @@ def report_to_csv_cells(report, digits=10):
     return "\n".join(lines) + "\n"
 
 
+def sweep_cells(inst, t_list=None, c_grid=None, convention="total", feedback_mode="mixed_subgame"):
+    """hs.sweep solving every (t, c) cell on its own: a full LP for each
+    switch and feedback game, and one feedback_matrix call per cell."""
+    rs = hs.enumerate_routes(inst.n)
+    if t_list is None:
+        t_list = range(1, rs.n)
+    t_list = sorted(set(int(t) for t in t_list))
+    if not t_list:
+        return []
+    if c_grid is None:
+        c_grid = hs.default_cost_grid(inst, rs, t=t_list[0])
+    c_grid = [float(c) for c in c_grid]
+    A = hs.base_matrix(inst, rs)
+    v_base = hs.solve_zero_sum(A).value
+    cg_route = {t: hs.cstar_global(hs.cstar(A, rs, t, "route")) for t in t_list}
+    cg_inf = {t: hs.cstar_global(hs.cstar(A, rs, t, "infoset")) for t in t_list}
+    rows = []
+    for t in t_list:
+        for c in sorted(c_grid):
+            cfg = hs.SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
+            As = hs.switch_matrix(A, rs, cfg)
+            sw = hs.solve_zero_sum(As)
+            F = hs.feedback_matrix(A, rs, cfg)
+            _, delta, _ = hs.entrywise_gap(As, F)
+            bar = hs.worst_case_voi(hs.voi_matrix(As, rs, t))
+            rows.append(
+                hs.SweepRow(
+                    t_reveal=t,
+                    c=c,
+                    v_base=v_base,
+                    v_switch=sw.value,
+                    v_fb=hs.solve_zero_sum(F).value,
+                    expected_voi=hs.expected_voi(bar, sw.col_strategy),
+                    theorem1_bound=hs.theorem1_bound(cg_route[t], c),
+                    delta=delta,
+                    cstar_global_route=cg_route[t],
+                    cstar_global_infoset=cg_inf[t],
+                )
+            )
+    return rows
+
+
 def sweep_to_csv_cells(rows, digits=10):
     """sweep_to_csv written field by field."""
     lines = [hs.experiments.SWEEP_HEADER]

@@ -13,7 +13,8 @@ import hideseek as hs
 from hideseek import experiments
 
 import reference as ref
-from oracles import sweep_to_csv_cells
+from conftest import random_instance
+from oracles import sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -92,6 +93,49 @@ def test_sweep_to_csv_matches_field_by_field_oracle(demo3, demo6):
         for digits in (3, 10, 17):
             assert hs.sweep_to_csv(rows, digits) == sweep_to_csv_cells(rows, digits)
     assert hs.sweep_to_csv([]) == sweep_to_csv_cells([])
+
+
+def _sweep_instance(name):
+    if name == "random_6":
+        return random_instance(np.random.default_rng(1), 6)
+    return hs.load_instance(INSTANCES / f"{name}.json")
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
+def test_sweep_matches_the_per_cell_oracle(name):
+    # solving the costs of a reveal time together leaves every CSV byte as
+    # solving each (t, c) cell on its own did
+    inst = _sweep_instance(name)
+    for convention in ("total", "remaining"):
+        for mode in ("mixed_subgame", "pure_min"):
+            kwargs = dict(convention=convention, feedback_mode=mode)
+            assert hs.sweep_to_csv(hs.sweep(inst, **kwargs)) == hs.sweep_to_csv(sweep_cells(inst, **kwargs))
+    grid = [1.0, 0.5, 1.0, 0.0, 1.0]  # repeated costs give repeated rows
+    rows = hs.sweep(inst, c_grid=grid)
+    assert [r.c for r in rows] == sorted(grid) * (inst.n - 1)
+    assert hs.sweep_to_csv(rows) == hs.sweep_to_csv(sweep_cells(inst, c_grid=grid))
+
+
+# LP calls of the default-grid sweep of instances/six_sites.json with each
+# reveal time's costs solved together; solving cell by cell takes 310
+SWEEP6_LP_CALLS = 87
+
+
+def test_sweep_lp_calls_stay_bounded(monkeypatch):
+    # the six-site default-grid sweep solves each reveal time's costs
+    # together: 1 base LP, then per t one switch batch, the feedback
+    # subgames' row-generation rounds and the feedback values' rounds
+    inst = hs.load_instance(INSTANCES / "six_sites.json")
+    calls = []
+    real_linprog = hs.matrixgame.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(hs.matrixgame, "linprog", counting_linprog)
+    hs.sweep(inst)
+    assert len(calls) <= SWEEP6_LP_CALLS
 
 
 # ------------------------------------------------------------- verify_bounds

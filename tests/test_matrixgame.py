@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 
 import numpy as np
@@ -369,53 +368,97 @@ def test_game_values_validate_the_stack():
 def test_game_values_certify_against_the_full_matrix(monkeypatch):
     S = next(S for S in _lp_bound_stacks(random_instance(np.random.default_rng(2), 7), 1, 1.0) if len(S))
     assert S.shape[1] > mg._SEED_ROWS
-    real_certified = mg._certified
-    full = []
+    real_stack_gaps = mg._stack_gaps
+    solution = {}  # game -> its latest (full matrix, y, z, v, row gap, col gap)
 
-    def spy_certified(A, y, z, value):
-        sol = real_certified(A, y, z, value)
-        if A.shape == S.shape[1:]:
-            full.append((A, sol))
-        return sol
+    def spy_stack_gaps(stack, y, z, v, games):
+        row_gap, col_gap, Sz = real_stack_gaps(stack, y, z, v, games)
+        for j, g in enumerate(games.tolist()):
+            solution[g] = (stack[g], y[g].copy(), z[g].copy(), v[g], row_gap[j], col_gap[j])
+        return row_gap, col_gap, Sz
 
-    monkeypatch.setattr(mg, "_certified", spy_certified)
+    monkeypatch.setattr(mg, "_stack_gaps", spy_stack_gaps)
     values = mg.game_values(S)
-    assert len(full) == len(S)
-    assert sorted(sol.value for _, sol in full) == sorted(values)
-    for A, sol in full:
-        assert any(np.array_equal(A, G) for G in S)
+    # each game's last certificate, the one it closed on, is the value
+    # returned, against the full matrix, within GAP_TOL both ways
+    assert sorted(solution) == list(range(len(S)))
+    for g, (A, y, z, v, row_gap, col_gap) in solution.items():
+        assert A.shape == S.shape[1:] and np.array_equal(A, S[g])
+        assert v == values[g] and max(row_gap, col_gap) <= mg.GAP_TOL
+        sol = mg.GameSolution(v, hs.MixedStrategy(y), hs.MixedStrategy(z), row_gap, col_gap)
         assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
 
 
 def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
     S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
-    real_gaps = mg._gaps
+    real_stack_gaps = mg._stack_gaps
 
-    def slack_on_full_matrix(A, y, z, value):
-        if A.shape[0] == S.shape[1]:
-            return 1.0, 1.0
-        return real_gaps(A, y, z, value)
+    def slack_on_full_matrix(stack, y, z, v, games):
+        # the gaps over the active rows stay as they are; only the full
+        # matrix's column gap is slack
+        row_gap, col_gap, Sz = real_stack_gaps(stack, y, z, v, games)
+        return row_gap, np.ones_like(col_gap), Sz
 
-    monkeypatch.setattr(mg, "_gaps", slack_on_full_matrix)
+    monkeypatch.setattr(mg, "_stack_gaps", slack_on_full_matrix)
     with pytest.raises(hs.SolverError, match="certification"):
         mg.game_values(S)
+
+
+def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
+    S = np.random.default_rng(83).uniform(-4, 4, size=(4, 300, 5))
+    expect = mg.game_values(S)
+    real_batch, real_solve_games = mg._batch_solutions, mg.solve_games
+    alone = []
+
+    def slack_first_game(mats):
+        v, z, y = real_batch(mats)
+        if not alone:
+            y[: len(mats[0])] = np.eye(len(mats[0]))[0]  # game 0's Seeker plays one row
+        return v, z, y
+
+    def spy_solve_games(mats):
+        alone.append(mats)
+        return real_solve_games(mats)
+
+    monkeypatch.setattr(mg, "_batch_solutions", slack_first_game)
+    monkeypatch.setattr(mg, "solve_games", spy_solve_games)
+    values = mg.game_values(S)
+    assert len(alone) == 1 and len(alone[0]) == 1
+    seed = np.sort(np.argsort(S[0].max(axis=1), kind="stable")[: mg._SEED_ROWS])
+    np.testing.assert_array_equal(alone[0][0], S[0][seed])  # game 0's first active rows
+    np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
+
+
+def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
+    S = np.random.default_rng(89).uniform(-4, 4, size=(6, 300, 5))
+    expect = mg.game_values(S)
+    real_col_lp = mg._col_lp
+
+    def failing_col_lp(blocks):
+        res = real_col_lp(blocks)
+        if len(blocks) > 1:
+            res.status = 4
+        return res
+
+    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
+    np.testing.assert_allclose(mg.game_values(S), expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
 def test_game_values_never_re_add_active_rows(monkeypatch):
     # HiGHS's feasibility tolerance can leave an active row "violated"; the
     # loop must close the game instead of adding that row forever
     S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
-    real_solve_games = mg.solve_games
+    real_batch = mg._batch_solutions
     rounds = []
 
-    def loose_solve_games(mats):
+    def loose_batch(mats):
         rounds.append(len(mats))
         if len(rounds) > 400 // mg._ADD_ROWS + 2:
             raise AssertionError("row generation does not terminate")
-        bump = 1e-9 * np.abs(S).max()
-        return [dataclasses.replace(sol, value=sol.value + bump) for sol in real_solve_games(mats)]
+        v, z, y = real_batch(mats)
+        return v + 1e-9 * np.abs(S).max(), z, y
 
-    monkeypatch.setattr(mg, "solve_games", loose_solve_games)
+    monkeypatch.setattr(mg, "_batch_solutions", loose_batch)
     values = mg.game_values(S)
     np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=2e-9 * np.abs(S).max())
 

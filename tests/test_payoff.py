@@ -385,6 +385,55 @@ def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
         assert sum(games) == math.comb(6, t) * t * (6 - t), t
 
 
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
+def test_feedback_matrix_stack_matches_per_cost_calls(name, monkeypatch):
+    # one build over several costs, its LP-bound subgames of every cost
+    # solved together, gives each cost's feedback_matrix, also when the
+    # subgames are split into stacks of one
+    if name == "random_6":
+        inst = random_instance(np.random.default_rng(1), 6)
+    else:
+        inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    scale = np.abs(A).max()
+    costs = (0.0, 0.5, 1.0, 3.0, 0.5)
+    for t in range(1, rs.n):
+        for convention in ("total", "remaining"):
+            for mode in ("mixed_subgame", "pure_min"):
+                cfgs = [hs.SwitchConfig(t, c, convention, mode) for c in costs]
+                expect = [hs.feedback_matrix(A, rs, cfg) for cfg in cfgs]
+                Fs = hs.feedback_matrix(A, rs, cfgs)
+                assert Fs.shape == (len(costs), len(expect[0]), rs.n)
+                for F, E in zip(Fs, expect):
+                    assert np.abs(F - E).max() <= 1e-12 * scale, (t, convention, mode)
+    monkeypatch.setattr(payoff, "_STACK_BYTES", 1)
+    cfgs = [hs.SwitchConfig(1, c) for c in costs]
+    for F, cfg in zip(hs.feedback_matrix(A, rs, cfgs), cfgs):
+        assert np.abs(F - hs.feedback_matrix(A, rs, cfg)).max() <= 1e-12 * scale
+
+
+def test_feedback_matrix_stack_validation(base3, rs3):
+    with pytest.raises(ValueError, match="no switch configs"):
+        hs.feedback_matrix(base3, rs3, [])
+    for other in (
+        hs.SwitchConfig(2, 1.0),
+        hs.SwitchConfig(1, 1.0, convention="remaining"),
+        hs.SwitchConfig(1, 1.0, feedback_mode="pure_min"),
+    ):
+        with pytest.raises(ValueError, match="share the reveal time"):
+            hs.feedback_matrix(base3, rs3, [hs.SwitchConfig(1, 0.5), other])
+
+
+def test_subgame_stack_takes_a_cost_per_subgame(base3, rs3):
+    h, i, c = np.array([0, 0, 1]), np.array([2, 3, 3]), np.array([0.5, 1.0, 2.0])
+    stack = hs.subgame_matrix(base3, rs3, 1, h, i, c)
+    for k in range(3):
+        np.testing.assert_array_equal(stack[k], hs.subgame_matrix(base3, rs3, 1, h[k], i[k], c[k]))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        hs.subgame_matrix(base3, rs3, 1, h, i, np.array([0.5, -1.0, 2.0]))
+
+
 # ----------------------------------------------------------------- gap matrix
 
 def test_entrywise_gap_three_sites(base3, rs3):
@@ -410,10 +459,14 @@ def test_entrywise_gap_identical_and_large_cost(base3, rs3):
 
 def test_entrywise_gap_validation(base3, rs3):
     F = hs.feedback_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
-    # rows of F that do not evenly cover the routes, or other columns
-    for As, F_bad in ((base3, F[[0, 1, 2, 0]]), (F, base3), (base3, F[:, :2]), (base3, F[:0])):
-        with pytest.raises(ValueError, match="shape"):
+    # rows of F that do not evenly cover the routes, a row count no reveal
+    # time gives (2 prefixes of 3 routes), As without n! rows, or other columns
+    bad = ((base3, F[[0, 1, 2, 0]]), (base3, F[:2]), (F, base3), (base3[:3], F), (base3, F[:, :2]), (base3, F[:0]))
+    for As, F_bad in bad:
+        with pytest.raises(ValueError, match="shape mismatch"):
             hs.entrywise_gap(As, F_bad)
+    for t in (1, 2):  # every reveal time's prefix count is accepted
+        hs.entrywise_gap(base3, hs.feedback_matrix(base3, rs3, hs.SwitchConfig(t, 1.0)))
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])

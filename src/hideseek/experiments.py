@@ -276,8 +276,24 @@ def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.random.Generator(bg).random((count, 4))
 
 
-def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+def _support(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative weights of the mix w at its support, and the labels of
+    its support rows followed by the label of its last row.
+
+    A row of zero weight repeats the cumulative weight before it, so it is
+    never the first row whose cumulative weight exceeds a uniform. _draw
+    therefore searches a few entries where the full cdf can have n! of them
+    (the restricted Seeker mix at n = 8).
+    """
+    rows = np.flatnonzero(w > 0)
+    return np.cumsum(w)[rows], labels[np.append(rows, len(w) - 1)]
+
+
+def _draw(support: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The label of the first row whose cumulative weight exceeds u, or of
+    the last row where none does (u at or past the total weight)."""
+    cdf, labels = support
+    return labels[np.searchsorted(cdf, u, side="right")]
 
 
 def simulate(
@@ -341,15 +357,15 @@ def simulate(
         else:
             sol = solve_zero_sum(S)
             y, z = sol.row_strategy.weights, sol.col_strategy.weights
-        return h * block + np.arange(block), np.cumsum(y), targets, np.cumsum(z)
+        return _support(y, h * block + np.arange(block)), _support(z, targets)
 
-    y_cdf, z_cdf = np.cumsum(y), np.cumsum(z)
+    y_draw, z_draw = _support(y, np.arange(len(y))), _support(z, np.arange(n))
     counts = np.zeros(len(values), dtype=np.int64)
     ended_total = 0
     for start in range(0, trials, _BLOCK):
         u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
-        h = _draw(y_cdf, u[:, 0])
-        i = _draw(z_cdf, u[:, 1])
+        h = _draw(y_draw, u[:, 0])
+        i = _draw(z_draw, u[:, 1])
         ended = rs.position_matrix[h * block, i] <= t
         ended_total += int(ended.sum())
         code = h * block * n + i
@@ -359,9 +375,9 @@ def simulate(
             order = np.argsort(key, kind="stable")
             groups, first = np.unique(key[order], return_index=True)
             for g, idxs in zip(groups.tolist(), np.split(late[order], first[1:])):
-                members, row_cdf, targets, col_cdf = subgame_play(g)
-                k = members[_draw(row_cdf, u[idxs, 2])]
-                hat = targets[_draw(col_cdf, u[idxs, 3])]
+                row_draw, col_draw = subgame_play(g)
+                k = _draw(row_draw, u[idxs, 2])
+                hat = _draw(col_draw, u[idxs, 3])
                 code[idxs] = k * n + hat + m * n * (hat != g % n)
         counts += np.bincount(code, minlength=len(values))
 

@@ -226,12 +226,25 @@ def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, lis
 
 def _csv_rows(labels, values, digits: int) -> str:
     """One CSV line per label: the label, then its row of values to `digits`
-    significant digits, NaN as `--`."""
+    significant digits, NaN as `--`.
+
+    Each distinct row is formatted once: tables such as the n = 8 VOI table
+    repeat a few rows across 40,320 routes. Rows are keyed by their bytes,
+    which tell -0.0 from 0.0 and match a NaN cell, where a tuple would not.
+    """
     if not len(labels):
         return ""
     rows = np.asarray(values, dtype=float).reshape(len(labels), -1)
     cells = f",%.{digits}g" * rows.shape[1]
-    return "".join(f"{lb}{(cells % tuple(r)).replace('nan', '--')}\n" for lb, r in zip(labels, rows.tolist()))
+    text = {}
+    lines = []
+    for lb, r in zip(labels, rows):
+        key = r.tobytes()
+        line = text.get(key)
+        if line is None:
+            line = text[key] = (cells % tuple(r.tolist())).replace("nan", "--")
+        lines.append(f"{lb}{line}\n")
+    return "".join(lines)
 
 
 def dump_matrix(A: np.ndarray, labels=None, digits: int = 10) -> str:

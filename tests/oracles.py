@@ -1,13 +1,15 @@
 """Reference implementations that the package's faster paths are checked
 against: per-prefix and per-route loops the package vectorises, an
 independent closed form for small reveal-stage subgames, full-LP game
-values, and the cell-by-cell formatters the one-row writers replaced."""
+values (and the same LP through HiGHS's default presolve), and the
+cell-by-cell formatters the one-row writers replaced."""
 
 import functools
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 import hideseek as hs
 from hideseek.matrixgame import find_pure_saddle
@@ -130,6 +132,32 @@ def full_lp_values(S):
     """Each game's value from one column LP over all its rows: the reference
     that game_values' row generation is checked against."""
     return np.array([sol.value for sol in hs.solve_games(S)])
+
+
+def presolved_value(A):
+    """The value of A from one column LP through scipy's HiGHS with its
+    default options, presolve on: the reference that the package's
+    presolve-free LPs are checked against."""
+    m, n = A.shape
+    res = linprog(
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.hstack([-A, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def draw_full_cdf(w, u):
+    """Rows drawn from the mix w for the uniforms u by a search of its full
+    cdf, a count past the end clamped to the last row: simulate's draw
+    before it searched the support alone."""
+    cdf = np.cumsum(w)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):

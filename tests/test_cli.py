@@ -447,6 +447,22 @@ def test_feedback_simulate_at_huge_costs_plays_the_stay_payoff(capsys, cost):
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+@pytest.mark.parametrize("model", ["restricted", "feedback"])
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_huge_cost_prints_what_a_cost_past_cstar_prints(capsys, name, model, command):
+    # past every threshold the game no longer depends on c; at 1e16 the
+    # subgame entries dwarf the distances, and every LP still solves or is skipped
+    path = str(INSTANCES / f"{name}.json")
+    extra = ("--trials", "1000") if command == "simulate" else ()
+    runs = [
+        run_cli(capsys, command, path, "--model", model, "--t-reveal", "1", "--cost", cost, *extra)
+        for cost in ("1e16", "1e6")
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
 def test_sweep_at_the_largest_cost_matches_a_cost_past_cstar(capsys, name):
     path = str(INSTANCES / f"{name}.json")
 

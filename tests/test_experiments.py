@@ -14,7 +14,7 @@ from hideseek import experiments
 
 import reference as ref
 from conftest import random_instance
-from oracles import sweep_cells, sweep_to_csv_cells
+from oracles import draw_full_cdf, sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -287,6 +287,48 @@ def test_feedback_playout_draws_a_prefix(key):
     mean, stderr, ended = FEEDBACK_PLAYOUTS[key]
     assert abs(res.mean_payoff - mean) <= 2 * math.ulp(mean)
     assert (res.payoff_stderr, res.empirical_end_by_t) == (stderr, ended)
+
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.25, 1.0]), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), tail=st.integers(0, 3))
+def test_support_draw_matches_the_full_cdf_search(data, tail):
+    # zero-weight rows inside and after the support; uniforms on the cdf's
+    # steps, at and past its last entry (a sum that rounds below 1)
+    raw = np.array(data.draw(st.lists(WEIGHTS, min_size=1, max_size=10), label="weights"))
+    total = raw.sum()
+    w = np.append(raw / total if total > 0 else raw, np.zeros(tail))
+    cdf = np.cumsum(w)
+    edges = [v for v in (*cdf, np.nextafter(cdf[-1], 1.0)) if 0.0 <= v < 1.0]
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges or [0.0]))
+    u = np.array(data.draw(st.lists(uniform, min_size=1, max_size=20), label="u"))
+    labels = 3 + 7 * np.arange(len(w))
+    drawn = experiments._draw(experiments._support(w, labels), u)
+    np.testing.assert_array_equal(drawn, labels[draw_full_cdf(w, u)])
+
+
+@pytest.mark.parametrize("model", ["base", "restricted", "feedback"])
+def test_simulate_counts_match_the_full_cdf_search(model):
+    # the equilibrium mixes of six_sites leave most rows at zero weight
+    inst = hs.load_instance(INSTANCES / "six_sites.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    cfg = hs.SwitchConfig(2, 0.5)
+    game = {"base": A, "restricted": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
+    sol = hs.solve_zero_sum(game[model])
+    assert (sol.row_strategy.weights == 0).mean() > 0.5
+
+    def run():
+        return hs.simulate(inst, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
+
+    def full_cdf(w, labels):
+        return np.cumsum(w), np.append(labels, labels[-1])
+
+    support = run()
+    with mock.patch.object(experiments, "_support", full_cdf):
+        assert run() == support
 
 
 @pytest.mark.parametrize("model", ["restricted", "feedback"])

@@ -8,7 +8,7 @@ import hideseek.matrixgame as mg
 
 import reference as ref
 from conftest import random_instance
-from oracles import full_lp_values
+from oracles import full_lp_values, presolved_value
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -461,6 +461,68 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
     monkeypatch.setattr(mg, "_batch_solutions", loose_batch)
     values = mg.game_values(S)
     np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=2e-9 * np.abs(S).max())
+
+
+# HiGHS runs without presolve: every call says so, and the games presolve
+# could shrink still certify and keep the values presolved HiGHS gives
+
+def test_every_lp_runs_without_presolve(monkeypatch, demo3):
+    options = []
+    real_linprog = mg.linprog
+
+    def spying_linprog(*args, **kwargs):
+        options.append(kwargs.get("options") or {})
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mg, "linprog", spying_linprog)
+    mg.solve_games(_mixed_shapes())
+    mg.game_values(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
+    mg._row_lp(np.array([[1.0, 3.0], [4.0, 2.0]]))
+    hs.sweep(demo3, c_grid=[0.0, 1.0])
+    assert len(options) > 4
+    assert all(o.get("presolve") is False for o in options)
+
+
+def _presolve_reducible():
+    """Games HiGHS's presolve can shrink, tall enough that game_values
+    generates rows: duplicate rows, duplicate columns, both, and a constant
+    matrix."""
+    base = np.random.default_rng(83).uniform(0, 4, size=(60, 4))
+    return {
+        "duplicate_rows": np.repeat(base, 3, axis=0),
+        "duplicate_columns": base[:, [0, 1, 1, 2, 3, 3]],
+        "duplicate_rows_and_columns": np.repeat(base[:, [0, 0, 1, 2, 3]], 2, axis=0),
+        "constant": np.full((90, 5), 2.5),
+    }
+
+
+def _assert_values_certify(S):
+    """solve_games and game_values certify every game of the stack S to
+    GAP_TOL, and agree with presolved HiGHS on its value."""
+    sols = mg.solve_games(S)
+    _assert_certified(S, sols)
+    expect = [presolved_value(A) for A in S]
+    tol = 1e-9 * np.abs(S).max()
+    np.testing.assert_allclose([sol.value for sol in sols], expect, rtol=0, atol=tol)
+    np.testing.assert_allclose(mg.game_values(S), expect, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("name", sorted(_presolve_reducible()))
+def test_games_presolve_can_reduce_still_certify(name):
+    A = _presolve_reducible()[name]
+    _assert_values_certify(np.stack([A, A + 1.0, 2.0 * A]))
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+@pytest.mark.parametrize("convention", ["total", "remaining"])
+def test_restricted_games_at_zero_cost_certify(name, convention):
+    # at c = 0 presolve removed rows (220 of 721 on six_sites at t = 1)
+    inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    for t in range(1, inst.n):
+        S = hs.switch_matrix(A, rs, hs.SwitchConfig(t, 0.0, convention))
+        _assert_values_certify(S[None])
 
 
 def test_mixed_strategy_validation():

@@ -225,6 +225,30 @@ def test_csv_rows_matches_cell_by_cell_formatting(data, rows, cols, digits):
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), cols=st.integers(1, 5), digits=st.integers(1, 17))
+def test_csv_rows_formats_repeated_rows_like_the_cell_by_cell_printer(data, cols, digits):
+    # _csv_rows formats each distinct row once: rows that repeat, rows of
+    # NaN (whatever their sign), and rows that differ only in a zero's sign
+    row = st.lists(CELLS, min_size=cols, max_size=cols)
+    distinct = data.draw(st.lists(row, min_size=1, max_size=4), label="distinct")
+    distinct += [[-v if v == 0 else v for v in r] for r in distinct]
+    distinct += [[math.nan] * cols, [-math.nan] * cols]
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=16), label="picks")
+    values = [distinct[k] for k in picks]
+    labels = [f"r{j}," for j in range(len(values))]
+    expect = "".join(
+        f"{lb}," + ",".join(csv_cell(v, digits) for v in vals) + "\n"
+        for lb, vals in zip(labels, values)
+    )
+    assert _csv_rows(labels, values, digits) == expect
+
+
+def test_csv_rows_tell_signed_zeros_apart_and_match_nan_rows():
+    values = [[0.0, math.nan], [-0.0, math.nan], [0.0, -math.nan], [-0.0, -0.0], [0.0, math.nan]]
+    assert _csv_rows(list("abcde"), values, 3) == "a,0,--\nb,-0,--\nc,0,--\nd,-0,-0\ne,0,--\n"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 5), prec=st.integers(0, 100))
 def test_fixed_rows_matches_cell_by_cell_formatting(data, rows, cols, prec):
     # width 0 for the bare scalar lines, p + 3 for the cstar table, or any

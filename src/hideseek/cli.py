@@ -46,13 +46,22 @@ MAX_PRECISION = 100
 def _fixed_rows(labels, values, prec: int, width: int = 0) -> str:
     """One text line per label: the label, then its row of values as
     ` %{width}.{prec}f` cells, NaN as a right-justified `--` and -0 as 0.
-    The fixed-point twin of payoff._csv_rows."""
+    The fixed-point twin of payoff._csv_rows, and like it formats each
+    distinct row once, keyed by its bytes (after -0 became 0)."""
     if not len(labels):
         return ""
     rows = np.asarray(values, dtype=float).reshape(len(labels), -1) + 0.0  # -0 + 0 is +0
     cells = f" %{width}.{prec}f" * rows.shape[1]
     nan = "--".rjust(min(width, 3))  # "nan" is 3 wide where "--" is 2
-    return "".join(f"{lb}{(cells % tuple(r)).replace('nan', nan)}\n" for lb, r in zip(labels, rows.tolist()))
+    text = {}
+    lines = []
+    for lb, r in zip(labels, rows):
+        key = r.tobytes()
+        line = text.get(key)
+        if line is None:
+            line = text[key] = (cells % tuple(r.tolist())).replace("nan", nan)
+        lines.append(f"{lb}{line}\n")
+    return "".join(lines)
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:

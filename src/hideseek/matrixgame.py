@@ -5,10 +5,10 @@ pure saddle point is a cell that is the maximum of its row and the minimum
 of its column. Equilibria are computed by linear programming on the column
 player (N variables, M constraints; these games are extremely tall) with the
 row strategy recovered from the constraint duals. Where only the values of
-a stack of games are needed, game_values finds them by row generation over
-the same LPs, on a growing subset of each game's rows. Solutions are
-certified by best-response gaps against the full matrix rather than by
-trusting the solver.
+a stack of games are needed, game_values finds them with no LP call, by a
+primal simplex on every game's Seeker LP (k+1 constraints) that pivots the
+whole stack in lockstep. Solutions are certified by best-response gaps
+against the full matrix rather than by trusting the solver.
 
 HiGHS runs its dual simplex without presolve. Every row of these games is
 dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing (HiGHS
@@ -37,11 +37,14 @@ SADDLE_TOL = 1e-9
 # constraint rows: enough rows to spread scipy's per-call overhead over many
 # tiny subgames, few enough that three 720 x 6 subgames (n = 8) fill one.
 _BATCH_ROWS = 2000
-# game_values starts each game from this many rows and adds at most
-# _ADD_ROWS per round: at n = 8 a 720 x 6 subgame then closes in a few
-# rounds, each one batched LP over every game still open.
-_SEED_ROWS = 48
-_ADD_ROWS = 32
+# game_values' simplex: reduced costs and ties within _RC_TOL (times
+# max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game turns
+# to Bland's rule after _STALL_PIVOTS zero-step pivots in a row, and one
+# still open after _MAX_PIVOTS pivots is solved by solve_games instead.
+_RC_TOL = 1e-12
+_PIVOT_TOL = 1e-9
+_STALL_PIVOTS = 16
+_MAX_PIVOTS = 500
 # Options for every HiGHS call: no presolve (see the module docstring).
 _HIGHS_OPTIONS = {"presolve": False}
 
@@ -251,64 +254,118 @@ def solve_zero_sum(A) -> GameSolution:
     return solve_games([A])[0]
 
 
-def _batch_solutions(mats):
-    """Uncertified values, Hider mixes and Seeker mixes of same-width games,
-    as arrays, from the same batched column LPs as solve_games.
-
-    The Seeker mixes come one after another in one flat array, game j's
-    over the rows of mats[j]. The games of a batch HiGHS fails on get NaN.
-    """
-    k = mats[0].shape[1]
-    sizes = np.array([len(A) for A in mats])
-    x = np.full((len(mats), k + 1), np.nan)  # each game's (z, v)
-    y = np.full(sizes.sum(), np.nan)
-    done = row = 0
-    for blocks, res in _lp_batches(mats):
-        rows = sizes[done : done + len(blocks)].sum()
-        if res.status == 0:
-            x[done : done + len(blocks)] = res.x.reshape(len(blocks), k + 1)
-            y[row : row + rows] = -res.ineqlin.marginals
-        done, row = done + len(blocks), row + rows
-    # _clean, game by game; a mix of no weight turns NaN, and its game slack
-    z, y = np.maximum(x[:, :-1], 0.0), np.maximum(y, 0.0)
-    with np.errstate(invalid="ignore"):
-        z /= z.sum(axis=1, keepdims=True)
-        y /= np.repeat(np.add.reduceat(y, np.cumsum(sizes) - sizes), sizes)
-    return x[:, -1], z, y
-
-
 def _stack_gaps(S, y, z, v, games):
     """Best-response gaps of the solutions (y[g], z[g], v[g]) to the games
-    S[g] of a stack, for g in games, against the whole matrices; and S[g]
-    z[g] row by row.
+    S[g] of a stack, for g in games, against the whole matrices.
 
     One einsum for the row gaps and one for the column gaps, each over the
     whole stack, so no copy of it is made.
     """
-    Sz = np.einsum("gmk,gk->gm", S, z)[games]
     row_gap = np.einsum("gm,gmk->gk", y, S)[games].max(axis=1) - v[games]
-    return row_gap, v[games] - Sz.min(axis=1), Sz
+    col_gap = v[games] - np.einsum("gmk,gk->gm", S, z)[games].min(axis=1)
+    return row_gap, col_gap
+
+
+def _inverses(B):
+    """The inverses of a stack of bases, and which of them are finite. A
+    singular basis gets NaN and leaves the others as they are."""
+    try:
+        inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(B, np.nan)
+        for g, b in enumerate(B):
+            try:
+                inv[g] = np.linalg.inv(b)
+            except np.linalg.LinAlgError:
+                pass
+    return inv, np.isfinite(inv).all(axis=(1, 2))
+
+
+def _simplex(S, scale):
+    """Lockstep revised primal simplex on the Seeker LP of every game of the
+    stack S, shape (G, m, k): min w subject to S^T y <= w, sum y = 1, y >= 0.
+
+    Each game is scaled by scale[g] > 0. Its variables are numbered rows
+    0..m-1, slacks m..m+k-1 and w m+k; its basis holds k+1 of them, with the
+    free w always at position k, so c_B = b = e_k. One inverse of every basis
+    per pivot gives the duals pi (its row k), whose Hider mix is z = -pi[:k]
+    and value v = pi[k], and the basic values (its column k). The reduced
+    costs are S z - v for the rows, one matmul over the stack, and z for the
+    slacks. The most negative one enters (Dantzig), or the first negative one
+    once a game has made _STALL_PIVOTS zero-step pivots in a row (Bland). The
+    ratio test skips w. A game closes once no reduced cost is below -1e-12
+    (times max|A|, by the scaling). Returns each game's value, Seeker mix and
+    Hider mix, uncleaned; a game left open by a singular basis, an unbounded
+    ratio test or the pivot cap has value NaN and Seeker mix 0.
+    """
+    G, m, k = S.shape
+    games, cols = np.arange(G), np.arange(k)
+    # start at the row of least row maximum, every slack basic but its argmax's
+    r0 = S.max(axis=2).argmin(axis=1)
+    j0 = S[games, r0].argmax(axis=1)
+    # position j holds slack j, or row r0 for j = j0; position k holds w
+    basis = np.tile(np.append(m + cols, m + k), (G, 1))
+    basis[games, j0] = r0
+    B = np.zeros((G, k + 1, k + 1))
+    B[:, cols, cols] = 1.0
+    B[:, :k, k] = -1.0
+    B[games, :k, j0] = S[games, r0] / scale[:, None]
+    B[games, k, j0] = 1.0
+    v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
+    pivots, stalls, bland = np.zeros(G, dtype=int), np.zeros(G, dtype=int), np.zeros(G, dtype=bool)
+    open_ = games
+    while len(open_):
+        inv, finite = _inverses(B)
+        z[open_], x = -inv[:, k, :k], inv[:, :k, k]
+        if 2 * len(open_) > G:  # most games open: one matmul over the stack, no copy of it
+            Sz = (S @ z[:, :, None])[open_, :, 0]
+        else:
+            Sz = (S[open_] @ z[open_, :, None])[:, :, 0]
+        rc = np.concatenate([Sz / scale[open_, None] - inv[:, k, k, None], z[open_]], axis=1)
+        done = finite & (rc.min(axis=1) >= -_RC_TOL)
+        g = open_[done]
+        v[g] = inv[done, k, k] * scale[g]
+        basic_rows = basis[done, :k] < m
+        y[g[np.nonzero(basic_rows)[0]], basis[done, :k][basic_rows]] = x[done][basic_rows]
+        q = np.where(bland, (rc < -_RC_TOL).argmax(axis=1), rc.argmin(axis=1))
+        a = np.zeros((len(open_), k + 1))  # the entering column
+        row = q < m
+        a[row, :k] = S[open_[row], q[row]] / scale[open_[row], None]
+        a[row, k] = 1.0
+        a[np.flatnonzero(~row), q[~row] - m] = 1.0
+        d = np.einsum("gij,gj->gi", inv[:, :k], a)
+        ratio = np.divide(np.maximum(x, 0.0), d, out=np.full(d.shape, np.inf), where=d > _PIVOT_TOL)
+        step = ratio.min(axis=1)
+        go = finite & ~done & (pivots < _MAX_PIVOTS) & np.isfinite(step)
+        tie = ratio <= step[:, None] + _RC_TOL
+        # among the tied rows: the largest pivot, or the least variable (Bland)
+        p = np.where(
+            bland,
+            np.where(tie, basis[:, :k], m + k).argmin(axis=1),
+            np.where(tie, d, -np.inf).argmax(axis=1),
+        )
+        stalls = np.where(step <= _RC_TOL, stalls + 1, 0)
+        bland |= stalls >= _STALL_PIVOTS
+        j = np.arange(len(open_))
+        basis[j, p], B[j, :, p] = q, a
+        open_, basis, B, pivots = open_[go], basis[go], B[go], pivots[go] + 1
+        stalls, bland = stalls[go], bland[go]
+    return v, y, z
 
 
 def game_values(S) -> np.ndarray:
     """Certified values of a stack of same-shape zero-sum games, shape (G, m, k).
 
-    A game's value is unique, so it can come from a subset of its rows. The
-    games are solved together by lockstep row generation: each starts from
-    the _SEED_ROWS rows of smallest row maximum, and each round solves the
-    active rows of every game still open in the batched LPs of solve_games,
-    kept as arrays of values and mixes. Both best-response gaps of every
-    game, and the Seeker's best responses to each Hider mix, are two einsums
-    over the stack. A game whose gaps on its active rows are slack is solved
-    again through solve_games (alone, then by the row LP). A game gains its
-    _ADD_ROWS most violated inactive rows, and closes once no inactive row
-    is violated by more than 1e-12 * max|A|. Active rows are never re-added:
-    HiGHS's feasibility tolerance can report one as violated, and re-adding
-    it would loop forever. A closed game's solution is certified against
-    its full matrix, with the Seeker mix zero off the active rows. A game of
-    at most _SEED_ROWS rows is active in full from the start, so it closes
-    after its first round with solve_games's value. Raises SolverError if a
-    value does not certify to GAP_TOL.
+    Only the values are needed, so every game's Seeker LP (k+1 constraints)
+    is solved by a lockstep primal simplex over the whole stack (_simplex):
+    one row enters per pivot, as in row generation, and all the games pivot
+    together in a few batched numpy calls, with no LP built. Each closed
+    game is certified against its full matrix, with the Seeker mix read
+    from its basis and the Hider mix from its duals: both best-response
+    gaps over the whole stack are two einsums. A game the simplex could not
+    close, or whose gaps exceed GAP_TOL, is solved again alone through
+    solve_games (then the row LP) and certified once more. Raises
+    SolverError if a value does not certify to GAP_TOL.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
@@ -316,50 +373,30 @@ def game_values(S) -> np.ndarray:
     if len(S) == 0:
         return np.empty(0)
     _validate_matrix(S[0])
-    G, m, k = S.shape
     hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("matrix has non-finite entries")
-    tol = 1e-12 * np.maximum(hi, -lo)  # 1e-12 * max|A|
-    seed = np.argsort(S.max(axis=2), axis=1, kind="stable")[:, :_SEED_ROWS]
-    active = np.zeros((G, m), dtype=bool)
-    np.put_along_axis(active, seed, True, axis=1)
-    values = np.empty(G)
-    # each game's latest value, Hider mix and Seeker mix (zero off its active rows)
-    v, z, y = np.zeros(G), np.zeros((G, k)), np.zeros((G, m))
-    open_ = np.arange(G)
-    while len(open_):
-        mats = [S[g][active[g]] for g in open_]
-        v[open_], z[open_], y_active = _batch_solutions(mats)
-        y[open_] = 0.0
-        g, r = np.nonzero(active[open_])
-        y[open_[g], r] = y_active
-        row_gap, col_gap, violation = _stack_gaps(S, y, z, v, open_)
-        violation -= v[open_, None]
-        own_col_gap = -violation.min(axis=1, where=active[open_], initial=np.inf)
-        slack = np.flatnonzero(~(np.maximum(row_gap, own_col_gap) <= GAP_TOL))
-        for j in slack:
-            g, sol = open_[j], solve_games([mats[j]])[0]
-            v[g], z[g], y[g] = sol.value, sol.col_strategy.weights, 0.0
-            y[g, active[g]] = sol.row_strategy.weights
-        if len(slack):
-            row_gap, col_gap, violation = _stack_gaps(S, y, z, v, open_)
-            violation -= v[open_, None]
-        violation[active[open_]] = np.inf  # only inactive rows count
-        worst = np.argsort(violation, axis=1, kind="stable")[:, :_ADD_ROWS]
-        add = np.take_along_axis(violation, worst, axis=1) < -tol[open_, None]
-        closed = ~add.any(axis=1)
-        bad = ~(np.maximum(row_gap, col_gap)[closed] <= GAP_TOL)
-        if bad.any():
-            j = np.flatnonzero(closed)[bad][0]
+    scale = np.maximum(hi, -lo)  # max|A|
+    v, y, z = _simplex(S, np.where(scale > 0, scale, 1.0))
+    # _clean, game by game; a mix of no weight turns NaN, and its game slack
+    y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
+    with np.errstate(invalid="ignore"):
+        y /= y.sum(axis=1, keepdims=True)
+        z /= z.sum(axis=1, keepdims=True)
+    row_gap, col_gap = _stack_gaps(S, y, z, v, np.arange(len(S)))
+    redo = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
+    if len(redo):
+        for g in redo.tolist():
+            sol = solve_games([S[g]])[0]
+            v[g], y[g], z[g] = sol.value, sol.row_strategy.weights, sol.col_strategy.weights
+        row_gap, col_gap = _stack_gaps(S, y, z, v, redo)
+        bad = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
+        if len(bad):
+            j = bad[0]
             raise SolverError(
                 f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
             )
-        values[open_[closed]] = v[open_[closed]]
-        g, r = np.nonzero(add)
-        active[open_[g], worst[g, r]] = True
-        open_ = open_[~closed]
-    return values
+    return v
 
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:

@@ -9,7 +9,6 @@ in this order it is a block of (n-t)! consecutive routes (prefix_block).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -17,6 +16,21 @@ import numpy as np
 # Dense M x N matrices plus the LP stay desk-scale up to 8! = 40320 routes;
 # larger n is rejected outright rather than degrading silently.
 MAX_LOCATIONS = 8
+
+
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of 1..n in lexicographic order, one per row.
+
+    Built up one size at a time: the permutations of 1..s are, for each
+    first element f in turn, f followed by those of 1..s-1 with every entry
+    >= f raised by one.
+    """
+    P = np.zeros((1, 0), dtype=np.int64)
+    for s in range(1, n + 1):
+        first = np.arange(1, s + 1)[:, None, None]
+        rest = P[None] + (P[None] >= first)
+        P = np.concatenate([np.broadcast_to(first, (s, len(P), 1)), rest], axis=2).reshape(-1, s)
+    return P
 
 
 class RouteSet:
@@ -28,9 +42,7 @@ class RouteSet:
         self.n = n
         self.m = math.factorial(n)
         # route_array[j] = route j's visits in order
-        self.route_array = np.fromiter(
-            itertools.permutations(range(1, n + 1)), dtype=np.dtype((np.int64, n)), count=self.m
-        )
+        self.route_array = _permutations(n)
         # position_matrix[j, i-1] = 1-based visit position of location i on route j
         self.position_matrix = np.empty((self.m, n), dtype=np.int64)
         cols = self.route_array - 1

@@ -130,7 +130,7 @@ def game_value(A):
 
 def full_lp_values(S):
     """Each game's value from one column LP over all its rows: the reference
-    that game_values' row generation is checked against."""
+    that game_values' simplex is checked against."""
     return np.array([sol.value for sol in hs.solve_games(S)])
 
 

@@ -118,13 +118,13 @@ def test_sweep_matches_the_per_cell_oracle(name):
 
 # LP calls of the default-grid sweep of instances/six_sites.json with each
 # reveal time's costs solved together; solving cell by cell takes 310
-SWEEP6_LP_CALLS = 87
+SWEEP6_LP_CALLS = 46
 
 
 def test_sweep_lp_calls_stay_bounded(monkeypatch):
     # the six-site default-grid sweep solves each reveal time's costs
-    # together: 1 base LP, then per t one switch batch, the feedback
-    # subgames' row-generation rounds and the feedback values' rounds
+    # together: 1 base LP, then per t the batched LPs of its 25 switch
+    # games; the feedback subgames and values go to game_values' simplex
     inst = hs.load_instance(INSTANCES / "six_sites.json")
     calls = []
     real_linprog = hs.matrixgame.linprog

@@ -324,13 +324,10 @@ def _assert_values_match_full_lp(S):
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
 def test_game_values_match_full_lp_on_bundled_subgames(name):
     inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
-    tall = 0
     for t in range(1, inst.n):
         for c in (0.0, 0.5, 1.0, 3.0):
             for S in _lp_bound_stacks(inst, t, c):
                 _assert_values_match_full_lp(S)
-                tall += S.shape[1] > mg._SEED_ROWS and len(S) > 0
-    assert tall > 0 if name == "six_sites" else tall == 0
 
 
 @pytest.mark.parametrize("n, t", [(6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (8, 1), (8, 2)])
@@ -342,10 +339,13 @@ def test_game_values_match_full_lp_on_seeded_instances(n, t):
 
 
 def test_game_values_of_short_stacks_are_the_full_lp_values():
+    # the simplex reads each value off its own basis, not HiGHS's, so the
+    # two agree to round-off rather than bit for bit
     rng = np.random.default_rng(71)
-    for m in (1, 2, 17, mg._SEED_ROWS):
+    for m in (1, 2, 17, 48):
         S = rng.uniform(-4, 4, size=(5, m, 4))
-        np.testing.assert_array_equal(mg.game_values(S), full_lp_values(S))
+        tol = 1e-12 * np.abs(S).max(axis=(1, 2))
+        assert (np.abs(mg.game_values(S) - full_lp_values(S)) <= tol).all()
 
 
 def test_game_values_of_an_empty_stack():
@@ -365,17 +365,29 @@ def test_game_values_validate_the_stack():
         mg.game_values(S)
 
 
+def _spy_solve_games(monkeypatch):
+    """The games game_values passes to solve_games, one list per call."""
+    real_solve_games = mg.solve_games
+    alone = []
+
+    def spy_solve_games(mats):
+        alone.append(mats)
+        return real_solve_games(mats)
+
+    monkeypatch.setattr(mg, "solve_games", spy_solve_games)
+    return alone
+
+
 def test_game_values_certify_against_the_full_matrix(monkeypatch):
     S = next(S for S in _lp_bound_stacks(random_instance(np.random.default_rng(2), 7), 1, 1.0) if len(S))
-    assert S.shape[1] > mg._SEED_ROWS
     real_stack_gaps = mg._stack_gaps
     solution = {}  # game -> its latest (full matrix, y, z, v, row gap, col gap)
 
     def spy_stack_gaps(stack, y, z, v, games):
-        row_gap, col_gap, Sz = real_stack_gaps(stack, y, z, v, games)
+        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
         for j, g in enumerate(games.tolist()):
             solution[g] = (stack[g], y[g].copy(), z[g].copy(), v[g], row_gap[j], col_gap[j])
-        return row_gap, col_gap, Sz
+        return row_gap, col_gap
 
     monkeypatch.setattr(mg, "_stack_gaps", spy_stack_gaps)
     values = mg.game_values(S)
@@ -394,73 +406,209 @@ def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
     real_stack_gaps = mg._stack_gaps
 
     def slack_on_full_matrix(stack, y, z, v, games):
-        # the gaps over the active rows stay as they are; only the full
-        # matrix's column gap is slack
-        row_gap, col_gap, Sz = real_stack_gaps(stack, y, z, v, games)
-        return row_gap, np.ones_like(col_gap), Sz
+        # every full-matrix column gap is slack, also once solve_games has
+        # solved the games again
+        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
+        return row_gap, np.ones_like(col_gap)
 
     monkeypatch.setattr(mg, "_stack_gaps", slack_on_full_matrix)
+    alone = _spy_solve_games(monkeypatch)
     with pytest.raises(hs.SolverError, match="certification"):
         mg.game_values(S)
+    assert [len(mats) for mats in alone] == [1, 1, 1]
 
 
 def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
     S = np.random.default_rng(83).uniform(-4, 4, size=(4, 300, 5))
     expect = mg.game_values(S)
-    real_batch, real_solve_games = mg._batch_solutions, mg.solve_games
-    alone = []
+    real_stack_gaps = mg._stack_gaps
+    first = []
 
-    def slack_first_game(mats):
-        v, z, y = real_batch(mats)
-        if not alone:
-            y[: len(mats[0])] = np.eye(len(mats[0]))[0]  # game 0's Seeker plays one row
-        return v, z, y
+    def slack_first_game(stack, y, z, v, games):
+        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
+        if not first:
+            first.append(games.copy())
+            row_gap[0] = 1.0  # game 0's first certificate is slack
+        return row_gap, col_gap
 
-    def spy_solve_games(mats):
-        alone.append(mats)
-        return real_solve_games(mats)
-
-    monkeypatch.setattr(mg, "_batch_solutions", slack_first_game)
-    monkeypatch.setattr(mg, "solve_games", spy_solve_games)
+    monkeypatch.setattr(mg, "_stack_gaps", slack_first_game)
+    alone = _spy_solve_games(monkeypatch)
     values = mg.game_values(S)
+    np.testing.assert_array_equal(first[0], np.arange(4))  # every game certified at once
     assert len(alone) == 1 and len(alone[0]) == 1
-    seed = np.sort(np.argsort(S[0].max(axis=1), kind="stable")[: mg._SEED_ROWS])
-    np.testing.assert_array_equal(alone[0][0], S[0][seed])  # game 0's first active rows
+    np.testing.assert_array_equal(alone[0][0], S[0])  # game 0, its full matrix
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
 def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
+    # one singular basis in the batched inverse fails its own game only
     S = np.random.default_rng(89).uniform(-4, 4, size=(6, 300, 5))
     expect = mg.game_values(S)
-    real_col_lp = mg._col_lp
+    real_inverses = mg._inverses
+    singular = []
 
-    def failing_col_lp(blocks):
-        res = real_col_lp(blocks)
-        if len(blocks) > 1:
-            res.status = 4
-        return res
+    def singular_second_game(B):
+        if not singular:
+            singular.append(B[1].copy())
+            B = B.copy()
+            B[1] = 0.0
+        return real_inverses(B)
 
-    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
-    np.testing.assert_allclose(mg.game_values(S), expect, rtol=0, atol=1e-9 * np.abs(S).max())
+    monkeypatch.setattr(mg, "_inverses", singular_second_game)
+    alone = _spy_solve_games(monkeypatch)
+    values = mg.game_values(S)
+    assert [len(mats) for mats in alone] == [1]
+    np.testing.assert_array_equal(alone[0][0], S[1])
+    np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
+
+
+def test_inverses_keep_the_stack_past_a_singular_basis():
+    B = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
+    inv, finite = mg._inverses(B)
+    np.testing.assert_array_equal(finite, [True, False, True])
+    np.testing.assert_array_equal(inv[0], np.eye(3))
+    np.testing.assert_array_equal(inv[2], 0.5 * np.eye(3))
+    assert np.isnan(inv[1]).all()
 
 
 def test_game_values_never_re_add_active_rows(monkeypatch):
-    # HiGHS's feasibility tolerance can leave an active row "violated"; the
-    # loop must close the game instead of adding that row forever
+    # a basic row or slack never enters the basis again: every basis holds
+    # k + 1 distinct columns, and the loop stops within the pivot cap
     S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
-    real_batch = mg._batch_solutions
-    rounds = []
+    real_inverses = mg._inverses
+    bases = []
 
-    def loose_batch(mats):
-        rounds.append(len(mats))
-        if len(rounds) > 400 // mg._ADD_ROWS + 2:
-            raise AssertionError("row generation does not terminate")
-        v, z, y = real_batch(mats)
-        return v + 1e-9 * np.abs(S).max(), z, y
+    def spy_inverses(B):
+        bases.append(B.copy())
+        return real_inverses(B)
 
-    monkeypatch.setattr(mg, "_batch_solutions", loose_batch)
+    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    alone = _spy_solve_games(monkeypatch)
     values = mg.game_values(S)
-    np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=2e-9 * np.abs(S).max())
+    assert alone == [] and 1 < len(bases) <= mg._MAX_PIVOTS + 1
+    for B in bases:
+        for b in B:
+            assert len(np.unique(b.T, axis=0)) == len(b)
+    np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=1e-12 * np.abs(S).max())
+
+
+def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
+    S = np.random.default_rng(97).uniform(-4, 4, size=(3, 200, 5))
+    S[2] = np.arange(5.0)  # a constant-column game closes at its start
+    monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)
+    alone = _spy_solve_games(monkeypatch)
+    values = mg.game_values(S)
+    assert [len(mats) for mats in alone] == [1, 1]
+    np.testing.assert_array_equal(alone[0][0], S[0])
+    np.testing.assert_array_equal(alone[1][0], S[1])
+    np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=1e-12 * np.abs(S).max())
+
+
+def test_game_values_raise_when_solve_games_cannot_certify_either(monkeypatch):
+    S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
+    monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)
+    real_gaps = mg._gaps
+    monkeypatch.setattr(mg, "_gaps", lambda A, y, z, value: (1.0, real_gaps(A, y, z, value)[1]))
+    monkeypatch.setattr(mg, "_row_lp", lambda A: np.full(len(A), 1.0 / len(A)))
+    with pytest.raises(hs.SolverError, match="certification"):
+        mg.game_values(S)
+
+
+# hsbench.workloads.make_instance(7, 2), whose LP-bound reveal-stage subgames
+# at t = 2, c = 1 include a degenerate one that Bland's rule must close
+CYCLING_7 = ((0.986, 2.46), [(1.931, 0.347), (1.787, 3.692), (4.585, 4.257), (2.287, 0.39),
+                             (3.256, 3.218), (0.914, 3.032), (0.084, 1.383)])
+
+
+def _feedback_stacks(inst, t, c, monkeypatch):
+    """The stacks feedback_matrix hands to game_values, in order."""
+    real_game_values = hs.payoff.game_values
+    stacks = []
+
+    def spy_game_values(S):
+        stacks.append(S)
+        return real_game_values(S)
+
+    monkeypatch.setattr(hs.payoff, "game_values", spy_game_values)
+    rs = hs.enumerate_routes(inst.n)
+    hs.feedback_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(t, c))
+    monkeypatch.undo()
+    return stacks
+
+
+def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
+    (stack,) = _feedback_stacks(hs.make_instance(*CYCLING_7), 2, 1.0, monkeypatch)
+    A = stack[31]  # the 32nd LP-bound subgame
+    assert A.shape == (120, 5)
+    expect = hs.solve_zero_sum(A).value
+    assert expect == pytest.approx(10.2974586, abs=1e-7)
+    real_inverses = mg._inverses
+    bases = []
+
+    def spy_inverses(B):
+        bases.append(len(B))
+        return real_inverses(B)
+
+    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)  # Bland's rule from the first pivot
+    v, y, z = mg._simplex(A[None], np.array([np.abs(A).max()]))
+    assert np.isfinite(v).all() and len(bases) == 42  # 41 pivots, then the optimal basis
+    y, z = y / y.sum(), z / z.sum()
+    row_gap, col_gap = mg._stack_gaps(A[None], y, z, v, np.arange(1))
+    assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
+    assert abs(v[0] - expect) <= 1e-12 * np.abs(A).max()
+    monkeypatch.setattr(mg, "_STALL_PIVOTS", 16)
+    np.testing.assert_allclose(mg.game_values(A[None]), [expect], rtol=0, atol=1e-12 * np.abs(A).max())
+
+
+@pytest.mark.parametrize("factor", [2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20])
+def test_game_values_scale_with_the_matrix(factor, monkeypatch):
+    # the simplex works on each game divided by its max|A|: no game leaves
+    # it for solve_games at any scale, and a power of two changes no pivot
+    # and no bit of the values
+    inst = random_instance(np.random.default_rng(4), 6)
+    real_inverses = mg._inverses
+    bases = []
+
+    def spy_inverses(B):
+        bases.append(len(B))
+        return real_inverses(B)
+
+    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    alone = _spy_solve_games(monkeypatch)
+    exact = np.log2(factor).is_integer()
+    for t in (1, 2, 3):
+        for S in _lp_bound_stacks(inst, t, 0.5):
+            bases.clear()
+            values = mg.game_values(S)
+            pivots = bases.copy()
+            bases.clear()
+            scaled = mg.game_values(factor * S)
+            np.testing.assert_allclose(scaled, factor * values, rtol=0 if exact else 1e-12, atol=0)
+            assert bases == pivots or not exact
+    assert alone == []
+
+
+# hsbench.workloads.make_instance(8, 1), the eight-site benchmark instance
+SEED1_8 = ((1.374, 3.352), [(4.826, 0.816), (3.775, 0.43), (4.341, 1.71), (1.163, 1.288),
+                            (1.756, 3.184), (0.323, 2.826), (0.535, 0.944), (1.581, 3.6)])
+
+
+def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
+    inst = hs.make_instance(*SEED1_8)
+    rs = hs.enumerate_routes(8)
+    A = hs.base_matrix(inst, rs)
+    calls = []
+    real_linprog = mg.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mg, "linprog", counting_linprog)
+    F = hs.feedback_matrix(A, rs, hs.SwitchConfig(2, 1.0))
+    assert F.shape == (56, 8) and np.isfinite(F).all()
+    assert calls == []
 
 
 # HiGHS runs without presolve: every call says so, and the games presolve

@@ -265,6 +265,18 @@ def test_fixed_rows_matches_cell_by_cell_formatting(data, rows, cols, prec):
     assert _fixed_rows(labels, values, prec, width) == expect
 
 
+def test_fixed_rows_format_repeated_nan_and_signed_zero_rows():
+    # _fixed_rows formats each distinct row once, keyed after -0 became 0:
+    # -0 prints as 0, and a NaN of either sign as --
+    values = [[0.0, math.nan], [-0.0, math.nan], [1.5, -0.0], [0.0, -math.nan], [1.5, 0.0], [-0.0, -0.0], [0.0, math.nan]]
+    labels = list("abcdefg")
+    assert _fixed_rows(labels, values, 2, 6) == (
+        "a   0.00     --\nb   0.00     --\nc   1.50   0.00\nd   0.00     --\n"
+        "e   1.50   0.00\nf   0.00   0.00\ng   0.00     --\n"
+    )
+    assert _fixed_rows(labels, values, 1) == "a 0.0 --\nb 0.0 --\nc 1.5 0.0\nd 0.0 --\ne 1.5 0.0\nf 0.0 0.0\ng 0.0 --\n"
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(
     data=st.data(),

@@ -42,7 +42,6 @@ from .matrixgame import (
     best_response_gap,
     check_lemma1,
     find_pure_saddle,
-    game_values,
     solve_games,
     solve_zero_sum,
 )

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .instance import Instance
-from .matrixgame import check_cost, game_values, simplex_weights, solve_games, solve_zero_sum
+from .matrixgame import check_cost, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
@@ -30,9 +30,10 @@ from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
-# sweep solves the costs of a reveal time together in chunks whose switch
-# matrices take at most this many bytes: every cost at once up to n = 6, one
-# at a time at n = 8, where a 40320 x 8 switch LP sets the peak memory.
+# sweep and verify_bounds solve the switch games of a reveal time in chunks
+# of costs whose stack of switch matrices, which solve_games' simplex holds,
+# takes at most this many bytes: every cost at once up to n = 6, one at a
+# time at n = 8, where each 40320 x 8 switch matrix takes 2.6 MB.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -104,13 +105,15 @@ def sweep(
     evaluated at each cell's own switch-game equilibrium mix; the bound
     column uses the route-variant threshold at that reveal time.
 
-    The subgame shapes depend on t and not on c, so each reveal time solves
-    its distinct costs together: the switch games in one solve_games call,
-    which keeps the Hider mixes expected_voi reads, the feedback matrices in
-    one feedback_matrix call, and the feedback values, the only part of
-    that game printed, in one game_values call. From n = 7 on, the costs go
-    in chunks whose switch matrices take at most _CHUNK_BYTES: a switch
-    game there fills an LP on its own, so more at once only takes memory.
+    The game shapes depend on t and not on c, so each reveal time solves
+    its distinct costs together: the stack of switch games in one
+    solve_games call, whose Hider mixes expected_voi reads, the feedback
+    matrices in one feedback_matrix call, and the feedback values, the only
+    part of that game printed, in one more solve_games call. Only the base
+    game goes to an LP. From n = 7 on, the costs go in chunks
+    (_cost_chunks): a switch game there is large enough to fill the
+    simplex's batched numpy calls on its own, so more at once only takes
+    memory.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -128,18 +131,17 @@ def sweep(
     v_base = solve_zero_sum(A).value
     cg_inf = {t: cstar_global(cstar(A, rs, t, "infoset")) for t in t_list}
 
-    costs = sorted(set(c_grid))
-    chunk = max(1, _CHUNK_BYTES // A.nbytes)  # costs per chunk
     rows = []
     for t in t_list:
         cells = {}
-        for j in range(0, len(costs), chunk):
-            cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs[j : j + chunk]]
-            As = [switch_matrix(A, rs, cfg) for cfg in cfgs]
+        for costs in _cost_chunks(A, sorted(set(c_grid))):
+            cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs]
+            As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
             Fs = feedback_matrix(A, rs, cfgs)
-            for cfg, S, sw, F, v_fb in zip(cfgs, As, solve_games(As), Fs, game_values(Fs)):
+            v_sw, _, z_sw = solve_games(As)
+            for c, S, v_switch, z, F, v_fb in zip(costs, As, v_sw, z_sw, Fs, solve_games(Fs)[0]):
                 bar = worst_case_voi(voi_matrix(S, rs, t))
-                cells[cfg.c] = (sw.value, v_fb, expected_voi(bar, sw.col_strategy), entrywise_gap(S, F)[1])
+                cells[c] = (v_switch, v_fb, expected_voi(bar, z), entrywise_gap(S, F)[1])
         for c in c_grid:
             v_switch, v_fb, ev, delta = cells[c]
             rows.append(
@@ -157,6 +159,13 @@ def sweep(
                 )
             )
     return rows
+
+
+def _cost_chunks(A: np.ndarray, costs: list[float]) -> list[list[float]]:
+    """The costs in order, in chunks whose switch matrices (each the size of
+    the base matrix A) take at most _CHUNK_BYTES together."""
+    chunk = max(1, _CHUNK_BYTES // A.nbytes)
+    return [costs[j : j + chunk] for j in range(0, len(costs), chunk)]
 
 
 SWEEP_HEADER = (
@@ -247,11 +256,11 @@ def verify_bounds(
 def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck:
     rs = enumerate_routes(inst.n)
     A = base_matrix(inst, rs)
-    t0 = t_list[0]
-    for c in c_list:
-        z_fixed = solve_zero_sum(
-            switch_matrix(A, rs, SwitchConfig(t0, c, convention=convention))
-        ).col_strategy
+    z_first = []  # each cost's switch-game Hider mix at the first reveal time
+    for costs in _cost_chunks(A, c_list):
+        S = np.stack([switch_matrix(A, rs, SwitchConfig(t_list[0], c, convention)) for c in costs])
+        z_first.extend(solve_games(S)[2])
+    for c, z_fixed in zip(c_list, z_first):
         prev = None
         for t in t_list:
             As = switch_matrix(A, rs, SwitchConfig(t, c, convention=convention))

@@ -4,11 +4,13 @@ Throughout, the row player minimizes and the column player maximizes, so a
 pure saddle point is a cell that is the maximum of its row and the minimum
 of its column. Equilibria are computed by linear programming on the column
 player (N variables, M constraints; these games are extremely tall) with the
-row strategy recovered from the constraint duals. Where only the values of
-a stack of games are needed, game_values finds them with no LP call, by a
-primal simplex on every game's Seeker LP (k+1 constraints) that pivots the
-whole stack in lockstep. Solutions are certified by best-response gaps
-against the full matrix rather than by trusting the solver.
+row strategy recovered from the constraint duals. A stack of same-shape
+games goes to solve_games, which finds every game's value and both mixes
+with no LP call, by a primal simplex on every game's Seeker LP (k+1
+constraints) that pivots the whole stack in lockstep. solve_zero_sum is the
+single-game HiGHS path, for the solves whose printed mix is HiGHS's vertex.
+Solutions are certified by best-response gaps against the full matrix
+rather than by trusting the solver.
 
 HiGHS runs its dual simplex without presolve. Every row of these games is
 dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing (HiGHS
@@ -27,20 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import block_diag
 
 from .routes import check_reveal_time
 
 GAP_TOL = 1e-6
 SADDLE_TOL = 1e-9
-# A batch of column LPs in solve_games closes once it holds this many
-# constraint rows: enough rows to spread scipy's per-call overhead over many
-# tiny subgames, few enough that three 720 x 6 subgames (n = 8) fill one.
-_BATCH_ROWS = 2000
-# game_values' simplex: reduced costs and ties within _RC_TOL (times
+# solve_games' simplex: reduced costs and ties within _RC_TOL (times
 # max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game turns
 # to Bland's rule after _STALL_PIVOTS zero-step pivots in a row, and one
-# still open after _MAX_PIVOTS pivots is solved by solve_games instead.
+# still open after _MAX_PIVOTS pivots is solved by solve_zero_sum instead.
 _RC_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _STALL_PIVOTS = 16
@@ -116,29 +113,21 @@ def _validate_matrix(A: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
-def _col_lp(blocks: list[np.ndarray]):
-    """Maximize v subject to A z >= v, sum z = 1, z >= 0, for every A at once.
+def _col_lp(A: np.ndarray):
+    """Maximize v subject to A z >= v, sum z = 1, z >= 0.
 
-    The games share one block-diagonal LP whose variables are each block's
-    (z, v) in turn and whose rows are each block's A z >= v rows in turn,
-    then one sum z = 1 row per block. The objective is the sum of the v's,
-    so every block reaches its own optimum. HiGHS runs without presolve:
-    on these dense rows it logs "Presolve reductions: ... - Not reduced"
-    and then runs the simplex iterations it runs without it, so it only
-    adds time.
+    The variables are (z, v). HiGHS runs without presolve: on these dense
+    rows it logs "Presolve reductions: ... - Not reduced" and then runs the
+    simplex iterations it runs without it, so it only adds time.
     """
-    widths = [A.shape[1] for A in blocks]
-    A_ub = block_diag([np.hstack([-A, np.ones((A.shape[0], 1))]) for A in blocks], format="csr")
-    A_eq = block_diag([np.append(np.ones(n), 0.0)[None, :] for n in widths], format="csr")
-    c = np.concatenate([np.append(np.zeros(n), -1.0) for n in widths])
-    lower = np.concatenate([np.append(np.zeros(n), -np.inf) for n in widths])
+    m, n = A.shape
     return linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.zeros(A_ub.shape[0]),
-        A_eq=A_eq,
-        b_eq=np.ones(len(blocks)),
-        bounds=np.column_stack([lower, np.full(len(lower), np.inf)]),
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.hstack([-A, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=np.ones(1),
+        bounds=np.column_stack([np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf)]),
         method="highs",
         options=_HIGHS_OPTIONS,
     )
@@ -193,65 +182,24 @@ def _certified(A: np.ndarray, y, z, value: float) -> GameSolution:
     return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
 
 
-def _lp_batches(mats):
-    """Pack the games in order into block-diagonal column LPs of about
-    _BATCH_ROWS constraint rows each; yield each batch's games with its
-    linprog result."""
-    start = rows = 0
-    for k, A in enumerate(mats):
-        rows += A.shape[0]
-        if rows < _BATCH_ROWS and k < len(mats) - 1:
-            continue
-        blocks = mats[start : k + 1]
-        start, rows = k + 1, 0
-        yield blocks, _col_lp(blocks)
-
-
-def solve_games(mats) -> list[GameSolution]:
-    """Equilibrium values and certified mixed strategies of many zero-sum games.
-
-    The games are packed in order into block-diagonal column LPs of about
-    _BATCH_ROWS constraint rows each, so scipy's per-call overhead is paid
-    once per batch instead of once per game. Each game takes its value and
-    column strategy from its own slice of the solution, and its row strategy
-    from its slice of the inequality duals. A game whose certificate is
-    slack (degenerate bases occasionally produce one), or every game of a
-    batch HiGHS fails on, is solved again alone; alone, a slack certificate
-    falls back to the explicit row LP. Raises SolverError if a game does
-    not certify to GAP_TOL.
-    """
-    mats = [np.asarray(A, dtype=float) for A in mats]
-    for A in mats:
-        _validate_matrix(A)
-    sols: list[GameSolution] = []
-    for blocks, res in _lp_batches(mats):
-        alone = len(blocks) == 1
-        if res.status != 0:
-            if alone:
-                raise SolverError(f"column LP failed: {res.message}")
-            sols += [solve_zero_sum(A) for A in blocks]
-            continue
-        col = row = 0
-        for A in blocks:
-            m, n = A.shape
-            x = res.x[col : col + n + 1]
-            value = float(x[-1])
-            try:
-                sol = _certified(A, -res.ineqlin.marginals[row : row + m], x[:n], value)
-            except SolverError:
-                if alone:
-                    sol = _certified(A, _row_lp(A), x[:n], value)
-                else:
-                    sol = solve_zero_sum(A)
-            sols.append(sol)
-            col, row = col + n + 1, row + m
-    return sols
-
-
 def solve_zero_sum(A) -> GameSolution:
-    """Equilibrium value and certified mixed strategies of one zero-sum game:
-    the single-game case of solve_games."""
-    return solve_games([A])[0]
+    """Equilibrium value and certified mixed strategies of one zero-sum game.
+
+    The value and column strategy come from the column LP, the row strategy
+    from its inequality duals. A slack certificate (degenerate bases
+    occasionally produce one) falls back to the explicit row LP. Raises
+    SolverError if the LP fails or the game does not certify to GAP_TOL.
+    """
+    A = np.asarray(A, dtype=float)
+    _validate_matrix(A)
+    res = _col_lp(A)
+    if res.status != 0:
+        raise SolverError(f"column LP failed: {res.message}")
+    z, value = res.x[:-1], float(res.x[-1])
+    try:
+        return _certified(A, -res.ineqlin.marginals, z, value)
+    except SolverError:
+        return _certified(A, _row_lp(A), z, value)
 
 
 def _stack_gaps(S, y, z, v, games):
@@ -353,25 +301,28 @@ def _simplex(S, scale):
     return v, y, z
 
 
-def game_values(S) -> np.ndarray:
-    """Certified values of a stack of same-shape zero-sum games, shape (G, m, k).
+def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and certified mixed strategies of a stack of same-shape
+    zero-sum games, shape (G, m, k): (values, Seeker mixes, Hider mixes),
+    of shapes (G,), (G, m) and (G, k).
 
-    Only the values are needed, so every game's Seeker LP (k+1 constraints)
-    is solved by a lockstep primal simplex over the whole stack (_simplex):
-    one row enters per pivot, as in row generation, and all the games pivot
-    together in a few batched numpy calls, with no LP built. Each closed
-    game is certified against its full matrix, with the Seeker mix read
-    from its basis and the Hider mix from its duals: both best-response
-    gaps over the whole stack are two einsums. A game the simplex could not
-    close, or whose gaps exceed GAP_TOL, is solved again alone through
-    solve_games (then the row LP) and certified once more. Raises
-    SolverError if a value does not certify to GAP_TOL.
+    Every game's Seeker LP (k+1 constraints) is solved by a lockstep primal
+    simplex over the whole stack (_simplex): one row enters per pivot, as
+    in row generation, and all the games pivot together in a few batched
+    numpy calls, with no LP built. Each closed game is certified against
+    its full matrix, with the Seeker mix read from its basis and the Hider
+    mix from its duals: both best-response gaps over the whole stack are
+    two einsums. A game the simplex could not close, or whose gaps exceed
+    GAP_TOL, is solved again by solve_zero_sum (then the row LP) and
+    certified once more. Raises SolverError if a game does not certify to
+    GAP_TOL.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
         raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
-    if len(S) == 0:
-        return np.empty(0)
+    G, m, k = S.shape
+    if G == 0:
+        return np.empty(0), np.empty((0, m)), np.empty((0, k))
     _validate_matrix(S[0])
     hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
@@ -383,11 +334,11 @@ def game_values(S) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         y /= y.sum(axis=1, keepdims=True)
         z /= z.sum(axis=1, keepdims=True)
-    row_gap, col_gap = _stack_gaps(S, y, z, v, np.arange(len(S)))
+    row_gap, col_gap = _stack_gaps(S, y, z, v, np.arange(G))
     redo = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
     if len(redo):
         for g in redo.tolist():
-            sol = solve_games([S[g]])[0]
+            sol = solve_zero_sum(S[g])
             v[g], y[g], z[g] = sol.value, sol.row_strategy.weights, sol.col_strategy.weights
         row_gap, col_gap = _stack_gaps(S, y, z, v, redo)
         bad = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
@@ -396,7 +347,7 @@ def game_values(S) -> np.ndarray:
             raise SolverError(
                 f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
             )
-    return v
+    return v, y, z
 
 
 def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import _saddle_mask, check_cost, game_values
+from .matrixgame import _saddle_mask, check_cost, solve_games
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
-# feedback_matrix hands its LP-bound subgames to game_values in stacks of at
+# feedback_matrix hands its LP-bound subgames to solve_games in stacks of at
 # most this many bytes: one cost's stack at n = 8, t = 1 (15.8 MB) fits in one.
 _STACK_BYTES = 1 << 24
 
@@ -151,7 +151,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     closed by a pure saddle gives a cell, which every prefix of the state
     reads from its own subgame. The subgame shapes depend on t alone, so
     the (cost, state, start) subgames left over from every cost go to
-    game_values together, in stacks of at most _STACK_BYTES, and their
+    solve_games together, in stacks of at most _STACK_BYTES, and their
     values are shifted by the difference of the prefixes' cumulative costs.
     Visited cells, pure_min cells and saddle cells (which include every cell
     at t = n-1) are bit-identical to solving each prefix's subgame on its
@@ -199,7 +199,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     size = max(1, _STACK_BYTES // (block * (n - t) * 8))  # subgames per stack
     for j in range(0, len(s), size):
         g = slice(j, j + size)
-        value[k[g], s[g], i0[g]] = game_values(subgame_matrix(A, rs, t, rep[s[g]], i0[g] + 1, costs[k[g]]))
+        value[k[g], s[g], i0[g]] = solve_games(subgame_matrix(A, rs, t, rep[s[g]], i0[g] + 1, costs[k[g]]))[0]
     k, h, i0 = np.nonzero(lp[:, state])
     F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return F[0] if one else F

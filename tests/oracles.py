@@ -129,9 +129,10 @@ def game_value(A):
 
 
 def full_lp_values(S):
-    """Each game's value from one column LP over all its rows: the reference
-    that game_values' simplex is checked against."""
-    return np.array([sol.value for sol in hs.solve_games(S)])
+    """Each game's value from one HiGHS column LP over all its rows, one
+    solve_zero_sum per game: the reference that solve_games' simplex is
+    checked against."""
+    return np.array([hs.solve_zero_sum(A).value for A in S])
 
 
 def presolved_value(A):

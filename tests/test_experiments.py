@@ -116,15 +116,15 @@ def test_sweep_matches_the_per_cell_oracle(name):
     assert hs.sweep_to_csv(rows) == hs.sweep_to_csv(sweep_cells(inst, c_grid=grid))
 
 
-# LP calls of the default-grid sweep of instances/six_sites.json with each
-# reveal time's costs solved together; solving cell by cell takes 310
-SWEEP6_LP_CALLS = 46
+# LP calls of the default-grid sweep of instances/six_sites.json: the base
+# game's alone; solving cell by cell takes 310
+SWEEP6_LP_CALLS = 1
 
 
 def test_sweep_lp_calls_stay_bounded(monkeypatch):
-    # the six-site default-grid sweep solves each reveal time's costs
-    # together: 1 base LP, then per t the batched LPs of its 25 switch
-    # games; the feedback subgames and values go to game_values' simplex
+    # the six-site default-grid sweep solves the base game by LP; the
+    # switch games and the feedback subgames and values of every (t, c)
+    # cell go to solve_games' simplex
     inst = hs.load_instance(INSTANCES / "six_sites.json")
     calls = []
     real_linprog = hs.matrixgame.linprog
@@ -135,7 +135,7 @@ def test_sweep_lp_calls_stay_bounded(monkeypatch):
 
     monkeypatch.setattr(hs.matrixgame, "linprog", counting_linprog)
     hs.sweep(inst)
-    assert len(calls) <= SWEEP6_LP_CALLS
+    assert len(calls) == SWEEP6_LP_CALLS
 
 
 # ------------------------------------------------------------- verify_bounds

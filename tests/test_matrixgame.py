@@ -155,15 +155,27 @@ def _assert_certified(mats, sols):
         assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
 
 
-def _bits(sol):
-    """Everything a GameSolution holds, comparable with ==."""
-    return (
-        sol.value,
-        sol.row_strategy.weights.tobytes(),
-        sol.col_strategy.weights.tobytes(),
-        sol.row_gap,
-        sol.col_gap,
-    )
+# solve_games, the stacked simplex. The tests named test_game_values_* keep
+# the name its value-only predecessor had, so their history stays traceable.
+
+def _solutions(values, y, z):
+    """The GameSolutions that solve_games returns as arrays; the gaps are
+    NaN, for best_response_gap to recompute."""
+    return [
+        hs.GameSolution(v, hs.MixedStrategy(yg), hs.MixedStrategy(zg), np.nan, np.nan)
+        for v, yg, zg in zip(values, y, z)
+    ]
+
+
+def _solve_by_shape(mats):
+    """Each game's GameSolution from solve_games, one stack per shape, in
+    the order of mats."""
+    sols = [None] * len(mats)
+    for shape in {A.shape for A in mats}:
+        games = [g for g, A in enumerate(mats) if A.shape == shape]
+        for g, sol in zip(games, _solutions(*mg.solve_games(np.stack([mats[g] for g in games])))):
+            sols[g] = sol
+    return sols
 
 
 def test_solve_games_match_solve_zero_sum_on_small_randoms():
@@ -172,7 +184,7 @@ def test_solve_games_match_solve_zero_sum_on_small_randoms():
         rng.uniform(-4, 4, size=(int(rng.integers(1, 7)), int(rng.integers(1, 5))))
         for _ in range(60)
     ]
-    sols = mg.solve_games(mats)
+    sols = _solve_by_shape(mats)
     _assert_certified(mats, sols)
     for A, sol in zip(mats, sols):
         assert sol.value == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-9)
@@ -200,80 +212,18 @@ def _small_shapes():
 
 def test_game_value_fast_paths():
     mats = _small_shapes()
-    for values in ([hs.solve_zero_sum(A).value for A in mats], [s.value for s in mg.solve_games(mats)]):
+    for values in ([hs.solve_zero_sum(A).value for A in mats], [s.value for s in _solve_by_shape(mats)]):
         assert values[0] == 5.0
         assert values[1] == 1.0
         assert values[2] == pytest.approx(2.9142, abs=1e-4)
 
 
-def test_game_values_match_solve_zero_sum_on_mixed_shapes(monkeypatch):
+def test_game_values_match_solve_zero_sum_on_mixed_shapes():
     mats = _mixed_shapes()
-    calls = []
-    real_linprog = mg.linprog
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return real_linprog(*args, **kwargs)
-
-    monkeypatch.setattr(mg, "linprog", counting_linprog)
-    sols = mg.solve_games(mats)
-    assert 1 < len(calls) < len(mats)  # more than one batch, several games per batch
+    sols = _solve_by_shape(mats)
     _assert_certified(mats, sols)
     for A, sol in zip(mats, sols):
         assert abs(sol.value - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
-    assert mg.solve_games([]) == []
-
-
-def test_solve_games_fall_back_per_block(monkeypatch):
-    mats = _mixed_shapes()
-    batched = mg.solve_games(mats)
-    target = mats[6]
-    assert hs.find_pure_saddle(target) is None
-    real_gaps, real_solve = mg._gaps, mg.solve_zero_sum
-    failed, solved = [], []
-
-    def failing_gaps(A, y, z, value):
-        if A is target and not failed:
-            failed.append(A)
-            return 1.0, 1.0
-        return real_gaps(A, y, z, value)
-
-    def spy_solve(A):
-        solved.append(A)
-        return real_solve(A)
-
-    monkeypatch.setattr(mg, "_gaps", failing_gaps)
-    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
-    sols = mg.solve_games(mats)
-    assert len(solved) == 1 and solved[0] is target
-    assert _bits(sols[6]) == _bits(real_solve(target))
-    assert [_bits(s) for s in sols[:6] + sols[7:]] == [_bits(s) for s in batched[:6] + batched[7:]]
-    _assert_certified(mats, sols)
-
-
-def test_solve_games_fall_back_when_a_batch_fails(monkeypatch):
-    mats = _mixed_shapes()
-    real_col_lp, real_solve = mg._col_lp, mg.solve_zero_sum
-    solved = []
-
-    def failing_col_lp(blocks):
-        res = real_col_lp(blocks)
-        if len(blocks) > 1:
-            res.status = 4
-        return res
-
-    def spy_solve(A):
-        solved.append(A)
-        return real_solve(A)
-
-    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
-    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve)
-    sols = mg.solve_games(mats)
-    assert len(solved) == len(mats)
-    assert all(A is B for A, B in zip(solved, mats))
-    _assert_certified(mats, sols)
-    for A, sol in zip(mats, sols):
-        assert abs(sol.value - real_solve(A).value) <= 1e-9 * np.abs(A).max()
 
 
 def test_solve_zero_sum_falls_back_to_row_lp(monkeypatch):
@@ -301,10 +251,23 @@ def test_solve_zero_sum_falls_back_to_row_lp(monkeypatch):
     _assert_certified([A], [sol])
 
 
+def test_solve_zero_sum_raises_when_the_column_lp_fails(monkeypatch):
+    real_col_lp = mg._col_lp
+
+    def failing_col_lp(A):
+        res = real_col_lp(A)
+        res.status, res.message = 4, "numerical difficulties"
+        return res
+
+    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
+    with pytest.raises(hs.SolverError, match="column LP failed: numerical difficulties"):
+        hs.solve_zero_sum(_mixed_shapes()[3])
+
+
 def _lp_bound_stacks(inst, t, c):
     """For each start location, the stack of its reveal-stage subgames (one
     per prefix) that no pure saddle closes: the games feedback_matrix leaves
-    to game_values."""
+    to solve_games."""
     rs = hs.enumerate_routes(inst.n)
     A = hs.base_matrix(inst, rs)
     first = np.arange(0, rs.m, hs.prefix_block(rs, t))
@@ -315,10 +278,12 @@ def _lp_bound_stacks(inst, t, c):
 
 
 def _assert_values_match_full_lp(S):
-    values = mg.game_values(S)
-    assert values.shape == (len(S),)
+    G, m, k = S.shape
+    values, y, z = mg.solve_games(S)
+    assert (values.shape, y.shape, z.shape) == ((G,), (G, m), (G, k))
     scale = np.abs(S).max(axis=(1, 2)) if len(S) else 0.0
     assert (np.abs(values - full_lp_values(S)) <= 1e-12 * scale).all()
+    _assert_certified(S, _solutions(values, y, z))
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
@@ -345,36 +310,37 @@ def test_game_values_of_short_stacks_are_the_full_lp_values():
     for m in (1, 2, 17, 48):
         S = rng.uniform(-4, 4, size=(5, m, 4))
         tol = 1e-12 * np.abs(S).max(axis=(1, 2))
-        assert (np.abs(mg.game_values(S) - full_lp_values(S)) <= tol).all()
+        assert (np.abs(mg.solve_games(S)[0] - full_lp_values(S)) <= tol).all()
 
 
 def test_game_values_of_an_empty_stack():
-    for shape in ((0, 720, 6), (0, 3, 2)):
-        values = mg.game_values(np.empty(shape))
-        assert values.shape == (0,) and values.dtype == float
+    for G, m, k in ((0, 720, 6), (0, 3, 2)):
+        values, y, z = mg.solve_games(np.empty((G, m, k)))
+        assert (values.shape, y.shape, z.shape) == ((0,), (0, m), (0, k))
+        assert values.dtype == y.dtype == z.dtype == float
 
 
 def test_game_values_validate_the_stack():
     with pytest.raises(ValueError, match="stack"):
-        mg.game_values(np.zeros((3, 4)))
+        mg.solve_games(np.zeros((3, 4)))
     with pytest.raises(ValueError, match="degenerate"):
-        mg.game_values(np.zeros((2, 0, 3)))
+        mg.solve_games(np.zeros((2, 0, 3)))
     S = np.zeros((2, 60, 3))
     S[1, 59, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        mg.game_values(S)
+        mg.solve_games(S)
 
 
-def _spy_solve_games(monkeypatch):
-    """The games game_values passes to solve_games, one list per call."""
-    real_solve_games = mg.solve_games
+def _spy_solve_zero_sum(monkeypatch):
+    """The games solve_games passes to solve_zero_sum, one per call."""
+    real_solve_zero_sum = mg.solve_zero_sum
     alone = []
 
-    def spy_solve_games(mats):
-        alone.append(mats)
-        return real_solve_games(mats)
+    def spy_solve_zero_sum(A):
+        alone.append(A)
+        return real_solve_zero_sum(A)
 
-    monkeypatch.setattr(mg, "solve_games", spy_solve_games)
+    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve_zero_sum)
     return alone
 
 
@@ -390,13 +356,14 @@ def test_game_values_certify_against_the_full_matrix(monkeypatch):
         return row_gap, col_gap
 
     monkeypatch.setattr(mg, "_stack_gaps", spy_stack_gaps)
-    values = mg.game_values(S)
-    # each game's last certificate, the one it closed on, is the value
+    values, ys, zs = mg.solve_games(S)
+    # each game's last certificate, the one it closed on, is the solution
     # returned, against the full matrix, within GAP_TOL both ways
     assert sorted(solution) == list(range(len(S)))
     for g, (A, y, z, v, row_gap, col_gap) in solution.items():
         assert A.shape == S.shape[1:] and np.array_equal(A, S[g])
         assert v == values[g] and max(row_gap, col_gap) <= mg.GAP_TOL
+        assert np.array_equal(y, ys[g]) and np.array_equal(z, zs[g])
         sol = mg.GameSolution(v, hs.MixedStrategy(y), hs.MixedStrategy(z), row_gap, col_gap)
         assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
 
@@ -406,21 +373,21 @@ def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
     real_stack_gaps = mg._stack_gaps
 
     def slack_on_full_matrix(stack, y, z, v, games):
-        # every full-matrix column gap is slack, also once solve_games has
-        # solved the games again
+        # every full-matrix column gap is slack, also once solve_zero_sum
+        # has solved the games again
         row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
         return row_gap, np.ones_like(col_gap)
 
     monkeypatch.setattr(mg, "_stack_gaps", slack_on_full_matrix)
-    alone = _spy_solve_games(monkeypatch)
+    alone = _spy_solve_zero_sum(monkeypatch)
     with pytest.raises(hs.SolverError, match="certification"):
-        mg.game_values(S)
-    assert [len(mats) for mats in alone] == [1, 1, 1]
+        mg.solve_games(S)
+    assert len(alone) == 3
 
 
 def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
     S = np.random.default_rng(83).uniform(-4, 4, size=(4, 300, 5))
-    expect = mg.game_values(S)
+    expect = mg.solve_games(S)[0]
     real_stack_gaps = mg._stack_gaps
     first = []
 
@@ -432,18 +399,18 @@ def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
         return row_gap, col_gap
 
     monkeypatch.setattr(mg, "_stack_gaps", slack_first_game)
-    alone = _spy_solve_games(monkeypatch)
-    values = mg.game_values(S)
+    alone = _spy_solve_zero_sum(monkeypatch)
+    values = mg.solve_games(S)[0]
     np.testing.assert_array_equal(first[0], np.arange(4))  # every game certified at once
-    assert len(alone) == 1 and len(alone[0]) == 1
-    np.testing.assert_array_equal(alone[0][0], S[0])  # game 0, its full matrix
+    assert len(alone) == 1
+    np.testing.assert_array_equal(alone[0], S[0])  # game 0, its full matrix
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
 def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
     # one singular basis in the batched inverse fails its own game only
     S = np.random.default_rng(89).uniform(-4, 4, size=(6, 300, 5))
-    expect = mg.game_values(S)
+    expect = mg.solve_games(S)[0]
     real_inverses = mg._inverses
     singular = []
 
@@ -455,10 +422,10 @@ def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", singular_second_game)
-    alone = _spy_solve_games(monkeypatch)
-    values = mg.game_values(S)
-    assert [len(mats) for mats in alone] == [1]
-    np.testing.assert_array_equal(alone[0][0], S[1])
+    alone = _spy_solve_zero_sum(monkeypatch)
+    values = mg.solve_games(S)[0]
+    assert len(alone) == 1
+    np.testing.assert_array_equal(alone[0], S[1])
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
@@ -483,8 +450,8 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", spy_inverses)
-    alone = _spy_solve_games(monkeypatch)
-    values = mg.game_values(S)
+    alone = _spy_solve_zero_sum(monkeypatch)
+    values = mg.solve_games(S)[0]
     assert alone == [] and 1 < len(bases) <= mg._MAX_PIVOTS + 1
     for B in bases:
         for b in B:
@@ -493,14 +460,15 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
 
 
 def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
+    # games the simplex leaves open go to solve_zero_sum, one at a time
     S = np.random.default_rng(97).uniform(-4, 4, size=(3, 200, 5))
     S[2] = np.arange(5.0)  # a constant-column game closes at its start
     monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)
-    alone = _spy_solve_games(monkeypatch)
-    values = mg.game_values(S)
-    assert [len(mats) for mats in alone] == [1, 1]
-    np.testing.assert_array_equal(alone[0][0], S[0])
-    np.testing.assert_array_equal(alone[1][0], S[1])
+    alone = _spy_solve_zero_sum(monkeypatch)
+    values = mg.solve_games(S)[0]
+    assert len(alone) == 2
+    np.testing.assert_array_equal(alone[0], S[0])
+    np.testing.assert_array_equal(alone[1], S[1])
     np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=1e-12 * np.abs(S).max())
 
 
@@ -511,7 +479,7 @@ def test_game_values_raise_when_solve_games_cannot_certify_either(monkeypatch):
     monkeypatch.setattr(mg, "_gaps", lambda A, y, z, value: (1.0, real_gaps(A, y, z, value)[1]))
     monkeypatch.setattr(mg, "_row_lp", lambda A: np.full(len(A), 1.0 / len(A)))
     with pytest.raises(hs.SolverError, match="certification"):
-        mg.game_values(S)
+        mg.solve_games(S)
 
 
 # hsbench.workloads.make_instance(7, 2), whose LP-bound reveal-stage subgames
@@ -521,15 +489,15 @@ CYCLING_7 = ((0.986, 2.46), [(1.931, 0.347), (1.787, 3.692), (4.585, 4.257), (2.
 
 
 def _feedback_stacks(inst, t, c, monkeypatch):
-    """The stacks feedback_matrix hands to game_values, in order."""
-    real_game_values = hs.payoff.game_values
+    """The stacks feedback_matrix hands to solve_games, in order."""
+    real_solve_games = hs.payoff.solve_games
     stacks = []
 
-    def spy_game_values(S):
+    def spy_solve_games(S):
         stacks.append(S)
-        return real_game_values(S)
+        return real_solve_games(S)
 
-    monkeypatch.setattr(hs.payoff, "game_values", spy_game_values)
+    monkeypatch.setattr(hs.payoff, "solve_games", spy_solve_games)
     rs = hs.enumerate_routes(inst.n)
     hs.feedback_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(t, c))
     monkeypatch.undo()
@@ -558,13 +526,13 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
     assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
     assert abs(v[0] - expect) <= 1e-12 * np.abs(A).max()
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 16)
-    np.testing.assert_allclose(mg.game_values(A[None]), [expect], rtol=0, atol=1e-12 * np.abs(A).max())
+    np.testing.assert_allclose(mg.solve_games(A[None])[0], [expect], rtol=0, atol=1e-12 * np.abs(A).max())
 
 
 @pytest.mark.parametrize("factor", [2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20])
 def test_game_values_scale_with_the_matrix(factor, monkeypatch):
     # the simplex works on each game divided by its max|A|: no game leaves
-    # it for solve_games at any scale, and a power of two changes no pivot
+    # it for solve_zero_sum at any scale, and a power of two changes no pivot
     # and no bit of the values
     inst = random_instance(np.random.default_rng(4), 6)
     real_inverses = mg._inverses
@@ -575,15 +543,15 @@ def test_game_values_scale_with_the_matrix(factor, monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", spy_inverses)
-    alone = _spy_solve_games(monkeypatch)
+    alone = _spy_solve_zero_sum(monkeypatch)
     exact = np.log2(factor).is_integer()
     for t in (1, 2, 3):
         for S in _lp_bound_stacks(inst, t, 0.5):
             bases.clear()
-            values = mg.game_values(S)
+            values = mg.solve_games(S)[0]
             pivots = bases.copy()
             bases.clear()
-            scaled = mg.game_values(factor * S)
+            scaled = mg.solve_games(factor * S)[0]
             np.testing.assert_allclose(scaled, factor * values, rtol=0 if exact else 1e-12, atol=0)
             assert bases == pivots or not exact
     assert alone == []
@@ -623,8 +591,9 @@ def test_every_lp_runs_without_presolve(monkeypatch, demo3):
         return real_linprog(*args, **kwargs)
 
     monkeypatch.setattr(mg, "linprog", spying_linprog)
-    mg.solve_games(_mixed_shapes())
-    mg.game_values(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
+    for A in _mixed_shapes():
+        mg.solve_zero_sum(A)
+    mg.solve_games(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
     mg._row_lp(np.array([[1.0, 3.0], [4.0, 2.0]]))
     hs.sweep(demo3, c_grid=[0.0, 1.0])
     assert len(options) > 4
@@ -632,9 +601,9 @@ def test_every_lp_runs_without_presolve(monkeypatch, demo3):
 
 
 def _presolve_reducible():
-    """Games HiGHS's presolve can shrink, tall enough that game_values
-    generates rows: duplicate rows, duplicate columns, both, and a constant
-    matrix."""
+    """Games HiGHS's presolve can shrink, tall enough that solve_games'
+    simplex pivots rows in: duplicate rows, duplicate columns, both, and a
+    constant matrix."""
     base = np.random.default_rng(83).uniform(0, 4, size=(60, 4))
     return {
         "duplicate_rows": np.repeat(base, 3, axis=0),
@@ -645,14 +614,13 @@ def _presolve_reducible():
 
 
 def _assert_values_certify(S):
-    """solve_games and game_values certify every game of the stack S to
+    """solve_zero_sum and solve_games certify every game of the stack S to
     GAP_TOL, and agree with presolved HiGHS on its value."""
-    sols = mg.solve_games(S)
-    _assert_certified(S, sols)
     expect = [presolved_value(A) for A in S]
     tol = 1e-9 * np.abs(S).max()
-    np.testing.assert_allclose([sol.value for sol in sols], expect, rtol=0, atol=tol)
-    np.testing.assert_allclose(mg.game_values(S), expect, rtol=0, atol=tol)
+    for sols in ([mg.solve_zero_sum(A) for A in S], _solve_by_shape(list(S))):
+        _assert_certified(S, sols)
+        np.testing.assert_allclose([sol.value for sol in sols], expect, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("name", sorted(_presolve_reducible()))

@@ -3,6 +3,7 @@ off-equilibrium playout means, and fast-path agreement on real subgames and
 on degenerate tall games."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
 from oracles import csv_cell, fixed_cell, full_lp_values, game_value, lift, prefixes, unvisited_after
+
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
 
 def degenerate_instance(rng, n):
@@ -127,6 +130,30 @@ def test_games_nonincreasing_in_cost(data, n, seed):
         assert hs.solve_zero_sum(dear).value <= hs.solve_zero_sum(cheap).value + tol, (
             build.__name__, mode
         )
+
+
+def _scaled(inst, lam):
+    """inst with every coordinate multiplied by lam."""
+    return hs.make_instance(
+        (lam * inst.origin.x, lam * inst.origin.y), [(lam * p.x, lam * p.y) for p in inst.locations]
+    )
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+@pytest.mark.parametrize("convention", ["total", "remaining"])
+def test_sweep_switch_values_scale_with_the_instance(name, convention):
+    # the switch values are found relative to each game's max|A|, so a
+    # tiny unit of length leaves them exact; v_fb is left out, since its
+    # saddle scan's tolerance is absolute
+    lam = 1e-8
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rows = hs.sweep(inst, convention=convention)
+    costs = [lam * r.c for r in rows if r.t_reveal == rows[0].t_reveal]
+    tiny = hs.sweep(_scaled(inst, lam), c_grid=costs, convention=convention)
+    expect = np.array([lam * r.v_switch for r in rows])
+    got = np.array([r.v_switch for r in tiny])
+    assert (np.abs(got - expect) <= 1e-12 * np.abs(expect)).all()
+
 
 def test_switch_equals_base_at_last_reveal():
     rng = np.random.default_rng(227)
@@ -296,7 +323,7 @@ def test_game_values_match_the_full_lp_on_degenerate_tall_games(data, games, m, 
     S = pool[:, rng.integers(0, pool_rows, size=m)]
     if data.draw(st.booleans(), label="constant column"):
         S[:, :, rng.integers(k)] = float(rng.integers(0, levels)) * scale
-    values = hs.game_values(S)
+    values = hs.solve_games(S)[0]
     assert values.shape == (games,)
     tol = 1e-12 * np.abs(S).max(axis=(1, 2)) if games else 0.0
     assert (np.abs(values - full_lp_values(S)) <= tol).all()

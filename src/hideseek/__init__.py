@@ -36,10 +36,8 @@ from .payoff import (
 from .matrixgame import (
     GameSolution,
     Lemma1Report,
-    MixedStrategy,
     PureSaddle,
     SolverError,
-    best_response_gap,
     check_lemma1,
     find_pure_saddle,
     solve_games,

@@ -117,7 +117,7 @@ def cmd_solve(args, out) -> int:
         _check_cost(c, "--cost")
     matrix = _model_matrix(inst, rs, args.model, t, c, args.convention, args.feedback_mode)
     sol = solve_zero_sum(matrix)
-    y, z = sol.row_strategy.weights, sol.col_strategy.weights
+    y, z = sol.row_strategy, sol.col_strategy
     # label only the rows that print: row h of the feedback game is the
     # prefix of route h * (n-t)!, every other row is a route
     rows, cols = np.flatnonzero(y > 1e-9), np.flatnonzero(z > 1e-9)

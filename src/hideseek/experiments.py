@@ -20,8 +20,8 @@ from .matrixgame import check_cost, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
+    _prefix_gap,
     base_matrix,
-    entrywise_gap,
     feedback_matrix,
     subgame_matrix,
     switch_matrix,
@@ -108,9 +108,11 @@ def sweep(
     The game shapes depend on t and not on c, so each reveal time solves
     its distinct costs together: the stack of switch games in one
     solve_games call, whose Hider mixes expected_voi reads, the feedback
-    matrices in one feedback_matrix call, and the feedback values, the only
-    part of that game printed, in one more solve_games call. Only the base
-    game goes to an LP. From n = 7 on, the costs go in chunks
+    matrices in one feedback_matrix call, the feedback values, the only
+    part of that game printed, in one more solve_games call, and every
+    delta in one reduction over both stacks. The base game goes to
+    solve_games as well, so a sweep makes no LP call. From n = 7 on, the
+    costs go in chunks
     (_cost_chunks): a switch game there is large enough to fill the
     simplex's batched numpy calls on its own, so more at once only takes
     memory.
@@ -128,7 +130,7 @@ def sweep(
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ValueError("empty cost grid")
-    v_base = solve_zero_sum(A).value
+    v_base = solve_games(A[None])[0][0]
     cg_inf = {t: cstar_global(cstar(A, rs, t, "infoset")) for t in t_list}
 
     rows = []
@@ -139,9 +141,10 @@ def sweep(
             As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
             Fs = feedback_matrix(A, rs, cfgs)
             v_sw, _, z_sw = solve_games(As)
-            for c, S, v_switch, z, F, v_fb in zip(costs, As, v_sw, z_sw, Fs, solve_games(Fs)[0]):
+            v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As, Fs).max(axis=(1, 2, 3))
+            for c, S, v_switch, z, v_fb, delta in zip(costs, As, v_sw, z_sw, v_fbs, deltas):
                 bar = worst_case_voi(voi_matrix(S, rs, t))
-                cells[c] = (v_switch, v_fb, expected_voi(bar, z), entrywise_gap(S, F)[1])
+                cells[c] = (v_switch, v_fb, expected_voi(bar, z), delta)
         for c in c_grid:
             v_switch, v_fb, ev, delta = cells[c]
             rows.append(
@@ -365,7 +368,7 @@ def simulate(
             y, z = (np.arange(block) == S[:, stay].argmin()).astype(float), stay.astype(float)
         else:
             sol = solve_zero_sum(S)
-            y, z = sol.row_strategy.weights, sol.col_strategy.weights
+            y, z = sol.row_strategy, sol.col_strategy
         return _support(y, h * block + np.arange(block)), _support(z, targets)
 
     y_draw, z_draw = _support(y, np.arange(len(y))), _support(z, np.arange(n))

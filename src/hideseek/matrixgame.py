@@ -2,15 +2,16 @@
 
 Throughout, the row player minimizes and the column player maximizes, so a
 pure saddle point is a cell that is the maximum of its row and the minimum
-of its column. Equilibria are computed by linear programming on the column
-player (N variables, M constraints; these games are extremely tall) with the
-row strategy recovered from the constraint duals. A stack of same-shape
-games goes to solve_games, which finds every game's value and both mixes
-with no LP call, by a primal simplex on every game's Seeker LP (k+1
-constraints) that pivots the whole stack in lockstep. solve_zero_sum is the
-single-game HiGHS path, for the solves whose printed mix is HiGHS's vertex.
-Solutions are certified by best-response gaps against the full matrix
-rather than by trusting the solver.
+of its column. Two solvers find equilibria, and each is the other's
+fallback. solve_games takes a stack of same-shape games and finds every
+game's value and both mixes with no LP call, by a primal simplex on every
+game's Seeker LP (k+1 constraints) that pivots the whole stack in lockstep.
+solve_zero_sum is the single-game HiGHS path, for the solves whose printed
+mix is HiGHS's vertex: a linear program on the column player (N variables,
+M constraints; these games are extremely tall) with the row strategy
+recovered from the constraint duals. Both certify through one helper,
+_certify, by best-response gaps against the full matrix rather than by
+trusting the solver, and a game that fails goes once to the other solver.
 
 HiGHS runs its dual simplex without presolve. Every row of these games is
 dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing (HiGHS
@@ -19,7 +20,7 @@ logs "Presolve reductions: rows 40321(-0); columns 9(-0); nonzeros
 without it, and on the base game presolve takes about as long as the
 simplex. Where presolve could shrink a game (duplicate rows or columns, a
 restricted game at c = 0), the simplex solves the whole LP, and its
-solution is certified to GAP_TOL like any other.
+solution is certified like any other.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from scipy.optimize import linprog
 
 from .routes import check_reveal_time
 
+# A solution certifies when both of its best-response gaps are within
+# GAP_TOL times its game's max|A|; the gaps it reports stay absolute.
 GAP_TOL = 1e-6
 SADDLE_TOL = 1e-9
 # solve_games' simplex: reduced costs and ties within _RC_TOL (times
 # max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game turns
 # to Bland's rule after _STALL_PIVOTS zero-step pivots in a row, and one
-# still open after _MAX_PIVOTS pivots is solved by solve_zero_sum instead.
+# still open after _MAX_PIVOTS pivots is solved by HiGHS instead.
 _RC_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _STALL_PIVOTS = 16
@@ -56,30 +59,9 @@ def check_cost(c: float) -> None:
         raise ValueError(f"switching cost must be finite and >= 0, got {c}")
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
-    """A probability vector over a finite action set."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if not np.isfinite(w).all():
-            raise ValueError(f"strategy weights must be finite, got {w}")
-        if (w < -1e-12).any():
-            raise ValueError(f"negative strategy weight: {w.min()}")
-        w = np.maximum(w, 0.0)
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"strategy weights sum to {w.sum()}, not 1")
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def simplex_weights(strategy, size: int, name: str) -> np.ndarray:
-    """Validate a MixedStrategy or raw vector against the size-simplex."""
-    w = strategy.weights if isinstance(strategy, MixedStrategy) else np.asarray(strategy, dtype=float)
+def simplex_weights(w, size: int, name: str) -> np.ndarray:
+    """Validate a vector against the size-simplex; round-off below 0 is clipped."""
+    w = np.asarray(w, dtype=float)
     if w.shape != (size,):
         raise ValueError(f"{name} has shape {w.shape}, expected ({size},)")
     with np.errstate(over="ignore"):  # an overflowing sum is off the simplex too
@@ -91,9 +73,12 @@ def simplex_weights(strategy, size: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GameSolution:
+    """One game's value, Seeker (row) and Hider (column) mixes, and the
+    absolute best-response gaps they certified with."""
+
     value: float
-    row_strategy: MixedStrategy
-    col_strategy: MixedStrategy
+    row_strategy: np.ndarray
+    col_strategy: np.ndarray
     row_gap: float
     col_gap: float
 
@@ -133,85 +118,73 @@ def _col_lp(A: np.ndarray):
     )
 
 
-def _row_lp(A: np.ndarray) -> np.ndarray:
-    """The y that minimizes w subject to A^T y <= w, sum y = 1, y >= 0."""
-    m, n = A.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([A.T, -np.ones((n, 1))])
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.zeros(n),
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status != 0:
-        raise SolverError(f"row LP failed: {res.message}")
-    return res.x[:m]
+def _highs(S, scale):
+    """Each game of the stack S by HiGHS's column LP, one call per game:
+    values, Seeker mixes from the inequality duals and Hider mixes, as
+    _simplex returns them. HiGHS takes the games unscaled, so scale is
+    unused; it is there so that either solver can stand in for the other.
+    Raises SolverError if an LP fails."""
+    G, m, k = S.shape
+    v, y, z = np.empty(G), np.empty((G, m)), np.empty((G, k))
+    for g, A in enumerate(S):
+        res = _col_lp(A)
+        if res.status != 0:
+            raise SolverError(f"column LP failed: {res.message}")
+        v[g], y[g], z[g] = res.x[-1], -res.ineqlin.marginals, res.x[:-1]
+    return v, y, z
 
 
-def _clean(w: np.ndarray) -> np.ndarray:
-    w = np.maximum(np.asarray(w, dtype=float), 0.0)
-    s = w.sum()
-    if s <= 0:
-        raise SolverError("degenerate strategy weights from LP")
-    return w / s
+def _certify(S, scale, v, y, z):
+    """Certify the solutions (v[g], y[g], z[g]) of the games S[g] of a stack.
+
+    Each mix is clipped at 0 and normalised to sum 1; a mix of no weight
+    turns NaN, and its game fails. Both best-response gaps are taken against
+    the whole matrices, each by one matmul over the stack, so no copy of it
+    is made. Returns the clean mixes, the gaps and which games certify:
+    both gaps within GAP_TOL times the game's max|A|, scale[g].
+    """
+    y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
+    with np.errstate(invalid="ignore"):
+        y /= y.sum(axis=1, keepdims=True)
+        z /= z.sum(axis=1, keepdims=True)
+    row_gap = (y[:, None, :] @ S)[:, 0].max(axis=1) - v
+    col_gap = v - (S @ z[:, :, None])[:, :, 0].min(axis=1)
+    return y, z, row_gap, col_gap, np.maximum(row_gap, col_gap) <= GAP_TOL * scale
 
 
-def _gaps(A: np.ndarray, y: np.ndarray, z: np.ndarray, value: float):
-    row_gap = float((y @ A).max() - value)
-    col_gap = float(value - (A @ z).min())
-    return row_gap, col_gap
-
-
-def _certified(A: np.ndarray, y, z, value: float) -> GameSolution:
-    """The solution (y, z, value) of A, or SolverError if its best-response
-    gaps exceed GAP_TOL."""
-    y, z = _clean(y), _clean(z)
-    row_gap, col_gap = _gaps(A, y, z, value)
-    if max(row_gap, col_gap) > GAP_TOL:
-        raise SolverError(
-            f"solution failed certification: row_gap={row_gap:.3e}, col_gap={col_gap:.3e}"
-        )
-    return GameSolution(value, MixedStrategy(y), MixedStrategy(z), row_gap, col_gap)
+def _solve(S, scale, first, second):
+    """Solve the stack S, of max|A| scale, by the solver first, and every
+    game whose certificate is slack once more by second. Returns the
+    values, the clean mixes and the gaps; raises SolverError if a game is
+    slack under both."""
+    v, y, z = first(S, scale)
+    y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
+    if not ok.all():
+        g = np.flatnonzero(~ok)
+        v[g], y[g], z[g] = second(S[g], scale[g])
+        y[g], z[g], row_gap[g], col_gap[g], ok[g] = _certify(S[g], scale[g], v[g], y[g], z[g])
+        if not ok.all():
+            j = np.flatnonzero(~ok)[0]
+            raise SolverError(
+                f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
+            )
+    return v, y, z, row_gap, col_gap
 
 
 def solve_zero_sum(A) -> GameSolution:
     """Equilibrium value and certified mixed strategies of one zero-sum game.
 
-    The value and column strategy come from the column LP, the row strategy
-    from its inequality duals. A slack certificate (degenerate bases
-    occasionally produce one) falls back to the explicit row LP. Raises
-    SolverError if the LP fails or the game does not certify to GAP_TOL.
+    The value and column strategy come from HiGHS's column LP, the row
+    strategy from its inequality duals. A slack certificate (degenerate
+    bases occasionally produce one, and HiGHS's absolute tolerances do on a
+    game in tiny units) sends the game to solve_games' simplex. Raises
+    SolverError if the LP fails or neither solver certifies the game.
     """
     A = np.asarray(A, dtype=float)
     _validate_matrix(A)
-    res = _col_lp(A)
-    if res.status != 0:
-        raise SolverError(f"column LP failed: {res.message}")
-    z, value = res.x[:-1], float(res.x[-1])
-    try:
-        return _certified(A, -res.ineqlin.marginals, z, value)
-    except SolverError:
-        return _certified(A, _row_lp(A), z, value)
-
-
-def _stack_gaps(S, y, z, v, games):
-    """Best-response gaps of the solutions (y[g], z[g], v[g]) to the games
-    S[g] of a stack, for g in games, against the whole matrices.
-
-    One einsum for the row gaps and one for the column gaps, each over the
-    whole stack, so no copy of it is made.
-    """
-    row_gap = np.einsum("gm,gmk->gk", y, S)[games].max(axis=1) - v[games]
-    col_gap = v[games] - np.einsum("gmk,gk->gm", S, z)[games].min(axis=1)
-    return row_gap, col_gap
+    S = A[None]
+    v, y, z, row_gap, col_gap = _solve(S, np.abs(S).max(axis=(1, 2)), _highs, _simplex)
+    return GameSolution(float(v[0]), y[0], z[0], float(row_gap[0]), float(col_gap[0]))
 
 
 def _inverses(B):
@@ -233,21 +206,23 @@ def _simplex(S, scale):
     """Lockstep revised primal simplex on the Seeker LP of every game of the
     stack S, shape (G, m, k): min w subject to S^T y <= w, sum y = 1, y >= 0.
 
-    Each game is scaled by scale[g] > 0. Its variables are numbered rows
-    0..m-1, slacks m..m+k-1 and w m+k; its basis holds k+1 of them, with the
-    free w always at position k, so c_B = b = e_k. One inverse of every basis
-    per pivot gives the duals pi (its row k), whose Hider mix is z = -pi[:k]
-    and value v = pi[k], and the basic values (its column k). The reduced
-    costs are S z - v for the rows, one matmul over the stack, and z for the
-    slacks. The most negative one enters (Dantzig), or the first negative one
-    once a game has made _STALL_PIVOTS zero-step pivots in a row (Bland). The
-    ratio test skips w. A game closes once no reduced cost is below -1e-12
-    (times max|A|, by the scaling). Returns each game's value, Seeker mix and
+    Each game is divided by its max|A|, scale[g] (an all-zero game by 1).
+    Its variables are numbered rows 0..m-1, slacks m..m+k-1 and w m+k; its
+    basis holds k+1 of them, with the free w always at position k, so
+    c_B = b = e_k. One inverse of every basis per pivot gives the duals pi
+    (its row k), whose Hider mix is z = -pi[:k] and value v = pi[k], and the
+    basic values (its column k). The reduced costs are S z - v for the rows,
+    one matmul over the stack, and z for the slacks. The most negative one
+    enters (Dantzig), or the first negative one once a game has made
+    _STALL_PIVOTS zero-step pivots in a row (Bland). The ratio test skips w.
+    A game closes once no reduced cost is below -1e-12 (times max|A|, by the
+    scaling). Returns each game's value, Seeker mix and
     Hider mix, uncleaned; a game left open by a singular basis, an unbounded
     ratio test or the pivot cap has value NaN and Seeker mix 0.
     """
     G, m, k = S.shape
     games, cols = np.arange(G), np.arange(k)
+    scale = np.where(scale > 0, scale, 1.0)
     # start at the row of least row maximum, every slack basic but its argmax's
     r0 = S.max(axis=2).argmin(axis=1)
     j0 = S[games, r0].argmax(axis=1)
@@ -309,13 +284,10 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every game's Seeker LP (k+1 constraints) is solved by a lockstep primal
     simplex over the whole stack (_simplex): one row enters per pivot, as
     in row generation, and all the games pivot together in a few batched
-    numpy calls, with no LP built. Each closed game is certified against
-    its full matrix, with the Seeker mix read from its basis and the Hider
-    mix from its duals: both best-response gaps over the whole stack are
-    two einsums. A game the simplex could not close, or whose gaps exceed
-    GAP_TOL, is solved again by solve_zero_sum (then the row LP) and
-    certified once more. Raises SolverError if a game does not certify to
-    GAP_TOL.
+    numpy calls, with no LP built. The Seeker mixes are read from the bases
+    and the Hider mixes from the duals. A game the simplex could not close,
+    or whose certificate is slack, is solved again by HiGHS's column LP.
+    Raises SolverError if a game does not certify either way.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
@@ -327,37 +299,7 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("matrix has non-finite entries")
-    scale = np.maximum(hi, -lo)  # max|A|
-    v, y, z = _simplex(S, np.where(scale > 0, scale, 1.0))
-    # _clean, game by game; a mix of no weight turns NaN, and its game slack
-    y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
-    with np.errstate(invalid="ignore"):
-        y /= y.sum(axis=1, keepdims=True)
-        z /= z.sum(axis=1, keepdims=True)
-    row_gap, col_gap = _stack_gaps(S, y, z, v, np.arange(G))
-    redo = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
-    if len(redo):
-        for g in redo.tolist():
-            sol = solve_zero_sum(S[g])
-            v[g], y[g], z[g] = sol.value, sol.row_strategy.weights, sol.col_strategy.weights
-        row_gap, col_gap = _stack_gaps(S, y, z, v, redo)
-        bad = np.flatnonzero(~(np.maximum(row_gap, col_gap) <= GAP_TOL))
-        if len(bad):
-            j = bad[0]
-            raise SolverError(
-                f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
-            )
-    return v, y, z
-
-
-def best_response_gap(A, sol: GameSolution) -> tuple[float, float]:
-    """Recompute certification gaps from scratch, independent of the solver."""
-    A = np.asarray(A, dtype=float)
-    y = sol.row_strategy.weights
-    z = sol.col_strategy.weights
-    if len(y) != A.shape[0] or len(z) != A.shape[1]:
-        raise ValueError("strategy dimensions do not match the matrix")
-    return _gaps(A, y, z, sol.value)
+    return _solve(S, np.maximum(hi, -lo), _simplex, _highs)[:3]
 
 
 def _saddle_mask(A: np.ndarray, tol: float = SADDLE_TOL) -> np.ndarray:

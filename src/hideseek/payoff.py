@@ -205,6 +205,18 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     return F[0] if one else F
 
 
+def _prefix_gap(As: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """|As - F| in the prefix-block layout, shape (..., rows, (n-t)!, n):
+    each prefix row of F against the routes of its block in As. Takes one
+    matrix pair or a stack of them; ValueError if the shapes do not pair."""
+    (m, n), (rows, cols) = As.shape[-2:], F.shape[-2:]
+    blocks = {math.factorial(n - t) for t in range(1, n)}
+    paired = As.shape[:-2] == F.shape[:-2] and n == cols and m == math.factorial(n)
+    if not (paired and rows and m % rows == 0 and m // rows in blocks):
+        raise ValueError(f"shape mismatch: {As.shape} vs {F.shape}")
+    return np.abs(As.reshape(*As.shape[:-2], rows, -1, n) - F[..., None, :])
+
+
 def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
     """Absolute switch-vs-feedback difference, its maximum, and the argmax cells.
 
@@ -214,11 +226,7 @@ def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, lis
     route-indexed like As. Cells are 0-based (route, location-1) pairs
     within 1e-9 of the maximum.
     """
-    (m, n), (rows, cols) = As.shape, F.shape
-    blocks = {math.factorial(n - t) for t in range(1, n)}
-    if n != cols or m != math.factorial(n) or not rows or m % rows or m // rows not in blocks:
-        raise ValueError(f"shape mismatch: {As.shape} vs {F.shape}")
-    G = np.abs(As.reshape(rows, -1, n) - F[:, None, :]).reshape(m, n)
+    G = _prefix_gap(As, F).reshape(As.shape)
     delta = float(G.max())
     cells = list(map(tuple, np.argwhere(G >= delta - 1e-9).tolist()))
     return G, delta, cells

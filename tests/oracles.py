@@ -1,8 +1,9 @@
 """Reference implementations that the package's faster paths are checked
 against: per-prefix and per-route loops the package vectorises, an
 independent closed form for small reveal-stage subgames, full-LP game
-values (and the same LP through HiGHS's default presolve), and the
-cell-by-cell formatters the one-row writers replaced."""
+values (and the same LP through HiGHS's default presolve), a recompute of a
+solution's best-response gaps, and the cell-by-cell formatters the one-row
+writers replaced."""
 
 import functools
 import itertools
@@ -129,10 +130,25 @@ def game_value(A):
 
 
 def full_lp_values(S):
-    """Each game's value from one HiGHS column LP over all its rows, one
-    solve_zero_sum per game: the reference that solve_games' simplex is
-    checked against."""
-    return np.array([hs.solve_zero_sum(A).value for A in S])
+    """Each game's value from one HiGHS column LP over all its rows, with no
+    certificate and so no fallback to the simplex: the reference that
+    solve_games' simplex is checked against."""
+    values = []
+    for A in S:
+        res = hs.matrixgame._col_lp(A)
+        assert res.status == 0, res.message
+        values.append(res.x[-1])
+    return np.array(values)
+
+
+def best_response_gap(A, value, y, z):
+    """The certification gaps of the solution (value, y, z) of A, recomputed
+    from scratch, independent of the solver: how far the Hider's best reply
+    to y lies above the value, and the Seeker's best reply to z below it."""
+    A, y, z = (np.asarray(x, dtype=float) for x in (A, y, z))
+    if y.shape != A.shape[:1] or z.shape != A.shape[1:]:
+        raise ValueError("strategy dimensions do not match the matrix")
+    return float((y @ A).max() - value), float(value - (A @ z).min())
 
 
 def presolved_value(A):
@@ -336,8 +352,8 @@ def solve_text(model, sol, n, t, prec):
     return (
         f"model: {model}\nvalue: {fmt(sol.value, prec)}\n"
         f"row gap: {sol.row_gap:.3e}\ncol gap: {sol.col_gap:.3e}\n"
-        "seeker mix:\n" + "\n".join(strategy_lines(sol.row_strategy.weights, row_labels, prec)) + "\n"
-        "hider mix:\n" + "\n".join(strategy_lines(sol.col_strategy.weights, col_labels, prec)) + "\n"
+        "seeker mix:\n" + "\n".join(strategy_lines(sol.row_strategy, row_labels, prec)) + "\n"
+        "hider mix:\n" + "\n".join(strategy_lines(sol.col_strategy, col_labels, prec)) + "\n"
     )
 
 

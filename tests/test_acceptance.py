@@ -22,7 +22,7 @@ from hideseek.cli import main as cli_main
 
 import reference as ref
 from conftest import random_instance
-from oracles import lift
+from oracles import best_response_gap, lift
 
 
 @contextmanager
@@ -45,7 +45,7 @@ def test_c02_base_value(base3):
         sol = hs.solve_zero_sum(base3)
         assert abs(sol.value - ref.VALUE_BASE_3) <= 1e-3
         assert sol.row_gap <= 1e-6 and sol.col_gap <= 1e-6
-        recomputed = hs.best_response_gap(base3, sol)
+        recomputed = best_response_gap(base3, sol.value, sol.row_strategy, sol.col_strategy)
         assert max(recomputed) <= 1e-6
 
 

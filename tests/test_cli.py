@@ -321,6 +321,15 @@ def test_solver_failure_exits_4(capsys, three_sites_path, monkeypatch):
     assert "solver error" in err
 
 
+def test_a_game_slack_under_both_solvers_exits_4(capsys, three_sites_path, monkeypatch):
+    # no certificate passes a negative tolerance: HiGHS's solution fails,
+    # the simplex's fails too, and solve exits with a solver error
+    monkeypatch.setattr("hideseek.matrixgame.GAP_TOL", -1.0)
+    code, out, err = run_cli(capsys, "solve", three_sites_path, "--model", "base")
+    assert (code, out) == (4, "")
+    assert "solver error: solution failed certification" in err
+
+
 def test_solve_output_is_byte_stable(capsys, three_sites_path):
     argv = ["solve", three_sites_path, "--model", "restricted",
             "--t-reveal", "1", "--cost", "1"]

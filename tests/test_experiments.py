@@ -116,15 +116,15 @@ def test_sweep_matches_the_per_cell_oracle(name):
     assert hs.sweep_to_csv(rows) == hs.sweep_to_csv(sweep_cells(inst, c_grid=grid))
 
 
-# LP calls of the default-grid sweep of instances/six_sites.json: the base
-# game's alone; solving cell by cell takes 310
-SWEEP6_LP_CALLS = 1
+# LP calls of the default-grid sweep of instances/six_sites.json: none, as
+# the base game goes to solve_games too; solving cell by cell takes 310
+SWEEP6_LP_CALLS = 0
 
 
 def test_sweep_lp_calls_stay_bounded(monkeypatch):
-    # the six-site default-grid sweep solves the base game by LP; the
-    # switch games and the feedback subgames and values of every (t, c)
-    # cell go to solve_games' simplex
+    # the six-site default-grid sweep solves the base game, the switch games
+    # and the feedback subgames and values of every (t, c) cell by
+    # solve_games' simplex
     inst = hs.load_instance(INSTANCES / "six_sites.json")
     calls = []
     real_linprog = hs.matrixgame.linprog
@@ -318,7 +318,7 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     cfg = hs.SwitchConfig(2, 0.5)
     game = {"base": A, "restricted": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
     sol = hs.solve_zero_sum(game[model])
-    assert (sol.row_strategy.weights == 0).mean() > 0.5
+    assert (sol.row_strategy == 0).mean() > 0.5
 
     def run():
         return hs.simulate(inst, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)

@@ -8,7 +8,7 @@ import hideseek.matrixgame as mg
 
 import reference as ref
 from conftest import random_instance
-from oracles import full_lp_values, presolved_value
+from oracles import best_response_gap, full_lp_values, presolved_value
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -27,15 +27,15 @@ def test_solve_three_site_base(base3):
     sol = hs.solve_zero_sum(base3)
     assert sol.value == pytest.approx(ref.VALUE_BASE_3, abs=1e-4)
     assert sol.row_gap <= 1e-6 and sol.col_gap <= 1e-6
-    assert sol.row_strategy.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert sol.col_strategy.weights.sum() == pytest.approx(1.0, abs=1e-9)
+    assert sol.row_strategy.sum() == pytest.approx(1.0, abs=1e-9)
+    assert sol.col_strategy.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_one_by_one():
     sol = hs.solve_zero_sum(np.array([[4.25]]))
     assert sol.value == pytest.approx(4.25)
-    assert sol.row_strategy.weights[0] == pytest.approx(1.0)
-    assert sol.col_strategy.weights[0] == pytest.approx(1.0)
+    assert sol.row_strategy[0] == pytest.approx(1.0)
+    assert sol.col_strategy[0] == pytest.approx(1.0)
 
 
 def test_solve_three_site_switch(base3, rs3):
@@ -57,35 +57,27 @@ def test_solve_validation():
         hs.solve_zero_sum(np.zeros((0, 3)))
 
 
+# best_response_gap is the tests' own recompute of a certificate (oracles)
+
+def _recomputed_gaps(A, sol):
+    return best_response_gap(A, sol.value, sol.row_strategy, sol.col_strategy)
+
+
 def test_best_response_gap_pure_saddle():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    sol = hs.GameSolution(
-        value=2.0,
-        row_strategy=hs.MixedStrategy(np.array([1.0, 0.0])),
-        col_strategy=hs.MixedStrategy(np.array([0.0, 1.0])),
-        row_gap=0.0,
-        col_gap=0.0,
-    )
-    assert hs.best_response_gap(A, sol) == (0.0, 0.0)
+    assert best_response_gap(A, 2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == (0.0, 0.0)
 
 
 def test_best_response_gap_recomputes(base3):
     sol = hs.solve_zero_sum(base3)
-    row_gap, col_gap = hs.best_response_gap(base3, sol)
+    row_gap, col_gap = _recomputed_gaps(base3, sol)
     assert row_gap == pytest.approx(sol.row_gap, abs=1e-12)
     assert col_gap == pytest.approx(sol.col_gap, abs=1e-12)
 
 
 def test_uniform_hider_mix_is_not_optimal(base3):
     sol = hs.solve_zero_sum(base3)
-    uniform = hs.GameSolution(
-        value=sol.value,
-        row_strategy=sol.row_strategy,
-        col_strategy=hs.MixedStrategy(np.full(3, 1 / 3)),
-        row_gap=0.0,
-        col_gap=0.0,
-    )
-    _, col_gap = hs.best_response_gap(base3, uniform)
+    _, col_gap = best_response_gap(base3, sol.value, sol.row_strategy, np.full(3, 1 / 3))
     direct = sol.value - (base3 @ np.full(3, 1 / 3)).min()
     assert col_gap == pytest.approx(direct, abs=1e-12)
     assert col_gap > 1e-3
@@ -94,7 +86,7 @@ def test_uniform_hider_mix_is_not_optimal(base3):
 def test_best_response_gap_dimension_check(base3):
     sol = hs.solve_zero_sum(base3)
     with pytest.raises(ValueError, match="dimensions"):
-        hs.best_response_gap(np.eye(4), sol)
+        _recomputed_gaps(np.eye(4), sol)
 
 
 def test_find_pure_saddle_simple():
@@ -150,30 +142,28 @@ def test_check_lemma1_rejects_bad_costs(collinear3):
             hs.check_lemma1(A, rs, 1, c)
 
 
-def _assert_certified(mats, sols):
-    for A, sol in zip(mats, sols):
-        assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
+def _assert_certified(mats, solutions):
+    """Each (value, Seeker mix, Hider mix) certifies against its game to
+    GAP_TOL, recomputed by the oracle."""
+    for A, (v, y, z) in zip(mats, solutions):
+        assert max(best_response_gap(A, v, y, z)) <= mg.GAP_TOL
+
+
+def _solved(sols):
+    """The (value, Seeker mix, Hider mix) of each GameSolution."""
+    return [(sol.value, sol.row_strategy, sol.col_strategy) for sol in sols]
 
 
 # solve_games, the stacked simplex. The tests named test_game_values_* keep
 # the name its value-only predecessor had, so their history stays traceable.
 
-def _solutions(values, y, z):
-    """The GameSolutions that solve_games returns as arrays; the gaps are
-    NaN, for best_response_gap to recompute."""
-    return [
-        hs.GameSolution(v, hs.MixedStrategy(yg), hs.MixedStrategy(zg), np.nan, np.nan)
-        for v, yg, zg in zip(values, y, z)
-    ]
-
-
 def _solve_by_shape(mats):
-    """Each game's GameSolution from solve_games, one stack per shape, in
-    the order of mats."""
+    """Each game's (value, Seeker mix, Hider mix) from solve_games, one
+    stack per shape, in the order of mats."""
     sols = [None] * len(mats)
     for shape in {A.shape for A in mats}:
         games = [g for g, A in enumerate(mats) if A.shape == shape]
-        for g, sol in zip(games, _solutions(*mg.solve_games(np.stack([mats[g] for g in games])))):
+        for g, sol in zip(games, zip(*mg.solve_games(np.stack([mats[g] for g in games])))):
             sols[g] = sol
     return sols
 
@@ -186,8 +176,8 @@ def test_solve_games_match_solve_zero_sum_on_small_randoms():
     ]
     sols = _solve_by_shape(mats)
     _assert_certified(mats, sols)
-    for A, sol in zip(mats, sols):
-        assert sol.value == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-9)
+    for A, (v, _, _) in zip(mats, sols):
+        assert v == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-9)
 
 
 def _mixed_shapes():
@@ -212,7 +202,7 @@ def _small_shapes():
 
 def test_game_value_fast_paths():
     mats = _small_shapes()
-    for values in ([hs.solve_zero_sum(A).value for A in mats], [s.value for s in _solve_by_shape(mats)]):
+    for values in ([hs.solve_zero_sum(A).value for A in mats], [v for v, _, _ in _solve_by_shape(mats)]):
         assert values[0] == 5.0
         assert values[1] == 1.0
         assert values[2] == pytest.approx(2.9142, abs=1e-4)
@@ -222,33 +212,48 @@ def test_game_values_match_solve_zero_sum_on_mixed_shapes():
     mats = _mixed_shapes()
     sols = _solve_by_shape(mats)
     _assert_certified(mats, sols)
-    for A, sol in zip(mats, sols):
-        assert abs(sol.value - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
+    for A, (v, _, _) in zip(mats, sols):
+        assert abs(v - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
 
 
-def test_solve_zero_sum_falls_back_to_row_lp(monkeypatch):
+def test_solve_zero_sum_falls_back_to_the_simplex(monkeypatch):
+    # a slack HiGHS certificate sends the game to solve_games' simplex, whose
+    # solution is certified in turn and returned as solve_games returns it
     A = _mixed_shapes()[3]
-    expect = hs.solve_zero_sum(A)
-    real_gaps, real_row_lp = mg._gaps, mg._row_lp
-    failed, row_lps = [], []
+    expect = mg.solve_games(A[None])
+    real_certify, real_simplex = mg._certify, mg._simplex
+    certified, simplexed = [], []
 
-    def failing_gaps(A, y, z, value):
-        if not failed:
-            failed.append(A)
-            return 1.0, 1.0
-        return real_gaps(A, y, z, value)
+    def slack_first(S, scale, v, y, z):
+        y, z, row_gap, col_gap, ok = real_certify(S, scale, v, y, z)
+        certified.append(S)
+        return y, z, row_gap, col_gap, ok & (len(certified) > 1)
 
-    def spy_row_lp(A):
-        row_lps.append(A)
-        return real_row_lp(A)
+    def spy_simplex(S, scale):
+        simplexed.append(S)
+        return real_simplex(S, scale)
 
-    monkeypatch.setattr(mg, "_gaps", failing_gaps)
-    monkeypatch.setattr(mg, "_row_lp", spy_row_lp)
+    monkeypatch.setattr(mg, "_certify", slack_first)
+    monkeypatch.setattr(mg, "_simplex", spy_simplex)
     sol = hs.solve_zero_sum(A)
-    assert len(row_lps) == 1
-    assert sol.value == expect.value
-    np.testing.assert_array_equal(sol.col_strategy.weights, expect.col_strategy.weights)
-    _assert_certified([A], [sol])
+    assert len(certified) == 2 and len(simplexed) == 1
+    np.testing.assert_array_equal(simplexed[0], A[None])
+    assert sol.value == expect[0][0]
+    np.testing.assert_array_equal(sol.row_strategy, expect[1][0])
+    np.testing.assert_array_equal(sol.col_strategy, expect[2][0])
+    assert (sol.row_gap, sol.col_gap) == pytest.approx(_recomputed_gaps(A, sol), abs=1e-15)
+    _assert_certified([A], _solved([sol]))
+
+
+def test_solve_zero_sum_raises_when_both_solvers_are_slack(monkeypatch):
+    # no certificate passes a negative tolerance, HiGHS's or the simplex's
+    simplexed = []
+    real_simplex = mg._simplex
+    monkeypatch.setattr(mg, "_simplex", lambda S, scale: simplexed.append(S) or real_simplex(S, scale))
+    monkeypatch.setattr(mg, "GAP_TOL", -1.0)
+    with pytest.raises(hs.SolverError, match="certification"):
+        hs.solve_zero_sum(_mixed_shapes()[3])
+    assert len(simplexed) == 1
 
 
 def test_solve_zero_sum_raises_when_the_column_lp_fails(monkeypatch):
@@ -283,7 +288,7 @@ def _assert_values_match_full_lp(S):
     assert (values.shape, y.shape, z.shape) == ((G,), (G, m), (G, k))
     scale = np.abs(S).max(axis=(1, 2)) if len(S) else 0.0
     assert (np.abs(values - full_lp_values(S)) <= 1e-12 * scale).all()
-    _assert_certified(S, _solutions(values, y, z))
+    _assert_certified(S, zip(values, y, z))
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
@@ -331,55 +336,54 @@ def test_game_values_validate_the_stack():
         mg.solve_games(S)
 
 
-def _spy_solve_zero_sum(monkeypatch):
-    """The games solve_games passes to solve_zero_sum, one per call."""
-    real_solve_zero_sum = mg.solve_zero_sum
+def _spy_highs(monkeypatch):
+    """The games solve_games hands to HiGHS, one LP each."""
+    real_highs = mg._highs
     alone = []
 
-    def spy_solve_zero_sum(A):
-        alone.append(A)
-        return real_solve_zero_sum(A)
+    def spy_highs(S, scale):
+        alone.extend(S)
+        return real_highs(S, scale)
 
-    monkeypatch.setattr(mg, "solve_zero_sum", spy_solve_zero_sum)
+    monkeypatch.setattr(mg, "_highs", spy_highs)
     return alone
 
 
 def test_game_values_certify_against_the_full_matrix(monkeypatch):
     S = next(S for S in _lp_bound_stacks(random_instance(np.random.default_rng(2), 7), 1, 1.0) if len(S))
-    real_stack_gaps = mg._stack_gaps
+    real_certify = mg._certify
     solution = {}  # game -> its latest (full matrix, y, z, v, row gap, col gap)
 
-    def spy_stack_gaps(stack, y, z, v, games):
-        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
-        for j, g in enumerate(games.tolist()):
-            solution[g] = (stack[g], y[g].copy(), z[g].copy(), v[g], row_gap[j], col_gap[j])
-        return row_gap, col_gap
+    def spy_certify(stack, scale, v, y, z):
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
+        for g in range(len(stack)):
+            solution[g] = (stack[g], y[g], z[g], v[g], row_gap[g], col_gap[g])
+        return y, z, row_gap, col_gap, ok
 
-    monkeypatch.setattr(mg, "_stack_gaps", spy_stack_gaps)
+    monkeypatch.setattr(mg, "_certify", spy_certify)
     values, ys, zs = mg.solve_games(S)
-    # each game's last certificate, the one it closed on, is the solution
+    # each game's certificate, the one it closed on, is the solution
     # returned, against the full matrix, within GAP_TOL both ways
     assert sorted(solution) == list(range(len(S)))
     for g, (A, y, z, v, row_gap, col_gap) in solution.items():
         assert A.shape == S.shape[1:] and np.array_equal(A, S[g])
         assert v == values[g] and max(row_gap, col_gap) <= mg.GAP_TOL
         assert np.array_equal(y, ys[g]) and np.array_equal(z, zs[g])
-        sol = mg.GameSolution(v, hs.MixedStrategy(y), hs.MixedStrategy(z), row_gap, col_gap)
-        assert max(hs.best_response_gap(A, sol)) <= mg.GAP_TOL
+        assert max(best_response_gap(A, v, y, z)) <= mg.GAP_TOL
 
 
 def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
     S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
-    real_stack_gaps = mg._stack_gaps
+    real_certify = mg._certify
 
-    def slack_on_full_matrix(stack, y, z, v, games):
-        # every full-matrix column gap is slack, also once solve_zero_sum
-        # has solved the games again
-        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
-        return row_gap, np.ones_like(col_gap)
+    def slack_on_full_matrix(stack, scale, v, y, z):
+        # every full-matrix column gap is slack, also once HiGHS has solved
+        # the games again
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
+        return y, z, row_gap, np.ones_like(col_gap), np.zeros_like(ok)
 
-    monkeypatch.setattr(mg, "_stack_gaps", slack_on_full_matrix)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    monkeypatch.setattr(mg, "_certify", slack_on_full_matrix)
+    alone = _spy_highs(monkeypatch)
     with pytest.raises(hs.SolverError, match="certification"):
         mg.solve_games(S)
     assert len(alone) == 3
@@ -388,20 +392,20 @@ def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
 def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
     S = np.random.default_rng(83).uniform(-4, 4, size=(4, 300, 5))
     expect = mg.solve_games(S)[0]
-    real_stack_gaps = mg._stack_gaps
+    real_certify = mg._certify
     first = []
 
-    def slack_first_game(stack, y, z, v, games):
-        row_gap, col_gap = real_stack_gaps(stack, y, z, v, games)
+    def slack_first_game(stack, scale, v, y, z):
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
         if not first:
-            first.append(games.copy())
-            row_gap[0] = 1.0  # game 0's first certificate is slack
-        return row_gap, col_gap
+            first.append(len(stack))
+            row_gap[0], ok[0] = 1.0, False  # game 0's first certificate is slack
+        return y, z, row_gap, col_gap, ok
 
-    monkeypatch.setattr(mg, "_stack_gaps", slack_first_game)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    monkeypatch.setattr(mg, "_certify", slack_first_game)
+    alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
-    np.testing.assert_array_equal(first[0], np.arange(4))  # every game certified at once
+    assert first == [4]  # every game certified at once
     assert len(alone) == 1
     np.testing.assert_array_equal(alone[0], S[0])  # game 0, its full matrix
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
@@ -422,7 +426,7 @@ def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", singular_second_game)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
     assert len(alone) == 1
     np.testing.assert_array_equal(alone[0], S[1])
@@ -450,7 +454,7 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", spy_inverses)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
     assert alone == [] and 1 < len(bases) <= mg._MAX_PIVOTS + 1
     for B in bases:
@@ -460,11 +464,11 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
 
 
 def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
-    # games the simplex leaves open go to solve_zero_sum, one at a time
+    # games the simplex leaves open go to HiGHS, one at a time
     S = np.random.default_rng(97).uniform(-4, 4, size=(3, 200, 5))
     S[2] = np.arange(5.0)  # a constant-column game closes at its start
     monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
     assert len(alone) == 2
     np.testing.assert_array_equal(alone[0], S[0])
@@ -473,13 +477,13 @@ def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
 
 
 def test_game_values_raise_when_solve_games_cannot_certify_either(monkeypatch):
+    # no certificate passes a negative tolerance, the simplex's or HiGHS's
     S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
-    monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)
-    real_gaps = mg._gaps
-    monkeypatch.setattr(mg, "_gaps", lambda A, y, z, value: (1.0, real_gaps(A, y, z, value)[1]))
-    monkeypatch.setattr(mg, "_row_lp", lambda A: np.full(len(A), 1.0 / len(A)))
+    monkeypatch.setattr(mg, "GAP_TOL", -1.0)
+    alone = _spy_highs(monkeypatch)
     with pytest.raises(hs.SolverError, match="certification"):
         mg.solve_games(S)
+    assert len(alone) == 3
 
 
 # hsbench.workloads.make_instance(7, 2), whose LP-bound reveal-stage subgames
@@ -521,19 +525,18 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)  # Bland's rule from the first pivot
     v, y, z = mg._simplex(A[None], np.array([np.abs(A).max()]))
     assert np.isfinite(v).all() and len(bases) == 42  # 41 pivots, then the optimal basis
-    y, z = y / y.sum(), z / z.sum()
-    row_gap, col_gap = mg._stack_gaps(A[None], y, z, v, np.arange(1))
+    _, _, row_gap, col_gap, _ = mg._certify(A[None], np.array([np.abs(A).max()]), v, y, z)
     assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
     assert abs(v[0] - expect) <= 1e-12 * np.abs(A).max()
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 16)
     np.testing.assert_allclose(mg.solve_games(A[None])[0], [expect], rtol=0, atol=1e-12 * np.abs(A).max())
 
 
-@pytest.mark.parametrize("factor", [2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20])
+@pytest.mark.parametrize("factor", [1e-9, 2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20, 1e9])
 def test_game_values_scale_with_the_matrix(factor, monkeypatch):
-    # the simplex works on each game divided by its max|A|: no game leaves
-    # it for solve_zero_sum at any scale, and a power of two changes no pivot
-    # and no bit of the values
+    # the simplex works on each game divided by its max|A|, and certifies
+    # to GAP_TOL times it: no game leaves it for HiGHS at any scale, and a
+    # power of two changes no pivot and no bit of the values
     inst = random_instance(np.random.default_rng(4), 6)
     real_inverses = mg._inverses
     bases = []
@@ -543,7 +546,7 @@ def test_game_values_scale_with_the_matrix(factor, monkeypatch):
         return real_inverses(B)
 
     monkeypatch.setattr(mg, "_inverses", spy_inverses)
-    alone = _spy_solve_zero_sum(monkeypatch)
+    alone = _spy_highs(monkeypatch)
     exact = np.log2(factor).is_integer()
     for t in (1, 2, 3):
         for S in _lp_bound_stacks(inst, t, 0.5):
@@ -582,7 +585,7 @@ def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
 # HiGHS runs without presolve: every call says so, and the games presolve
 # could shrink still certify and keep the values presolved HiGHS gives
 
-def test_every_lp_runs_without_presolve(monkeypatch, demo3):
+def test_every_lp_runs_without_presolve(monkeypatch):
     options = []
     real_linprog = mg.linprog
 
@@ -593,10 +596,9 @@ def test_every_lp_runs_without_presolve(monkeypatch, demo3):
     monkeypatch.setattr(mg, "linprog", spying_linprog)
     for A in _mixed_shapes():
         mg.solve_zero_sum(A)
+    monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)  # games left open go to HiGHS
     mg.solve_games(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
-    mg._row_lp(np.array([[1.0, 3.0], [4.0, 2.0]]))
-    hs.sweep(demo3, c_grid=[0.0, 1.0])
-    assert len(options) > 4
+    assert len(options) == len(_mixed_shapes()) + 3
     assert all(o.get("presolve") is False for o in options)
 
 
@@ -618,9 +620,9 @@ def _assert_values_certify(S):
     GAP_TOL, and agree with presolved HiGHS on its value."""
     expect = [presolved_value(A) for A in S]
     tol = 1e-9 * np.abs(S).max()
-    for sols in ([mg.solve_zero_sum(A) for A in S], _solve_by_shape(list(S))):
+    for sols in (_solved(mg.solve_zero_sum(A) for A in S), _solve_by_shape(list(S))):
         _assert_certified(S, sols)
-        np.testing.assert_allclose([sol.value for sol in sols], expect, rtol=0, atol=tol)
+        np.testing.assert_allclose([v for v, _, _ in sols], expect, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("name", sorted(_presolve_reducible()))
@@ -642,17 +644,15 @@ def test_restricted_games_at_zero_cost_certify(name, convention):
 
 
 def test_mixed_strategy_validation():
-    with pytest.raises(ValueError, match="negative"):
-        hs.MixedStrategy(np.array([-0.2, 1.2]))
-    with pytest.raises(ValueError, match="sum"):
-        hs.MixedStrategy(np.array([0.4, 0.4]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            hs.MixedStrategy(np.array([bad, 0.5, 0.5]))
-        with pytest.raises(ValueError, match="simplex"):
-            mg.simplex_weights(np.array([bad, 0.5, 0.5]), 3, "z")
-    w = hs.MixedStrategy(np.array([0.5, 0.5 - 1e-13, 1e-13]))
-    assert (w.weights >= 0).all()
+    # simplex_weights is the one check of a mix: negative weights, a sum off
+    # 1 and non-finite weights fail it; round-off below 0 is clipped
+    for bad in ([-0.2, 1.2, 0.0], [0.4, 0.4, 0.0], [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="z is not on the probability simplex"):
+            mg.simplex_weights(np.array(bad), 3, "z")
+    with pytest.raises(ValueError, match=r"shape \(2,\), expected \(3,\)"):
+        mg.simplex_weights([0.5, 0.5], 3, "z")
+    w = mg.simplex_weights([0.5, 0.5 + 1e-13, -1e-13], 3, "z")
+    assert (w >= 0).all() and w[2] == 0.0
 
 
 def test_value_sandwich_and_certification():

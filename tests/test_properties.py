@@ -155,6 +155,35 @@ def test_sweep_switch_values_scale_with_the_instance(name, convention):
     assert (np.abs(got - expect) <= 1e-12 * np.abs(expect)).all()
 
 
+def test_solve_zero_sum_values_scale_with_a_tiny_instance():
+    # HiGHS's feasibility tolerances are absolute: in units of 1e-8 its
+    # solution of this game is 7.2e-3 off, and certifying relative to max|A|
+    # sends the game to the simplex instead
+    lam, c = 1e-8, 1.5
+    inst = hs.load_instance(INSTANCES / "three_sites.json")
+    rs = hs.enumerate_routes(inst.n)
+
+    def value(inst, c):
+        S = hs.switch_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(1, c, "remaining"))
+        return hs.solve_zero_sum(S).value
+
+    expect = lam * value(inst, c)
+    assert abs(value(_scaled(inst, lam), lam * c) - expect) <= 1e-12 * abs(expect)
+
+
+def test_feedback_matrix_scales_with_a_huge_instance():
+    # the subgames of max|A| ~ 3e10 certify with round-off gaps of up to
+    # 5e-4, within GAP_TOL times max|A|
+    lam, c = 1e9, 0.5
+    inst = random_instance(np.random.default_rng(4), 6)
+    rs = hs.enumerate_routes(inst.n)
+
+    def feedback(inst, c):
+        return hs.feedback_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(2, c))
+
+    np.testing.assert_allclose(feedback(_scaled(inst, lam), lam * c), lam * feedback(inst, c), rtol=1e-12, atol=0)
+
+
 def test_switch_equals_base_at_last_reveal():
     rng = np.random.default_rng(227)
     for _ in range(5):

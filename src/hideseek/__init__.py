@@ -9,11 +9,9 @@ quantifies the value of the revealed information.
 """
 
 from .instance import (
-    ORIGIN,
     Instance,
     InstanceError,
     Point,
-    distance,
     distance_matrix,
     load_instance,
     make_instance,
@@ -35,11 +33,7 @@ from .payoff import (
 )
 from .matrixgame import (
     GameSolution,
-    Lemma1Report,
-    PureSaddle,
     SolverError,
-    check_lemma1,
-    find_pure_saddle,
     solve_games,
     solve_zero_sum,
 )
@@ -51,7 +45,6 @@ from .voi import (
     expected_voi,
     report_to_csv,
     route_averaged_voi,
-    termination_probability,
     theorem1_bound,
     voi_matrix,
     worst_case_voi,
@@ -61,7 +54,6 @@ from .experiments import (
     BoundReport,
     SimulationResult,
     SweepRow,
-    default_cost_grid,
     simulate,
     sweep,
     sweep_to_csv,

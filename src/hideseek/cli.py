@@ -20,6 +20,7 @@ from .payoff import (
     CONVENTIONS,
     FEEDBACK_MODES,
     SwitchConfig,
+    _format_rows,
     base_matrix,
     dump_matrix,
     feedback_matrix,
@@ -46,22 +47,11 @@ MAX_PRECISION = 100
 def _fixed_rows(labels, values, prec: int, width: int = 0) -> str:
     """One text line per label: the label, then its row of values as
     ` %{width}.{prec}f` cells, NaN as a right-justified `--` and -0 as 0.
-    The fixed-point twin of payoff._csv_rows, and like it formats each
-    distinct row once, keyed by its bytes (after -0 became 0)."""
-    if not len(labels):
-        return ""
-    rows = np.asarray(values, dtype=float).reshape(len(labels), -1) + 0.0  # -0 + 0 is +0
-    cells = f" %{width}.{prec}f" * rows.shape[1]
+    The fixed-point twin of payoff._csv_rows, written by the same row
+    writer, which formats each distinct row once (after -0 became 0)."""
+    rows = np.asarray(values, dtype=float) + 0.0  # -0 + 0 is +0
     nan = "--".rjust(min(width, 3))  # "nan" is 3 wide where "--" is 2
-    text = {}
-    lines = []
-    for lb, r in zip(labels, rows):
-        key = r.tobytes()
-        line = text.get(key)
-        if line is None:
-            line = text[key] = (cells % tuple(r.tolist())).replace("nan", nan)
-        lines.append(f"{lb}{line}\n")
-    return "".join(lines)
+    return _format_rows(labels, rows, f" %{width}.{prec}f", nan)
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
@@ -92,10 +82,10 @@ def _check_t(t: int, flag: str, top: int) -> None:
 
 
 def _model_matrix(
-    inst: Instance, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
+    A: np.ndarray, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
 ) -> np.ndarray:
-    """The payoff matrix of one game model; base ignores t and c."""
-    A = base_matrix(inst, rs)
+    """The payoff matrix of one game model from the base matrix A; base
+    ignores t and c."""
     if model == "base":
         return A
     cfg = SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
@@ -115,7 +105,10 @@ def cmd_solve(args, out) -> int:
     else:
         _check_t(t, "--t-reveal", rs.n - 1)
         _check_cost(c, "--cost")
-    matrix = _model_matrix(inst, rs, args.model, t, c, args.convention, args.feedback_mode)
+    # no name holds the base matrix, so it is freed before the LP runs
+    matrix = _model_matrix(
+        base_matrix(inst, rs), rs, args.model, t, c, args.convention, args.feedback_mode
+    )
     sol = solve_zero_sum(matrix)
     y, z = sol.row_strategy, sol.col_strategy
     # label only the rows that print: row h of the feedback game is the
@@ -211,10 +204,11 @@ def cmd_simulate(args, out) -> int:
     # revealing after the last visit reveals nothing: every model plays the base game
     model = "base" if args.t_reveal == rs.n else args.model
     # the playout pays total-convention costs and plays mixed subgame strategies
-    matrix = _model_matrix(inst, rs, model, args.t_reveal, args.cost, "total", "mixed_subgame")
+    A = base_matrix(inst, rs)
+    matrix = _model_matrix(A, rs, model, args.t_reveal, args.cost, "total", "mixed_subgame")
     sol = solve_zero_sum(matrix)
     result = simulate(
-        inst, rs, args.model, sol.row_strategy, sol.col_strategy,
+        A, rs, args.model, sol.row_strategy, sol.col_strategy,
         args.t_reveal, args.cost, args.trials, args.seed,
     )
     out.write(f"model: {result.model}\ntrials: {result.trials}\nseed: {result.seed}\n")

@@ -77,19 +77,6 @@ class BoundReport:
         return all(c.passed for c in self.checks)
 
 
-def _cost_grid(top: float) -> np.ndarray:
-    return np.linspace(0.0, 1.2 * top, 25)
-
-
-def default_cost_grid(inst: Instance, rs: RouteSet | None = None, t: int = 1) -> np.ndarray:
-    """0 to 1.2x the route-variant global threshold in 25 steps.
-
-    The grid brackets the cost beyond which switching never pays.
-    """
-    rs = rs or enumerate_routes(inst.n)
-    return _cost_grid(cstar_global(cstar(base_matrix(inst, rs), rs, t, "route")))
-
-
 def sweep(
     inst: Instance,
     t_list=None,
@@ -100,8 +87,9 @@ def sweep(
     """Solve the three games over a (reveal time, switching cost) grid.
 
     Rows come out in lexicographic (t, c) order, one per grid cost, so a
-    repeated cost gives repeated rows. The default grid is
-    default_cost_grid at the first reveal time. The expected VOI column is
+    repeated cost gives repeated rows. The default grid is 25 costs from 0
+    to 1.2 times the route-variant global threshold at the first reveal
+    time, past which switching never pays. The expected VOI column is
     evaluated at each cell's own switch-game equilibrium mix; the bound
     column uses the route-variant threshold at that reveal time.
 
@@ -126,7 +114,7 @@ def sweep(
     A = base_matrix(inst, rs)
     cg_route = {t: cstar_global(cstar(A, rs, t, "route")) for t in t_list}
     if c_grid is None:
-        c_grid = _cost_grid(cg_route[t_list[0]])
+        c_grid = np.linspace(0.0, 1.2 * cg_route[t_list[0]], 25)
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ValueError("empty cost grid")
@@ -309,7 +297,7 @@ def _draw(support: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
 
 
 def simulate(
-    inst: Instance,
+    A: np.ndarray,
     rs: RouteSet,
     model: str,
     y,
@@ -319,7 +307,8 @@ def simulate(
     trials: int,
     seed: int,
 ) -> SimulationResult:
-    """Monte Carlo playout of the two-stage game.
+    """Monte Carlo playout of the two-stage game on the base matrix A of the
+    routes rs.
 
     y is the Seeker's mix over the played game's rows: the routes, or for
     the feedback model with t < n the prefixes of feedback_matrix. Each
@@ -339,7 +328,8 @@ def simulate(
         raise ValueError("trials must be >= 1")
     check_reveal_time(t, rs.n)
     check_cost(c)
-    A = base_matrix(inst, rs)
+    if A.shape != (rs.m, rs.n):
+        raise ValueError(f"base matrix has shape {A.shape}, expected {(rs.m, rs.n)}")
     m, n = A.shape
     feedback = model == "feedback" and t < n
     block = prefix_block(rs, t) if feedback else 1  # routes per row of y

@@ -8,11 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Index used for the Seeker's start point in distance queries. Locations are
-# numbered 1..n to keep matrix columns aligned with location labels.
-ORIGIN = 0
-
-
 class InstanceError(ValueError):
     """Malformed or inconsistent instance data."""
 
@@ -108,17 +103,6 @@ def load_instance(path) -> Instance:
     if missing:
         raise InstanceError(f"instance file missing fields: {sorted(missing)}")
     return make_instance(data["origin"], data["locations"], data.get("distance_table"))
-
-
-def distance(inst: Instance, u: int, v: int) -> float:
-    """Distance between nodes u and v, where 0 is the origin and 1..n are locations."""
-    n = inst.n
-    if not (0 <= u <= n and 0 <= v <= n):
-        raise InstanceError(f"node index out of range: ({u}, {v}) with n={n}")
-    if inst.distance_table is not None:
-        return float(inst.distance_table[u, v])
-    pts = (inst.origin, *inst.locations)
-    return math.hypot(pts[u].x - pts[v].x, pts[u].y - pts[v].y)
 
 
 def distance_matrix(inst: Instance) -> np.ndarray:

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .routes import check_reveal_time
-
 # A solution certifies when both of its best-response gaps are within
 # GAP_TOL times its game's max|A|; the gaps it reports stay absolute.
 GAP_TOL = 1e-6
+# _saddle_mask's ties: within SADDLE_TOL relative.
 SADDLE_TOL = 1e-9
 # solve_games' simplex: reduced costs and ties within _RC_TOL (times
 # max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game turns
@@ -83,14 +82,6 @@ class GameSolution:
     col_gap: float
 
 
-@dataclass(frozen=True)
-class PureSaddle:
-    row: int
-    col: int
-    value: float
-    unique: bool
-
-
 def _validate_matrix(A: np.ndarray) -> None:
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"degenerate matrix shape {A.shape}")
@@ -99,12 +90,8 @@ def _validate_matrix(A: np.ndarray) -> None:
 
 
 def _col_lp(A: np.ndarray):
-    """Maximize v subject to A z >= v, sum z = 1, z >= 0.
-
-    The variables are (z, v). HiGHS runs without presolve: on these dense
-    rows it logs "Presolve reductions: ... - Not reduced" and then runs the
-    simplex iterations it runs without it, so it only adds time.
-    """
+    """Maximize v subject to A z >= v, sum z = 1, z >= 0, over the
+    variables (z, v), by HiGHS without presolve (see the module docstring)."""
     m, n = A.shape
     return linprog(
         np.append(np.zeros(n), -1.0),
@@ -302,64 +289,11 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _solve(S, np.maximum(hi, -lo), _simplex, _highs)[:3]
 
 
-def _saddle_mask(A: np.ndarray, tol: float = SADDLE_TOL) -> np.ndarray:
-    """Cells that are their row's maximum and their column's minimum (within
-    tol), over the last two axes, so a stack of games is scanned at once."""
-    return (A >= A.max(axis=-1, keepdims=True) - tol) & (A <= A.min(axis=-2, keepdims=True) + tol)
-
-
-def find_pure_saddle(A, tol: float = SADDLE_TOL) -> PureSaddle | None:
-    """Scan for a cell that is its row's maximum and its column's minimum.
-
-    Returns the first such cell in row-major order, flagged unique when it
-    is the only one (ties compared within tol).
-    """
-    A = np.asarray(A, dtype=float)
-    _validate_matrix(A)
-    cells = np.argwhere(_saddle_mask(A, tol))
-    if len(cells) == 0:
-        return None
-    r, c = (int(v) for v in cells[0])
-    return PureSaddle(row=r, col=c, value=float(A[r, c]), unique=len(cells) == 1)
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Stay-vs-switch audit at a unique pure saddle.
-
-    checks lists (switch_target, switch_payoff, stay_payoff, ok) for every
-    unvisited relocation target; passed is their conjunction.
-    """
-
-    saddle: PureSaddle
-    t_reveal: int
-    c: float
-    checks: tuple[tuple[int, float, float, bool], ...]
-    passed: bool
-
-
-def check_lemma1(A, rs, t: int, c: float) -> Lemma1Report:
-    """Verify that a unique pure saddle leaves no profitable post-reveal switch.
-
-    At the saddle (route r*, location i*), every admissible relocation must
-    satisfy A(r*, i_hat) - c <= A(r*, i*). Raises if the matrix has no unique
-    pure saddle (the precondition of the structural result this checks).
-    """
-    A = np.asarray(A, dtype=float)
-    check_reveal_time(t, rs.n - 1)
-    check_cost(c)
-    saddle = find_pure_saddle(A)
-    if saddle is None or not saddle.unique:
-        raise ValueError("no unique pure saddle")
-    stay = float(A[saddle.row, saddle.col])
-    checks = []
-    for i_hat in np.flatnonzero(rs.position_matrix[saddle.row] > t).tolist():
-        switch_payoff = float(A[saddle.row, i_hat]) - c
-        checks.append((i_hat + 1, switch_payoff, stay, switch_payoff <= stay + SADDLE_TOL))
-    return Lemma1Report(
-        saddle=saddle,
-        t_reveal=t,
-        c=c,
-        checks=tuple(checks),
-        passed=all(ok for *_, ok in checks),
-    )
+def _saddle_mask(A: np.ndarray) -> np.ndarray:
+    """Cells that are their row's maximum and their column's minimum, over
+    the last two axes, so a stack of games is scanned at once. Ties count
+    within SADDLE_TOL times the size of the row maximum or column minimum
+    they are compared with: relative to the value a saddle would have, and
+    not to max|A|, which a huge cost in the other cells would inflate."""
+    rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
+    return (A >= rowmax - SADDLE_TOL * np.abs(rowmax)) & (A <= colmin + SADDLE_TOL * np.abs(colmin))

@@ -232,9 +232,9 @@ def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, lis
     return G, delta, cells
 
 
-def _csv_rows(labels, values, digits: int) -> str:
-    """One CSV line per label: the label, then its row of values to `digits`
-    significant digits, NaN as `--`.
+def _format_rows(labels, values, cell: str, nan: str) -> str:
+    """One line per label: the label, then its row of values, each value
+    formatted by the %-format cell and NaN written as nan.
 
     Each distinct row is formatted once: tables such as the n = 8 VOI table
     repeat a few rows across 40,320 routes. Rows are keyed by their bytes,
@@ -243,16 +243,22 @@ def _csv_rows(labels, values, digits: int) -> str:
     if not len(labels):
         return ""
     rows = np.asarray(values, dtype=float).reshape(len(labels), -1)
-    cells = f",%.{digits}g" * rows.shape[1]
+    cells = cell * rows.shape[1]
     text = {}
     lines = []
     for lb, r in zip(labels, rows):
         key = r.tobytes()
         line = text.get(key)
         if line is None:
-            line = text[key] = (cells % tuple(r.tolist())).replace("nan", "--")
+            line = text[key] = (cells % tuple(r.tolist())).replace("nan", nan)
         lines.append(f"{lb}{line}\n")
     return "".join(lines)
+
+
+def _csv_rows(labels, values, digits: int) -> str:
+    """One CSV line per label: the label, then its row of values to `digits`
+    significant digits, NaN as `--`."""
+    return _format_rows(labels, values, f",%.{digits}g", "--")
 
 
 def dump_matrix(A: np.ndarray, labels=None, digits: int = 10) -> str:

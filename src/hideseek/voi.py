@@ -1,4 +1,4 @@
-"""Value-of-information, switching-cost thresholds, and termination probability.
+"""Value-of-information and switching-cost thresholds.
 
 The route-level value-of-information compares a starting location's switch
 payoff against the best (smallest) switch payoff in the same row, exactly as
@@ -106,19 +106,6 @@ def theorem1_bound(cstar_global_value: float, c: float) -> float:
     """Upper bound on the expected value-of-information at switching cost c."""
     check_cost(c)
     return max(cstar_global_value - c, 0.0)
-
-
-def termination_probability(rs: RouteSet, y, z, t: int) -> float:
-    """Probability the treasure is found within the first t visits.
-
-    Closed form: sum over locations of z_i times the y-mass of routes that
-    visit i at position <= t. Affine in each strategy separately.
-    """
-    check_reveal_time(t, rs.n)
-    y = simplex_weights(y, rs.m, "y")
-    z = simplex_weights(z, rs.n, "z")
-    z_on_route = z[rs.route_array - 1]
-    return float(y @ z_on_route[:, :t].sum(axis=1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,20 +1,39 @@
 """Reference implementations that the package's faster paths are checked
-against: per-prefix and per-route loops the package vectorises, an
-independent closed form for small reveal-stage subgames, full-LP game
-values (and the same LP through HiGHS's default presolve), a recompute of a
-solution's best-response gaps, and the cell-by-cell formatters the one-row
-writers replaced."""
+against: per-prefix and per-route loops the package vectorises, a
+cell-by-cell pure saddle scan, an independent closed form for small
+reveal-stage subgames, full-LP game values (and the same LP through HiGHS's
+default presolve), a recompute of a solution's best-response gaps, and the
+cell-by-cell formatters the one-row writers replaced. Also the audits of
+the paper's claims that only the tests run: point-to-point distances, the
+Lemma 1 stay-vs-switch check at a pure saddle, the closed-form termination
+probability that simulate's ended-by-t rate is checked against, and the
+sweep's default cost grid."""
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 import hideseek as hs
-from hideseek.matrixgame import find_pure_saddle
+from hideseek.matrixgame import SADDLE_TOL, check_cost, simplex_weights
 from hideseek.routes import check_reveal_time
+
+# Node 0 of a distance query is the Seeker's origin; locations are 1..n.
+ORIGIN = 0
+
+
+def distance(inst, u, v):
+    """Distance between nodes u and v, where 0 is the origin and 1..n are locations."""
+    n = inst.n
+    if not (0 <= u <= n and 0 <= v <= n):
+        raise hs.InstanceError(f"node index out of range: ({u}, {v}) with n={n}")
+    if inst.distance_table is not None:
+        return float(inst.distance_table[u, v])
+    pts = (inst.origin, *inst.locations)
+    return math.hypot(pts[u].x - pts[v].x, pts[u].y - pts[v].y)
 
 
 @functools.cache
@@ -113,12 +132,96 @@ def best_relocations(A, rs, cfg):
     return target
 
 
+@dataclass(frozen=True)
+class PureSaddle:
+    row: int
+    col: int
+    value: float
+    unique: bool
+
+
+def find_pure_saddle(A):
+    """The first cell in row-major order that is its row's maximum and its
+    column's minimum, found cell by cell; flagged unique when it is the
+    only one. None if there is none. Ties count within SADDLE_TOL times the
+    size of the row maximum or column minimum."""
+    A = np.asarray(A, dtype=float)
+    rowmax, colmin = A.max(axis=1).tolist(), A.min(axis=0).tolist()
+    cells = [
+        (r, c)
+        for r, row in enumerate(A.tolist())
+        for c, a in enumerate(row)
+        if rowmax[r] - SADDLE_TOL * abs(rowmax[r]) <= a <= colmin[c] + SADDLE_TOL * abs(colmin[c])
+    ]
+    if not cells:
+        return None
+    r, c = cells[0]
+    return PureSaddle(row=r, col=c, value=float(A[r, c]), unique=len(cells) == 1)
+
+
+@dataclass(frozen=True)
+class Lemma1Report:
+    """Stay-vs-switch audit at a unique pure saddle.
+
+    checks lists (switch_target, switch_payoff, stay_payoff, ok) for every
+    unvisited relocation target; passed is their conjunction.
+    """
+
+    saddle: PureSaddle
+    t_reveal: int
+    c: float
+    checks: tuple
+    passed: bool
+
+
+def check_lemma1(A, rs, t, c):
+    """Verify that a unique pure saddle leaves no profitable post-reveal switch.
+
+    At the saddle (route r*, location i*), every admissible relocation must
+    satisfy A(r*, i_hat) - c <= A(r*, i*), within SADDLE_TOL relative.
+    Raises if the matrix has no unique pure saddle (the precondition of the
+    structural result this checks).
+    """
+    A = np.asarray(A, dtype=float)
+    check_reveal_time(t, rs.n - 1)
+    check_cost(c)
+    saddle = find_pure_saddle(A)
+    if saddle is None or not saddle.unique:
+        raise ValueError("no unique pure saddle")
+    stay = float(A[saddle.row, saddle.col])
+    checks = []
+    for i_hat in np.flatnonzero(rs.position_matrix[saddle.row] > t).tolist():
+        switch_payoff = float(A[saddle.row, i_hat]) - c
+        checks.append((i_hat + 1, switch_payoff, stay, switch_payoff <= stay + SADDLE_TOL * abs(stay)))
+    return Lemma1Report(saddle, t, c, tuple(checks), all(ok for *_, ok in checks))
+
+
+def termination_probability(rs, y, z, t):
+    """Probability the treasure is found within the first t visits.
+
+    Closed form: sum over locations of z_i times the y-mass of routes that
+    visit i at position <= t. Affine in each strategy separately.
+    """
+    check_reveal_time(t, rs.n)
+    y = simplex_weights(y, rs.m, "y")
+    z = simplex_weights(z, rs.n, "z")
+    return float(y @ z[rs.route_array - 1][:, :t].sum(axis=1))
+
+
+def default_cost_grid(inst, rs=None, t=1):
+    """sweep's default cost grid: 25 costs from 0 to 1.2 times the
+    route-variant global threshold at reveal time t."""
+    rs = rs or hs.enumerate_routes(inst.n)
+    top = hs.cstar_global(hs.cstar(hs.base_matrix(inst, rs), rs, t, "route"))
+    return np.linspace(0.0, 1.2 * top, 25)
+
+
 def game_value(A):
     """Value of a zero-sum game: its pure saddle, the mixed 2x2 formula, or the LP.
 
     A 2x2 game with no saddle has a fully mixed equilibrium, so its value is
-    (ad - bc) / (a + d - b - c); the denominator is at least twice the saddle
-    scan's tolerance, because each of its two differences exceeds it.
+    (ad - bc) / (a + d - b - c); the denominator is nonzero, because each of
+    its two differences exceeds the saddle scan's tolerance.
     """
     saddle = find_pure_saddle(A)
     if saddle is not None:
@@ -276,7 +379,7 @@ def sweep_cells(inst, t_list=None, c_grid=None, convention="total", feedback_mod
     if not t_list:
         return []
     if c_grid is None:
-        c_grid = hs.default_cost_grid(inst, rs, t=t_list[0])
+        c_grid = default_cost_grid(inst, rs, t=t_list[0])
     c_grid = [float(c) for c in c_grid]
     A = hs.base_matrix(inst, rs)
     v_base = hs.solve_zero_sum(A).value

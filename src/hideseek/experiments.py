@@ -4,7 +4,10 @@ Simulation randomness uses one Philox counter block (four 64-bit words) per
 trial, keyed by the seed: trial k always sees the same four uniforms no
 matter how trials are split into blocks. Playouts only count how often each
 payoff cell occurs, so results are invariant to the block size and
-bit-reproducible for a fixed seed.
+bit-reproducible for a fixed seed. The count is one np.add.at per block into
+the cell histogram, and the feedback playout groups its late trials by
+subgame with no comparison sort: their keys fit 16 bits up to n = 8, t = 5,
+and numpy sorts such keys by radix.
 """
 
 from __future__ import annotations
@@ -296,6 +299,24 @@ def _draw(support: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     return labels[np.searchsorted(cdf, u, side="right")]
 
 
+def _groups(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int], list[int]]:
+    """Group equal keys, each in 0..size-1: the stable order that sorts key,
+    the distinct keys ascending, and the bounds of their groups in that
+    order (group j is order[bounds[j]:bounds[j + 1]]).
+
+    The keys are sorted in the narrowest unsigned type that holds size - 1,
+    so for a size up to 65,536 numpy's stable sort is a radix sort and not
+    a comparison sort; the bounds come from where the sorted keys step.
+    """
+    key = key.astype(np.min_scalar_type(size - 1))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if not len(key):
+        return order, [], []
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    return order, key[bounds[:-1]].tolist(), bounds
+
+
 def simulate(
     A: np.ndarray,
     rs: RouteSet,
@@ -319,8 +340,15 @@ def simulate(
     target, and in the feedback model the Seeker and Hider instead play
     their solved reveal-stage subgame mixes. Every payoff is a base-matrix
     cell, less c if the Hider switched, so blocks of _BLOCK trials only
-    count cells: memory stays bounded, and identical seeds give
-    bit-identical results for any block size.
+    count cells, by np.add.at into one histogram: memory stays bounded,
+    and identical seeds give bit-identical results for any block size.
+
+    A block's late feedback trials are grouped by their subgame, the key
+    h*n + i, in the narrowest unsigned type that holds every key
+    (_groups), which numpy sorts by radix up to 16 bits. Their subgame
+    uniforms are gathered once in group order, so each group draws its
+    Seeker route and Hider target from one contiguous slice, and their
+    cells go back in one scatter.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -373,15 +401,17 @@ def simulate(
         code = h * block * n + i
         if feedback:
             late = np.flatnonzero(~ended)
-            key = h[late] * n + i[late]
-            order = np.argsort(key, kind="stable")
-            groups, first = np.unique(key[order], return_index=True)
-            for g, idxs in zip(groups.tolist(), np.split(late[order], first[1:])):
+            order, keys, bounds = _groups(h[late] * n + i[late], m // block * n)
+            late = late[order]
+            # each group's uniforms are one contiguous slice, in group order
+            u_row, u_col = u[late, 2], u[late, 3]
+            k, hat = np.empty(len(late), dtype=np.intp), np.empty(len(late), dtype=np.intp)
+            for g, a, b in zip(keys, bounds, bounds[1:]):
                 row_draw, col_draw = subgame_play(g)
-                k = _draw(row_draw, u[idxs, 2])
-                hat = _draw(col_draw, u[idxs, 3])
-                code[idxs] = k * n + hat + m * n * (hat != g % n)
-        counts += np.bincount(code, minlength=len(values))
+                k[a:b] = _draw(row_draw, u_row[a:b])
+                hat[a:b] = _draw(col_draw, u_col[a:b])
+            code[late] = k * n + hat + m * n * (hat != i[late])
+        np.add.at(counts, code, 1)
 
     mean = float(counts @ values / trials)
     # cells never drawn add nothing, even where a huge c makes their square overflow

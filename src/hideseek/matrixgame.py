@@ -294,6 +294,16 @@ def _saddle_mask(A: np.ndarray) -> np.ndarray:
     the last two axes, so a stack of games is scanned at once. Ties count
     within SADDLE_TOL times the size of the row maximum or column minimum
     they are compared with: relative to the value a saddle would have, and
-    not to max|A|, which a huge cost in the other cells would inflate."""
+    not to max|A|, which a huge cost in the other cells would inflate.
+
+    A cell of row r and column j needs lo[r] <= hi[j], its row's lower
+    bound at most its column's upper bound, so a game whose least lo
+    exceeds its greatest hi holds no saddle. When that rules out every
+    game of the stack, as it does for every reveal-stage subgame of the
+    benchmark's eight-site instance at t = 2, c = 1, the cells are not
+    compared. A NaN bound fails the test, and its stack is compared."""
     rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
-    return (A >= rowmax - SADDLE_TOL * np.abs(rowmax)) & (A <= colmin + SADDLE_TOL * np.abs(colmin))
+    lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
+    if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():
+        return np.zeros(A.shape, dtype=bool)
+    return (A >= lo) & (A <= hi)

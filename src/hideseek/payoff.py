@@ -186,7 +186,8 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
             if mode == "pure_min":
                 F[k, h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
                 continue
-            mask = _saddle_mask(sub[lead]).reshape(lead.sum(), -1)
+            # every prefix leads its state at t <= 2: scan sub itself, no copy
+            mask = _saddle_mask(sub if lead.all() else sub[lead]).reshape(lead.sum(), -1)
             cell = np.full(len(rep), -1)  # each state's first saddle, row-major
             cell[state[h[lead]]] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
             lp[k, state[h[lead]], i - 1] = ~mask.any(axis=1)

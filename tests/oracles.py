@@ -280,6 +280,17 @@ def draw_full_cdf(w, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
+def group_keys(key, size):
+    """simulate's grouping of its late trials before it sorted narrow keys:
+    a stable comparison sort of the int64 keys and np.unique's group starts,
+    as experiments._groups returns them (size is unused)."""
+    key = np.asarray(key, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    groups, first = np.unique(key[order], return_index=True)
+    bounds = [*first.tolist(), len(key)] if len(key) else []
+    return order, groups.tolist(), bounds
+
+
 def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
     """The seeker-aware matrix solved with one reveal-stage subgame per prefix.
 

@@ -15,7 +15,7 @@ from hideseek import experiments
 import reference as ref
 from conftest import random_instance
 import oracles
-from oracles import draw_full_cdf, sweep_cells, sweep_to_csv_cells
+from oracles import draw_full_cdf, group_keys, sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -325,12 +325,72 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     def run():
         return hs.simulate(A, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
 
+    assert run() == oracle_playout(run)
+
+
+def oracle_playout(run):
+    """run() with simulate's draws searched over the full cdf and its late
+    trials grouped by a comparison sort of int64 keys."""
+
     def full_cdf(w, labels):
         return np.cumsum(w), np.append(labels, labels[-1])
 
-    support = run()
-    with mock.patch.object(experiments, "_support", full_cdf):
-        assert run() == support
+    with mock.patch.object(experiments, "_support", full_cdf), mock.patch.object(experiments, "_groups", group_keys):
+        return run()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), size=st.sampled_from([1, 2, 256, 257, 65_536, 65_537, 1 << 20]))
+def test_groups_match_the_comparison_sort(data, size):
+    # key spaces on both sides of the uint8 and uint16 bounds; past 65,536
+    # keys they sort as uint32, by numpy's comparison sort
+    keys = st.one_of(st.integers(0, size - 1), st.sampled_from([0, size - 1]))
+    key = np.array(data.draw(st.lists(keys, max_size=50), label="key"), dtype=np.int64)
+    order, groups, bounds = experiments._groups(key, size)
+    expected_order, *expected = group_keys(key, size)
+    np.testing.assert_array_equal(order, expected_order)
+    assert [groups, bounds] == expected
+
+
+def test_feedback_counts_match_the_oracle_past_65536_keys():
+    # n = 8, t = 6: 20,160 prefixes times 8 start locations make 161,280
+    # keys, which sort as uint32; the last prefix's keys pass 65,535
+    rng = np.random.default_rng(8)
+    rs = hs.enumerate_routes(8)
+    A = hs.base_matrix(random_instance(rng, 8), rs)
+    y = np.zeros(rs.m // hs.prefix_block(rs, 6))
+    y[rng.choice(len(y), 12, replace=False)] = rng.uniform(size=12)
+    y[-1] = 1.0
+    y /= y.sum()
+    z = rng.dirichlet(np.ones(8))
+    assert np.min_scalar_type(len(y) * 8 - 1) == np.uint32
+
+    def run():
+        return hs.simulate(A, rs, "feedback", y, z, 6, 0.5, 3_000, 7)
+
+    res = run()
+    assert res == oracle_playout(run)
+    assert res.empirical_end_by_t < 0.9  # late trials were grouped
+
+
+@pytest.mark.parametrize("p, block", [(1.0, 1 << 16), (0.9, 4)])
+def test_feedback_counts_match_the_oracle_when_every_trial_of_a_block_ends(demo6, rs6, p, block):
+    # the Seeker picks one of the prefixes (1, j), which all visit location
+    # 1 first, and the Hider hides there with probability p: at p = 1 no
+    # trial is late, at p = 0.9 most blocks of 4 trials have none
+    A = hs.base_matrix(demo6, rs6)
+    y = np.zeros(30)
+    y[:5] = 0.2
+    assert (rs6.route_array[: 5 * hs.prefix_block(rs6, 2), 0] == 1).all()
+    z = np.append(p, np.full(5, (1 - p) / 5))
+
+    def run():
+        return hs.simulate(A, rs6, "feedback", y, z, 2, 0.5, 2_000, 3)
+
+    with mock.patch.object(experiments, "_BLOCK", block):
+        res = run()
+        assert res == oracle_playout(run)
+    assert (res.empirical_end_by_t == 1.0) == (p == 1.0)
 
 
 @pytest.mark.parametrize("model", ["restricted", "feedback"])

@@ -2,6 +2,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hideseek as hs
 import hideseek.matrixgame as mg
@@ -134,15 +136,45 @@ def test_saddle_mask_finds_the_first_saddle_of_the_cell_by_cell_scan(name):
             for c in (0.0, 0.5, 1.0, 3.0, 1e12):
                 S = hs.subgame_matrix(A, rs, t, h, i, c)
                 for sub, mask in zip(S, mg._saddle_mask(S)):
-                    saddle = oracles.find_pure_saddle(sub)
-                    found[saddle is not None] += 1
-                    if saddle is None:
-                        assert not mask.any()
-                    else:
-                        cells = np.argwhere(mask)
-                        assert tuple(cells[0]) == (saddle.row, saddle.col)
-                        assert (len(cells) == 1) == saddle.unique
+                    found[assert_first_saddle(sub, mask)] += 1
     assert found[True] and found[False]
+
+
+def assert_first_saddle(A, mask):
+    """Check a game's saddle mask against the cell-by-cell scan: no cell
+    where the scan finds no saddle, else its first saddle first and a
+    single cell just when the saddle is unique. Returns whether the game
+    has a saddle."""
+    saddle = oracles.find_pure_saddle(A)
+    if saddle is None:
+        assert not mask.any()
+    else:
+        cells = np.argwhere(mask)
+        assert tuple(cells[0]) == (saddle.row, saddle.col)
+        assert (len(cells) == 1) == saddle.unique
+    return saddle is not None
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)))
+def test_saddle_mask_prefilter_drops_no_saddle(data, shape):
+    # small integers make ties common; copies scaled by 1e-8 and 1e8 and a
+    # huge-cost switch column move every bound off the unit scale. The
+    # prefilter may rule out the random stack whole, and each game alone;
+    # the mixed stack adds a game with every cell a saddle and, from 2 x 2
+    # on, one with none
+    G, m, k = shape
+    entries = st.lists(st.integers(-3, 3), min_size=G * m * k, max_size=G * m * k)
+    S = np.array(data.draw(entries, label="entries"), dtype=float).reshape(G, m, k)
+    if data.draw(st.booleans(), label="switch column"):
+        S[:, :, data.draw(st.integers(0, k - 1), label="column")] -= 1e12
+    S = np.concatenate([S, S * 1e-8, S * 1e8])
+    parity = np.add.outer(np.arange(m), np.arange(k)) % 2.0
+    mixed = np.concatenate([S, np.zeros((1, m, k)), parity[None]])
+    for stack in (S, mixed):
+        for sub, mask in zip(stack, mg._saddle_mask(stack)):
+            assert_first_saddle(sub, mask)
+            np.testing.assert_array_equal(mg._saddle_mask(sub), mask)
 
 
 def test_check_lemma1_collinear(collinear3):

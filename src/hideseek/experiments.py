@@ -17,6 +17,7 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_games, solve_zero_sum
@@ -274,9 +275,8 @@ _BLOCK = 1 << 16  # trials per block: a 2 MB draw of uniforms
 
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Four uniforms per trial from the trial-indexed Philox counter block."""
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    bg = np.random.Philox(counter=[start, 0, 0, 0], key=key)
-    return np.random.Generator(bg).random((count, 4))
+    key = SeedSequence(seed).generate_state(2, np.uint64)
+    return Generator(Philox(counter=[start, 0, 0, 0], key=key)).random((count, 4))
 
 
 def _support(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,15 +21,24 @@ without it, and on the base game presolve takes about as long as the
 simplex. Where presolve could shrink a game (duplicate rows or columns, a
 restricted game at c = 0), the simplex solves the whole LP, and its
 solution is certified like any other.
+
+HiGHS is reached through scipy's bundled extension module,
+scipy.optimize._highspy._core, loaded on its own: importing scipy.optimize
+to call linprog took about three quarters of the CLI's start-up, for one
+LP call per game. _col_lp hands HiGHS the LP and options linprog(method=
+"highs") handed it, so HiGHS returns the same solution to the bit.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 # A solution certifies when both of its best-response gaps are within
 # GAP_TOL times its game's max|A|; the gaps it reports stay absolute.
@@ -44,8 +53,57 @@ _RC_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _STALL_PIVOTS = 16
 _MAX_PIVOTS = 500
-# Options for every HiGHS call: no presolve (see the module docstring).
-_HIGHS_OPTIONS = {"presolve": False}
+# Options for every HiGHS call: linprog's for its dual simplex, with
+# presolve off (see the module docstring).
+_HIGHS_OPTIONS = {
+    "presolve": "off",
+    "simplex_strategy": 1,  # dual
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,
+}
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, loaded under its own dotted name
+    without importing scipy or scipy.optimize, and registered in
+    sys.modules, where a later import of scipy.optimize finds it: both
+    then share one module object and one set of its pybind11 types.
+    Reused if scipy.optimize loaded it first. Raises ImportError if the
+    installed scipy has no such module."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    paths = [
+        Path(folder, "optimize", "_highspy", f"_core{suffix}")
+        for folder in (scipy.submodule_search_locations if scipy else [])
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((path for path in paths if path.is_file()), None)
+    if path is None:
+        raise ImportError(
+            "hideseek needs scipy's HiGHS extension module, "
+            "scipy/optimize/_highspy/_core<extension suffix> (scipy >= 1.17.1)"
+        )
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highspy = _load_highs()
+
+
+def __getattr__(name):
+    # scipy's linprog, imported only when asked for: hsbench's tracer
+    # rebinds matrixgame.linprog, which no solve calls any more
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):
@@ -91,18 +149,50 @@ def _validate_matrix(A: np.ndarray) -> None:
 
 def _col_lp(A: np.ndarray):
     """Maximize v subject to A z >= v, sum z = 1, z >= 0, over the
-    variables (z, v), by HiGHS without presolve (see the module docstring)."""
+    variables (z, v), by HiGHS without presolve (see the module docstring).
+
+    This is the LP, and these are the options, that linprog(method="highs")
+    passed: min -v over the column-wise matrix [-A 1; 1^T 0] with its exact
+    zeros dropped, rows -inf <= . <= 0 and 1 <= . <= 1, z >= 0 and v free.
+    Returns None, the primal (z, v) and the inequality rows' duals, or
+    HiGHS's model status text and no solution when the LP is not solved to
+    optimality.
+    """
     m, n = A.shape
-    return linprog(
+    inf = _highspy.kHighsInf
+    M = np.empty((n + 1, m + 1))  # row j holds column j of the LP
+    M[:n, :m] = -A.T
+    M[:n, m] = M[n, :m] = 1.0
+    M[n, m] = 0.0
+    nz = M != 0.0
+    start = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(nz.sum(axis=1), out=start[1:])
+    index = np.nonzero(nz)[1].astype(np.int32)
+    highs = _highspy._Highs()
+    for option, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    status = highs.passModel(
+        n + 1, m + 1, int(start[-1]), 1, 1, 0.0,  # column-wise, minimize, no offset
         np.append(np.zeros(n), -1.0),
-        A_ub=np.hstack([-A, np.ones((m, 1))]),
-        b_ub=np.zeros(m),
-        A_eq=np.append(np.ones(n), 0.0)[None, :],
-        b_eq=np.ones(1),
-        bounds=np.column_stack([np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf)]),
-        method="highs",
-        options=_HIGHS_OPTIONS,
+        np.append(np.zeros(n), -inf),
+        np.full(n + 1, inf),
+        np.append(np.full(m, -inf), 1.0),
+        np.append(np.zeros(m), 1.0),
+        start,
+        index,
+        M[nz],
+        # all continuous; an empty array would pass HiGHS a dangling pointer
+        np.zeros(n + 1, dtype=np.int32),
     )
+    if status == _highspy.HighsStatus.kError:
+        model_status = _highspy.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    if model_status != _highspy.HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(model_status), None, None
+    solution = highs.getSolution()
+    return None, np.array(solution.col_value), np.array(solution.row_dual[:m])
 
 
 def _highs(S, scale):
@@ -114,10 +204,10 @@ def _highs(S, scale):
     G, m, k = S.shape
     v, y, z = np.empty(G), np.empty((G, m)), np.empty((G, k))
     for g, A in enumerate(S):
-        res = _col_lp(A)
-        if res.status != 0:
-            raise SolverError(f"column LP failed: {res.message}")
-        v[g], y[g], z[g] = res.x[-1], -res.ineqlin.marginals, res.x[:-1]
+        failure, x, duals = _col_lp(A)
+        if failure is not None:
+            raise SolverError(f"column LP failed: {failure}")
+        v[g], y[g], z[g] = x[-1], -duals, x[:-1]
     return v, y, z
 
 

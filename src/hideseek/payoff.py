@@ -114,7 +114,10 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     """
     block = prefix_block(rs, t)
     h, i, c = np.asarray(h), np.asarray(i), np.asarray(c, dtype=float)
-    for cost in np.unique(c).tolist():
+    # each distinct cost once, ascending, as np.unique gave them (which, on
+    # floats, imports numpy.ma)
+    costs = np.sort(c, axis=None)
+    for cost in np.concatenate([costs[:1], costs[1:][costs[1:] != costs[:-1]]]).tolist():
         check_cost(cost)
     if ((h < 0) | (h >= rs.m // block)).any():
         raise ValueError(f"prefix index out of range 0..{rs.m // block - 1}")

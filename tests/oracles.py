@@ -1,13 +1,13 @@
 """Reference implementations that the package's faster paths are checked
 against: per-prefix and per-route loops the package vectorises, a
 cell-by-cell pure saddle scan, an independent closed form for small
-reveal-stage subgames, full-LP game values (and the same LP through HiGHS's
-default presolve), a recompute of a solution's best-response gaps, and the
-cell-by-cell formatters the one-row writers replaced. Also the audits of
-the paper's claims that only the tests run: point-to-point distances, the
-Lemma 1 stay-vs-switch check at a pure saddle, the closed-form termination
-probability that simulate's ended-by-t rate is checked against, and the
-sweep's default cost grid."""
+reveal-stage subgames, full-LP game values through scipy's linprog (and the
+same LP through HiGHS's default presolve), a recompute of a solution's
+best-response gaps, and the cell-by-cell formatters the one-row writers
+replaced. Also the audits of the paper's claims that only the tests run:
+point-to-point distances, the Lemma 1 stay-vs-switch check at a pure
+saddle, the closed-form termination probability that simulate's ended-by-t
+rate is checked against, and the sweep's default cost grid."""
 
 import functools
 import itertools
@@ -232,13 +232,30 @@ def game_value(A):
     return hs.solve_zero_sum(A).value
 
 
+def col_lp_reference(A, presolve=False):
+    """The column LP of A through scipy's linprog, as the package called it
+    (presolve off) before it drove HiGHS directly: the reference
+    matrixgame._col_lp must match to the bit."""
+    m, n = A.shape
+    return linprog(
+        np.append(np.zeros(n), -1.0),
+        A_ub=np.hstack([-A, np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.append(np.ones(n), 0.0)[None, :],
+        b_eq=np.ones(1),
+        bounds=np.column_stack([np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf)]),
+        method="highs",
+        options={"presolve": presolve},
+    )
+
+
 def full_lp_values(S):
-    """Each game's value from one HiGHS column LP over all its rows, with no
-    certificate and so no fallback to the simplex: the reference that
-    solve_games' simplex is checked against."""
+    """Each game's value from one HiGHS column LP over all its rows, through
+    scipy's linprog, with no certificate and so no fallback to the simplex:
+    the reference that solve_games' simplex is checked against."""
     values = []
     for A in S:
-        res = hs.matrixgame._col_lp(A)
+        res = col_lp_reference(A)
         assert res.status == 0, res.message
         values.append(res.x[-1])
     return np.array(values)
@@ -258,16 +275,7 @@ def presolved_value(A):
     """The value of A from one column LP through scipy's HiGHS with its
     default options, presolve on: the reference that the package's
     presolve-free LPs are checked against."""
-    m, n = A.shape
-    res = linprog(
-        np.append(np.zeros(n), -1.0),
-        A_ub=np.hstack([-A, np.ones((m, 1))]),
-        b_ub=np.zeros(m),
-        A_eq=np.append(np.ones(n), 0.0)[None, :],
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs",
-    )
+    res = col_lp_reference(A, presolve=True)
     assert res.status == 0, res.message
     return -res.fun
 

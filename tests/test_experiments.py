@@ -128,13 +128,13 @@ def test_sweep_lp_calls_stay_bounded(monkeypatch):
     # solve_games' simplex
     inst = hs.load_instance(INSTANCES / "six_sites.json")
     calls = []
-    real_linprog = hs.matrixgame.linprog
+    real_col_lp = hs.matrixgame._col_lp
 
-    def counting_linprog(*args, **kwargs):
+    def counting_col_lp(A):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return real_col_lp(A)
 
-    monkeypatch.setattr(hs.matrixgame, "linprog", counting_linprog)
+    monkeypatch.setattr(hs.matrixgame, "_col_lp", counting_col_lp)
     hs.sweep(inst)
     assert len(calls) == SWEEP6_LP_CALLS
 

@@ -1,12 +1,18 @@
 """Every import in the package's modules is used, and so is every public
 name they define. __init__.py is left out of the first check: its imports
-are the package's public names."""
+are the package's public names. The CLI imports no scipy.optimize, and
+shares scipy's HiGHS extension module with it."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
+
+import hideseek.matrixgame as mg
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hideseek"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -84,3 +90,87 @@ def unused_public_names() -> list[str]:
 
 def test_every_public_name_is_used():
     assert unused_public_names() == []
+
+
+# The CLI reaches HiGHS without scipy.optimize, and shares scipy's one HiGHS
+# extension module with it in either import order. Each check runs in a
+# fresh interpreter, as the tests themselves import scipy.optimize.
+
+CLI_RUN = """
+import contextlib, io, sys
+import hideseek.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hideseek.cli.main(["sweep", "instances/three_sites.json"]) == 0
+    assert hideseek.cli.main(
+        ["solve", "instances/three_sites.json", "--model", "feedback", "--t-reveal", "1"]
+    ) == 0
+print(sorted({"scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.ma"} & set(sys.modules)))
+"""
+
+SHARED_HIGHS = """
+import sys
+{first}
+assert "scipy.optimize._highspy._core" in sys.modules
+{second}
+import numpy as np
+from scipy.optimize import linprog
+core = sys.modules["scipy.optimize._highspy._core"]
+assert core is hideseek.matrixgame._highspy
+# linprog solves matching pennies, value 0, and so does the package
+res = linprog([0, 0, -1], A_ub=[[-1, 1, 1], [1, -1, 1]], b_ub=[0, 0], A_eq=[[1, 1, 0]], b_eq=[1],
+              bounds=[(0, None), (0, None), (None, None)], method="highs")
+assert res.status == 0 and abs(res.x[-1]) < 1e-12
+assert abs(hideseek.solve_zero_sum(np.array([[1.0, -1.0], [-1.0, 1.0]])).value) < 1e-12
+print("shared")
+"""
+
+# hsbench's tracer rebinds matrixgame.linprog: the name imports scipy's
+# linprog when asked for, and only then
+LAZY_LINPROG = """
+import sys
+import hideseek.matrixgame as mg
+assert "scipy.optimize" not in sys.modules
+served = mg.linprog
+from scipy.optimize import linprog
+assert served is linprog
+print("lazy")
+"""
+
+
+def _run(code):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_the_cli_imports_no_scipy_optimize():
+    assert _run(CLI_RUN) == "[]"
+
+
+def test_matrixgame_serves_linprog_only_when_asked():
+    assert _run(LAZY_LINPROG) == "lazy"
+    with pytest.raises(AttributeError, match="no attribute 'simplex'"):
+        mg.simplex
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_scipy_optimize_and_the_package_share_one_highs_module(scipy_first):
+    imports = ["import scipy.optimize", "import hideseek, hideseek.matrixgame"]
+    first, second = imports if scipy_first else imports[::-1]
+    assert _run(SHARED_HIGHS.format(first=first, second=second)) == "shared"
+
+
+def test_a_scipy_without_the_highs_module_fails_the_import_by_name(tmp_path):
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    path = os.pathsep.join([str(tmp_path), str(PACKAGE.parent)])
+    out = subprocess.run(
+        [sys.executable, "-c", "import hideseek"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert out.returncode != 0
+    assert "ImportError: hideseek needs scipy's HiGHS extension module" in out.stderr
+    assert "scipy/optimize/_highspy/_core" in out.stderr

@@ -1,3 +1,4 @@
+import functools
 import pathlib
 
 import numpy as np
@@ -11,7 +12,7 @@ import hideseek.matrixgame as mg
 import reference as ref
 from conftest import random_instance
 import oracles
-from oracles import best_response_gap, full_lp_values, presolved_value
+from oracles import best_response_gap, col_lp_reference, full_lp_values, presolved_value
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -317,16 +318,17 @@ def test_solve_zero_sum_raises_when_both_solvers_are_slack(monkeypatch):
 
 
 def test_solve_zero_sum_raises_when_the_column_lp_fails(monkeypatch):
-    real_col_lp = mg._col_lp
+    # HiGHS stops at its iteration limit, before an optimal basis
+    monkeypatch.setitem(mg._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+    assert mg._col_lp(_mixed_shapes()[5]) == ("Iteration limit reached", None, None)
+    with pytest.raises(hs.SolverError, match="column LP failed: Iteration limit reached"):
+        hs.solve_zero_sum(_mixed_shapes()[5])
 
-    def failing_col_lp(A):
-        res = real_col_lp(A)
-        res.status, res.message = 4, "numerical difficulties"
-        return res
 
-    monkeypatch.setattr(mg, "_col_lp", failing_col_lp)
-    with pytest.raises(hs.SolverError, match="column LP failed: numerical difficulties"):
-        hs.solve_zero_sum(_mixed_shapes()[3])
+def test_the_column_lp_reports_a_model_highs_refuses():
+    # HiGHS refuses matrix entries of 1e15 and more
+    A = np.array([[1e300, 1.0], [0.5, 2.0]])
+    assert mg._col_lp(A) == ("Model error", None, None)
 
 
 def _lp_bound_stacks(inst, t, c):
@@ -407,6 +409,19 @@ def _spy_highs(monkeypatch):
 
     monkeypatch.setattr(mg, "_highs", spy_highs)
     return alone
+
+
+def _spy_col_lp(monkeypatch):
+    """The games handed to _col_lp, one HiGHS LP each."""
+    real_col_lp = mg._col_lp
+    calls = []
+
+    def spy_col_lp(A):
+        calls.append(A)
+        return real_col_lp(A)
+
+    monkeypatch.setattr(mg, "_col_lp", spy_col_lp)
+    return calls
 
 
 def test_game_values_certify_against_the_full_matrix(monkeypatch):
@@ -625,18 +640,20 @@ SEED1_8 = ((1.374, 3.352), [(4.826, 0.816), (3.775, 0.43), (4.341, 1.71), (1.163
                             (1.756, 3.184), (0.323, 2.826), (0.535, 0.944), (1.581, 3.6)])
 
 
-def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
-    inst = hs.make_instance(*SEED1_8)
+@functools.cache
+def _seed1_8_games():
+    """The seed-1 eight-site base game, its t=2, c=1 switch game and its
+    t=2, c=1 feedback prefix game."""
     rs = hs.enumerate_routes(8)
-    A = hs.base_matrix(inst, rs)
-    calls = []
-    real_linprog = mg.linprog
+    A = hs.base_matrix(hs.make_instance(*SEED1_8), rs)
+    cfg = hs.SwitchConfig(2, 1.0)
+    return {"base": A, "switch": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
 
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(mg, "linprog", counting_linprog)
+def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
+    rs = hs.enumerate_routes(8)
+    A = _seed1_8_games()["base"]
+    calls = _spy_col_lp(monkeypatch)
     F = hs.feedback_matrix(A, rs, hs.SwitchConfig(2, 1.0))
     assert F.shape == (56, 8) and np.isfinite(F).all()
     assert calls == []
@@ -646,20 +663,57 @@ def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
 # could shrink still certify and keep the values presolved HiGHS gives
 
 def test_every_lp_runs_without_presolve(monkeypatch):
-    options = []
-    real_linprog = mg.linprog
+    made = []
 
-    def spying_linprog(*args, **kwargs):
-        options.append(kwargs.get("options") or {})
-        return real_linprog(*args, **kwargs)
+    class RecordingHighs(mg._highspy._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
 
-    monkeypatch.setattr(mg, "linprog", spying_linprog)
+    monkeypatch.setattr(mg._highspy, "_Highs", RecordingHighs)
     for A in _mixed_shapes():
         mg.solve_zero_sum(A)
     monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)  # games left open go to HiGHS
     mg.solve_games(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
-    assert len(options) == len(_mixed_shapes()) + 3
-    assert all(o.get("presolve") is False for o in options)
+    assert len(made) == len(_mixed_shapes()) + 3
+    for highs in made:
+        assert highs.getOptionValue("presolve")[1] == "off"
+        assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual
+        assert highs.getModelStatus() == mg._highspy.HighsModelStatus.kOptimal
+
+
+# _col_lp hands HiGHS the LP and options linprog did: its primal
+# and duals are linprog's to the bit
+
+def _assert_col_lp_matches_linprog(A):
+    failure, x, duals = mg._col_lp(A)
+    res = col_lp_reference(A)
+    assert failure is None and res.status == 0, res.message
+    assert np.array_equal(x, res.x)
+    assert np.array_equal(duals, res.ineqlin.marginals)
+
+
+@pytest.mark.parametrize("games", ["mixed_shapes", "presolve_reducible", "seed1_8"])
+def test_col_lp_matches_linprog_to_the_bit(games):
+    stack = {
+        "mixed_shapes": _mixed_shapes,
+        "presolve_reducible": lambda: list(_presolve_reducible().values()),
+        "seed1_8": lambda: list(_seed1_8_games().values()),
+    }[games]()
+    for A in stack:
+        _assert_col_lp_matches_linprog(A)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 12), st.integers(1, 5)))
+def test_col_lp_matches_linprog_on_tall_games_with_duplicates(data, shape):
+    # a small integer game, its rows and columns drawn with repetition into
+    # a game up to eight times as tall: ties and degenerate bases
+    m, k = shape
+    base = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m * k, max_size=m * k)), dtype=float)
+    rows = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=8 * m), label="rows")
+    cols = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=2 * k), label="cols")
+    _assert_col_lp_matches_linprog(base.reshape(m, k)[rows][:, cols])
 
 
 def _presolve_reducible():

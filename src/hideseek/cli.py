@@ -21,12 +21,11 @@ from .payoff import (
     FEEDBACK_MODES,
     SwitchConfig,
     _format_rows,
+    _model_matrix,
     base_matrix,
     dump_matrix,
-    feedback_matrix,
-    switch_matrix,
 )
-from .routes import MAX_LOCATIONS, RouteSet, enumerate_routes, prefix_block
+from .routes import MAX_LOCATIONS, enumerate_routes, prefix_block
 from .voi import CSTAR_VARIANTS, build_voi_report, report_to_csv
 
 EXIT_OK = 0
@@ -79,19 +78,6 @@ def _load(path) -> Instance:
 def _check_t(t: int, flag: str, top: int) -> None:
     if not 1 <= t <= top:
         raise UsageError(f"{flag} must be in 1..{top} for this instance, got {t}")
-
-
-def _model_matrix(
-    A: np.ndarray, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
-) -> np.ndarray:
-    """The payoff matrix of one game model from the base matrix A; base
-    ignores t and c."""
-    if model == "base":
-        return A
-    cfg = SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
-    if model == "restricted":
-        return switch_matrix(A, rs, cfg)
-    return feedback_matrix(A, rs, cfg)
 
 
 def cmd_solve(args, out) -> int:
@@ -152,7 +138,7 @@ def cmd_voi(args, out) -> int:
     p, V = args.precision, report.voi_matrix
     out.write(f"t_reveal: {cfg.t_reveal}\n" + _fixed_rows(["cost:"], [cfg.c], p))
     out.write(f"voi matrix ({rs.m}x{rs.n}), nonzero cells:\n")
-    nonzero = V > 1e-12
+    nonzero = V > 1e-12 * V.max()  # VOI is never negative, and its ties are exact zeros
     cells = [f"  r{j + 1},{i + 1}:" for j, i in np.argwhere(nonzero).tolist()]
     out.write(_fixed_rows(cells, V[nonzero], p) or "(none)\n")
     out.write(_fixed_rows(["worst-case voi per location:"], report.bar_voi, p))
@@ -201,11 +187,9 @@ def cmd_simulate(args, out) -> int:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_cost(args.cost, "--cost")
     _check_t(args.t_reveal, "--t-reveal", rs.n)
-    # revealing after the last visit reveals nothing: every model plays the base game
-    model = "base" if args.t_reveal == rs.n else args.model
     # the playout pays total-convention costs and plays mixed subgame strategies
     A = base_matrix(inst, rs)
-    matrix = _model_matrix(A, rs, model, args.t_reveal, args.cost, "total", "mixed_subgame")
+    matrix = _model_matrix(A, rs, args.model, args.t_reveal, args.cost, "total", "mixed_subgame")
     sol = solve_zero_sum(matrix)
     result = simulate(
         A, rs, args.model, sol.row_strategy, sol.col_strategy,

@@ -20,10 +20,11 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .instance import Instance
-from .matrixgame import check_cost, simplex_weights, solve_games, solve_zero_sum
+from .matrixgame import _saddle_mask, check_cost, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
+    _model_matrix,
     _prefix_gap,
     base_matrix,
     feedback_matrix,
@@ -34,7 +35,7 @@ from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
-# sweep and verify_bounds solve the switch games of a reveal time in chunks
+# _switch_games builds and solves the switch games of a reveal time in chunks
 # of costs whose stack of switch matrices, which solve_games' simplex holds,
 # takes at most this many bytes: every cost at once up to n = 6, one at a
 # time at n = 8, where each 40320 x 8 switch matrix takes 2.6 MB.
@@ -104,10 +105,9 @@ def sweep(
     part of that game printed, in one more solve_games call, and every
     delta in one reduction over both stacks. The base game goes to
     solve_games as well, so a sweep makes no LP call. From n = 7 on, the
-    costs go in chunks
-    (_cost_chunks): a switch game there is large enough to fill the
-    simplex's batched numpy calls on its own, so more at once only takes
-    memory.
+    costs go in chunks (_switch_games): a switch game there is large
+    enough to fill the simplex's batched numpy calls on its own, so more at
+    once only takes memory.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -128,15 +128,12 @@ def sweep(
     rows = []
     for t in t_list:
         cells = {}
-        for costs in _cost_chunks(A, sorted(set(c_grid))):
-            cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs]
-            As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
+        for cfgs, As, (v_sw, _, z_sw) in _switch_games(A, rs, t, sorted(set(c_grid)), convention, feedback_mode):
             Fs = feedback_matrix(A, rs, cfgs)
-            v_sw, _, z_sw = solve_games(As)
             v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As, Fs).max(axis=(1, 2, 3))
-            for c, S, v_switch, z, v_fb, delta in zip(costs, As, v_sw, z_sw, v_fbs, deltas):
+            for cfg, S, v_switch, z, v_fb, delta in zip(cfgs, As, v_sw, z_sw, v_fbs, deltas):
                 bar = worst_case_voi(voi_matrix(S, rs, t))
-                cells[c] = (v_switch, v_fb, expected_voi(bar, z), delta)
+                cells[cfg.c] = (v_switch, v_fb, expected_voi(bar, z), delta)
         for c in c_grid:
             v_switch, v_fb, ev, delta = cells[c]
             rows.append(
@@ -156,11 +153,16 @@ def sweep(
     return rows
 
 
-def _cost_chunks(A: np.ndarray, costs: list[float]) -> list[list[float]]:
-    """The costs in order, in chunks whose switch matrices (each the size of
-    the base matrix A) take at most _CHUNK_BYTES together."""
+def _switch_games(A, rs, t, costs, convention, feedback_mode="mixed_subgame", solve=True):
+    """The switch games of reveal time t at the costs in order, in chunks
+    whose switch matrices (each the size of the base matrix A) take at most
+    _CHUNK_BYTES together: per chunk its configs, the stack of their switch
+    matrices, and the stack's solve_games solution (None unless solve)."""
     chunk = max(1, _CHUNK_BYTES // A.nbytes)
-    return [costs[j : j + chunk] for j in range(0, len(costs), chunk)]
+    for j in range(0, len(costs), chunk):
+        cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs[j : j + chunk]]
+        As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
+        yield cfgs, As, solve_games(As) if solve else None
 
 
 SWEEP_HEADER = (
@@ -179,7 +181,7 @@ def verify_bounds(
     rows: list[SweepRow],
     inst: Instance | None = None,
     convention: str = "total",
-    tol: float = 1e-8,
+    tol: float = 1e-9,
 ) -> BoundReport:
     """Check every structural bound a sweep must satisfy.
 
@@ -189,13 +191,16 @@ def verify_bounds(
     non-increasing in c at fixed t. With the instance available, the
     fixed-mix expected VOI is additionally checked to be non-increasing in
     reveal time (the mix is re-equilibrated per cost but frozen across t,
-    since equilibria move with t).
+    since equilibria move with t). tol is relative to the rows' largest
+    |value| but c, which can be huge, and also bounds the spread of v_base,
+    which one instance shares.
     """
     if not rows:
         return BoundReport(checks=())
-    base_vals = {round(r.v_base, 9) for r in rows}
-    if len(base_vals) > 1:
-        raise ValueError(f"rows come from mixed instances: v_base values {sorted(base_vals)}")
+    tol *= max(abs(v) for r in rows for v in astuple(r)[2:])
+    lo, hi = min(r.v_base for r in rows), max(r.v_base for r in rows)
+    if hi - lo > tol:
+        raise ValueError(f"rows come from mixed instances: v_base from {lo!r} to {hi!r}")
 
     checks: list[BoundCheck] = []
 
@@ -251,22 +256,17 @@ def verify_bounds(
 def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck:
     rs = enumerate_routes(inst.n)
     A = base_matrix(inst, rs)
-    z_first = []  # each cost's switch-game Hider mix at the first reveal time
-    for costs in _cost_chunks(A, c_list):
-        S = np.stack([switch_matrix(A, rs, SwitchConfig(t_list[0], c, convention)) for c in costs])
-        z_first.extend(solve_games(S)[2])
-    for c, z_fixed in zip(c_list, z_first):
-        prev = None
-        for t in t_list:
-            As = switch_matrix(A, rs, SwitchConfig(t, c, convention=convention))
-            ev = expected_voi(worst_case_voi(voi_matrix(As, rs, t)), z_fixed)
-            if prev is not None and ev > prev + tol:
-                return BoundCheck(
-                    "fixed_mix_voi_monotone_in_t",
-                    False,
-                    f"c={c:g}: fixed-mix expected VOI rises {prev:.6f} -> {ev:.6f} at t={t}",
-                )
-            prev = ev
+    # each cost's switch-game Hider mix at the first reveal time
+    z_first = [z for *_, (_, _, zs) in _switch_games(A, rs, t_list[0], c_list, convention) for z in zs]
+    ev = np.empty((len(c_list), len(t_list)))  # fixed-mix expected VOI per (c, t)
+    for k, t in enumerate(t_list):
+        games = (S for _, As, _ in _switch_games(A, rs, t, c_list, convention, solve=False) for S in As)
+        ev[:, k] = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, z in zip(games, z_first)]
+    for c, row in zip(c_list, ev.tolist()):
+        for t, prev, cur in zip(t_list[1:], row, row[1:]):
+            if cur > prev + tol:
+                detail = f"c={c:g}: fixed-mix expected VOI rises {prev:.6f} -> {cur:.6f} at t={t}"
+                return BoundCheck("fixed_mix_voi_monotone_in_t", False, detail)
     return BoundCheck("fixed_mix_voi_monotone_in_t", True, "non-increasing")
 
 
@@ -338,10 +338,13 @@ def simulate(
     is the baseline cost, which a prefix h reads at its first route h*B.
     Otherwise the restricted Hider relocates to its best reduced-payoff
     target, and in the feedback model the Seeker and Hider instead play
-    their solved reveal-stage subgame mixes. Every payoff is a base-matrix
-    cell, less c if the Hider switched, so blocks of _BLOCK trials only
-    count cells, by np.add.at into one histogram: memory stays bounded,
-    and identical seeds give bit-identical results for any block size.
+    their reveal-stage subgame: at its first pure saddle (_saddle_mask,
+    feedback_matrix's rule) if it has one, else by solve_zero_sum's mixes.
+    At t = n every model plays the base game (payoff._model_matrix). Every
+    payoff is a base-matrix cell, less c if the Hider switched, so blocks
+    of _BLOCK trials only count cells, by np.add.at into one histogram:
+    memory stays bounded, and identical seeds give bit-identical results
+    for any block size.
 
     A block's late feedback trials are grouped by their subgame, the key
     h*n + i, in the narrowest unsigned type that holds every key
@@ -363,27 +366,22 @@ def simulate(
     block = prefix_block(rs, t) if feedback else 1  # routes per row of y
     y = simplex_weights(y, m // block, "y")
     z = simplex_weights(z, n, "z")
-    if model == "restricted" and t < n:
-        values = switch_matrix(A, rs, SwitchConfig(t, c)).ravel()
-    elif feedback:
+    if feedback:
         # codes past m*n are the switched cells, paid minus c
         values = np.concatenate([A.ravel(), A.ravel() - c])
     else:
-        values = A.ravel()
+        values = _model_matrix(A, rs, model, t, c, "total", "mixed_subgame").ravel()
 
     @functools.cache
     def subgame_play(key: int):
         h, i = divmod(key, n)
         targets = np.flatnonzero(rs.position_matrix[h * block] > t)
         S = subgame_matrix(A, rs, t, h, i + 1, c)
-        stay = targets == i
-        if (S[:, stay] > S[:, ~stay]).all():
-            # Staying beats every switch on every route, so the Hider stays
-            # and every Seeker equilibrium mix is supported on the routes
-            # that reach i soonest, which all pay the same. Playing the
-            # first of them needs no LP, which HiGHS rejects once c dwarfs
-            # the distances.
-            y, z = (np.arange(block) == S[:, stay].argmin()).astype(float), stay.astype(float)
+        saddle = _saddle_mask(S)
+        if saddle.any():
+            # the first pure saddle, by feedback_matrix's rule for a cell
+            r, j = divmod(int(saddle.argmax()), len(targets))
+            y, z = (np.arange(block) == r).astype(float), (np.arange(len(targets)) == j).astype(float)
         else:
             sol = solve_zero_sum(S)
             y, z = sol.row_strategy, sol.col_strategy

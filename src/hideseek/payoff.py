@@ -209,6 +209,20 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     return F[0] if one else F
 
 
+def _model_matrix(
+    A: np.ndarray, rs: RouteSet, model: str, t: int, c: float, convention: str, feedback_mode: str
+) -> np.ndarray:
+    """The payoff matrix of one game model from the base matrix A. Base
+    ignores t and c, and so does every model at t = n: revealing after the
+    last visit reveals nothing, so the game is the base game."""
+    if model == "base" or t == rs.n:
+        return A
+    cfg = SwitchConfig(t, c, convention=convention, feedback_mode=feedback_mode)
+    if model == "restricted":
+        return switch_matrix(A, rs, cfg)
+    return feedback_matrix(A, rs, cfg)
+
+
 def _prefix_gap(As: np.ndarray, F: np.ndarray) -> np.ndarray:
     """|As - F| in the prefix-block layout, shape (..., rows, (n-t)!, n):
     each prefix row of F against the routes of its block in As. Takes one

@@ -156,7 +156,7 @@ def build_voi_report(
     V = voi_matrix(As, rs, cfg.t_reveal)
     bar = worst_case_voi(V)
     C = cstar(A, rs, cfg.t_reveal, variant)
-    route_global = cstar_global(cstar(A, rs, cfg.t_reveal, "route"))
+    route_global = cstar_global(C if variant == "route" else cstar(A, rs, cfg.t_reveal, "route"))
     return VoiReport(
         voi_matrix=V,
         bar_voi=bar,

@@ -487,7 +487,7 @@ def voi_text(report, prec):
     out.append(f"voi matrix ({m}x{n}), nonzero cells:\n")
     nonzero = [
         f"  r{j + 1},{i + 1}: {fmt(report.voi_matrix[j, i], p)}"
-        for j, i in np.argwhere(report.voi_matrix > 1e-12)
+        for j, i in np.argwhere(report.voi_matrix > 1e-12 * np.abs(report.voi_matrix).max())
     ]
     out.append("\n".join(nonzero) + ("\n" if nonzero else "(none)\n"))
     out.append("worst-case voi per location: ")

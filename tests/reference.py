@@ -101,3 +101,27 @@ OVERFLOWING = {
         "distance_table": [[0 if u == v else 1e308 for v in range(4)] for u in range(4)],
     },
 }
+
+# `simulate` stdout (default trials and seed, --precision 12) on reveal
+# stages that a pure saddle closes without a dominant stay: collinear_three
+# at t=1, c=0 (4 of its 6 subgames) and six_sites at t=3, c=2 (14 of 360).
+SIMULATE_SADDLE_STDOUT = {
+    ("collinear_three", "1", "0"): (
+        "model: feedback\ntrials: 100000\nseed: 0\n"
+        "game value: 3.000000000000\nmean payoff: 3.000000000000\n"
+        "stderr: 0.000000000000\nended by t: 0.000000000000\n"
+    ),
+    ("six_sites", "3", "2"): (
+        "model: feedback\ntrials: 100000\nseed: 0\n"
+        "game value: 7.915741311837\nmean payoff: 7.914788503208\n"
+        "stderr: 0.007142411518\nended by t: 0.450130000000\n"
+    ),
+}
+# `simulate` stdout on three_sites at t = n = 3 (20,000 trials, seed 0,
+# --precision 12) after its first line, the same for every model: a reveal
+# after the last visit reveals nothing.
+SIMULATE_LAST_REVEAL_3 = (
+    "trials: 20000\nseed: 0\n"
+    "game value: 3.325140769936\nmean payoff: 3.327578383331\n"
+    "stderr: 0.007666125502\nended by t: 1.000000000000\n"
+)

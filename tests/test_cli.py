@@ -100,6 +100,26 @@ def test_simulate_plays_the_game_solve_solves(capsys, name, n):
         assert value("simulate", "game value: ", *last) == base, model
 
 
+@pytest.mark.parametrize("name,t,c", list(ref.SIMULATE_SADDLE_STDOUT))
+def test_feedback_simulate_plays_pure_saddles_as_recorded(capsys, name, t, c):
+    code, out, _ = run_cli(
+        capsys, "simulate", str(INSTANCES / f"{name}.json"), "--model", "feedback",
+        "--t-reveal", t, "--cost", c, "--precision", "12",
+    )
+    assert code == 0
+    assert out == ref.SIMULATE_SADDLE_STDOUT[name, t, c]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_simulate_at_the_last_reveal_plays_the_base_game_as_recorded(capsys, model):
+    code, out, _ = run_cli(
+        capsys, "simulate", str(INSTANCES / "three_sites.json"), "--model", model,
+        "--t-reveal", "3", "--trials", "20000", "--precision", "12",
+    )
+    assert code == 0
+    assert out == f"model: {model}\n" + ref.SIMULATE_LAST_REVEAL_3
+
+
 def test_solve_base_rejects_reveal_flags(capsys, three_sites_path):
     code, _, err = run_cli(
         capsys, "solve", three_sites_path, "--model", "base", "--t-reveal", "1",
@@ -574,3 +594,22 @@ def test_fixed_point_output_matches_cell_by_cell_oracle(capsys, monkeypatch, nam
         for model in MODELS:
             out = out_of("simulate", "--model", model, "--trials", "500", *p)
             assert out == simulate_text(played[-1], solved[-1].value, prec), (model, prec)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-14])
+def test_voi_lists_the_same_nonzero_cells_at_any_scale(capsys, monkeypatch, tmp_path, lam):
+    # the nonzero cut is relative to the table's own largest cell
+    data = json.loads((INSTANCES / "three_sites.json").read_text(encoding="utf-8"))
+    scaled = {
+        "origin": [lam * x for x in data["origin"]],
+        "locations": [[lam * x for x in p] for p in data["locations"]],
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(scaled), encoding="utf-8")
+    reports = _record(monkeypatch, "build_voi_report")
+    code, out, _ = run_cli(capsys, "voi", str(path), "--cost", repr(lam), "--precision", "20")
+    assert code == 0
+    assert out == voi_text(reports[-1], 20)
+    listed = out.split("nonzero cells:\n")[1].split("worst-case")[0]
+    cells = [line.split(":")[0].strip() for line in listed.splitlines()]
+    assert cells == ["r1,3", "r2,2", "r3,3", "r4,1", "r5,2", "r6,1"]

@@ -184,6 +184,12 @@ def test_switch_matrix_t_range(base3, rs3):
         hs.switch_matrix(base3, rs3, hs.SwitchConfig(3, 1.0))
 
 
+@pytest.mark.parametrize("model", ["base", "restricted", "feedback"])
+def test_model_matrix_at_the_last_reveal_is_the_base_game(base3, rs3, model):
+    # revealing after the last visit reveals nothing
+    assert payoff._model_matrix(base3, rs3, model, 3, 1.0, "total", "mixed_subgame") is base3
+
+
 def test_switch_config_validation():
     for c in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):

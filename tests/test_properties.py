@@ -2,6 +2,7 @@
 off-equilibrium playout means, and fast-path agreement on real subgames and
 on degenerate tall games."""
 
+import dataclasses
 import math
 import pathlib
 
@@ -154,6 +155,25 @@ def test_sweep_switch_values_scale_with_the_instance(name, convention):
             expect = np.array([lam * getattr(r, field) for r in rows])
             got = np.array([getattr(r, field) for r in scaled])
             assert (np.abs(got - expect) <= 1e-12 * np.abs(expect)).all(), (lam, field)
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e8])
+def test_verify_bounds_tolerances_scale_with_the_rows(demo6, lam):
+    # tol and the one-instance test are relative to the rows' largest value:
+    # absolute, a tiny unit let every fault through and a huge one flagged
+    # round-off
+    inst, costs = _scaled(demo6, lam), [lam * c for c in (0.0, 0.5, 2.0)]
+    rows = hs.sweep(inst, t_list=[1, 2], c_grid=costs)
+    assert hs.verify_bounds(rows, inst=inst).passed
+    alien = hs.sweep(_scaled(demo6, 1.001 * lam), t_list=[1], c_grid=costs[:1])
+    with pytest.raises(ValueError, match="mixed instances"):
+        hs.verify_bounds(rows + alien)
+    bad = dataclasses.replace(rows[0], v_fb=2 * rows[0].v_switch)
+    report = hs.verify_bounds([bad, *rows[1:]], inst=inst)
+    assert [c.name for c in report.checks if not c.passed] == ["feedback_below_switch"]
+    # a relative round-off above v_switch is no fault at any scale
+    close = dataclasses.replace(rows[0], v_fb=rows[0].v_switch * (1 + 1e-12))
+    assert hs.verify_bounds([close, *rows[1:]], inst=inst).passed
 
 
 def test_solve_zero_sum_values_scale_with_a_tiny_instance():

@@ -1,14 +1,15 @@
 """Command-line front end: solve, voi, sweep, simulate, and verify.
 
 Exit codes are stable: 0 success, 2 usage error, 3 instance error,
-4 numerical/solver failure. Output is deterministic byte-for-byte for
-identical invocations.
+4 numerical/solver failure, 141 (128 + SIGPIPE) stdout closed early.
+Output is deterministic byte-for-byte for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INSTANCE = 3
 EXIT_SOLVER = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -290,7 +292,12 @@ def main(argv=None) -> int:
                 raise UsageError(f"cannot write --output {args.output}: {exc.strerror}") from exc
             with fh:
                 return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # stdout's reader left: the exit flush goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

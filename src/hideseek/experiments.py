@@ -153,16 +153,16 @@ def sweep(
     return rows
 
 
-def _switch_games(A, rs, t, costs, convention, feedback_mode="mixed_subgame", solve=True):
+def _switch_games(A, rs, t, costs, convention, feedback_mode="mixed_subgame"):
     """The switch games of reveal time t at the costs in order, in chunks
     whose switch matrices (each the size of the base matrix A) take at most
     _CHUNK_BYTES together: per chunk its configs, the stack of their switch
-    matrices, and the stack's solve_games solution (None unless solve)."""
+    matrices, and the stack's solve_games solution."""
     chunk = max(1, _CHUNK_BYTES // A.nbytes)
     for j in range(0, len(costs), chunk):
         cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs[j : j + chunk]]
         As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
-        yield cfgs, As, solve_games(As) if solve else None
+        yield cfgs, As, solve_games(As)
 
 
 SWEEP_HEADER = (
@@ -258,12 +258,10 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
     A = base_matrix(inst, rs)
     # each cost's switch-game Hider mix at the first reveal time
     z_first = [z for *_, (_, _, zs) in _switch_games(A, rs, t_list[0], c_list, convention) for z in zs]
-    ev = np.empty((len(c_list), len(t_list)))  # fixed-mix expected VOI per (c, t)
-    for k, t in enumerate(t_list):
-        games = (S for _, As, _ in _switch_games(A, rs, t, c_list, convention, solve=False) for S in As)
-        ev[:, k] = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, z in zip(games, z_first)]
-    for c, row in zip(c_list, ev.tolist()):
-        for t, prev, cur in zip(t_list[1:], row, row[1:]):
+    for c, z in zip(c_list, z_first):
+        games = (switch_matrix(A, rs, SwitchConfig(t, c, convention)) for t in t_list)
+        ev = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, t in zip(games, t_list)]
+        for t, prev, cur in zip(t_list[1:], ev, ev[1:]):
             if cur > prev + tol:
                 detail = f"c={c:g}: fixed-mix expected VOI rises {prev:.6f} -> {cur:.6f} at t={t}"
                 return BoundCheck("fixed_mix_voi_monotone_in_t", False, detail)

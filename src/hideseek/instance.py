@@ -41,7 +41,7 @@ class Instance:
         if self.distance_table is not None:
             try:
                 table = np.asarray(self.distance_table, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InstanceError(f"distance table is not numeric: {exc}") from exc
             object.__setattr__(self, "distance_table", table)
             _check_table(table, self.n)
@@ -75,7 +75,7 @@ def make_instance(origin, locations, distance_table=None) -> Instance:
     try:
         op = Point(float(origin[0]), float(origin[1]))
         lps = tuple(Point(float(x), float(y)) for x, y in locations)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InstanceError(f"bad coordinates: {exc}") from exc
     except KeyError as exc:  # a JSON object where an [x, y] pair belongs
         raise InstanceError(f"bad coordinates: not an [x, y] pair (no index {exc})") from exc
@@ -95,7 +95,7 @@ def load_instance(path) -> Instance:
             data = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to read
         raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance file must contain a JSON object")

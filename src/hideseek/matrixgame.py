@@ -46,12 +46,13 @@ GAP_TOL = 1e-6
 # _saddle_mask's ties: within SADDLE_TOL relative.
 SADDLE_TOL = 1e-9
 # solve_games' simplex: reduced costs and ties within _RC_TOL (times
-# max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game turns
-# to Bland's rule after _STALL_PIVOTS zero-step pivots in a row, and one
-# still open after _MAX_PIVOTS pivots is solved by HiGHS instead.
+# max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game pivots
+# by Bland's rule while its run of zero-step pivots is _STALL_PIVOTS or
+# longer (at 16, a switch game of a default sweep took 643 pivots, at 32 it
+# takes 39), and one still open after _MAX_PIVOTS is solved by HiGHS instead.
 _RC_TOL = 1e-12
 _PIVOT_TOL = 1e-9
-_STALL_PIVOTS = 16
+_STALL_PIVOTS = 32
 _MAX_PIVOTS = 500
 # Options for every HiGHS call: linprog's for its dual simplex, with
 # presolve off (see the module docstring).
@@ -140,11 +141,15 @@ class GameSolution:
     col_gap: float
 
 
-def _validate_matrix(A: np.ndarray) -> None:
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"degenerate matrix shape {A.shape}")
-    if not np.isfinite(A).all():
+def _scales(S: np.ndarray) -> np.ndarray:
+    """Each game's max|A| in the stack S, shape (G, m, k). Raises ValueError
+    unless every game has a row, a column and finite entries only."""
+    if S.ndim != 3 or 0 in S.shape[1:]:
+        raise ValueError(f"degenerate matrix shape {S.shape[1:]}")
+    hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("matrix has non-finite entries")
+    return np.maximum(hi, -lo)
 
 
 def _col_lp(A: np.ndarray):
@@ -257,10 +262,8 @@ def solve_zero_sum(A) -> GameSolution:
     game in tiny units) sends the game to solve_games' simplex. Raises
     SolverError if the LP fails or neither solver certifies the game.
     """
-    A = np.asarray(A, dtype=float)
-    _validate_matrix(A)
-    S = A[None]
-    v, y, z, row_gap, col_gap = _solve(S, np.abs(S).max(axis=(1, 2)), _highs, _simplex)
+    S = np.asarray(A, dtype=float)[None]
+    v, y, z, row_gap, col_gap = _solve(S, _scales(S), _highs, _simplex)
     return GameSolution(float(v[0]), y[0], z[0], float(row_gap[0]), float(col_gap[0]))
 
 
@@ -290,8 +293,9 @@ def _simplex(S, scale):
     (its row k), whose Hider mix is z = -pi[:k] and value v = pi[k], and the
     basic values (its column k). The reduced costs are S z - v for the rows,
     one matmul over the stack, and z for the slacks. The most negative one
-    enters (Dantzig), or the first negative one once a game has made
-    _STALL_PIVOTS zero-step pivots in a row (Bland). The ratio test skips w.
+    enters (Dantzig), or the first negative one while the game's current run
+    of zero-step pivots is _STALL_PIVOTS or longer (Bland, which cannot
+    cycle; a cycle holds only zero-step pivots). The ratio test skips w.
     A game closes once no reduced cost is below -1e-12 (times max|A|, by the
     scaling). Returns each game's value, Seeker mix and
     Hider mix, uncleaned; a game left open by a singular basis, an unbounded
@@ -312,9 +316,10 @@ def _simplex(S, scale):
     B[games, :k, j0] = S[games, r0] / scale[:, None]
     B[games, k, j0] = 1.0
     v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
-    pivots, stalls, bland = np.zeros(G, dtype=int), np.zeros(G, dtype=int), np.zeros(G, dtype=bool)
+    pivots, stalls = np.zeros(G, dtype=int), np.zeros(G, dtype=int)
     open_ = games
     while len(open_):
+        bland = stalls >= _STALL_PIVOTS
         inv, finite = _inverses(B)
         z[open_], x = -inv[:, k, :k], inv[:, :k, k]
         if 2 * len(open_) > G:  # most games open: one matmul over the stack, no copy of it
@@ -345,11 +350,9 @@ def _simplex(S, scale):
             np.where(tie, d, -np.inf).argmax(axis=1),
         )
         stalls = np.where(step <= _RC_TOL, stalls + 1, 0)
-        bland |= stalls >= _STALL_PIVOTS
         j = np.arange(len(open_))
         basis[j, p], B[j, :, p] = q, a
-        open_, basis, B, pivots = open_[go], basis[go], B[go], pivots[go] + 1
-        stalls, bland = stalls[go], bland[go]
+        open_, basis, B, pivots, stalls = open_[go], basis[go], B[go], pivots[go] + 1, stalls[go]
     return v, y, z
 
 
@@ -369,14 +372,7 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
         raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
-    G, m, k = S.shape
-    if G == 0:
-        return np.empty(0), np.empty((0, m)), np.empty((0, k))
-    _validate_matrix(S[0])
-    hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
-    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
-        raise ValueError("matrix has non-finite entries")
-    return _solve(S, np.maximum(hi, -lo), _simplex, _highs)[:3]
+    return _solve(S, _scales(S), _simplex, _highs)[:3]
 
 
 def _saddle_mask(A: np.ndarray) -> np.ndarray:

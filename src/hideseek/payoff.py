@@ -142,7 +142,11 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     (prefix-constant) baseline cost. Unvisited cells resolve the
     reveal-stage subgame over prefix-consistent continuations: its mixed
     game value by default, or the literal minimum over routes of the row
-    maxima under feedback_mode="pure_min".
+    maxima under feedback_mode="pure_min". The subgame of cell (h, i) is
+    solved with the start i known to both players. For c >= c*_route(t)
+    (voi.cstar's route variant) the stay column dominates every subgame,
+    and F is the prefix minimum A.reshape(-1, (n-t)!, n).min(axis=1), less
+    the reveal node's cumulative cost in unvisited cells under "remaining".
 
     A subgame depends on its prefix only through the Held-Karp state (the
     visited set and the last prefix node): the prefix order adds its
@@ -242,11 +246,12 @@ def entrywise_gap(As: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float, lis
     reveal time t in 1..n-1: each of its rows is compared with the block of
     (n-t)! As rows (the prefix's routes) that it covers, so G is
     route-indexed like As. Cells are 0-based (route, location-1) pairs
-    within 1e-9 of the maximum.
+    within 1e-9 times max|As| of the maximum, so the same cells come back in
+    any unit of length.
     """
     G = _prefix_gap(As, F).reshape(As.shape)
     delta = float(G.max())
-    cells = list(map(tuple, np.argwhere(G >= delta - 1e-9).tolist()))
+    cells = list(map(tuple, np.argwhere(G >= delta - 1e-9 * np.abs(As).max()).tolist()))
     return G, delta, cells
 
 

@@ -127,7 +127,6 @@ class VoiReport:
     cfg: SwitchConfig
     variant: str
     z_used: np.ndarray
-    y_used: np.ndarray
 
 
 def build_voi_report(
@@ -136,23 +135,16 @@ def build_voi_report(
     cfg: SwitchConfig,
     variant: str = "infoset",
     z=None,
-    y=None,
 ) -> VoiReport:
-    """Assemble a VoiReport, solving the switch game for the default mixes.
+    """Assemble a VoiReport from the switch game's equilibrium mixes.
 
-    Explicit z or y overrides replace the equilibrium strategies in the
-    expectation and the bilinear average.
+    An explicit Hider mix z replaces the equilibrium one in the expectation
+    and the bilinear average.
     """
     A = base_matrix(inst, rs)
     As = switch_matrix(A, rs, cfg)
-    if z is None or y is None:
-        sol = solve_zero_sum(As)
-        if z is None:
-            z = sol.col_strategy
-        if y is None:
-            y = sol.row_strategy
-    z = simplex_weights(z, rs.n, "z")
-    y = simplex_weights(y, rs.m, "y")
+    sol = solve_zero_sum(As)
+    z = simplex_weights(sol.col_strategy if z is None else z, rs.n, "z")
     V = voi_matrix(As, rs, cfg.t_reveal)
     bar = worst_case_voi(V)
     C = cstar(A, rs, cfg.t_reveal, variant)
@@ -161,14 +153,13 @@ def build_voi_report(
         voi_matrix=V,
         bar_voi=bar,
         expected_voi=expected_voi(bar, z),
-        route_averaged_voi=route_averaged_voi(V, y, z),
+        route_averaged_voi=route_averaged_voi(V, sol.row_strategy, z),
         cstar_matrix=C,
         cstar_global=cstar_global(C),
         bound=theorem1_bound(route_global, cfg.c),
         cfg=cfg,
         variant=variant,
         z_used=z,
-        y_used=y,
     )
 
 

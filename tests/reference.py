@@ -102,6 +102,12 @@ OVERFLOWING = {
     },
 }
 
+# instances holding a JSON integer too large for a float (1 and 400 zeros)
+TOO_LARGE = {
+    "coordinate": {"origin": [0, 0], "locations": [[10**400, 0], [1, 1]]},
+    "table": {"origin": [0, 0], "locations": [[1, 0]], "distance_table": [[0, 10**400], [10**400, 0]]},
+}
+
 # `simulate` stdout (default trials and seed, --precision 12) on reveal
 # stages that a pure saddle closes without a dominant stay: collinear_three
 # at t=1, c=0 (4 of its 6 subgames) and six_sites at t=3, c=2 (14 of 360).

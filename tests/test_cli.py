@@ -1,7 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hideseek.cli as cli
 from hideseek.cli import main
@@ -10,7 +19,8 @@ from hideseek.experiments import MODELS
 import reference as ref
 from oracles import simulate_text, solve_text, voi_text
 
-INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+INSTANCES = ROOT / "instances"
 
 
 @pytest.fixture()
@@ -545,6 +555,100 @@ def test_overflowing_distances_exit_3(capsys, tmp_path, case):
         assert code == 3, argv
         assert out == ""
         assert "instance error: distances overflow" in err
+
+
+@pytest.mark.parametrize("case", ["coordinate", "table"])
+def test_integer_too_large_for_a_float_exits_3(capsys, tmp_path, case):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(ref.TOO_LARGE[case]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("instance error: ") and "too large to convert to float" in err
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # the reader leaves after the first line, as `| head -1` does, while the
+    # matrix of 5,040 rows is still being written
+    path = _write_instance(tmp_path, 7)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+        [sys.executable, "-m", "hideseek.cli", "solve", path, "--emit-matrix"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert first == b"model: base\n"
+    assert code == cli.EXIT_CLOSED_STDOUT == 141
+    assert err == b""
+
+
+_NUMBER = st.one_of(st.floats(-5.0, 5.0), st.integers(-5, 5))
+_EXTREME = st.sampled_from([10**400, float("nan"), float("inf"), 1e308, -1e308, 1e150, -1e150, 1e-300, -1])
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.just([]), st.just([[1, 2, 3]]), st.just({"x": 0}))
+
+
+@st.composite
+def _instance_json(draw):
+    """Instance JSON: 1 to 4 locations, perhaps a distance table, and then
+    perhaps one part broken: a number made extreme, a part made junk, a
+    field dropped, or the whole document made a list."""
+    n = draw(st.integers(1, 4))
+    pair = st.lists(_NUMBER, min_size=2, max_size=2)
+    data = {"origin": draw(pair), "locations": draw(st.lists(pair, min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        upper = draw(st.lists(st.integers(0, 5), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        table = [[0] * (n + 1) for _ in range(n + 1)]
+        for (u, v), d in zip(itertools.combinations(range(n + 1), 2), upper):
+            table[u][v] = table[v][u] = d
+        data["distance_table"] = table
+    # the lists of numbers in the document
+    lists = [data["origin"], *data["locations"], *data.get("distance_table", [])]
+    broken = draw(st.sampled_from(["none", "number", "junk", "drop", "list"]))
+    if broken == "number":
+        row = draw(st.sampled_from(lists))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_EXTREME)
+    elif broken == "junk":
+        key = draw(st.sampled_from(sorted(data)))
+        if isinstance(data[key][0], list) and draw(st.booleans()):
+            data[key][draw(st.integers(0, len(data[key]) - 1))] = draw(_JUNK)
+        else:
+            data[key] = draw(_JUNK)
+    elif broken == "drop":
+        del data[draw(st.sampled_from(["origin", "locations"]))]
+    elif broken == "list":
+        data = list(data.values())
+    return json.dumps(data)
+
+
+_ARGV = [
+    ["solve"],
+    ["solve", "--model", "restricted", "--cost", "0.5"],
+    ["solve", "--model", "feedback", "--convention", "remaining", "--emit-matrix"],
+    ["voi", "--cost", "0.5"],
+    ["sweep", "--costs", "0,1"],
+    ["verify", "--costs", "0,1"],
+    ["simulate", "--model", "feedback", "--trials", "50"],
+]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(text=_instance_json())
+@example(text=json.dumps(ref.TOO_LARGE["coordinate"]))
+@example(text=json.dumps(ref.TOO_LARGE["table"]))
+def test_every_instance_exits_by_the_documented_codes(text):
+    # 0, 2, 3 or 4, 1 only from verify's failed bound, and never a traceback
+    with tempfile.TemporaryDirectory() as folder:
+        path = pathlib.Path(folder, "inst.json")
+        path.write_text(text, encoding="utf-8")
+        for argv in _ARGV:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in (0, 2, 3, 4) or (code, argv[0]) == (1, "verify"), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv
+            assert (code in (0, 1)) == (err.getvalue() == ""), argv
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])

@@ -63,6 +63,9 @@ def test_load_rejects_bad_files(tmp_path):
     bad.write_text("{ not json", encoding="utf-8")
     with pytest.raises(hs.InstanceError, match="JSON"):
         hs.load_instance(bad)
+    bad.write_text('{"origin": [0, 1%s], "locations": [[1, 0]]}' % ("0" * 5000), encoding="utf-8")
+    with pytest.raises(hs.InstanceError, match="JSON"):  # more digits than Python reads
+        hs.load_instance(bad)
     with pytest.raises(hs.InstanceError, match="read"):
         hs.load_instance(tmp_path / "missing.json")
 
@@ -132,4 +135,12 @@ def test_overflowing_distances_rejected(tmp_path, payload):
     with pytest.raises(hs.InstanceError, match="distances overflow"):
         hs.make_instance(payload["origin"], payload["locations"], payload.get("distance_table"))
     with pytest.raises(hs.InstanceError, match="distances overflow"):
+        hs.load_instance(write_instance(tmp_path, payload))
+
+
+@pytest.mark.parametrize("payload", ref.TOO_LARGE.values(), ids=ref.TOO_LARGE.keys())
+def test_integers_too_large_for_a_float_rejected(tmp_path, payload):
+    with pytest.raises(hs.InstanceError, match="too large to convert to float"):
+        hs.make_instance(payload["origin"], payload["locations"], payload.get("distance_table"))
+    with pytest.raises(hs.InstanceError, match="too large to convert to float"):
         hs.load_instance(write_instance(tmp_path, payload))

@@ -1,5 +1,6 @@
 import functools
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ import oracles
 from oracles import best_response_gap, col_lp_reference, full_lp_values, presolved_value
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "hsbench"))
+import workloads  # noqa: E402
+
+sys.path.remove(str(ROOT / "hsbench"))
 
 
 def brute_force_saddles(A):
@@ -584,6 +589,7 @@ def _feedback_stacks(inst, t, c, monkeypatch):
 
 
 def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
+    stall_pivots = mg._STALL_PIVOTS
     (stack,) = _feedback_stacks(hs.make_instance(*CYCLING_7), 2, 1.0, monkeypatch)
     A = stack[31]  # the 32nd LP-bound subgame
     assert A.shape == (120, 5)
@@ -603,8 +609,38 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
     _, _, row_gap, col_gap, _ = mg._certify(A[None], np.array([np.abs(A).max()]), v, y, z)
     assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
     assert abs(v[0] - expect) <= 1e-12 * np.abs(A).max()
-    monkeypatch.setattr(mg, "_STALL_PIVOTS", 16)
+    monkeypatch.setattr(mg, "_STALL_PIVOTS", stall_pivots)
     np.testing.assert_allclose(mg.solve_games(A[None])[0], [expect], rtol=0, atol=1e-12 * np.abs(A).max())
+
+
+# switch games of default sweeps of hsbench.workloads.make_instance(n, seed),
+# as (n, seed, t, index of the cost in sweep's 25-cost grid), that were still
+# open after 500 pivots, and went to HiGHS, while a game kept Bland's rule for
+# good after 16 zero-step pivots in a row; with the rule worked out afresh at
+# each pivot but taken up after 16, the second took 643 pivots
+SWEEP_GAMES = {"seed1_n8_t4_c8.585": (8, 1, 4, 7), "seed3_n7_t2_c12.339": (7, 3, 2, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GAMES))
+def test_sweep_switch_games_close_by_the_simplex_alone(name, monkeypatch):
+    n, seed, t, index = SWEEP_GAMES[name]
+    inst = hs.make_instance(**workloads.make_instance(n, seed))
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    c = np.linspace(0.0, 1.2 * hs.cstar_global(hs.cstar(A, rs, 1, "route")), 25)[index]
+    S = hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(c)))[None]
+    real_inverses = mg._inverses
+    bases = []
+
+    def spy_inverses(B):
+        bases.append(len(B))
+        return real_inverses(B)
+
+    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    alone = _spy_highs(monkeypatch)
+    v = mg.solve_games(S)[0]
+    assert alone == [] and len(bases) - 1 <= 100  # pivots, then the optimal basis
+    np.testing.assert_allclose(v, [hs.solve_zero_sum(S[0]).value], rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("factor", [1e-9, 2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20, 1e9])

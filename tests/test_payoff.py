@@ -451,6 +451,19 @@ def test_entrywise_gap_three_sites(base3, rs3):
     assert set(cells) == ref.DELTA_CELLS_3_C1
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1.0, 1e8])
+def test_entrywise_gap_lists_the_same_cells_at_any_scale(demo3, rs3, lam):
+    # the argmax cut is relative to max|As|: absolute, it let all 18 cells
+    # through in units of 1e-12
+    inst = hs.make_instance(
+        (lam * demo3.origin.x, lam * demo3.origin.y), [(lam * p.x, lam * p.y) for p in demo3.locations]
+    )
+    A = hs.base_matrix(inst, rs3)
+    cfg = hs.SwitchConfig(1, lam * 1.0)
+    _, _, cells = hs.entrywise_gap(hs.switch_matrix(A, rs3, cfg), hs.feedback_matrix(A, rs3, cfg))
+    assert set(cells) == ref.DELTA_CELLS_3_C1
+
+
 def test_entrywise_gap_identical_and_large_cost(base3, rs3):
     S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
     _, delta, _ = hs.entrywise_gap(S, S)

@@ -192,6 +192,27 @@ def test_solve_zero_sum_values_scale_with_a_tiny_instance():
     assert abs(value(_scaled(inst, lam), lam * c) - expect) <= 1e-12 * abs(expect)
 
 
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+@pytest.mark.parametrize("convention", ["total", "remaining"])
+def test_model_values_scale_with_the_instance(name, convention):
+    # value(lam * inst, lam * c) = lam * value(inst, c) for every model
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+
+    def values(inst, c):
+        A = hs.base_matrix(inst, rs)
+        games = [A]
+        for t in range(1, inst.n):
+            cfg = hs.SwitchConfig(t, c, convention)
+            games += [hs.switch_matrix(A, rs, cfg), hs.feedback_matrix(A, rs, cfg)]
+        return np.array([hs.solve_zero_sum(M).value for M in games])
+
+    expect = values(inst, 1.0)
+    for lam in (1e-8, 1e8):
+        got = values(_scaled(inst, lam), lam * 1.0)
+        assert (np.abs(got - lam * expect) <= 1e-9 * np.abs(lam * expect)).all(), lam
+
+
 def test_feedback_matrix_scales_with_a_huge_instance():
     # the subgames of max|A| ~ 3e10 certify with round-off gaps of up to
     # 5e-4, within GAP_TOL times max|A|
@@ -214,6 +235,48 @@ def test_switch_equals_base_at_last_reveal():
         A = hs.base_matrix(inst, rs)
         S = hs.switch_matrix(A, rs, hs.SwitchConfig(n - 1, 0.3))
         np.testing.assert_allclose(S, A)  # lone target = stay
+
+
+# The feedback game solves each reveal-stage subgame with the start known to
+# both players, so past every threshold the Seeker goes straight to it
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_feedback_matrix_past_cstar_route_is_the_prefix_minimum(name):
+    # for c >= c*_route(t) relocating never pays: the stay column dominates
+    # every subgame, whose value is then its least stay payoff
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    for t in range(1, inst.n):
+        prefix_min = A.reshape(-1, hs.prefix_block(rs, t), inst.n).min(axis=1)
+        for c in (hs.cstar_global(hs.cstar(A, rs, t, "route")), 1e9):
+            F = hs.feedback_matrix(A, rs, hs.SwitchConfig(t, c))
+            np.testing.assert_allclose(F, prefix_min, rtol=0, atol=1e-9 * np.abs(A).max())
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_feedback_value_is_the_base_value_at_the_last_reveal(name):
+    # at t = n-1 each subgame has one target, the stay: F is A itself
+    inst = hs.load_instance(INSTANCES / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    v_base = hs.solve_zero_sum(A).value
+    for c in (0.0, 0.5, 2.0):
+        F = hs.feedback_matrix(A, rs, hs.SwitchConfig(inst.n - 1, c))
+        assert abs(hs.solve_zero_sum(F).value - v_base) <= 1e-9 * np.abs(A).max(), c
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), c=st.floats(0.0, 4.0))
+def test_switch_matrix_nonincreasing_in_reveal_time(n, seed, c):
+    # a later reveal leaves the Hider fewer targets and more cells already
+    # paid at their baseline cost: no cell rises (total convention)
+    inst = random_instance(np.random.default_rng(seed), n)
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    S = [hs.switch_matrix(A, rs, hs.SwitchConfig(t, c)) for t in range(1, n)]
+    for t, (early, late) in enumerate(zip(S, S[1:]), start=1):
+        assert (late <= early).all(), t
 
 
 def test_game_value_fast_path_on_real_subgames():

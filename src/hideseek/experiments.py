@@ -35,10 +35,10 @@ from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
 from .voi import cstar, cstar_global, expected_voi, theorem1_bound, voi_matrix, worst_case_voi
 
 MODELS = ("base", "restricted", "feedback")
-# _switch_games builds and solves the switch games of a reveal time in chunks
-# of costs whose stack of switch matrices, which solve_games' simplex holds,
-# takes at most this many bytes: every cost at once up to n = 6, one at a
-# time at n = 8, where each 40320 x 8 switch matrix takes 2.6 MB.
+# _switch_games builds and solves the base and switch games of a sweep in
+# chunks whose stack of matrices, which solve_games' simplex holds, takes at
+# most this many bytes: 121 games at n = 6, where the default grid has 126,
+# and one at a time at n = 8, where each 40320 x 8 matrix takes 2.6 MB.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -98,16 +98,18 @@ def sweep(
     evaluated at each cell's own switch-game equilibrium mix; the bound
     column uses the route-variant threshold at that reveal time.
 
-    The game shapes depend on t and not on c, so each reveal time solves
-    its distinct costs together: the stack of switch games in one
-    solve_games call, whose Hider mixes expected_voi reads, the feedback
-    matrices in one feedback_matrix call, the feedback values, the only
-    part of that game printed, in one more solve_games call, and every
-    delta in one reduction over both stacks. The base game goes to
-    solve_games as well, so a sweep makes no LP call. From n = 7 on, the
-    costs go in chunks (_switch_games): a switch game there is large
-    enough to fill the simplex's batched numpy calls on its own, so more at
-    once only takes memory.
+    The base game and every switch game share the shape n! x n, so they
+    are solved together: _switch_games hands them to solve_games in chunks
+    of the sweep's (t, c) cells, the base game first, and expected_voi
+    reads each switch game's Hider mix from its chunk's solution. Each run
+    of a reveal time's costs in a chunk then builds its feedback matrices
+    in one feedback_matrix call, solves them, the only part of that game
+    printed, in one more solve_games call, and takes every delta in one
+    reduction over both stacks, before the chunk is dropped. A sweep makes
+    no LP call. From n = 7 on, a chunk holds a few games or one: a switch
+    game there is large enough to fill the simplex's batched numpy calls on
+    its own, so more at once only takes memory. solve_games gives each game
+    the same bits in any stack, so the chunk bounds move no output byte.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -122,20 +124,28 @@ def sweep(
     c_grid = sorted(float(c) for c in c_grid)
     if not c_grid:
         raise ValueError("empty cost grid")
-    v_base = solve_games(A[None])[0][0]
     cg_inf = {t: cstar_global(cstar(A, rs, t, "infoset")) for t in t_list}
+
+    games = [None] + [SwitchConfig(t, c, convention, feedback_mode) for t in t_list for c in sorted(set(c_grid))]
+    cells = {}
+    for cfgs, As, (v, y, z) in _switch_games(A, rs, games):
+        if cfgs[0] is None:  # the base game, first of the first chunk
+            v_base = v[0]
+        ts = [cfg.t_reveal if cfg else 0 for cfg in cfgs]
+        for t in sorted(set(ts) - {0}):
+            g = slice(ts.index(t), ts.index(t) + ts.count(t))  # the chunk's run of t's costs
+            Fs = feedback_matrix(A, rs, cfgs[g])
+            v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As[g], Fs).max(axis=(1, 2, 3))
+            for cfg, S, v_switch, mix, v_fb, delta in zip(cfgs[g], As[g], v[g], z[g], v_fbs, deltas):
+                bar = worst_case_voi(voi_matrix(S, rs, t))
+                cells[t, cfg.c] = (v_switch, v_fb, expected_voi(bar, mix), delta)
+            del Fs
+        del As, y  # before the next chunk is built
 
     rows = []
     for t in t_list:
-        cells = {}
-        for cfgs, As, (v_sw, _, z_sw) in _switch_games(A, rs, t, sorted(set(c_grid)), convention, feedback_mode):
-            Fs = feedback_matrix(A, rs, cfgs)
-            v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As, Fs).max(axis=(1, 2, 3))
-            for cfg, S, v_switch, z, v_fb, delta in zip(cfgs, As, v_sw, z_sw, v_fbs, deltas):
-                bar = worst_case_voi(voi_matrix(S, rs, t))
-                cells[cfg.c] = (v_switch, v_fb, expected_voi(bar, z), delta)
         for c in c_grid:
-            v_switch, v_fb, ev, delta = cells[c]
+            v_switch, v_fb, ev, delta = cells[t, c]
             rows.append(
                 SweepRow(
                     t_reveal=t,
@@ -153,16 +163,21 @@ def sweep(
     return rows
 
 
-def _switch_games(A, rs, t, costs, convention, feedback_mode="mixed_subgame"):
-    """The switch games of reveal time t at the costs in order, in chunks
-    whose switch matrices (each the size of the base matrix A) take at most
-    _CHUNK_BYTES together: per chunk its configs, the stack of their switch
-    matrices, and the stack's solve_games solution."""
-    chunk = max(1, _CHUNK_BYTES // A.nbytes)
-    for j in range(0, len(costs), chunk):
-        cfgs = [SwitchConfig(t, c, convention, feedback_mode) for c in costs[j : j + chunk]]
-        As = np.stack([switch_matrix(A, rs, cfg) for cfg in cfgs])
-        yield cfgs, As, solve_games(As)
+def _switch_games(A, rs, cfgs):
+    """The games of the SwitchConfigs cfgs in order, None standing for the
+    base game A, in chunks whose matrices (each the size of A) take at most
+    _CHUNK_BYTES together: per chunk its configs, the stack of their
+    matrices, and the stack's solve_games solution. A chunk's stack is
+    dropped before the next one is built, once the caller drops it too."""
+    size = max(1, _CHUNK_BYTES // A.nbytes)
+    for j in range(0, len(cfgs), size):
+        chunk = cfgs[j : j + size]
+        As = np.empty((len(chunk), *A.shape))
+        for g, cfg in enumerate(chunk):
+            As[g] = A if cfg is None else switch_matrix(A, rs, cfg)
+        solution = solve_games(As)
+        yield chunk, As, solution
+        del As, solution
 
 
 SWEEP_HEADER = (
@@ -257,7 +272,10 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
     rs = enumerate_routes(inst.n)
     A = base_matrix(inst, rs)
     # each cost's switch-game Hider mix at the first reveal time
-    z_first = [z for *_, (_, _, zs) in _switch_games(A, rs, t_list[0], c_list, convention) for z in zs]
+    z_first = []
+    for _, As, solution in _switch_games(A, rs, [SwitchConfig(t_list[0], c, convention) for c in c_list]):
+        z_first.extend(solution[2])
+        del As, solution  # before the next chunk is built
     for c, z in zip(c_list, z_first):
         games = (switch_matrix(A, rs, SwitchConfig(t, c, convention)) for t in t_list)
         ev = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, t in zip(games, t_list)]

@@ -203,17 +203,21 @@ def _col_lp(A: np.ndarray):
 def _highs(S, scale):
     """Each game of the stack S by HiGHS's column LP, one call per game:
     values, Seeker mixes from the inequality duals and Hider mixes, as
-    _simplex returns them. HiGHS takes the games unscaled, so scale is
-    unused; it is there so that either solver can stand in for the other.
-    Raises SolverError if an LP fails."""
+    _simplex returns them, and HiGHS's model status for each game whose LP
+    it did not solve, by index. Such a game has value NaN and zero mixes,
+    so it fails its certificate. HiGHS takes the games unscaled, so scale
+    is unused; it is there so that either solver can stand in for the
+    other."""
     G, m, k = S.shape
-    v, y, z = np.empty(G), np.empty((G, m)), np.empty((G, k))
+    v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
+    failures = {}
     for g, A in enumerate(S):
         failure, x, duals = _col_lp(A)
         if failure is not None:
-            raise SolverError(f"column LP failed: {failure}")
+            failures[g] = failure
+            continue
         v[g], y[g], z[g] = x[-1], -duals, x[:-1]
-    return v, y, z
+    return v, y, z, failures
 
 
 def _certify(S, scale, v, y, z):
@@ -238,17 +242,19 @@ def _solve(S, scale, first, second):
     """Solve the stack S, of max|A| scale, by the solver first, and every
     game whose certificate is slack once more by second. Returns the
     values, the clean mixes and the gaps; raises SolverError if a game is
-    slack under both."""
-    v, y, z = first(S, scale)
+    slack under both, naming HiGHS's status if HiGHS did not solve it."""
+    v, y, z, failures = first(S, scale)
     y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
     if not ok.all():
         g = np.flatnonzero(~ok)
-        v[g], y[g], z[g] = second(S[g], scale[g])
+        v[g], y[g], z[g], again = second(S[g], scale[g])
+        failures.update((int(g[j]), failure) for j, failure in again.items())
         y[g], z[g], row_gap[g], col_gap[g], ok[g] = _certify(S[g], scale[g], v[g], y[g], z[g])
         if not ok.all():
-            j = np.flatnonzero(~ok)[0]
+            j = int(np.flatnonzero(~ok)[0])
+            failure = f"column LP failed: {failures[j]}; " if j in failures else ""
             raise SolverError(
-                f"solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
+                f"{failure}solution failed certification: row_gap={row_gap[j]:.3e}, col_gap={col_gap[j]:.3e}"
             )
     return v, y, z, row_gap, col_gap
 
@@ -257,10 +263,11 @@ def solve_zero_sum(A) -> GameSolution:
     """Equilibrium value and certified mixed strategies of one zero-sum game.
 
     The value and column strategy come from HiGHS's column LP, the row
-    strategy from its inequality duals. A slack certificate (degenerate
+    strategy from its inequality duals. An LP that HiGHS does not solve
+    (it refuses entries of 1e15 and more) or a slack certificate (degenerate
     bases occasionally produce one, and HiGHS's absolute tolerances do on a
     game in tiny units) sends the game to solve_games' simplex. Raises
-    SolverError if the LP fails or neither solver certifies the game.
+    SolverError if neither solver certifies the game.
     """
     S = np.asarray(A, dtype=float)[None]
     v, y, z, row_gap, col_gap = _solve(S, _scales(S), _highs, _simplex)
@@ -297,9 +304,13 @@ def _simplex(S, scale):
     of zero-step pivots is _STALL_PIVOTS or longer (Bland, which cannot
     cycle; a cycle holds only zero-step pivots). The ratio test skips w.
     A game closes once no reduced cost is below -1e-12 (times max|A|, by the
-    scaling). Returns each game's value, Seeker mix and
-    Hider mix, uncleaned; a game left open by a singular basis, an unbounded
-    ratio test or the pivot cap has value NaN and Seeker mix 0.
+    scaling). A pivot does only the work its games need: it prices the rows
+    and the slacks apart (where they tie, the row enters), works out Bland's
+    choices only while some game is in a Bland run, and reads the closing
+    games' values and mixes, or drops the games that leave, only when some
+    do. Returns each game's value, Seeker mix and Hider mix, uncleaned, and
+    no failure statuses (see _highs); a game left open by a singular basis,
+    an unbounded ratio test or the pivot cap has value NaN and Seeker mix 0.
     """
     G, m, k = S.shape
     games, cols = np.arange(G), np.arange(k)
@@ -319,20 +330,28 @@ def _simplex(S, scale):
     pivots, stalls = np.zeros(G, dtype=int), np.zeros(G, dtype=int)
     open_ = games
     while len(open_):
-        bland = stalls >= _STALL_PIVOTS
         inv, finite = _inverses(B)
         z[open_], x = -inv[:, k, :k], inv[:, :k, k]
         if 2 * len(open_) > G:  # most games open: one matmul over the stack, no copy of it
             Sz = (S @ z[:, :, None])[open_, :, 0]
         else:
             Sz = (S[open_] @ z[open_, :, None])[:, :, 0]
-        rc = np.concatenate([Sz / scale[open_, None] - inv[:, k, k, None], z[open_]], axis=1)
-        done = finite & (rc.min(axis=1) >= -_RC_TOL)
-        g = open_[done]
-        v[g] = inv[done, k, k] * scale[g]
-        basic_rows = basis[done, :k] < m
-        y[g[np.nonzero(basic_rows)[0]], basis[done, :k][basic_rows]] = x[done][basic_rows]
-        q = np.where(bland, (rc < -_RC_TOL).argmax(axis=1), rc.argmin(axis=1))
+        rc_row, rc_slack = Sz / scale[open_, None] - inv[:, k, k, None], z[open_]
+        row_min, slack_min = rc_row.min(axis=1), rc_slack.min(axis=1)
+        done = finite & (np.minimum(row_min, slack_min) >= -_RC_TOL)
+        if done.any():
+            g = open_[done]
+            v[g] = inv[done, k, k] * scale[g]
+            basic_rows = basis[done, :k] < m
+            y[g[np.nonzero(basic_rows)[0]], basis[done, :k][basic_rows]] = x[done][basic_rows]
+        # the most negative reduced cost, a row where a row and a slack tie
+        q = np.where(row_min <= slack_min, rc_row.argmin(axis=1), m + rc_slack.argmin(axis=1))
+        bland = stalls >= _STALL_PIVOTS
+        in_bland = bland.any()
+        if in_bland:  # the first negative one: a row if any, else a slack
+            neg_row, neg_slack = rc_row < -_RC_TOL, rc_slack < -_RC_TOL
+            first = np.where(neg_row.any(axis=1), neg_row.argmax(axis=1), m + neg_slack.argmax(axis=1))
+            q = np.where(bland, first, q)
         a = np.zeros((len(open_), k + 1))  # the entering column
         row = q < m
         a[row, :k] = S[open_[row], q[row]] / scale[open_[row], None]
@@ -344,16 +363,16 @@ def _simplex(S, scale):
         go = finite & ~done & (pivots < _MAX_PIVOTS) & np.isfinite(step)
         tie = ratio <= step[:, None] + _RC_TOL
         # among the tied rows: the largest pivot, or the least variable (Bland)
-        p = np.where(
-            bland,
-            np.where(tie, basis[:, :k], m + k).argmin(axis=1),
-            np.where(tie, d, -np.inf).argmax(axis=1),
-        )
+        p = np.where(tie, d, -np.inf).argmax(axis=1)
+        if in_bland:
+            p = np.where(bland, np.where(tie, basis[:, :k], m + k).argmin(axis=1), p)
         stalls = np.where(step <= _RC_TOL, stalls + 1, 0)
         j = np.arange(len(open_))
         basis[j, p], B[j, :, p] = q, a
-        open_, basis, B, pivots, stalls = open_[go], basis[go], B[go], pivots[go] + 1, stalls[go]
-    return v, y, z
+        pivots += 1
+        if not go.all():  # a game leaves: keep the open ones
+            open_, basis, B, pivots, stalls = open_[go], basis[go], B[go], pivots[go], stalls[go]
+    return v, y, z, {}
 
 
 def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,4 +411,6 @@ def _saddle_mask(A: np.ndarray) -> np.ndarray:
     lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
     if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():
         return np.zeros(A.shape, dtype=bool)
-    return (A >= lo) & (A <= hi)
+    mask = A >= lo
+    mask &= A <= hi
+    return mask

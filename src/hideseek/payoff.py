@@ -27,8 +27,8 @@ from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
-# feedback_matrix hands its LP-bound subgames to solve_games in stacks of at
-# most this many bytes: one cost's stack at n = 8, t = 1 (15.8 MB) fits in one.
+# feedback_matrix gathers, scans and solves its subgames in stacks of at most
+# this many bytes: one cost's subgames at n = 8, t = 1 (15.8 MB) fit in one.
 _STACK_BYTES = 1 << 24
 
 
@@ -152,17 +152,19 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     visited set and the last prefix node): the prefix order adds its
     cumulative cost to every entry. So the mixed values are solved once per
     state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
-    lexicographically first prefix. For each cost and start location i one
-    stack holds the subgames of every prefix that leaves i unvisited, and
-    one saddle scan covers the states' first prefixes in it. A subgame
-    closed by a pure saddle gives a cell, which every prefix of the state
-    reads from its own subgame. The subgame shapes depend on t alone, so
-    the (cost, state, start) subgames left over from every cost go to
-    solve_games together, in stacks of at most _STACK_BYTES, and their
-    values are shifted by the difference of the prefixes' cumulative costs.
-    Visited cells, pure_min cells and saddle cells (which include every cell
-    at t = n-1) are bit-identical to solving each prefix's subgame on its
-    own; the shifted values agree with it to round-off.
+    lexicographically first prefix. One flat (cost, state, start) index
+    runs over those subgames of every cost (over every prefix's under
+    pure_min). They are gathered in stacks of at most _STACK_BYTES, and each
+    stack is scanned for saddles once; its subgames that no saddle closes
+    go from the same stack to solve_games, whose values are shifted by the
+    difference of the prefixes' cumulative costs. A subgame closed by a
+    pure saddle gives a cell, which every prefix of the state reads from A
+    as its own subgame holds it. Visited cells, pure_min cells and saddle
+    cells (which include every cell at t = n-1) are bit-identical to
+    solving each prefix's subgame on its own; the shifted values agree with
+    it to round-off. solve_games gives each game the same bits in any
+    stack, so F does not depend on _STACK_BYTES or on which costs come in
+    one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -177,39 +179,52 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     cum = A[first, nodes[:, -1] - 1]
     offset = cum if convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t
+    costs = np.array([cfg.c for cfg in cfgs])
     # visited cells keep their prefix-constant baseline cost
     F = np.repeat(A[first][None], len(cfgs), axis=0)
-    # Held-Karp states, numbered in order of their first prefix rep[s]
-    key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
-    _, rep, state = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(rep)
-    rep, state = rep[order], np.argsort(order)[state]
-    lp = np.zeros((len(cfgs), len(rep), n), dtype=bool)  # (cost, state, start) subgames left to the LP
-    for i in range(1, n + 1):
-        h = np.flatnonzero(unvisited[:, i - 1])
-        lead = rep[state[h]] == h  # the prefixes whose subgames are scanned
-        for k, cfg in enumerate(cfgs):
-            sub = subgame_matrix(A, rs, t, h, i, cfg.c)
-            if mode == "pure_min":
-                F[k, h, i - 1] = sub.max(axis=2).min(axis=1) - offset[h]
-                continue
-            # every prefix leads its state at t <= 2: scan sub itself, no copy
-            mask = _saddle_mask(sub if lead.all() else sub[lead]).reshape(lead.sum(), -1)
-            cell = np.full(len(rep), -1)  # each state's first saddle, row-major
-            cell[state[h[lead]]] = np.where(mask.any(axis=1), mask.argmax(axis=1), -1)
-            lp[k, state[h[lead]], i - 1] = ~mask.any(axis=1)
-            hit = cell[state[h]] >= 0
-            F[k, h[hit], i - 1] = sub.reshape(len(h), -1)[hit, cell[state[h[hit]]]] - offset[h[hit]]
-
-    k, s, i0 = np.nonzero(lp)
-    costs = np.array([cfg.c for cfg in cfgs])
-    value = np.zeros(lp.shape)
+    if mode == "pure_min":  # every prefix is its own state
+        rep = state = np.arange(len(first))
+    else:  # Held-Karp states, numbered in order of their first prefix rep[s]
+        key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
+        _, rep, state = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(rep)
+        rep, state = rep[order], np.argsort(order)[state]
+    # the flat (cost, state, start) index of the states' subgames
+    k, s, i0 = np.nonzero(np.broadcast_to(unvisited[rep], (len(cfgs), len(rep), n)))
+    value = np.zeros((len(cfgs), len(rep), n))  # LP values
+    cell = np.full(value.shape, -1)  # each saddle-closed subgame's first saddle, row-major
     size = max(1, _STACK_BYTES // (block * (n - t) * 8))  # subgames per stack
     for j in range(0, len(s), size):
-        g = slice(j, j + size)
-        value[k[g], s[g], i0[g]] = solve_games(subgame_matrix(A, rs, t, rep[s[g]], i0[g] + 1, costs[k[g]]))[0]
-    k, h, i0 = np.nonzero(lp[:, state])
-    F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
+        g = (k[j : j + size], s[j : j + size], i0[j : j + size])
+        sub = subgame_matrix(A, rs, t, rep[g[1]], g[2] + 1, costs[g[0]])
+        if mode == "pure_min":
+            F[g] = sub.max(axis=2).min(axis=1) - offset[g[1]]
+            continue
+        mask = _saddle_mask(sub).reshape(len(sub), -1)
+        hit = mask.any(axis=1)
+        cell[g] = np.where(hit, mask.argmax(axis=1), -1)
+        del mask
+        if not hit.all():
+            # the rest go to the simplex from this stack: moved to its front
+            # in place, as a copy of them would take up to its size again
+            lp = np.flatnonzero(~hit)
+            for dst, src in enumerate(lp.tolist()):
+                if dst != src:
+                    sub[dst] = sub[src]
+            value[tuple(a[lp] for a in g)] = solve_games(sub[: len(lp)])[0]
+        del sub
+
+    if mode == "mixed_subgame":
+        k, h, i0 = np.nonzero(np.broadcast_to(unvisited, F.shape))  # every unvisited cell
+        # a saddle cell is read from A, as the prefix's own subgame holds it
+        r, j = np.divmod(cell[k, state[h], i0], n - t)
+        hit = r >= 0
+        col = np.nonzero(unvisited)[1].reshape(-1, n - t)[h[hit], j[hit]]
+        a = A[first[h[hit]] + r[hit], col]
+        F[k[hit], h[hit], i0[hit]] = np.where(col == i0[hit], a, a - costs[k[hit]]) - offset[h[hit]]
+        # an LP value is shifted by the difference of the prefixes' cumulative costs
+        k, h, i0 = k[~hit], h[~hit], i0[~hit]
+        F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return F[0] if one else F
 
 

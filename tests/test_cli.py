@@ -360,6 +360,17 @@ def test_a_game_slack_under_both_solvers_exits_4(capsys, three_sites_path, monke
     assert "solver error: solution failed certification" in err
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["simulate", "--trials", "10"]])
+def test_a_game_highs_refuses_goes_to_the_simplex(capsys, tmp_path, argv):
+    # HiGHS refuses a distance of 1e150 ("Model error"); the 1 x 1 game goes
+    # on to the simplex, which closes it at its start basis
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"origin": [1, 1], "locations": [[-1e150, 1]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert "value: 999999999999999980835596172437374590573120014030318793091164810154100" in out
+
+
 def test_solve_output_is_byte_stable(capsys, three_sites_path):
     argv = ["solve", three_sites_path, "--model", "restricted",
             "--t-reveal", "1", "--cost", "1"]

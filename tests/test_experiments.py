@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hideseek as hs
-from hideseek import experiments
+from hideseek import cli, experiments
 
 import reference as ref
 from conftest import random_instance
 import oracles
-from oracles import draw_full_cdf, group_keys, sweep_cells, sweep_to_csv_cells
+from oracles import default_cost_grid, draw_full_cdf, group_keys, sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -104,8 +104,8 @@ def _sweep_instance(name):
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
 def test_sweep_matches_the_per_cell_oracle(name):
-    # solving the costs of a reveal time together leaves every CSV byte as
-    # solving each (t, c) cell on its own did
+    # solving the games of many (t, c) cells together leaves every CSV byte
+    # as solving each cell on its own did
     inst = _sweep_instance(name)
     for convention in ("total", "remaining"):
         for mode in ("mixed_subgame", "pure_min"):
@@ -115,6 +115,50 @@ def test_sweep_matches_the_per_cell_oracle(name):
     rows = hs.sweep(inst, c_grid=grid)
     assert [r.c for r in rows] == sorted(grid) * (inst.n - 1)
     assert hs.sweep_to_csv(rows) == hs.sweep_to_csv(sweep_cells(inst, c_grid=grid))
+
+
+def _chunk_sizes(inst, chunk):
+    """experiments._CHUNK_BYTES and payoff._STACK_BYTES: 1, so that every
+    game is its own stack, or sizes that cut a sweep's games (the base game
+    first) into chunks of 4, so that each reveal time's 7 costs span two
+    chunks, and the t = 1 subgames of one cost into stacks of 3."""
+    if chunk == "one":
+        return 1, 1
+    n = inst.n
+    return 4 * math.factorial(n) * n * 8, 3 * math.factorial(n - 1) * (n - 1) * 8
+
+
+@pytest.mark.parametrize("chunk", ["one", "split"])
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
+def test_sweep_chunk_bounds_move_no_byte(name, chunk, monkeypatch):
+    # the sweep's games go to solve_games in chunks of (t, c) cells, and its
+    # subgames in stacks, whose bounds change no CSV byte: every fourth cost
+    # of the default grid, as each cell on its own gives it
+    inst = _sweep_instance(name)
+    grid = default_cost_grid(inst, hs.enumerate_routes(inst.n), t=1)[::4]
+    expect = {}
+    for convention in ("total", "remaining"):
+        for mode in ("mixed_subgame", "pure_min"):
+            kwargs = dict(c_grid=grid, convention=convention, feedback_mode=mode)
+            expect[convention, mode] = hs.sweep_to_csv(sweep_cells(inst, **kwargs))
+    chunk_bytes, stack_bytes = _chunk_sizes(inst, chunk)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(hs.payoff, "_STACK_BYTES", stack_bytes)
+    for (convention, mode), csv in expect.items():
+        assert hs.sweep_to_csv(hs.sweep(inst, c_grid=grid, convention=convention, feedback_mode=mode)) == csv
+
+
+@pytest.mark.parametrize("chunk", ["one", "split"])
+def test_verify_output_does_not_depend_on_the_chunk_bounds(chunk, capsys, monkeypatch):
+    path = str(INSTANCES / "six_sites.json")
+    argv = ["verify", path, "--costs", "0,0.5,1,1.5,2,3,4,6,9"]
+    assert cli.main(argv) == 0
+    expect = capsys.readouterr().out
+    chunk_bytes, stack_bytes = _chunk_sizes(hs.load_instance(path), chunk)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(hs.payoff, "_STACK_BYTES", stack_bytes)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expect
 
 
 # LP calls of the default-grid sweep of instances/six_sites.json: none, as

@@ -322,12 +322,24 @@ def test_solve_zero_sum_raises_when_both_solvers_are_slack(monkeypatch):
     assert len(simplexed) == 1
 
 
-def test_solve_zero_sum_raises_when_the_column_lp_fails(monkeypatch):
-    # HiGHS stops at its iteration limit, before an optimal basis
+def test_solve_zero_sum_falls_back_when_the_column_lp_fails(monkeypatch):
+    # HiGHS stops at its iteration limit, before an optimal basis: the game
+    # goes on to the simplex, and solve_zero_sum returns what solve_games
+    # returns; when the simplex fails too, the error names HiGHS's status
+    A = _mixed_shapes()[5]
+    expect = mg.solve_games(A[None])
     monkeypatch.setitem(mg._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
-    assert mg._col_lp(_mixed_shapes()[5]) == ("Iteration limit reached", None, None)
-    with pytest.raises(hs.SolverError, match="column LP failed: Iteration limit reached"):
-        hs.solve_zero_sum(_mixed_shapes()[5])
+    assert mg._col_lp(A) == ("Iteration limit reached", None, None)
+    v, y, z, failures = mg._highs(A[None], np.array([np.abs(A).max()]))
+    assert np.isnan(v).all() and not y.any() and not z.any() and failures == {0: "Iteration limit reached"}
+    sol = hs.solve_zero_sum(A)
+    assert sol.value == expect[0][0]
+    np.testing.assert_array_equal(sol.row_strategy, expect[1][0])
+    np.testing.assert_array_equal(sol.col_strategy, expect[2][0])
+    _assert_certified([A], _solved([sol]))
+    monkeypatch.setattr(mg, "_MAX_PIVOTS", 0)  # the simplex leaves every game open
+    with pytest.raises(hs.SolverError, match="column LP failed: Iteration limit reached; solution failed"):
+        hs.solve_zero_sum(A)
 
 
 def test_the_column_lp_reports_a_model_highs_refuses():
@@ -604,7 +616,8 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
 
     monkeypatch.setattr(mg, "_inverses", spy_inverses)
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)  # Bland's rule from the first pivot
-    v, y, z = mg._simplex(A[None], np.array([np.abs(A).max()]))
+    v, y, z, failures = mg._simplex(A[None], np.array([np.abs(A).max()]))
+    assert failures == {}
     assert np.isfinite(v).all() and len(bases) == 42  # 41 pivots, then the optimal basis
     _, _, row_gap, col_gap, _ = mg._certify(A[None], np.array([np.abs(A).max()]), v, y, z)
     assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
@@ -641,6 +654,51 @@ def test_sweep_switch_games_close_by_the_simplex_alone(name, monkeypatch):
     v = mg.solve_games(S)[0]
     assert alone == [] and len(bases) - 1 <= 100  # pivots, then the optimal basis
     np.testing.assert_allclose(v, [hs.solve_zero_sum(S[0]).value], rtol=1e-9, atol=0)
+
+
+def _pivot_counts(S, monkeypatch):
+    """The bases _simplex inverts while it solves the stack S: its pivots,
+    then the optimal basis."""
+    real_inverses = mg._inverses
+    bases = []
+    monkeypatch.setattr(mg, "_inverses", lambda B: bases.append(len(B)) or real_inverses(B))
+    mg.solve_games(S)
+    monkeypatch.undo()
+    return len(bases)
+
+
+def test_solve_games_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
+    # sweep and feedback_matrix stack games by shape and size, not by cell:
+    # a game's value and mixes must not depend on the games beside it, its
+    # place in the stack, a neighbour's Bland run or one closed at pivot 0
+    n, seed, t, index = SWEEP_GAMES["seed3_n7_t2_c12.339"]
+    inst = hs.make_instance(**workloads.make_instance(n, seed))
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    grid = np.linspace(0.0, 1.2 * hs.cstar_global(hs.cstar(A, rs, 1, "route")), 25)
+    bland = hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(grid[index])))
+    # a saddle at (0, k-1), on the start basis: the row of least row maximum
+    closed = np.add.outer(np.arange(rs.m, dtype=float), np.arange(n, dtype=float))
+    assert _pivot_counts(closed[None], monkeypatch) == 1
+    assert _pivot_counts(bland[None], monkeypatch) > 32  # past _STALL_PIVOTS zero-step pivots
+    games = [A, bland, closed] + [
+        hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(c), convention))
+        for t, c, convention in [(1, grid[3], "total"), (3, grid[8], "remaining"), (5, grid[20], "total")]
+    ]
+    alone = [mg.solve_games(S[None]) for S in games]
+    stacks = {
+        "stack": (np.stack(games), range(len(games))),
+        "reversed": (np.stack(games[::-1]), range(len(games) - 1, -1, -1)),
+    }
+    for g, S in enumerate(games):
+        stacks[f"{g} next to the Bland run"] = (np.stack([S, bland]), [g, None])
+        stacks[f"{g} next to pivot 0"] = (np.stack([closed, S]), [None, g])
+    for case, (S, order) in stacks.items():
+        solution = mg.solve_games(S)
+        for j, g in enumerate(order):
+            if g is not None:
+                for got, want in zip(solution, alone[g]):
+                    assert np.array_equal(got[j], want[0]), (case, g)
 
 
 @pytest.mark.parametrize("factor", [1e-9, 2.0**-20, 1e-6, 0.37, 3.0, 1e6, 2.0**20, 1e9])

@@ -393,16 +393,15 @@ def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
 def test_feedback_matrix_stack_matches_per_cost_calls(name, monkeypatch):
-    # one build over several costs, its LP-bound subgames of every cost
-    # solved together, gives each cost's feedback_matrix, also when the
-    # subgames are split into stacks of one
+    # one build over several costs, its subgames of every cost scanned and
+    # solved together, gives each cost's feedback_matrix bit for bit, also
+    # when the subgames are split into stacks of one
     if name == "random_6":
         inst = random_instance(np.random.default_rng(1), 6)
     else:
         inst = hs.load_instance(INSTANCES / f"{name}.json")
     rs = hs.enumerate_routes(inst.n)
     A = hs.base_matrix(inst, rs)
-    scale = np.abs(A).max()
     costs = (0.0, 0.5, 1.0, 3.0, 0.5)
     for t in range(1, rs.n):
         for convention in ("total", "remaining"):
@@ -412,11 +411,11 @@ def test_feedback_matrix_stack_matches_per_cost_calls(name, monkeypatch):
                 Fs = hs.feedback_matrix(A, rs, cfgs)
                 assert Fs.shape == (len(costs), len(expect[0]), rs.n)
                 for F, E in zip(Fs, expect):
-                    assert np.abs(F - E).max() <= 1e-12 * scale, (t, convention, mode)
+                    assert np.array_equal(F, E), (t, convention, mode)
     monkeypatch.setattr(payoff, "_STACK_BYTES", 1)
     cfgs = [hs.SwitchConfig(1, c) for c in costs]
     for F, cfg in zip(hs.feedback_matrix(A, rs, cfgs), cfgs):
-        assert np.abs(F - hs.feedback_matrix(A, rs, cfg)).max() <= 1e-12 * scale
+        assert np.array_equal(F, hs.feedback_matrix(A, rs, cfg))
 
 
 def test_feedback_matrix_stack_validation(base3, rs3):

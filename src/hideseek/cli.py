@@ -77,7 +77,9 @@ def _load(path) -> Instance:
     return inst
 
 
-def _check_t(t: int, flag: str, top: int) -> None:
+def _check_t(t: int, flag: str, top: int, command: str) -> None:
+    if top < 1:
+        raise UsageError(f"{command} needs at least 2 locations: with 1 there is no reveal time")
     if not 1 <= t <= top:
         raise UsageError(f"{flag} must be in 1..{top} for this instance, got {t}")
 
@@ -91,7 +93,7 @@ def cmd_solve(args, out) -> int:
         if args.t_reveal is not None or args.cost is not None:
             raise UsageError("--t-reveal/--cost apply only to restricted or feedback models")
     else:
-        _check_t(t, "--t-reveal", rs.n - 1)
+        _check_t(t, "--t-reveal", rs.n - 1, args.command)
         _check_cost(c, "--cost")
     # no name holds the base matrix, so it is freed before the LP runs
     matrix = _model_matrix(
@@ -123,11 +125,11 @@ def cmd_solve(args, out) -> int:
 def cmd_voi(args, out) -> int:
     inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
-    _check_t(args.t_reveal, "--t-reveal", rs.n - 1)
+    _check_t(args.t_reveal, "--t-reveal", rs.n - 1, args.command)
     _check_cost(args.cost, "--cost")
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
-    if args.hider_mix:
+    if args.hider_mix is not None:
         z = _parse_list(args.hider_mix, "--hider-mix", float)
         try:
             z = simplex_weights(z, rs.n, "--hider-mix")
@@ -156,15 +158,15 @@ def cmd_voi(args, out) -> int:
 def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
     """Check the instance, `--t-list` and `--costs`, then run the sweep that
     `sweep` and `verify` share."""
-    if inst.n < 2:
-        raise UsageError(f"{args.command} needs at least 2 locations: with 1 there is no reveal time")
+    # every sweep reveals at t = 1, which only one location rules out
+    _check_t(1, "--t-list", inst.n - 1, args.command)
     t_list = c_grid = None
     if args.t_list is not None:
         t_list = _parse_list(args.t_list, "--t-list", int)
         if not t_list:
             raise UsageError("--t-list is empty")
         for t in t_list:
-            _check_t(t, "--t-list", inst.n - 1)
+            _check_t(t, "--t-list", inst.n - 1, args.command)
     if args.costs is not None:
         c_grid = _parse_list(args.costs, "--costs", float)
         if not c_grid:
@@ -188,7 +190,7 @@ def cmd_simulate(args, out) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     _check_cost(args.cost, "--cost")
-    _check_t(args.t_reveal, "--t-reveal", rs.n)
+    _check_t(args.t_reveal, "--t-reveal", rs.n, args.command)
     # the playout pays total-convention costs and plays mixed subgame strategies
     A = base_matrix(inst, rs)
     matrix = _model_matrix(A, rs, args.model, args.t_reveal, args.cost, "total", "mixed_subgame")

@@ -140,12 +140,12 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     and may differ in the switching cost, it is the stack of their
     matrices, shape (len(cfg), n!/(n-t)!, n). Visited cells carry the
     (prefix-constant) baseline cost. Unvisited cells resolve the
-    reveal-stage subgame over prefix-consistent continuations: its mixed
-    game value by default, or the literal minimum over routes of the row
-    maxima under feedback_mode="pure_min". The subgame of cell (h, i) is
-    solved with the start i known to both players. For c >= c*_route(t)
-    (voi.cstar's route variant) the stay column dominates every subgame,
-    and F is the prefix minimum A.reshape(-1, (n-t)!, n).min(axis=1), less
+    reveal-stage subgame of cell (h, i) over the prefix's routes, with the
+    start i known to both players: its mixed game value by default, or its
+    least row maximum under feedback_mode="pure_min", which is the prefix
+    minimum of switch_matrix bit for bit (rounding x - c is monotone in x).
+    For c >= c*_route(t) (voi.cstar's route variant) the total-convention
+    switch_matrix is A, so the pure_min F is the prefix minimum of A, less
     the reveal node's cumulative cost in unvisited cells under "remaining".
 
     A subgame depends on its prefix only through the Held-Karp state (the
@@ -153,18 +153,17 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     cumulative cost to every entry. So the mixed values are solved once per
     state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
     lexicographically first prefix. One flat (cost, state, start) index
-    runs over those subgames of every cost (over every prefix's under
-    pure_min). They are gathered in stacks of at most _STACK_BYTES, and each
-    stack is scanned for saddles once; its subgames that no saddle closes
-    go from the same stack to solve_games, whose values are shifted by the
-    difference of the prefixes' cumulative costs. A subgame closed by a
-    pure saddle gives a cell, which every prefix of the state reads from A
-    as its own subgame holds it. Visited cells, pure_min cells and saddle
-    cells (which include every cell at t = n-1) are bit-identical to
-    solving each prefix's subgame on its own; the shifted values agree with
-    it to round-off. solve_games gives each game the same bits in any
-    stack, so F does not depend on _STACK_BYTES or on which costs come in
-    one call.
+    runs over those subgames of every cost. They are gathered in stacks of
+    at most _STACK_BYTES, and each stack is scanned for saddles once; its
+    subgames that no saddle closes go from the same stack to solve_games,
+    whose values are shifted by the difference of the prefixes' cumulative
+    costs. A subgame closed by a pure saddle gives a cell, which every
+    prefix of the state reads from A as its own subgame holds it. Visited
+    cells and saddle cells (which include every cell at t = n-1) are
+    bit-identical to solving each prefix's subgame on its own; the shifted
+    values agree with it to round-off. solve_games gives each game the same
+    bits in any stack, so F does not depend on _STACK_BYTES or on which
+    costs come in one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -174,6 +173,9 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     if any((cfg.t_reveal, cfg.convention, cfg.feedback_mode) != (t, convention, mode) for cfg in cfgs):
         raise ValueError("the configs must share the reveal time, convention and feedback mode")
     n, block = rs.n, prefix_block(rs, t)
+    if mode == "pure_min":
+        F = np.stack([switch_matrix(A, rs, cfg).reshape(-1, block, n).min(axis=1) for cfg in cfgs])
+        return F[0] if one else F
     first = np.arange(0, rs.m, block)  # each prefix's first route
     nodes = rs.route_array[first, :t]
     cum = A[first, nodes[:, -1] - 1]
@@ -182,13 +184,11 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     costs = np.array([cfg.c for cfg in cfgs])
     # visited cells keep their prefix-constant baseline cost
     F = np.repeat(A[first][None], len(cfgs), axis=0)
-    if mode == "pure_min":  # every prefix is its own state
-        rep = state = np.arange(len(first))
-    else:  # Held-Karp states, numbered in order of their first prefix rep[s]
-        key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
-        _, rep, state = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(rep)
-        rep, state = rep[order], np.argsort(order)[state]
+    # Held-Karp states, numbered in order of their first prefix rep[s]
+    key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
+    _, rep, state = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(rep)
+    rep, state = rep[order], np.argsort(order)[state]
     # the flat (cost, state, start) index of the states' subgames
     k, s, i0 = np.nonzero(np.broadcast_to(unvisited[rep], (len(cfgs), len(rep), n)))
     value = np.zeros((len(cfgs), len(rep), n))  # LP values
@@ -197,9 +197,6 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     for j in range(0, len(s), size):
         g = (k[j : j + size], s[j : j + size], i0[j : j + size])
         sub = subgame_matrix(A, rs, t, rep[g[1]], g[2] + 1, costs[g[0]])
-        if mode == "pure_min":
-            F[g] = sub.max(axis=2).min(axis=1) - offset[g[1]]
-            continue
         mask = _saddle_mask(sub).reshape(len(sub), -1)
         hit = mask.any(axis=1)
         cell[g] = np.where(hit, mask.argmax(axis=1), -1)
@@ -214,17 +211,16 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
             value[tuple(a[lp] for a in g)] = solve_games(sub[: len(lp)])[0]
         del sub
 
-    if mode == "mixed_subgame":
-        k, h, i0 = np.nonzero(np.broadcast_to(unvisited, F.shape))  # every unvisited cell
-        # a saddle cell is read from A, as the prefix's own subgame holds it
-        r, j = np.divmod(cell[k, state[h], i0], n - t)
-        hit = r >= 0
-        col = np.nonzero(unvisited)[1].reshape(-1, n - t)[h[hit], j[hit]]
-        a = A[first[h[hit]] + r[hit], col]
-        F[k[hit], h[hit], i0[hit]] = np.where(col == i0[hit], a, a - costs[k[hit]]) - offset[h[hit]]
-        # an LP value is shifted by the difference of the prefixes' cumulative costs
-        k, h, i0 = k[~hit], h[~hit], i0[~hit]
-        F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
+    k, h, i0 = np.nonzero(np.broadcast_to(unvisited, F.shape))  # every unvisited cell
+    # a saddle cell is read from A, as the prefix's own subgame holds it
+    r, j = np.divmod(cell[k, state[h], i0], n - t)
+    hit = r >= 0
+    col = np.nonzero(unvisited)[1].reshape(-1, n - t)[h[hit], j[hit]]
+    a = A[first[h[hit]] + r[hit], col]
+    F[k[hit], h[hit], i0[hit]] = np.where(col == i0[hit], a, a - costs[k[hit]]) - offset[h[hit]]
+    # an LP value is shifted by the difference of the prefixes' cumulative costs
+    k, h, i0 = k[~hit], h[~hit], i0[~hit]
+    F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return F[0] if one else F
 
 

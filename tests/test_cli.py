@@ -292,7 +292,7 @@ def test_voi_csv_and_overrides(capsys, three_sites_path):
     )
     assert code == 0
     assert out.startswith("# t_reveal=1,c=1,convention=total,variant=infoset")
-    for mix in ("0.2,0.3", "nan,0.5,0.5", "inf,0.5,0.5", "-0.5,0.5,1", "0.2,0.3,0.4"):
+    for mix in ("", ",", "0.2,0.3", "nan,0.5,0.5", "inf,0.5,0.5", "-0.5,0.5,1", "0.2,0.3,0.4"):
         code, _, err = run_cli(capsys, "voi", three_sites_path, "--hider-mix", mix)
         assert code == 2, mix
         assert "hider-mix" in err, mix
@@ -527,18 +527,32 @@ def test_sweep_at_the_largest_cost_matches_a_cost_past_cstar(capsys, name):
     assert [r["v_fb"] for r in huge] == [r["v_fb"] for r in rows(repr(past))]
 
 
+NO_REVEAL_TIME = "needs at least 2 locations: with 1 there is no reveal time"
+
+
 def test_verify_one_location_exits_2(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "verify", _write_instance(tmp_path, 1))
+    path = _write_instance(tmp_path, 1)
+    code, out, err = run_cli(capsys, "verify", path)
     assert code == 2
     assert "all checks passed" not in out
-    assert "at least 2 locations" in err
+    assert err == f"error: verify {NO_REVEAL_TIME}\n"
+    # voi reveals at some t too, and says so the same way
+    for extra in ((), ("--t-reveal", "1"), ("--csv",)):
+        assert run_cli(capsys, "voi", path, *extra) == (2, "", f"error: voi {NO_REVEAL_TIME}\n")
 
 
 def test_sweep_one_location_exits_2(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "sweep", _write_instance(tmp_path, 1))
+    path = _write_instance(tmp_path, 1)
+    code, out, err = run_cli(capsys, "sweep", path)
     assert code == 2
     assert out == ""
-    assert "at least 2 locations" in err
+    assert err == f"error: sweep {NO_REVEAL_TIME}\n"
+    for model in ("restricted", "feedback"):
+        code, out, err = run_cli(capsys, "solve", path, "--model", model)
+        assert (code, out, err) == (2, "", f"error: solve {NO_REVEAL_TIME}\n"), model
+    # the base game and a playout to the end of the route need no reveal time
+    assert run_cli(capsys, "solve", path)[0] == 0
+    assert run_cli(capsys, "simulate", path, "--trials", "10")[0] == 0
 
 
 def test_simulate_negative_seed_exits_2(capsys, three_sites_path):

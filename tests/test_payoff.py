@@ -538,6 +538,8 @@ def _equivalence_instances():
     yield "seeded6", random_instance(np.random.default_rng(606), 6)
     for name in ("three_sites", "six_sites", "collinear_three"):
         yield name, hs.load_instance(INSTANCES / f"{name}.json")
+    # integer coordinates, mirror-image sites: distances, and so payoffs, tie exactly
+    yield "integer5", hs.make_instance([0, 0], [[1, 0], [0, 1], [2, 1], [1, 2], [2, 2]])
 
 
 @pytest.mark.parametrize("name,inst", list(_equivalence_instances()))
@@ -551,7 +553,9 @@ def test_feedback_matches_per_prefix_oracle(name, inst):
         for variant in ("route", "infoset")
     )
     for t in range(1, rs.n):
-        for c in (0.0, 0.5, 2.0, past):
+        # c*_route(t) itself: the least cost at which switch_matrix is A
+        cstar_route = hs.cstar_global(hs.cstar(A, rs, t, "route"))
+        for c in (0.0, 0.5, 2.0, cstar_route, past):
             for mode in ("mixed_subgame", "pure_min"):
                 expect, closed = feedback_matrices_per_prefix(A, rs, t, c, mode)
                 if t == rs.n - 1:

@@ -252,6 +252,9 @@ def test_feedback_matrix_past_cstar_route_is_the_prefix_minimum(name):
         for c in (hs.cstar_global(hs.cstar(A, rs, t, "route")), 1e9):
             F = hs.feedback_matrix(A, rs, hs.SwitchConfig(t, c))
             np.testing.assert_allclose(F, prefix_min, rtol=0, atol=1e-9 * np.abs(A).max())
+            # pure_min is the prefix minimum of switch_matrix, which is A here
+            F = hs.feedback_matrix(A, rs, hs.SwitchConfig(t, c, feedback_mode="pure_min"))
+            assert np.array_equal(F, prefix_min), (t, c)
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])

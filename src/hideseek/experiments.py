@@ -5,14 +5,16 @@ trial, keyed by the seed: trial k always sees the same four uniforms no
 matter how trials are split into blocks. Playouts only count how often each
 payoff cell occurs, so results are invariant to the block size and
 bit-reproducible for a fixed seed. The count is one np.add.at per block into
-the cell histogram, and the feedback playout groups its late trials by
-subgame with no comparison sort: their keys fit 16 bits up to n = 8, t = 5,
-and numpy sorts such keys by radix.
+the cell histogram. Every draw looks its uniform up in a guide table of
+2^K equal buckets (Chen and Asau 1974; Devroye, Non-Uniform Random Variate
+Generation, 1986, III.2.4), which gives the label a binary search of the
+mix's cdf gives, bit for bit: a bucket holds that label wherever no cdf
+entry lies strictly inside it, and only the few trials in the other
+buckets search the cdf. No trial is sorted or grouped by subgame.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -26,6 +28,7 @@ from .payoff import (
     _csv_rows,
     _model_matrix,
     _prefix_gap,
+    _prefix_min,
     base_matrix,
     feedback_matrix,
     subgame_matrix,
@@ -103,13 +106,15 @@ def sweep(
     of the sweep's (t, c) cells, the base game first, and expected_voi
     reads each switch game's Hider mix from its chunk's solution. Each run
     of a reveal time's costs in a chunk then builds its feedback matrices
-    in one feedback_matrix call, solves them, the only part of that game
-    printed, in one more solve_games call, and takes every delta in one
-    reduction over both stacks, before the chunk is dropped. A sweep makes
-    no LP call. From n = 7 on, a chunk holds a few games or one: a switch
-    game there is large enough to fill the simplex's batched numpy calls on
-    its own, so more at once only takes memory. solve_games gives each game
-    the same bits in any stack, so the chunk bounds move no output byte.
+    in one feedback_matrix call (under pure_min, as the prefix minima of
+    the chunk's switch matrices, payoff._prefix_min, so none is built
+    twice), solves them, the only part of that game printed, in one more
+    solve_games call, and takes every delta in one reduction over both
+    stacks, before the chunk is dropped. A sweep makes no LP call. From
+    n = 7 on, a chunk holds a few games or one: a switch game there is
+    large enough to fill the simplex's batched numpy calls on its own, so
+    more at once only takes memory. solve_games gives each game the same
+    bits in any stack, so the chunk bounds move no output byte.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -134,7 +139,10 @@ def sweep(
         ts = [cfg.t_reveal if cfg else 0 for cfg in cfgs]
         for t in sorted(set(ts) - {0}):
             g = slice(ts.index(t), ts.index(t) + ts.count(t))  # the chunk's run of t's costs
-            Fs = feedback_matrix(A, rs, cfgs[g])
+            if feedback_mode == "pure_min":
+                Fs = _prefix_min(As[g], prefix_block(rs, t))
+            else:
+                Fs = feedback_matrix(A, rs, cfgs[g])
             v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As[g], Fs).max(axis=(1, 2, 3))
             for cfg, S, v_switch, mix, v_fb, delta in zip(cfgs[g], As[g], v[g], z[g], v_fbs, deltas):
                 bar = worst_case_voi(voi_matrix(S, rs, t))
@@ -287,6 +295,12 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
 
 
 _BLOCK = 1 << 16  # trials per block: a 2 MB draw of uniforms
+# simulate's subgame guide tables, two per possible reveal-stage subgame,
+# take at most this many bytes: 2^K buckets each, for the largest K that
+# fits. That is 2^8 buckets for the 336 subgames of n = 8 at t = 2, and 2 for
+# the 40,320 at t = 6, where a playout that reaches every subgame holds more
+# in their mixes than in these 0.6 MB of tables.
+_TABLE_BYTES = 1 << 20
 
 
 def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -300,37 +314,99 @@ def _support(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     its support rows followed by the label of its last row.
 
     A row of zero weight repeats the cumulative weight before it, so it is
-    never the first row whose cumulative weight exceeds a uniform. _draw
-    therefore searches a few entries where the full cdf can have n! of them
-    (the restricted Seeker mix at n = 8).
+    never the first row whose cumulative weight exceeds a uniform: a draw
+    from the support, labels[searchsorted(cdf, u, "right")], is the draw
+    from the full cdf, with u at or past the total weight drawing the last
+    row. So simulate's pair tables take a row per support row, and a search
+    for a trial a guide table (_guide) leaves open runs over a few entries,
+    where the full cdf can have n! rows (the restricted Seeker mix at n = 8).
     """
     rows = np.flatnonzero(w > 0)
     return np.cumsum(w)[rows], labels[np.append(rows, len(w) - 1)]
 
 
-def _draw(support: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """The label of the first row whose cumulative weight exceeds u, or of
-    the last row where none does (u at or past the total weight)."""
-    cdf, labels = support
-    return labels[np.searchsorted(cdf, u, side="right")]
+def _guide(supports, scale: int, dtype) -> np.ndarray:
+    """The guide tables of the supports (cdf, labels), one row of scale =
+    2^K entries each, in the type dtype.
 
-
-def _groups(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Group equal keys, each in 0..size-1: the stable order that sorts key,
-    the distinct keys ascending, and the bounds of their groups in that
-    order (group j is order[bounds[j]:bounds[j + 1]]).
-
-    The keys are sorted in the narrowest unsigned type that holds size - 1,
-    so for a size up to 65,536 numpy's stable sort is a radix sort and not
-    a comparison sort; the bounds come from where the sorted keys step.
+    Bucket b of a row holds the label that every u in [b/2^K, (b+1)/2^K)
+    draws, where all of them draw one, and the sentinel, the largest value
+    of dtype, where a cdf entry lies strictly inside the bucket. The count
+    of cdf entries at or below u can only change inside a bucket at such an
+    entry, so elsewhere it is the count at the bucket's left edge: the
+    entries whose cdf * 2^K, which is exact, rounds up to at most b. Those
+    counts are integers, so one search of them keyed by their row gives
+    every bucket of every row exactly.
     """
-    key = key.astype(np.min_scalar_type(size - 1))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if not len(key):
-        return order, [], []
-    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
-    return order, key[bounds[:-1]].tolist(), bounds
+    count = len(supports)
+    sizes = np.array([len(cdf) for cdf, _ in supports])
+    row = np.repeat(np.arange(count), sizes)
+    edge = np.concatenate([cdf for cdf, _ in supports]) * scale
+    steps = row * (scale + 1) + np.minimum(np.ceil(edge), scale).astype(np.intp)
+    buckets = np.arange(count)[:, None] * (scale + 1) + np.arange(scale)
+    # a row's labels follow the earlier rows' sizes + 1 labels
+    index = np.searchsorted(steps, buckets, side="right") + np.arange(count)[:, None]
+    tables = np.concatenate([labels for _, labels in supports]).astype(dtype)[index]
+    inside = (edge < scale) & (edge != np.floor(edge))
+    tables[row[inside], edge[inside].astype(np.intp)] = np.iinfo(dtype).max
+    return tables
+
+
+def _buckets(limit: int) -> int:
+    """The bucket count 2^K of a guide table: the largest power of two at
+    most limit, and at least 1."""
+    return 1 << (max(1, limit).bit_length() - 1)
+
+
+def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
+    """The label each uniform u[k] draws from the support supports[slot[k]]
+    (slot may also be one int for every k), whose guide table is
+    tables[slot[k]]: labels[searchsorted(cdf, u[k], "right")], as _support
+    defines it.
+
+    u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1), and a
+    lookup gives its label. A trial whose bucket holds the sentinel is
+    drawn by a search of its own support's cdf; the few such trials are
+    sorted by support, so each support is searched once.
+    """
+    scale = tables.shape[1]
+    bucket = (u * scale).astype(np.intp)
+    bucket += np.asarray(slot, dtype=np.intp) * scale  # a 1-D take is faster than a 2-D gather
+    drawn = tables.ravel().take(bucket)
+    miss = np.flatnonzero(drawn == np.iinfo(drawn.dtype).max)
+    if len(miss):
+        slots = np.broadcast_to(slot, u.shape)[miss]
+        order = np.argsort(slots)
+        miss, slots = miss[order], slots[order]
+        bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(miss)]
+        for a, b in zip(bounds, bounds[1:]):
+            cdf, labels = supports[slots[a]]
+            drawn[miss[a:b]] = labels[np.searchsorted(cdf, u[miss[a:b]], side="right")]
+    return drawn
+
+
+def _subgame_supports(A, rs, t, c, key):
+    """The supports of the Seeker's and the Hider's mixes in the reveal-stage
+    subgame key = h*n + i, labelled by the payoff codes they add: route k as
+    k*n, and target j as j, plus m*n if j is not i (the Hider switched).
+
+    The subgame is played at its first pure saddle (_saddle_mask,
+    feedback_matrix's rule for a cell) if it has one, else by
+    solve_zero_sum's mixes.
+    """
+    m, n = A.shape
+    block = prefix_block(rs, t)
+    h, i = divmod(key, n)
+    targets = np.flatnonzero(rs.position_matrix[h * block] > t)
+    S = subgame_matrix(A, rs, t, h, i + 1, c)
+    saddle = _saddle_mask(S)
+    if saddle.any():
+        r, j = divmod(int(saddle.argmax()), len(targets))
+        y, z = (np.arange(block) == r).astype(float), (np.arange(len(targets)) == j).astype(float)
+    else:
+        sol = solve_zero_sum(S)
+        y, z = sol.row_strategy, sol.col_strategy
+    return _support(y, (h * block + np.arange(block)) * n), _support(z, targets + m * n * (targets != i))
 
 
 def simulate(
@@ -354,20 +430,24 @@ def simulate(
     is the baseline cost, which a prefix h reads at its first route h*B.
     Otherwise the restricted Hider relocates to its best reduced-payoff
     target, and in the feedback model the Seeker and Hider instead play
-    their reveal-stage subgame: at its first pure saddle (_saddle_mask,
-    feedback_matrix's rule) if it has one, else by solve_zero_sum's mixes.
-    At t = n every model plays the base game (payoff._model_matrix). Every
-    payoff is a base-matrix cell, less c if the Hider switched, so blocks
-    of _BLOCK trials only count cells, by np.add.at into one histogram:
-    memory stays bounded, and identical seeds give bit-identical results
-    for any block size.
+    their reveal-stage subgame (_subgame_supports). At t = n every model
+    plays the base game (payoff._model_matrix). Every payoff is a
+    base-matrix cell, less c if the Hider switched, so blocks of _BLOCK
+    trials only count cells, by np.add.at into one histogram: memory stays
+    bounded, and identical seeds give bit-identical results for any block
+    size.
 
-    A block's late feedback trials are grouped by their subgame, the key
-    h*n + i, in the narrowest unsigned type that holds every key
-    (_groups), which numpy sorts by radix up to 16 bits. Their subgame
-    uniforms are gathered once in group order, so each group draws its
-    Seeker route and Hider target from one contiguous slice, and their
-    cells go back in one scatter.
+    Every draw is a guide-table lookup (_draw), exact for every uniform,
+    and no table has more buckets than a block has trials. The first two
+    draws give a trial's positions in the supports of y and z, whose pair
+    indexes tables of whether the trial ended and of its base-matrix code
+    or, when it is late in the feedback model, its subgame. A subgame is
+    built and solved when a trial first reaches it, and its row and column
+    tables are filled into its own rows of the two subgame tables, whose
+    bucket count fits two tables for every possible subgame into
+    _TABLE_BYTES. Its row labels are route codes k*n and its column labels
+    target codes with the m*n switch offset, so a late trial's code is the
+    sum of its two draws.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -388,43 +468,58 @@ def simulate(
     else:
         values = _model_matrix(A, rs, model, t, c, "total", "mixed_subgame").ravel()
 
-    @functools.cache
-    def subgame_play(key: int):
-        h, i = divmod(key, n)
-        targets = np.flatnonzero(rs.position_matrix[h * block] > t)
-        S = subgame_matrix(A, rs, t, h, i + 1, c)
-        saddle = _saddle_mask(S)
-        if saddle.any():
-            # the first pure saddle, by feedback_matrix's rule for a cell
-            r, j = divmod(int(saddle.argmax()), len(targets))
-            y, z = (np.arange(block) == r).astype(float), (np.arange(len(targets)) == j).astype(float)
-        else:
-            sol = solve_zero_sum(S)
-            y, z = sol.row_strategy, sol.col_strategy
-        return _support(y, h * block + np.arange(block)), _support(z, targets)
+    code_type = np.min_scalar_type(2 * m * n)  # a late code, with the sentinel past them all
+    tops, pair_rows = [], []
+    for w, labels in ((y, np.arange(len(y))), (z, np.arange(n))):
+        cdf, rows = _support(w, labels)
+        support = (cdf, np.arange(len(rows)))  # drawn as positions in the support
+        table = _guide([support], _buckets(min(trials, _BLOCK)), np.min_scalar_type(len(rows)))
+        tops.append((table, [support]))
+        pair_rows.append(rows)
+    h, i = pair_rows[0][:, None], pair_rows[1]
+    ended = rs.position_matrix[h * block, i] <= t
+    pair_code = (h * block * n + i).astype(code_type)
+    if feedback:
+        # a late pair's code is its subgame's slot among the distinct late keys h*n + i
+        keys, pair_code[~ended] = np.unique((h * n + i)[~ended], return_inverse=True)
+        size = _TABLE_BYTES // (2 * (m // block) * (n - t) * code_type.itemsize)
+        scale = _buckets(min(size, trials, _BLOCK))
+        row_tables = np.empty((len(keys), scale), code_type)
+        col_tables = np.empty_like(row_tables)
+        row_supports, col_supports = {}, {}
+        built = np.zeros(len(keys), dtype=bool)
+    pair_code, pair_ended = pair_code.ravel(), ended.ravel()
 
-    y_draw, z_draw = _support(y, np.arange(len(y))), _support(z, np.arange(n))
     counts = np.zeros(len(values), dtype=np.int64)
     ended_total = 0
     for start in range(0, trials, _BLOCK):
         u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
-        h = _draw(y_draw, u[:, 0])
-        i = _draw(z_draw, u[:, 1])
-        ended = rs.position_matrix[h * block, i] <= t
-        ended_total += int(ended.sum())
-        code = h * block * n + i
+        pair = _draw(*tops[0], 0, u[:, 0]).astype(np.intp)
+        pair *= len(i)
+        pair += _draw(*tops[1], 0, u[:, 1])
+        ended = pair_ended[pair]
+        ended_total += int(np.count_nonzero(ended))
+        code = pair_code[pair]
         if feedback:
             late = np.flatnonzero(~ended)
-            order, keys, bounds = _groups(h[late] * n + i[late], m // block * n)
-            late = late[order]
-            # each group's uniforms are one contiguous slice, in group order
-            u_row, u_col = u[late, 2], u[late, 3]
-            k, hat = np.empty(len(late), dtype=np.intp), np.empty(len(late), dtype=np.intp)
-            for g, a, b in zip(keys, bounds, bounds[1:]):
-                row_draw, col_draw = subgame_play(g)
-                k[a:b] = _draw(row_draw, u_row[a:b])
-                hat[a:b] = _draw(col_draw, u_col[a:b])
-            code[late] = k * n + hat + m * n * (hat != i[late])
+            slot = code[late]
+            reached = np.zeros_like(built)
+            reached[slot] = True
+            fresh = np.flatnonzero(reached & ~built).tolist()
+            # built in batches, which hold all their supports until their
+            # tables are filled: only a support whose table holds the
+            # sentinel is kept, as only its trials search it
+            for j in range(0, len(fresh), 256):
+                new = fresh[j : j + 256]
+                plays = zip(*(_subgame_supports(A, rs, t, c, key) for key in keys[new].tolist()))
+                for tables, supports, found in zip((row_tables, col_tables), (row_supports, col_supports), plays):
+                    tables[new] = _guide(found, scale, code_type)
+                    searched = (tables[new] == np.iinfo(code_type).max).any(axis=1)
+                    supports.update((k, support) for k, support, hit in zip(new, found, searched) if hit)
+            built |= reached
+            code[late] = _draw(row_tables, row_supports, slot, u[late, 2]) + _draw(
+                col_tables, col_supports, slot, u[late, 3]
+            )
         np.add.at(counts, code, 1)
 
     mean = float(counts @ values / trials)

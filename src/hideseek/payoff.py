@@ -101,6 +101,13 @@ def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     return S
 
 
+def _prefix_min(S: np.ndarray, block: int) -> np.ndarray:
+    """The pure_min feedback matrix of the switch matrix S, or of each in a
+    stack of them: every prefix's cell is the least entry of its block of
+    consecutive routes, since rounding x - c is monotone in x."""
+    return S.reshape(*S.shape[:-2], -1, block, S.shape[-1]).min(axis=-2)
+
+
 def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     """Reveal-stage subgame at prefix h for a treasure initially at i: the
     prefix's routes versus relocation targets.
@@ -174,7 +181,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
         raise ValueError("the configs must share the reveal time, convention and feedback mode")
     n, block = rs.n, prefix_block(rs, t)
     if mode == "pure_min":
-        F = np.stack([switch_matrix(A, rs, cfg).reshape(-1, block, n).min(axis=1) for cfg in cfgs])
+        F = np.stack([_prefix_min(switch_matrix(A, rs, cfg), block) for cfg in cfgs])
         return F[0] if one else F
     first = np.arange(0, rs.m, block)  # each prefix's first route
     nodes = rs.route_array[first, :t]

@@ -3,8 +3,8 @@ against: per-prefix and per-route loops the package vectorises, a
 cell-by-cell pure saddle scan, an independent closed form for small
 reveal-stage subgames, full-LP game values through scipy's linprog (and the
 same LP through HiGHS's default presolve), a recompute of a solution's
-best-response gaps, and the cell-by-cell formatters the one-row writers
-replaced. Also the audits of the paper's claims that only the tests run:
+best-response gaps, the cell-by-cell formatters the one-row writers
+replaced, and simulate played one trial at a time. Also the audits of the paper's claims that only the tests run:
 point-to-point distances, the Lemma 1 stay-vs-switch check at a pure
 saddle, the closed-form termination probability that simulate's ended-by-t
 rate is checked against, and the sweep's default cost grid."""
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.optimize import linprog
 
 import hideseek as hs
@@ -283,20 +284,69 @@ def presolved_value(A):
 def draw_full_cdf(w, u):
     """Rows drawn from the mix w for the uniforms u by a search of its full
     cdf, a count past the end clamped to the last row: simulate's draw
-    before it searched the support alone."""
+    before it searched the support alone, and before guide tables."""
     cdf = np.cumsum(w)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def group_keys(key, size):
-    """simulate's grouping of its late trials before it sorted narrow keys:
-    a stable comparison sort of the int64 keys and np.unique's group starts,
-    as experiments._groups returns them (size is unused)."""
-    key = np.asarray(key, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    groups, first = np.unique(key[order], return_index=True)
-    bounds = [*first.tolist(), len(key)] if len(key) else []
-    return order, groups.tolist(), bounds
+def subgame_play(A, rs, t, c, h, i):
+    """How simulate plays the reveal-stage subgame of prefix h (index) and
+    start i (0-based), built from the prefix's block of routes: the
+    unvisited locations (0-based, ascending) and the Seeker's and Hider's
+    mixes, one-hot at the first pure saddle if there is one, else the LP's."""
+    block = hs.prefix_block(rs, t)
+    targets = unvisited_after(rs, routes(rs.n)[h * block][:t])
+    S = subgame(A, np.arange(h * block, (h + 1) * block), targets, i + 1, c)
+    saddle = find_pure_saddle(S)
+    if saddle is None:
+        sol = hs.solve_zero_sum(S)
+        return np.array(targets) - 1, sol.row_strategy, sol.col_strategy
+    return np.array(targets) - 1, np.eye(block)[saddle.row], np.eye(len(targets))[saddle.col]
+
+
+def playout(A, rs, model, y, z, t, c, trials, seed):
+    """simulate played one trial at a time: trial k's four uniforms from the
+    Philox counter block k, every draw a search of the full cdf
+    (draw_full_cdf), each reached subgame solved once (subgame_play), and
+    each trial's payoff cell counted into the histogram the result is
+    summed from."""
+    m, n = A.shape
+    feedback = model == "feedback" and t < n
+    block = hs.prefix_block(rs, t) if feedback else 1
+    y, z = simplex_weights(y, m // block, "y"), simplex_weights(z, n, "z")
+    if feedback:
+        values = np.concatenate([A.ravel(), A.ravel() - c])  # past m*n: switched cells
+    elif model == "restricted" and t < n:
+        values = hs.switch_matrix(A, rs, hs.SwitchConfig(t, c)).ravel()
+    else:
+        values = A.ravel()
+    key = SeedSequence(seed).generate_state(2, np.uint64)
+    uniforms = Generator(Philox(counter=[0, 0, 0, 0], key=key)).random((trials, 4))
+    counts = np.zeros(len(values), dtype=np.int64)
+    ended, plays = 0, {}
+    for u in uniforms:
+        h, i = int(draw_full_cdf(y, u[0])), int(draw_full_cdf(z, u[1]))
+        if rs.position_matrix[h * block, i] <= t or not feedback:
+            ended += int(rs.position_matrix[h * block, i] <= t)
+            counts[h * block * n + i] += 1
+            continue
+        if (h, i) not in plays:
+            plays[h, i] = subgame_play(A, rs, t, c, h, i)
+        targets, ys, zs = plays[h, i]
+        k, j = h * block + int(draw_full_cdf(ys, u[2])), int(targets[draw_full_cdf(zs, u[3])])
+        counts[k * n + j + (m * n if j != i else 0)] += 1
+    mean = float(counts @ values / trials)
+    spread = values - mean
+    spread[counts == 0] = 0.0
+    var = float(counts @ np.square(spread) / (trials - 1)) if trials > 1 else 0.0
+    return hs.SimulationResult(
+        trials=trials,
+        seed=seed,
+        mean_payoff=mean,
+        payoff_stderr=math.sqrt(var) / math.sqrt(trials),
+        empirical_end_by_t=ended / trials,
+        model=model,
+    )
 
 
 def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):

@@ -15,7 +15,7 @@ from hideseek import cli, experiments
 import reference as ref
 from conftest import random_instance
 import oracles
-from oracles import default_cost_grid, draw_full_cdf, group_keys, sweep_cells, sweep_to_csv_cells
+from oracles import default_cost_grid, draw_full_cdf, sweep_cells, sweep_to_csv_cells
 
 INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "instances"
 
@@ -338,21 +338,42 @@ def test_feedback_playout_draws_a_prefix(key):
 WEIGHTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.25, 1.0]), st.floats(0.0, 4.0))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(data=st.data(), tail=st.integers(0, 3))
-def test_support_draw_matches_the_full_cdf_search(data, tail):
-    # zero-weight rows inside and after the support; uniforms on the cdf's
-    # steps, at and past its last entry (a sum that rounds below 1)
-    raw = np.array(data.draw(st.lists(WEIGHTS, min_size=1, max_size=10), label="weights"))
-    total = raw.sum()
-    w = np.append(raw / total if total > 0 else raw, np.zeros(tail))
-    cdf = np.cumsum(w)
-    edges = [v for v in (*cdf, np.nextafter(cdf[-1], 1.0)) if 0.0 <= v < 1.0]
-    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges or [0.0]))
-    u = np.array(data.draw(st.lists(uniform, min_size=1, max_size=20), label="u"))
-    labels = 3 + 7 * np.arange(len(w))
-    drawn = experiments._draw(experiments._support(w, labels), u)
-    np.testing.assert_array_equal(drawn, labels[draw_full_cdf(w, u)])
+def mixes(data, tail):
+    """A mix as simulate may meet it: zero-weight rows inside and after the
+    support, weights of 5e-324 and 1e-300, a total that rounds below or
+    above 1, or dyadic weights whose cdf entries fall on bucket edges."""
+    if data.draw(st.booleans(), label="dyadic"):
+        parts = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=10), label="parts")
+        whole = 1 << sum(parts).bit_length()  # a power of two past their sum
+        w = np.append(parts, whole - sum(parts)) / whole
+    else:
+        raw = np.array(data.draw(st.lists(WEIGHTS, min_size=1, max_size=10), label="weights"))
+        total = raw.sum()
+        w = raw / total if total > 0 else raw
+        w = w * data.draw(st.sampled_from([1.0, 1 - 2**-45, 1 + 2**-45]), label="total")
+    return np.append(w, np.zeros(tail))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), tail=st.integers(0, 3), k=st.integers(0, 6), count=st.integers(1, 3))
+def test_support_draw_matches_the_full_cdf_search(data, tail, k, count):
+    # count mixes share one table of 2^k buckets a row, as a feedback
+    # playout's subgames do; at small k a support is wider than the table
+    # and every bucket holds the sentinel. Uniforms on the bucket edges
+    # j/2^k and on the cdf's steps, one ulp either side of each.
+    ws = [mixes(data, tail) for _ in range(count)]
+    supports = [experiments._support(w, 3 + 7 * np.arange(len(w))) for w in ws]
+    table = experiments._guide(supports, 2**k, np.min_scalar_type(3 + 7 * max(map(len, ws))))
+    points = np.concatenate([np.arange(2**k) / 2**k, *(cdf for cdf, _ in supports)])
+    points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(points[points < 1.0].tolist()))
+    u = np.array(data.draw(st.lists(uniform, min_size=1, max_size=30), label="u"))
+    slot = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=len(u), max_size=len(u)), label="slot"))
+    drawn = experiments._draw(table, supports, slot, u)
+    expected = [3 + 7 * draw_full_cdf(ws[g], x) for g, x in zip(slot, u)]
+    np.testing.assert_array_equal(drawn, expected)
+    if count == 1:  # one support for every uniform, as a trial's first two draws
+        np.testing.assert_array_equal(experiments._draw(table, supports, 0, u), expected)
 
 
 @pytest.mark.parametrize("model", ["base", "restricted", "feedback"])
@@ -365,40 +386,14 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     game = {"base": A, "restricted": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
     sol = hs.solve_zero_sum(game[model])
     assert (sol.row_strategy == 0).mean() > 0.5
-
-    def run():
-        return hs.simulate(A, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
-
-    assert run() == oracle_playout(run)
-
-
-def oracle_playout(run):
-    """run() with simulate's draws searched over the full cdf and its late
-    trials grouped by a comparison sort of int64 keys."""
-
-    def full_cdf(w, labels):
-        return np.cumsum(w), np.append(labels, labels[-1])
-
-    with mock.patch.object(experiments, "_support", full_cdf), mock.patch.object(experiments, "_groups", group_keys):
-        return run()
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(data=st.data(), size=st.sampled_from([1, 2, 256, 257, 65_536, 65_537, 1 << 20]))
-def test_groups_match_the_comparison_sort(data, size):
-    # key spaces on both sides of the uint8 and uint16 bounds; past 65,536
-    # keys they sort as uint32, by numpy's comparison sort
-    keys = st.one_of(st.integers(0, size - 1), st.sampled_from([0, size - 1]))
-    key = np.array(data.draw(st.lists(keys, max_size=50), label="key"), dtype=np.int64)
-    order, groups, bounds = experiments._groups(key, size)
-    expected_order, *expected = group_keys(key, size)
-    np.testing.assert_array_equal(order, expected_order)
-    assert [groups, bounds] == expected
+    args = (A, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
+    assert hs.simulate(*args) == oracles.playout(*args)
 
 
 def test_feedback_counts_match_the_oracle_past_65536_keys():
-    # n = 8, t = 6: 20,160 prefixes times 8 start locations make 161,280
-    # keys, which sort as uint32; the last prefix's keys pass 65,535
+    # n = 8, t = 6 with 13 of the 20,160 prefixes in the Seeker's support,
+    # the last among them: its subgame keys h*n + i pass 65,535, and the
+    # subgame tables hold a row only for the support's late pairs
     rng = np.random.default_rng(8)
     rs = hs.enumerate_routes(8)
     A = hs.base_matrix(random_instance(rng, 8), rs)
@@ -408,13 +403,34 @@ def test_feedback_counts_match_the_oracle_past_65536_keys():
     y /= y.sum()
     z = rng.dirichlet(np.ones(8))
     assert np.min_scalar_type(len(y) * 8 - 1) == np.uint32
+    args = (A, rs, "feedback", y, z, 6, 0.5, 3_000, 7)
+    res = hs.simulate(*args)
+    assert res == oracles.playout(*args)
+    assert res.empirical_end_by_t < 0.9  # late trials played subgames
 
-    def run():
-        return hs.simulate(A, rs, "feedback", y, z, 6, 0.5, 3_000, 7)
 
-    res = run()
-    assert res == oracle_playout(run)
-    assert res.empirical_end_by_t < 0.9  # late trials were grouped
+def test_dense_prefix_mix_plays_in_bounded_memory():
+    # every one of the 20,160 prefixes of n = 8 at t = 6 is in the Seeker's
+    # support, so every one of the 40,320 subgames can be reached: the
+    # guide tables' worst case, which _TABLE_BYTES bounds. The histogram,
+    # its values, the spread over them and a float copy of the counts take
+    # 20 MB of the 23 MB peak; tables of 2^12 buckets for each subgame this
+    # run reaches would add 24 MB.
+    rng = np.random.default_rng(6)
+    rs = hs.enumerate_routes(8)
+    A = hs.base_matrix(random_instance(rng, 8), rs)
+    y = rng.dirichlet(np.ones(rs.m // hs.prefix_block(rs, 6)))
+    z = rng.dirichlet(np.ones(8))
+    args = (A, rs, "feedback", y, z, 6, 0.5, 3_000, 7)
+    tracemalloc.start()
+    try:
+        res = hs.simulate(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert res == oracles.playout(*args)
+    assert res.empirical_end_by_t < 0.9
 
 
 @pytest.mark.parametrize("p, block", [(1.0, 1 << 16), (0.9, 4)])
@@ -427,13 +443,10 @@ def test_feedback_counts_match_the_oracle_when_every_trial_of_a_block_ends(demo6
     y[:5] = 0.2
     assert (rs6.route_array[: 5 * hs.prefix_block(rs6, 2), 0] == 1).all()
     z = np.append(p, np.full(5, (1 - p) / 5))
-
-    def run():
-        return hs.simulate(A, rs6, "feedback", y, z, 2, 0.5, 2_000, 3)
-
+    args = (A, rs6, "feedback", y, z, 2, 0.5, 2_000, 3)
     with mock.patch.object(experiments, "_BLOCK", block):
-        res = run()
-        assert res == oracle_playout(run)
+        res = hs.simulate(*args)
+    assert res == oracles.playout(*args)
     assert (res.empirical_end_by_t == 1.0) == (p == 1.0)
 
 

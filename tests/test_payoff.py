@@ -323,6 +323,28 @@ def test_feedback_pure_min_mode(base3, rs3):
     assert (F >= mixed - 1e-9).all()
 
 
+@pytest.mark.parametrize("convention", ["total", "remaining"])
+def test_prefix_min_of_the_sweeps_switch_games_is_pure_min_feedback(convention):
+    # sweep takes each pure_min matrix as the prefix minimum of the switch
+    # matrix its chunk already holds: the same bits as feedback_matrix, and
+    # as the per-prefix oracle's least row maximum of every subgame
+    from hideseek.experiments import _switch_games
+
+    rng = np.random.default_rng(31)
+    for n in (3, 5, 6):
+        inst = random_instance(rng, n)
+        rs = hs.enumerate_routes(n)
+        A = hs.base_matrix(inst, rs)
+        for t in range(1, n):
+            cfgs = [hs.SwitchConfig(t, c, convention, "pure_min") for c in (0.0, 0.4, 2.5, 40.0)]
+            ((_, As, _),) = _switch_games(A, rs, cfgs)
+            F = payoff._prefix_min(As, hs.prefix_block(rs, t))
+            assert np.array_equal(F, hs.feedback_matrix(A, rs, cfgs)), (n, t)
+            for cfg, Fc in zip(cfgs, F):
+                oracle, _ = feedback_matrices_per_prefix(A, rs, t, cfg.c, "pure_min")
+                assert np.array_equal(Fc, oracle[convention]), (n, t, cfg.c)
+
+
 def test_feedback_remaining_shifts_unvisited_cells(base3, rs3):
     cfg_t = hs.SwitchConfig(1, 1.0)
     cfg_r = hs.SwitchConfig(1, 1.0, convention="remaining")

@@ -194,6 +194,8 @@ def cmd_simulate(args, out) -> int:
     # the playout pays total-convention costs and plays mixed subgame strategies
     A = base_matrix(inst, rs)
     matrix = _model_matrix(A, rs, args.model, args.t_reveal, args.cost, "total", "mixed_subgame")
+    if args.model != "feedback":  # the solved matrix pays; the base matrix is freed before the LP runs
+        A = matrix
     sol = solve_zero_sum(matrix)
     result = simulate(
         A, rs, args.model, sol.row_strategy, sol.col_strategy,

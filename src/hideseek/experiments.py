@@ -22,11 +22,10 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .instance import Instance
-from .matrixgame import _saddle_mask, check_cost, simplex_weights, solve_games, solve_zero_sum
+from .matrixgame import _first_saddle, check_cost, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
-    _model_matrix,
     _prefix_gap,
     _prefix_min,
     base_matrix,
@@ -194,17 +193,16 @@ SWEEP_HEADER = (
 )
 
 
-def sweep_to_csv(rows: list[SweepRow], digits: int = 10) -> str:
+def sweep_to_csv(rows: list[SweepRow]) -> str:
     """The sweep as CSV: one line per (t, c) cell, labelled by its reveal time."""
     cells = [astuple(r)[1:] for r in rows]
-    return SWEEP_HEADER + "\n" + _csv_rows([r.t_reveal for r in rows], cells, digits)
+    return SWEEP_HEADER + "\n" + _csv_rows([r.t_reveal for r in rows], cells)
 
 
 def verify_bounds(
     rows: list[SweepRow],
     inst: Instance | None = None,
     convention: str = "total",
-    tol: float = 1e-9,
 ) -> BoundReport:
     """Check every structural bound a sweep must satisfy.
 
@@ -214,13 +212,13 @@ def verify_bounds(
     non-increasing in c at fixed t. With the instance available, the
     fixed-mix expected VOI is additionally checked to be non-increasing in
     reveal time (the mix is re-equilibrated per cost but frozen across t,
-    since equilibria move with t). tol is relative to the rows' largest
-    |value| but c, which can be huge, and also bounds the spread of v_base,
-    which one instance shares.
+    since equilibria move with t). The tolerance is 1e-9 times the rows'
+    largest |value| but c, which can be huge, and also bounds the spread of
+    v_base, which one instance shares.
     """
     if not rows:
         return BoundReport(checks=())
-    tol *= max(abs(v) for r in rows for v in astuple(r)[2:])
+    tol = 1e-9 * max(abs(v) for r in rows for v in astuple(r)[2:])
     lo, hi = min(r.v_base for r in rows), max(r.v_base for r in rows)
     if hi - lo > tol:
         raise ValueError(f"rows come from mixed instances: v_base from {lo!r} to {hi!r}")
@@ -390,7 +388,7 @@ def _subgame_supports(A, rs, t, c, key):
     subgame key = h*n + i, labelled by the payoff codes they add: route k as
     k*n, and target j as j, plus m*n if j is not i (the Hider switched).
 
-    The subgame is played at its first pure saddle (_saddle_mask,
+    The subgame is played at its first pure saddle (_first_saddle,
     feedback_matrix's rule for a cell) if it has one, else by
     solve_zero_sum's mixes.
     """
@@ -399,9 +397,9 @@ def _subgame_supports(A, rs, t, c, key):
     h, i = divmod(key, n)
     targets = np.flatnonzero(rs.position_matrix[h * block] > t)
     S = subgame_matrix(A, rs, t, h, i + 1, c)
-    saddle = _saddle_mask(S)
-    if saddle.any():
-        r, j = divmod(int(saddle.argmax()), len(targets))
+    saddle = int(_first_saddle(S))
+    if saddle >= 0:
+        r, j = divmod(saddle, len(targets))
         y, z = (np.arange(block) == r).astype(float), (np.arange(len(targets)) == j).astype(float)
     else:
         sol = solve_zero_sum(S)
@@ -420,22 +418,21 @@ def simulate(
     trials: int,
     seed: int,
 ) -> SimulationResult:
-    """Monte Carlo playout of the two-stage game on the base matrix A of the
-    routes rs.
+    """Monte Carlo playout of the two-stage game on the routes rs.
 
-    y is the Seeker's mix over the played game's rows: the routes, or for
-    the feedback model with t < n the prefixes of feedback_matrix. Each
-    trial draws a row from y and an initial location from z. If the
-    treasure's visit position is within t (or the model is base), the payoff
-    is the baseline cost, which a prefix h reads at its first route h*B.
-    Otherwise the restricted Hider relocates to its best reduced-payoff
-    target, and in the feedback model the Seeker and Hider instead play
-    their reveal-stage subgame (_subgame_supports). At t = n every model
-    plays the base game (payoff._model_matrix). Every payoff is a
-    base-matrix cell, less c if the Hider switched, so blocks of _BLOCK
-    trials only count cells, by np.add.at into one histogram: memory stays
-    bounded, and identical seeds give bit-identical results for any block
-    size.
+    A is the route-indexed table that pays the trials, which the playout
+    only reads: the played game's matrix (payoff._model_matrix, total
+    convention) for the base and restricted models, and the base matrix
+    for the feedback model, whose trials still running at the reveal play
+    its reveal-stage subgames (_subgame_supports). At t = n it is the base
+    matrix for every model. y is the Seeker's mix over the played game's
+    rows: the routes, or for the feedback model with t < n the prefixes of
+    feedback_matrix, prefix h paid at its first route h*B. Each trial
+    draws a row from y and an initial location from z. Every payoff is a
+    cell of A, less c if the Hider switched, so blocks of _BLOCK trials
+    only count cells, by np.add.at into one float histogram (exact below
+    2^53 trials): memory stays bounded, and identical seeds give
+    bit-identical results for any block size.
 
     Every draw is a guide-table lookup (_draw), exact for every uniform,
     and no table has more buckets than a block has trials. The first two
@@ -456,17 +453,14 @@ def simulate(
     check_reveal_time(t, rs.n)
     check_cost(c)
     if A.shape != (rs.m, rs.n):
-        raise ValueError(f"base matrix has shape {A.shape}, expected {(rs.m, rs.n)}")
+        raise ValueError(f"payoff matrix has shape {A.shape}, expected {(rs.m, rs.n)}")
     m, n = A.shape
     feedback = model == "feedback" and t < n
     block = prefix_block(rs, t) if feedback else 1  # routes per row of y
     y = simplex_weights(y, m // block, "y")
     z = simplex_weights(z, n, "z")
-    if feedback:
-        # codes past m*n are the switched cells, paid minus c
-        values = np.concatenate([A.ravel(), A.ravel() - c])
-    else:
-        values = _model_matrix(A, rs, model, t, c, "total", "mixed_subgame").ravel()
+    # feedback codes past m*n are the switched cells, paid minus c
+    values = np.concatenate([A.ravel(), A.ravel() - c]) if feedback else A.ravel()
 
     code_type = np.min_scalar_type(2 * m * n)  # a late code, with the sentinel past them all
     tops, pair_rows = [], []
@@ -490,7 +484,7 @@ def simulate(
         built = np.zeros(len(keys), dtype=bool)
     pair_code, pair_ended = pair_code.ravel(), ended.ravel()
 
-    counts = np.zeros(len(values), dtype=np.int64)
+    counts = np.zeros(len(values))  # a float histogram, so that counts @ values makes no copy
     ended_total = 0
     for start in range(0, trials, _BLOCK):
         u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
@@ -520,7 +514,7 @@ def simulate(
             code[late] = _draw(row_tables, row_supports, slot, u[late, 2]) + _draw(
                 col_tables, col_supports, slot, u[late, 3]
             )
-        np.add.at(counts, code, 1)
+        np.add.at(counts, code, 1.0)  # a float 1, for which add.at has a fast loop
 
     mean = float(counts @ values / trials)
     # cells never drawn add nothing, even where a huge c makes their square overflow

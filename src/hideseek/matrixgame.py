@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 # A solution certifies when both of its best-response gaps are within
 # GAP_TOL times its game's max|A|; the gaps it reports stay absolute.
 GAP_TOL = 1e-6
-# _saddle_mask's ties: within SADDLE_TOL relative.
+# _first_saddle's ties: within SADDLE_TOL relative.
 SADDLE_TOL = 1e-9
 # solve_games' simplex: reduced costs and ties within _RC_TOL (times
 # max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game pivots
@@ -111,10 +110,13 @@ class SolverError(RuntimeError):
     """The LP failed or produced an uncertifiable solution."""
 
 
-def check_cost(c: float) -> None:
-    """Reject a switching cost that is negative, NaN or infinite."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"switching cost must be finite and >= 0, got {c}")
+def check_cost(c) -> None:
+    """Reject a switching cost, or an array of them, that is negative, NaN
+    or infinite, naming the first bad cost."""
+    c = np.asarray(c)
+    bad = ~(np.isfinite(c) & (c >= 0))
+    if bad.any():
+        raise ValueError(f"switching cost must be finite and >= 0, got {c.flat[bad.argmax()]}")
 
 
 def simplex_weights(w, size: int, name: str) -> np.ndarray:
@@ -244,10 +246,12 @@ def _solve(S, scale, first, second):
     values, the clean mixes and the gaps; raises SolverError if a game is
     slack under both, naming HiGHS's status if HiGHS did not solve it."""
     v, y, z, failures = first(S, scale)
+    v += 0.0  # -0.0 + 0.0 is +0.0: a zero-valued game's value and gaps print as 0
     y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
     if not ok.all():
         g = np.flatnonzero(~ok)
         v[g], y[g], z[g], again = second(S[g], scale[g])
+        v[g] += 0.0
         failures.update((int(g[j]), failure) for j, failure in again.items())
         y[g], z[g], row_gap[g], col_gap[g], ok[g] = _certify(S[g], scale[g], v[g], y[g], z[g])
         if not ok.all():
@@ -394,12 +398,14 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _solve(S, _scales(S), _simplex, _highs)[:3]
 
 
-def _saddle_mask(A: np.ndarray) -> np.ndarray:
-    """Cells that are their row's maximum and their column's minimum, over
-    the last two axes, so a stack of games is scanned at once. Ties count
-    within SADDLE_TOL times the size of the row maximum or column minimum
-    they are compared with: relative to the value a saddle would have, and
-    not to max|A|, which a huge cost in the other cells would inflate.
+def _first_saddle(A: np.ndarray) -> np.ndarray:
+    """Each game's first pure saddle cell in row-major order, r*k + j, or -1
+    if it has none: a cell that is its row's maximum and its column's
+    minimum, over the last two axes, so a stack of games is scanned at once
+    (shape A.shape[:-2]). Ties count within SADDLE_TOL times the size of the
+    row maximum or column minimum they are compared with: relative to the
+    value a saddle would have, and not to max|A|, which a huge cost in the
+    other cells would inflate.
 
     A cell of row r and column j needs lo[r] <= hi[j], its row's lower
     bound at most its column's upper bound, so a game whose least lo
@@ -410,7 +416,8 @@ def _saddle_mask(A: np.ndarray) -> np.ndarray:
     rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
     lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
     if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():
-        return np.zeros(A.shape, dtype=bool)
+        return np.full(A.shape[:-2], -1)
     mask = A >= lo
     mask &= A <= hi
-    return mask
+    mask = mask.reshape(*A.shape[:-2], -1)
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), -1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import _saddle_mask, check_cost, solve_games
+from .matrixgame import _first_saddle, check_cost, solve_games
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
@@ -44,6 +44,8 @@ class SwitchConfig:
     def __post_init__(self):
         if self.t_reveal < 1:
             raise ValueError(f"t_reveal must be >= 1, got {self.t_reveal}")
+        if np.ndim(self.c):  # check_cost takes arrays; a config has one cost
+            raise TypeError(f"c must be one cost, got an array of shape {np.shape(self.c)}")
         check_cost(self.c)
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -121,11 +123,7 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     """
     block = prefix_block(rs, t)
     h, i, c = np.asarray(h), np.asarray(i), np.asarray(c, dtype=float)
-    # each distinct cost once, ascending, as np.unique gave them (which, on
-    # floats, imports numpy.ma)
-    costs = np.sort(c, axis=None)
-    for cost in np.concatenate([costs[:1], costs[1:][costs[1:] != costs[:-1]]]).tolist():
-        check_cost(cost)
+    check_cost(c)
     if ((h < 0) | (h >= rs.m // block)).any():
         raise ValueError(f"prefix index out of range 0..{rs.m // block - 1}")
     first = h * block
@@ -204,14 +202,11 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     for j in range(0, len(s), size):
         g = (k[j : j + size], s[j : j + size], i0[j : j + size])
         sub = subgame_matrix(A, rs, t, rep[g[1]], g[2] + 1, costs[g[0]])
-        mask = _saddle_mask(sub).reshape(len(sub), -1)
-        hit = mask.any(axis=1)
-        cell[g] = np.where(hit, mask.argmax(axis=1), -1)
-        del mask
-        if not hit.all():
+        cell[g] = saddle = _first_saddle(sub)
+        if (saddle < 0).any():
             # the rest go to the simplex from this stack: moved to its front
             # in place, as a copy of them would take up to its size again
-            lp = np.flatnonzero(~hit)
+            lp = np.flatnonzero(saddle < 0)
             for dst, src in enumerate(lp.tolist()):
                 if dst != src:
                     sub[dst] = sub[src]
@@ -296,13 +291,13 @@ def _format_rows(labels, values, cell: str, nan: str) -> str:
     return "".join(lines)
 
 
-def _csv_rows(labels, values, digits: int) -> str:
-    """One CSV line per label: the label, then its row of values to `digits`
+def _csv_rows(labels, values) -> str:
+    """One CSV line per label: the label, then its row of values to 10
     significant digits, NaN as `--`."""
-    return _format_rows(labels, values, f",%.{digits}g", "--")
+    return _format_rows(labels, values, ",%.10g", "--")
 
 
-def dump_matrix(A: np.ndarray, labels=None, digits: int = 10) -> str:
+def dump_matrix(A: np.ndarray, labels=None) -> str:
     """CSV rendering: header of location indices, then one row per line
     through the one CSV row writer (NaN as `--`). Rows are labelled r1, r2,
     ... unless labels names every row."""
@@ -312,4 +307,4 @@ def dump_matrix(A: np.ndarray, labels=None, digits: int = 10) -> str:
     elif len(labels) != rows:
         raise ValueError(f"got {len(labels)} labels for {rows} rows")
     header = "row," + ",".join(str(i) for i in range(1, cols + 1)) + "\n"
-    return header + _csv_rows(labels, A, digits)
+    return header + _csv_rows(labels, A)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .instance import Instance
 from .matrixgame import check_cost, simplex_weights, solve_zero_sum
-from .payoff import SwitchConfig, _csv_rows, base_matrix, switch_matrix
+from .payoff import SwitchConfig, _csv_rows, _prefix_min, base_matrix, switch_matrix
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CSTAR_VARIANTS = ("route", "infoset")
@@ -84,11 +84,11 @@ def cstar(A: np.ndarray, rs: RouteSet, t: int, variant: str = "infoset") -> np.n
         row_max = masked.max(axis=1)
         return np.where(unvisited, row_max[:, None] - A, np.nan)
     block = prefix_block(rs, t)
-    V = A.reshape(-1, block, rs.n)  # V[h] holds prefix h's routes
     unvisited = rs.position_matrix[::block] > t
-    reveal = rs.route_array[::block, t - 1] - 1
-    reduced = V - np.take_along_axis(V, reveal[:, None, None], axis=2)
-    m_min = reduced.min(axis=1)
+    # each prefix's cumulative cost at its reveal node, which all of its
+    # routes share, so it comes off after the minimum to the same bits
+    reveal = rs.route_array[::block, t - 1, None] - 1
+    m_min = _prefix_min(A, block) - np.take_along_axis(A[::block], reveal, axis=1)
     top = np.where(unvisited, m_min, -np.inf).max(axis=1)
     spread = np.where(unvisited, np.maximum(top[:, None] - m_min, 0.0), np.nan)
     return np.repeat(spread, block, axis=0)
@@ -126,7 +126,6 @@ class VoiReport:
     bound: float
     cfg: SwitchConfig
     variant: str
-    z_used: np.ndarray
 
 
 def build_voi_report(
@@ -159,11 +158,10 @@ def build_voi_report(
         bound=theorem1_bound(route_global, cfg.c),
         cfg=cfg,
         variant=variant,
-        z_used=z,
     )
 
 
-def report_to_csv(report: VoiReport, digits: int = 10) -> str:
+def report_to_csv(report: VoiReport) -> str:
     """Serialize a VoiReport in the matrix CSV format with a metadata line.
 
     Every line after the header goes through the one CSV row writer, which
@@ -173,13 +171,13 @@ def report_to_csv(report: VoiReport, digits: int = 10) -> str:
     cfg = report.cfg
     m, n = report.voi_matrix.shape
     return (
-        f"# t_reveal={cfg.t_reveal},c={cfg.c:.{digits}g},"
+        f"# t_reveal={cfg.t_reveal},c={cfg.c:.10g},"
         f"convention={cfg.convention},variant={report.variant}\n"
         "section,row," + ",".join(str(i) for i in range(1, n + 1)) + "\n"
-        + _csv_rows([f"voi,r{j}" for j in range(1, m + 1)], report.voi_matrix, digits)
-        + _csv_rows(["bar_voi,"], report.bar_voi, digits)
+        + _csv_rows([f"voi,r{j}" for j in range(1, m + 1)], report.voi_matrix)
+        + _csv_rows(["bar_voi,"], report.bar_voi)
         + _csv_rows(["expected_voi,", "route_averaged_voi,"],
-                    [report.expected_voi, report.route_averaged_voi], digits)
-        + _csv_rows([f"cstar,r{j}" for j in range(1, m + 1)], report.cstar_matrix, digits)
-        + _csv_rows(["cstar_global,", "theorem1_bound,"], [report.cstar_global, report.bound], digits)
+                    [report.expected_voi, report.route_averaged_voi])
+        + _csv_rows([f"cstar,r{j}" for j in range(1, m + 1)], report.cstar_matrix)
+        + _csv_rows(["cstar_global,", "theorem1_bound,"], [report.cstar_global, report.bound])
     )

@@ -309,15 +309,14 @@ def playout(A, rs, model, y, z, t, c, trials, seed):
     Philox counter block k, every draw a search of the full cdf
     (draw_full_cdf), each reached subgame solved once (subgame_play), and
     each trial's payoff cell counted into the histogram the result is
-    summed from."""
+    summed from. A is the table simulate takes: the played matrix, or the
+    base matrix for the feedback model."""
     m, n = A.shape
     feedback = model == "feedback" and t < n
     block = hs.prefix_block(rs, t) if feedback else 1
     y, z = simplex_weights(y, m // block, "y"), simplex_weights(z, n, "z")
     if feedback:
         values = np.concatenate([A.ravel(), A.ravel() - c])  # past m*n: switched cells
-    elif model == "restricted" and t < n:
-        values = hs.switch_matrix(A, rs, hs.SwitchConfig(t, c)).ravel()
     else:
         values = A.ravel()
     key = SeedSequence(seed).generate_state(2, np.uint64)
@@ -397,44 +396,40 @@ def cstar_infoset_per_prefix(A, rs, t):
     return C
 
 
-def csv_cell(v, digits):
-    """One table cell as the CSV writers formatted it cell by cell: `digits`
+def csv_cell(v):
+    """One table cell as the CSV writers formatted it cell by cell: 10
     significant digits, NaN as `--`."""
-    return "--" if np.isnan(v) else f"{v:.{digits}g}"
+    return "--" if np.isnan(v) else f"{v:.10g}"
 
 
-def dump_matrix_cells(A, labels=None, digits=10):
+def dump_matrix_cells(A, labels=None):
     """dump_matrix written cell by cell."""
     lines = ["row," + ",".join(str(i) for i in range(1, A.shape[1] + 1))]
     if labels is None:
         labels = [f"r{j + 1}" for j in range(len(A))]
     for label, row in zip(labels, A):
-        lines.append(f"{label}," + ",".join(csv_cell(v, digits) for v in row))
+        lines.append(f"{label}," + ",".join(csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def report_to_csv_cells(report, digits=10):
+def report_to_csv_cells(report):
     """report_to_csv written cell by cell."""
     cfg = report.cfg
     n = report.voi_matrix.shape[1]
-
-    def fmt(v):
-        return csv_cell(v, digits)
-
     lines = [
-        f"# t_reveal={cfg.t_reveal},c={cfg.c:.{digits}g},"
+        f"# t_reveal={cfg.t_reveal},c={cfg.c:.10g},"
         f"convention={cfg.convention},variant={report.variant}",
         "section,row," + ",".join(str(i) for i in range(1, n + 1)),
     ]
     for j, row in enumerate(report.voi_matrix):
-        lines.append(f"voi,r{j + 1}," + ",".join(fmt(v) for v in row))
-    lines.append("bar_voi,," + ",".join(fmt(v) for v in report.bar_voi))
-    lines.append(f"expected_voi,,{fmt(report.expected_voi)}")
-    lines.append(f"route_averaged_voi,,{fmt(report.route_averaged_voi)}")
+        lines.append(f"voi,r{j + 1}," + ",".join(csv_cell(v) for v in row))
+    lines.append("bar_voi,," + ",".join(csv_cell(v) for v in report.bar_voi))
+    lines.append(f"expected_voi,,{csv_cell(report.expected_voi)}")
+    lines.append(f"route_averaged_voi,,{csv_cell(report.route_averaged_voi)}")
     for j, row in enumerate(report.cstar_matrix):
-        lines.append(f"cstar,r{j + 1}," + ",".join(fmt(v) for v in row))
-    lines.append(f"cstar_global,,{fmt(report.cstar_global)}")
-    lines.append(f"theorem1_bound,,{fmt(report.bound)}")
+        lines.append(f"cstar,r{j + 1}," + ",".join(csv_cell(v) for v in row))
+    lines.append(f"cstar_global,,{csv_cell(report.cstar_global)}")
+    lines.append(f"theorem1_bound,,{csv_cell(report.bound)}")
     return "\n".join(lines) + "\n"
 
 
@@ -480,15 +475,15 @@ def sweep_cells(inst, t_list=None, c_grid=None, convention="total", feedback_mod
     return rows
 
 
-def sweep_to_csv_cells(rows, digits=10):
+def sweep_to_csv_cells(rows):
     """sweep_to_csv written field by field."""
     lines = [hs.experiments.SWEEP_HEADER]
     for r in rows:
         lines.append(
-            f"{r.t_reveal},{r.c:.{digits}g},{r.v_base:.{digits}g},"
-            f"{r.v_switch:.{digits}g},{r.v_fb:.{digits}g},{r.expected_voi:.{digits}g},"
-            f"{r.theorem1_bound:.{digits}g},{r.delta:.{digits}g},"
-            f"{r.cstar_global_route:.{digits}g},{r.cstar_global_infoset:.{digits}g}"
+            f"{r.t_reveal},{r.c:.10g},{r.v_base:.10g},"
+            f"{r.v_switch:.10g},{r.v_fb:.10g},{r.expected_voi:.10g},"
+            f"{r.theorem1_bound:.10g},{r.delta:.10g},"
+            f"{r.cstar_global_route:.10g},{r.cstar_global_infoset:.10g}"
         )
     return "\n".join(lines) + "\n"
 

@@ -253,9 +253,10 @@ def test_c15_determinism(tmp_path, capsys, base3, rs3):
 
         y = np.full(6, 1 / 6)
         z = np.array([0.3, 0.4, 0.3])
+        S = hs.switch_matrix(base3, rs3, hs.SwitchConfig(1, 1.0))
         runs = []
         for block in (30_000, 4_096, 7):
             with mock.patch.object(experiments, "_BLOCK", block):
-                runs.append(hs.simulate(base3, rs3, "restricted", y, z, t=1, c=1.0,
+                runs.append(hs.simulate(S, rs3, "restricted", y, z, t=1, c=1.0,
                                         trials=30_000, seed=3))
         assert runs[0] == runs[1] == runs[2]

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -369,6 +370,28 @@ def test_a_game_highs_refuses_goes_to_the_simplex(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, err) == (0, "")
     assert "value: 999999999999999980835596172437374590573120014030318793091164810154100" in out
+
+
+ZERO_GAME_COMMANDS = [
+    *(["solve", "--model", model, "--emit-matrix"] for model in MODELS),
+    ["voi"],
+    ["voi", "--csv"],
+    ["sweep"],
+    *(["simulate", "--model", model, "--trials", "1000"] for model in MODELS),
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", ZERO_GAME_COMMANDS, ids=" ".join)
+def test_a_zero_valued_game_prints_no_negative_zero(capsys, tmp_path, argv):
+    # every point coincides, so every game is all zeros: both solvers
+    # returned its value as -0.0, which the sweep CSV printed as -0 and the
+    # column gap as -0.000e+00
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"origin": [0, 0], "locations": [[0, 0]] * 3}), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert [token for token in re.split(r"[\s,:=()]+", out) if token.startswith("-0")] == []
 
 
 def test_solve_output_is_byte_stable(capsys, three_sites_path):

@@ -1,6 +1,7 @@
-"""Every import in the package's modules is used, and so is every public
-name they define. __init__.py is left out of the first check: its imports
-are the package's public names. The CLI imports no scipy.optimize, and
+"""Every import in the package's modules is used, every public name they
+define is used, and so is every defaulted parameter of their public
+functions. __init__.py is left out of the first check: its imports are the
+package's public names. The CLI imports no scipy.optimize, and
 shares scipy's HiGHS extension module with it."""
 
 import ast
@@ -90,6 +91,55 @@ def unused_public_names() -> list[str]:
 
 def test_every_public_name_is_used():
     assert unused_public_names() == []
+
+
+def unset_parameters(modules: dict[str, str], callers: list[str], readme: str) -> list[str]:
+    """The defaulted parameters of the public functions in modules (name to
+    source) that nothing sets: no call in the callers' sources passes one,
+    by keyword or by position, and readme never writes `name=`. A call
+    with *args or **kwargs counts as passing every parameter."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, source in modules.items():
+        for name, definition in _public_definitions(ast.parse(source)).items():
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            args = definition.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            for arg in defaulted:
+                at = positional.index(arg) if arg in positional else len(positional)
+                passed = any(
+                    any(keyword.arg in (arg.arg, None) for keyword in call.keywords)
+                    or len(call.args) > at
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    for call in calls.get(name, [])
+                )
+                if not passed and not re.search(rf"\b{arg.arg}=", readme):
+                    unset.append(f"{module}: {name}({arg.arg}=)")
+    return unset
+
+
+def test_the_check_finds_an_unset_parameter():
+    module = "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\ndef _g(x=0):\n    pass\n"
+    callers = [module, "f(0, 1)\nf(0, e=5)\nm.f(0, **{})\n"]
+    assert unset_parameters({"m.py": module}, callers[:1] + ["f(0, 1)\n"], "") == [
+        "m.py: f(c=)", "m.py: f(d=)", "m.py: f(e=)"
+    ]
+    assert unset_parameters({"m.py": module}, callers, "f(0, c=3)") == []
+
+
+def test_every_public_parameter_is_set():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "hsbench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unset_parameters(modules, [*modules.values(), *bench], readme) == []
 
 
 # The CLI reaches HiGHS without scipy.optimize, and shares scipy's one HiGHS

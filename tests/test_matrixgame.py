@@ -129,8 +129,9 @@ def test_find_pure_saddle_flags_ties():
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
 def test_saddle_mask_finds_the_first_saddle_of_the_cell_by_cell_scan(name):
     # every reveal-stage subgame of the instance, scanned as feedback_matrix
-    # scans them, a stack at a time; at c = 1e12 the switch cells dwarf the
-    # stay cells, whose ties must still be told apart
+    # scans them, a stack at a time, and alone as simulate scans one; at
+    # c = 1e12 the switch cells dwarf the stay cells, whose ties must still
+    # be told apart
     inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
     rs = hs.enumerate_routes(inst.n)
     A = hs.base_matrix(inst, rs)
@@ -141,23 +142,17 @@ def test_saddle_mask_finds_the_first_saddle_of_the_cell_by_cell_scan(name):
             h = np.flatnonzero(rs.position_matrix[first, i - 1] > t)
             for c in (0.0, 0.5, 1.0, 3.0, 1e12):
                 S = hs.subgame_matrix(A, rs, t, h, i, c)
-                for sub, mask in zip(S, mg._saddle_mask(S)):
-                    found[assert_first_saddle(sub, mask)] += 1
+                for sub, cell in zip(S, mg._first_saddle(S)):
+                    found[assert_first_saddle(sub, cell)] += 1
+                    assert mg._first_saddle(sub) == cell
     assert found[True] and found[False]
 
 
-def assert_first_saddle(A, mask):
-    """Check a game's saddle mask against the cell-by-cell scan: no cell
-    where the scan finds no saddle, else its first saddle first and a
-    single cell just when the saddle is unique. Returns whether the game
-    has a saddle."""
+def assert_first_saddle(A, cell):
+    """Check a game's first saddle cell (row-major, -1 for none) against
+    the cell-by-cell scan. Returns whether the game has a saddle."""
     saddle = oracles.find_pure_saddle(A)
-    if saddle is None:
-        assert not mask.any()
-    else:
-        cells = np.argwhere(mask)
-        assert tuple(cells[0]) == (saddle.row, saddle.col)
-        assert (len(cells) == 1) == saddle.unique
+    assert cell == (-1 if saddle is None else saddle.row * A.shape[1] + saddle.col)
     return saddle is not None
 
 
@@ -178,9 +173,9 @@ def test_saddle_mask_prefilter_drops_no_saddle(data, shape):
     parity = np.add.outer(np.arange(m), np.arange(k)) % 2.0
     mixed = np.concatenate([S, np.zeros((1, m, k)), parity[None]])
     for stack in (S, mixed):
-        for sub, mask in zip(stack, mg._saddle_mask(stack)):
-            assert_first_saddle(sub, mask)
-            np.testing.assert_array_equal(mg._saddle_mask(sub), mask)
+        for sub, cell in zip(stack, mg._first_saddle(stack)):
+            assert_first_saddle(sub, cell)
+            assert mg._first_saddle(sub) == cell
 
 
 def test_check_lemma1_collinear(collinear3):
@@ -198,6 +193,22 @@ def test_check_lemma1_collinear(collinear3):
 def test_check_lemma1_requires_unique_saddle(base3, rs3):
     with pytest.raises(ValueError, match="no unique pure saddle"):
         oracles.check_lemma1(base3, rs3, 1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_check_cost_names_the_first_bad_cost(bad):
+    # a scalar keeps its message; an array names its first bad cost in
+    # row-major order, alone or among good costs and later bad ones
+    message = f"switching cost must be finite and >= 0, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        mg.check_cost(bad)
+    for costs in ([bad], [0.0, 2.5, bad, 1.0], [0.5, bad, -2.0, float("nan")], [[1.0, 0.0], [bad, -3.0]]):
+        with pytest.raises(ValueError, match=message):
+            mg.check_cost(np.array(costs))
+    with pytest.raises(ValueError, match="got -1$"):
+        mg.check_cost(-1)
+    mg.check_cost(np.array([0.0, 5e-324, 1e308]))
+    mg.check_cost(np.array([]))
 
 
 def test_check_lemma1_rejects_bad_costs(collinear3):
@@ -358,7 +369,7 @@ def _lp_bound_stacks(inst, t, c):
     for i in range(1, inst.n + 1):
         h = np.flatnonzero(rs.position_matrix[first, i - 1] > t)
         S = hs.subgame_matrix(A, rs, t, h, i, c)
-        yield S[~mg._saddle_mask(S).any(axis=(1, 2))]
+        yield S[mg._first_saddle(S) < 0]
 
 
 def _assert_values_match_full_lp(S):

@@ -353,23 +353,23 @@ CELLS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 5), digits=st.integers(1, 17))
-def test_csv_rows_matches_cell_by_cell_formatting(data, rows, cols, digits):
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 5))
+def test_csv_rows_matches_cell_by_cell_formatting(data, rows, cols):
     # labels pass through untouched, even when they read "nan" or end in a comma
     label = st.text(alphabet="an,r1", max_size=5)
     labels = data.draw(st.lists(label, min_size=rows, max_size=rows), label="labels")
     row = st.lists(CELLS, min_size=cols, max_size=cols)
     values = data.draw(st.lists(row, min_size=rows, max_size=rows), label="values")
     expect = "".join(
-        f"{lb}," + ",".join(csv_cell(v, digits) for v in vals) + "\n"
+        f"{lb}," + ",".join(csv_cell(v) for v in vals) + "\n"
         for lb, vals in zip(labels, values)
     )
-    assert _csv_rows(labels, values, digits) == expect
+    assert _csv_rows(labels, values) == expect
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(data=st.data(), cols=st.integers(1, 5), digits=st.integers(1, 17))
-def test_csv_rows_formats_repeated_rows_like_the_cell_by_cell_printer(data, cols, digits):
+@given(data=st.data(), cols=st.integers(1, 5))
+def test_csv_rows_formats_repeated_rows_like_the_cell_by_cell_printer(data, cols):
     # _csv_rows formats each distinct row once: rows that repeat, rows of
     # NaN (whatever their sign), and rows that differ only in a zero's sign
     row = st.lists(CELLS, min_size=cols, max_size=cols)
@@ -380,15 +380,15 @@ def test_csv_rows_formats_repeated_rows_like_the_cell_by_cell_printer(data, cols
     values = [distinct[k] for k in picks]
     labels = [f"r{j}," for j in range(len(values))]
     expect = "".join(
-        f"{lb}," + ",".join(csv_cell(v, digits) for v in vals) + "\n"
+        f"{lb}," + ",".join(csv_cell(v) for v in vals) + "\n"
         for lb, vals in zip(labels, values)
     )
-    assert _csv_rows(labels, values, digits) == expect
+    assert _csv_rows(labels, values) == expect
 
 
 def test_csv_rows_tell_signed_zeros_apart_and_match_nan_rows():
     values = [[0.0, math.nan], [-0.0, math.nan], [0.0, -math.nan], [-0.0, -0.0], [0.0, math.nan]]
-    assert _csv_rows(list("abcde"), values, 3) == "a,0,--\nb,-0,--\nc,0,--\nd,-0,-0\ne,0,--\n"
+    assert _csv_rows(list("abcde"), values) == "a,0,--\nb,-0,--\nc,0,--\nd,-0,-0\ne,0,--\n"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

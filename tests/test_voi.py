@@ -113,15 +113,15 @@ def test_cstar_infoset_matches_thresholds(base3, rs3):
 
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_cstar_infoset_matches_per_prefix_oracle(n):
+    # bit for bit: the table takes each prefix's minimum before it takes
+    # off the reveal node's cost, the oracle after
     inst = random_instance(np.random.default_rng(53 + n), n)
     rs = hs.enumerate_routes(n)
     A = hs.base_matrix(inst, rs)
     for t in range(1, n):
-        np.testing.assert_array_equal(
-            hs.cstar(A, rs, t, "infoset"), cstar_infoset_per_prefix(A, rs, t), err_msg=f"t={t}"
-        )
+        assert hs.cstar(A, rs, t, "infoset").tobytes() == cstar_infoset_per_prefix(A, rs, t).tobytes(), t
 
 def test_cstar_route_brute_force(base3, rs3):
     C = hs.cstar(base3, rs3, 1, "route")
@@ -265,8 +265,10 @@ def test_build_voi_report(demo3, rs3):
 
 def test_build_voi_report_with_override(demo3, rs3):
     z = np.array([0.5, 0.25, 0.25])
-    report = hs.build_voi_report(demo3, rs3, hs.SwitchConfig(1, 1.0), z=z)
-    np.testing.assert_array_equal(report.z_used, z)
+    cfg = hs.SwitchConfig(1, 1.0)
+    report = hs.build_voi_report(demo3, rs3, cfg, z=z)
+    y = hs.solve_zero_sum(hs.switch_matrix(hs.base_matrix(demo3, rs3), rs3, cfg)).row_strategy
+    assert report.route_averaged_voi == hs.route_averaged_voi(report.voi_matrix, y, z)
     assert report.expected_voi == 0.0
 
 
@@ -288,6 +290,4 @@ def test_report_to_csv_matches_cell_by_cell_oracle(name):
         for variant in ("route", "infoset"):
             report = hs.build_voi_report(inst, rs, hs.SwitchConfig(t, 0.5), variant=variant)
             assert np.isnan(report.cstar_matrix).any()
-            for digits in (4, 10):
-                expect = report_to_csv_cells(report, digits)
-                assert hs.report_to_csv(report, digits) == expect, (t, variant, digits)
+            assert hs.report_to_csv(report) == report_to_csv_cells(report), (t, variant)

@@ -8,7 +8,6 @@ Output is deterministic byte-for-byte for identical invocations.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .experiments import MODELS, SweepRow, simulate, sweep, sweep_to_csv, verify_bounds
 from .instance import Instance, InstanceError, load_instance
-from .matrixgame import SolverError, simplex_weights, solve_zero_sum
+from .matrixgame import SolverError, check_cost, simplex_weights, solve_zero_sum
 from .payoff import (
     CONVENTIONS,
     FEEDBACK_MODES,
@@ -64,9 +63,14 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
         raise UsageError(f"bad value in {flag}: {exc}") from exc
 
 
-def _check_cost(c: float, flag: str) -> None:
-    if not (math.isfinite(c) and c >= 0):
-        raise UsageError(f"{flag} must be finite and >= 0, got {c}")
+def _check_costs(value, flag: str) -> None:
+    """A flag's cost, or list of costs, checked by the package's one cost
+    rule, matrixgame.check_cost: its ValueError becomes a UsageError that
+    names the flag."""
+    try:
+        check_cost(value)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _load(path) -> Instance:
@@ -94,7 +98,7 @@ def cmd_solve(args, out) -> int:
             raise UsageError("--t-reveal/--cost apply only to restricted or feedback models")
     else:
         _check_t(t, "--t-reveal", rs.n - 1, args.command)
-        _check_cost(c, "--cost")
+        _check_costs(c, "--cost")
     # no name holds the base matrix, so it is freed before the LP runs
     matrix = _model_matrix(
         base_matrix(inst, rs), rs, args.model, t, c, args.convention, args.feedback_mode
@@ -126,7 +130,7 @@ def cmd_voi(args, out) -> int:
     inst = _load(args.instance)
     rs = enumerate_routes(inst.n)
     _check_t(args.t_reveal, "--t-reveal", rs.n - 1, args.command)
-    _check_cost(args.cost, "--cost")
+    _check_costs(args.cost, "--cost")
     cfg = SwitchConfig(args.t_reveal, args.cost, convention=args.convention)
     z = None
     if args.hider_mix is not None:
@@ -171,8 +175,7 @@ def _sweep_rows(inst: Instance, args) -> list[SweepRow]:
         c_grid = _parse_list(args.costs, "--costs", float)
         if not c_grid:
             raise UsageError("--costs is empty")
-        for c in c_grid:
-            _check_cost(c, "--costs")
+        _check_costs(c_grid, "--costs")
     return sweep(inst, t_list=t_list, c_grid=c_grid, convention=args.convention,
                  feedback_mode=args.feedback_mode)
 
@@ -189,7 +192,7 @@ def cmd_simulate(args, out) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    _check_cost(args.cost, "--cost")
+    _check_costs(args.cost, "--cost")
     _check_t(args.t_reveal, "--t-reveal", rs.n, args.command)
     # the playout pays total-convention costs and plays mixed subgame strategies
     A = base_matrix(inst, rs)

@@ -1,16 +1,17 @@
 """Parameter sweeps, bound verification, and Monte Carlo playouts.
 
 Simulation randomness uses one Philox counter block (four 64-bit words) per
-trial, keyed by the seed: trial k always sees the same four uniforms no
+trial, keyed by the seed: trial k always sees the same four words no
 matter how trials are split into blocks. Playouts only count how often each
 payoff cell occurs, so results are invariant to the block size and
 bit-reproducible for a fixed seed. The count is one np.add.at per block into
-the cell histogram. Every draw looks its uniform up in a guide table of
-2^K equal buckets (Chen and Asau 1974; Devroye, Non-Uniform Random Variate
-Generation, 1986, III.2.4), which gives the label a binary search of the
-mix's cdf gives, bit for bit: a bucket holds that label wherever no cdf
-entry lies strictly inside it, and only the few trials in the other
-buckets search the cdf. No trial is sorted or grouped by subgame.
+the cell histogram. Every draw looks its word up in a guide table of 2^K
+equal buckets (Chen and Asau 1974; Devroye, Non-Uniform Random Variate
+Generation, 1986, III.2.4), by the word's top K bits, which gives the label
+a binary search of the mix's cdf gives for the word's uniform, bit for bit:
+a bucket holds that label wherever no cdf entry lies strictly inside it,
+and only the few trials in the other buckets make their word a uniform and
+search the cdf. No trial is sorted or grouped by subgame.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 from .instance import Instance
 from .matrixgame import _first_saddle, check_cost, simplex_weights, solve_games, solve_zero_sum
 from .payoff import (
     SwitchConfig,
     _csv_rows,
+    _game_stack,
     _prefix_gap,
     _prefix_min,
     base_matrix,
@@ -112,8 +114,10 @@ def sweep(
     stacks, before the chunk is dropped. A sweep makes no LP call. From
     n = 7 on, a chunk holds a few games or one: a switch game there is
     large enough to fill the simplex's batched numpy calls on its own, so
-    more at once only takes memory. solve_games gives each game the same
-    bits in any stack, so the chunk bounds move no output byte.
+    more at once only takes memory. Every chunk and feedback stack is
+    Hider-major (payoff._game_stack), and solve_games gives each game the
+    same bits in any stack of one layout, so the chunk bounds move no
+    output byte.
     """
     rs = enumerate_routes(inst.n)
     if t_list is None:
@@ -173,13 +177,14 @@ def sweep(
 def _switch_games(A, rs, cfgs):
     """The games of the SwitchConfigs cfgs in order, None standing for the
     base game A, in chunks whose matrices (each the size of A) take at most
-    _CHUNK_BYTES together: per chunk its configs, the stack of their
-    matrices, and the stack's solve_games solution. A chunk's stack is
-    dropped before the next one is built, once the caller drops it too."""
+    _CHUNK_BYTES together: per chunk its configs, the Hider-major stack of
+    their matrices (payoff._game_stack), and the stack's solve_games
+    solution. A chunk's stack is dropped before the next one is built, once
+    the caller drops it too."""
     size = max(1, _CHUNK_BYTES // A.nbytes)
     for j in range(0, len(cfgs), size):
         chunk = cfgs[j : j + size]
-        As = np.empty((len(chunk), *A.shape))
+        As = _game_stack(len(chunk), *A.shape)
         for g, cfg in enumerate(chunk):
             As[g] = A if cfg is None else switch_matrix(A, rs, cfg)
         solution = solve_games(As)
@@ -292,7 +297,7 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
     return BoundCheck("fixed_mix_voi_monotone_in_t", True, "non-increasing")
 
 
-_BLOCK = 1 << 16  # trials per block: a 2 MB draw of uniforms
+_BLOCK = 1 << 16  # trials per block: a 2 MB draw of words
 # simulate's subgame guide tables, two per possible reveal-stage subgame,
 # take at most this many bytes: 2^K buckets each, for the largest K that
 # fits. That is 2^8 buckets for the 336 subgames of n = 8 at t = 2, and 2 for
@@ -301,10 +306,12 @@ _BLOCK = 1 << 16  # trials per block: a 2 MB draw of uniforms
 _TABLE_BYTES = 1 << 20
 
 
-def _trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Four uniforms per trial from the trial-indexed Philox counter block."""
+def _trial_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Four raw 64-bit words per trial from the trial-indexed Philox counter
+    block. Word w stands for the uniform (w >> 11) * 2^-53, the one
+    Generator(Philox(...)).random makes of it."""
     key = SeedSequence(seed).generate_state(2, np.uint64)
-    return Generator(Philox(counter=[start, 0, 0, 0], key=key)).random((count, 4))
+    return Philox(counter=[start, 0, 0, 0], key=key).random_raw((count, 4))
 
 
 def _support(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,15 +367,19 @@ def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
     """The label each uniform u[k] draws from the support supports[slot[k]]
     (slot may also be one int for every k), whose guide table is
     tables[slot[k]]: labels[searchsorted(cdf, u[k], "right")], as _support
-    defines it.
+    defines it. u holds uniforms in [0, 1), or the uint64 Philox words
+    they stand for (_trial_words), which give the same labels.
 
-    u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1), and a
-    lookup gives its label. A trial whose bucket holds the sentinel is
-    drawn by a search of its own support's cdf; the few such trials are
-    sorted by support, so each support is searched once.
+    u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1); a
+    word's bucket is its top K bits, and a lookup gives its label. A trial
+    whose bucket holds the sentinel is drawn by a search of its own
+    support's cdf, and only its word is made a uniform; the few such
+    trials are sorted by support, so each support is searched once.
     """
     scale = tables.shape[1]
-    bucket = (u * scale).astype(np.intp)
+    words = u.dtype == np.uint64
+    # numpy shifts a word by 64 to 0, the one bucket of a table of 2^0
+    bucket = (u >> (65 - scale.bit_length()) if words else u * scale).astype(np.intp)
     bucket += np.asarray(slot, dtype=np.intp) * scale  # a 1-D take is faster than a 2-D gather
     drawn = tables.ravel().take(bucket)
     miss = np.flatnonzero(drawn == np.iinfo(drawn.dtype).max)
@@ -376,10 +387,11 @@ def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
         slots = np.broadcast_to(slot, u.shape)[miss]
         order = np.argsort(slots)
         miss, slots = miss[order], slots[order]
+        x = (u[miss] >> 11) * 2.0**-53 if words else u[miss]
         bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(miss)]
         for a, b in zip(bounds, bounds[1:]):
             cdf, labels = supports[slots[a]]
-            drawn[miss[a:b]] = labels[np.searchsorted(cdf, u[miss[a:b]], side="right")]
+            drawn[miss[a:b]] = labels[np.searchsorted(cdf, x[a:b], side="right")]
     return drawn
 
 
@@ -434,7 +446,7 @@ def simulate(
     2^53 trials): memory stays bounded, and identical seeds give
     bit-identical results for any block size.
 
-    Every draw is a guide-table lookup (_draw), exact for every uniform,
+    Every draw is a guide-table lookup (_draw), exact for every word,
     and no table has more buckets than a block has trials. The first two
     draws give a trial's positions in the supports of y and z, whose pair
     indexes tables of whether the trial ended and of its base-matrix code
@@ -446,6 +458,26 @@ def simulate(
     target codes with the m*n switch offset, so a late trial's code is the
     sum of its two draws.
     """
+    values, counts, ended = _cell_counts(A, rs, model, y, z, t, c, trials, seed)
+    mean = float(counts @ values / trials)
+    # cells never drawn add nothing, even where a huge c makes their square overflow
+    spread = values - mean
+    spread[counts == 0] = 0.0
+    var = float(counts @ np.square(spread, out=spread) / (trials - 1)) if trials > 1 else 0.0
+    return SimulationResult(
+        trials=trials,
+        seed=seed,
+        mean_payoff=mean,
+        payoff_stderr=math.sqrt(var) / math.sqrt(trials),
+        empirical_end_by_t=ended / trials,
+        model=model,
+    )
+
+
+def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
+    """simulate's playout, checked and run: the payoff of every cell that a
+    trial can be paid, the float histogram of the cells the trials were
+    paid, and how many trials ended by the reveal."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if trials < 1:
@@ -487,7 +519,7 @@ def simulate(
     counts = np.zeros(len(values))  # a float histogram, so that counts @ values makes no copy
     ended_total = 0
     for start in range(0, trials, _BLOCK):
-        u = _trial_uniforms(seed, start, min(_BLOCK, trials - start))
+        u = _trial_words(seed, start, min(_BLOCK, trials - start))
         pair = _draw(*tops[0], 0, u[:, 0]).astype(np.intp)
         pair *= len(i)
         pair += _draw(*tops[1], 0, u[:, 1])
@@ -515,17 +547,4 @@ def simulate(
                 col_tables, col_supports, slot, u[late, 3]
             )
         np.add.at(counts, code, 1.0)  # a float 1, for which add.at has a fast loop
-
-    mean = float(counts @ values / trials)
-    # cells never drawn add nothing, even where a huge c makes their square overflow
-    spread = values - mean
-    spread[counts == 0] = 0.0
-    var = float(counts @ np.square(spread, out=spread) / (trials - 1)) if trials > 1 else 0.0
-    return SimulationResult(
-        trials=trials,
-        seed=seed,
-        mean_payoff=mean,
-        payoff_stderr=math.sqrt(var) / math.sqrt(trials),
-        empirical_end_by_t=ended_total / trials,
-        model=model,
-    )
+    return values, counts, ended_total

@@ -391,6 +391,14 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the Hider mixes from the duals. A game the simplex could not close,
     or whose certificate is slack, is solved again by HiGHS's column LP.
     Raises SolverError if a game does not certify either way.
+
+    The stack may be stored in any layout. Every stack the package builds
+    is Hider-major: np.swapaxes of a (G, k, m) array, so that each game's
+    m-long Seeker axis is contiguous, and the row maxima, the column minima
+    and the pricing product S z run along it. Within one layout, each game
+    gets the same bits in any stack: its value and mixes do not depend on
+    the games beside it or on its place. Across layouts they may differ in
+    round-off, as numpy's matmul may sum in another order.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
@@ -412,7 +420,11 @@ def _first_saddle(A: np.ndarray) -> np.ndarray:
     exceeds its greatest hi holds no saddle. When that rules out every
     game of the stack, as it does for every reveal-stage subgame of the
     benchmark's eight-site instance at t = 2, c = 1, the cells are not
-    compared. A NaN bound fails the test, and its stack is compared."""
+    compared. A NaN bound fails the test, and its stack is compared.
+
+    The stack may be stored in any layout, and the cell order is row-major
+    in every one. The package's stacks are Hider-major (see solve_games),
+    so the row maxima and the column minima run along contiguous memory."""
     rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
     lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
     if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():

@@ -103,6 +103,13 @@ def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     return S
 
 
+def _game_stack(G: int, m: int, k: int) -> np.ndarray:
+    """An uninitialised stack of G games of shape (m, k), stored Hider-major:
+    memory shape (G, k, m), so each game's m-long Seeker axis, the long
+    one of these tall games, is contiguous in every column."""
+    return np.swapaxes(np.empty((G, k, m)), 1, 2)
+
+
 def _prefix_min(S: np.ndarray, block: int) -> np.ndarray:
     """The pure_min feedback matrix of the switch matrix S, or of each in a
     stack of them: every prefix's cell is the least entry of its block of
@@ -119,7 +126,8 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     the target, minus c off every column but the stay column. For an int h
     this is one (n-t)! x (n-t) matrix. For an array of prefix indices, with
     i and c each a scalar or an array of the same shape, it is a stack of
-    shape h.shape + ((n-t)!, n-t).
+    shape h.shape + ((n-t)!, n-t), Hider-major as _game_stack's stacks:
+    gathered through A.T, each column's routes contiguous.
     """
     block = prefix_block(rs, t)
     h, i, c = np.asarray(h), np.asarray(i), np.asarray(c, dtype=float)
@@ -132,9 +140,9 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     stay = cols == i[..., None] - 1
     if not stay.any(axis=-1).all():
         raise ValueError(f"location {i} is visited under prefix {h} at t={t}")
-    S = A[first[..., None, None] + np.arange(block)[:, None], cols[..., None, :]]
-    np.subtract(S, c[..., None, None], out=S, where=~stay[..., None, :])
-    return S
+    S = A.T[cols[..., None], first[..., None, None] + np.arange(block)]
+    np.subtract(S, c[..., None, None], out=S, where=~stay[..., None])
+    return np.swapaxes(S, -1, -2)
 
 
 def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
@@ -166,9 +174,11 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     prefix of the state reads from A as its own subgame holds it. Visited
     cells and saddle cells (which include every cell at t = n-1) are
     bit-identical to solving each prefix's subgame on its own; the shifted
-    values agree with it to round-off. solve_games gives each game the same
-    bits in any stack, so F does not depend on _STACK_BYTES or on which
-    costs come in one call.
+    values agree with it to round-off. The subgame stacks and a stack F are
+    Hider-major (_game_stack), as every stack the package builds; one
+    config's F is row-major. solve_games gives each game the same bits in
+    any stack of one layout, so F does not depend on _STACK_BYTES or on
+    which costs come in one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -178,8 +188,12 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     if any((cfg.t_reveal, cfg.convention, cfg.feedback_mode) != (t, convention, mode) for cfg in cfgs):
         raise ValueError("the configs must share the reveal time, convention and feedback mode")
     n, block = rs.n, prefix_block(rs, t)
+    # one matrix is row-major, as the route-indexed ones: solve_zero_sum's
+    # certificate takes the same bits from it as from them
+    F = np.empty((1, rs.m // block, n)) if one else _game_stack(len(cfgs), rs.m // block, n)
     if mode == "pure_min":
-        F = np.stack([_prefix_min(switch_matrix(A, rs, cfg), block) for cfg in cfgs])
+        for g, cfg in enumerate(cfgs):
+            F[g] = _prefix_min(switch_matrix(A, rs, cfg), block)
         return F[0] if one else F
     first = np.arange(0, rs.m, block)  # each prefix's first route
     nodes = rs.route_array[first, :t]
@@ -187,8 +201,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     offset = cum if convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t
     costs = np.array([cfg.c for cfg in cfgs])
-    # visited cells keep their prefix-constant baseline cost
-    F = np.repeat(A[first][None], len(cfgs), axis=0)
+    F[:] = A[first]  # visited cells keep their prefix-constant baseline cost
     # Held-Karp states, numbered in order of their first prefix rep[s]
     key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
     _, rep, state = np.unique(key, return_index=True, return_inverse=True)

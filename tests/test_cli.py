@@ -454,6 +454,20 @@ def test_non_finite_or_negative_cost_exits_2(capsys, three_sites_path, cost):
         assert "finite and >= 0" in err, argv
 
 
+def test_cost_flags_name_the_flag_and_the_first_bad_cost(capsys, three_sites_path):
+    # the CLI takes the cost rule and its message from matrixgame.check_cost
+    for argv, flag in (
+        (["solve", three_sites_path, "--model", "feedback", "--cost", "-0.5"], "--cost"),
+        (["voi", three_sites_path, "--cost", "-0.5"], "--cost"),
+        (["simulate", three_sites_path, "--cost", "-0.5", "--trials", "10"], "--cost"),
+        (["sweep", three_sites_path, "--costs", "0,-0.5,nan"], "--costs"),
+        (["verify", three_sites_path, "--costs", "1,-0.5,-2"], "--costs"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {flag}: switching cost must be finite and >= 0, got -0.5\n", argv
+
+
 def test_too_many_locations_exits_3(capsys, tmp_path):
     path = _write_instance(tmp_path, 9)
     for command in ("solve", "voi", "sweep", "simulate", "verify"):

@@ -5,6 +5,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,6 +392,39 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     table = A if model == "feedback" else game[model]  # the feedback playout plays A's subgames
     args = (table, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 50_000, 5)
     assert hs.simulate(*args) == oracles.playout(*args)
+
+
+@pytest.mark.parametrize("model", ["base", "restricted", "feedback"])
+def test_raw_philox_words_count_the_cells_their_uniforms_count(model, monkeypatch):
+    # drawing by a word's top bits, and searching a cdf by the uniform
+    # (w >> 11) * 2^-53 only where a bucket holds the sentinel, counts every
+    # cell as drawing by Generator.random's uniforms does, at any block size
+    inst = hs.load_instance(INSTANCES / "six_sites.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    cfg = hs.SwitchConfig(2, 0.5)
+    game = {"base": A, "restricted": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
+    sol = hs.solve_zero_sum(game[model])
+    table = A if model == "feedback" else game[model]
+    args = (table, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 70_000, 9)
+
+    def trial_uniforms(seed, start, count):
+        key = SeedSequence(seed).generate_state(2, np.uint64)
+        return Generator(Philox(counter=[start, 0, 0, 0], key=key)).random((count, 4))
+
+    assert np.array_equal((experiments._trial_words(9, 5, 3) >> 11) * 2.0**-53, trial_uniforms(9, 5, 3))
+    runs = []
+    for block in (1 << 16, 3_000):
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        runs.append(experiments._cell_counts(*args))
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments, "_trial_words", trial_uniforms)
+            runs.append(experiments._cell_counts(*args))
+    for values, counts, ended in runs[1:]:
+        assert values.tobytes() == runs[0][0].tobytes()
+        assert counts.tobytes() == runs[0][1].tobytes()
+        assert ended == runs[0][2]
+    assert 0 < runs[0][2] < 70_000  # some trials end by the reveal, and some play on
 
 
 def test_feedback_counts_match_the_oracle_past_65536_keys():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import hideseek as hs
 import hideseek.matrixgame as mg
+import hideseek.payoff as payoff
+from hideseek import experiments
 
 import reference as ref
 from conftest import random_instance
@@ -704,6 +706,69 @@ def test_solve_games_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
     for g, S in enumerate(games):
         stacks[f"{g} next to the Bland run"] = (np.stack([S, bland]), [g, None])
         stacks[f"{g} next to pivot 0"] = (np.stack([closed, S]), [None, g])
+    for case, (S, order) in stacks.items():
+        solution = mg.solve_games(S)
+        for j, g in enumerate(order):
+            if g is not None:
+                for got, want in zip(solution, alone[g]):
+                    assert np.array_equal(got[j], want[0]), (case, g)
+
+
+def _hider_major(S):
+    """Whether every game of the stack S keeps each column contiguous."""
+    return all(np.swapaxes(S, -1, -2)[g].flags.c_contiguous for g in range(len(S)))
+
+
+def test_package_stacks_are_hider_major_and_give_each_game_the_same_bits(monkeypatch):
+    # every stack of games the package builds is stored Hider-major, and in
+    # that layout too a game's bits do not depend on the stack around it
+    seen = []
+    real_solve_games = mg.solve_games
+
+    def spy_solve_games(S):
+        seen.append(S)
+        return real_solve_games(S)
+
+    monkeypatch.setattr(payoff, "solve_games", spy_solve_games)
+    monkeypatch.setattr(experiments, "solve_games", spy_solve_games)
+    inst = random_instance(np.random.default_rng(26), 5)
+    rs = hs.enumerate_routes(5)
+    A = hs.base_matrix(inst, rs)
+    costs = [0.0, 0.5, 2.0]
+    for mode in payoff.FEEDBACK_MODES:
+        hs.sweep(inst, c_grid=costs, feedback_mode=mode)
+        for t in range(1, 5):
+            F = hs.feedback_matrix(A, rs, [hs.SwitchConfig(t, c, feedback_mode=mode) for c in costs])
+            assert _hider_major(F), (mode, t)
+    assert len(seen) > 10 and all(_hider_major(S) for S in seen)
+    h, i = np.nonzero(rs.position_matrix[:: hs.prefix_block(rs, 2)] > 2)
+    assert _hider_major(hs.subgame_matrix(A, rs, 2, h, i + 1, 0.5))
+    assert _hider_major(hs.subgame_matrix(A, rs, 2, h[3], i[3] + 1, 0.5)[None])
+    monkeypatch.undo()
+
+    n, seed, t, index = SWEEP_GAMES["seed3_n7_t2_c12.339"]
+    inst = hs.make_instance(**workloads.make_instance(n, seed))
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    grid = np.linspace(0.0, 1.2 * hs.cstar_global(hs.cstar(A, rs, 1, "route")), 25)
+    bland = hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(grid[index])))
+    closed = np.add.outer(np.arange(rs.m, dtype=float), np.arange(n, dtype=float))
+    games = [A, bland, closed, hs.switch_matrix(A, rs, hs.SwitchConfig(3, float(grid[8]), "remaining"))]
+
+    def stack(*gs):
+        S = payoff._game_stack(len(gs), rs.m, n)
+        S[:] = gs
+        assert _hider_major(S)
+        return S
+
+    assert _pivot_counts(stack(bland), monkeypatch) > 32  # a Bland run
+    alone = [mg.solve_games(stack(S)) for S in games]
+    stacks = {
+        "stack": (stack(*games), range(len(games))),
+        "reversed": (stack(*games[::-1]), range(len(games) - 1, -1, -1)),
+    }
+    for g, S in enumerate(games):
+        stacks[f"{g} next to the Bland run"] = (stack(S, bland), [g, None])
     for case, (S, order) in stacks.items():
         solution = mg.solve_games(S)
         for j, g in enumerate(order):

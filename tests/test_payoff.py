@@ -446,6 +446,37 @@ def test_feedback_matrix_stack_matches_per_cost_calls(name, monkeypatch):
         assert np.array_equal(F, hs.feedback_matrix(A, rs, cfg))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_feedback_matrix_matches_its_c_layout_recomputation(n, monkeypatch):
+    # the Hider-major subgame and feedback stacks move no visited or saddle
+    # cell, and an LP cell by round-off at most, against the same build on
+    # stacks stored row by row
+    inst = random_instance(np.random.default_rng(n), n)
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    costs = (0.0, 0.5, 2.0, 8.0)
+    real_subgame_matrix = payoff.subgame_matrix
+    lp_cells = 0
+    for t in range(1, n):
+        block = hs.prefix_block(rs, t)
+        h, i = np.nonzero(rs.position_matrix[::block] > t)  # the unvisited cells
+        exact = np.ones((len(costs), rs.m // block, n), dtype=bool)  # visited or saddle
+        for k, c in enumerate(costs):
+            exact[k, h, i] = mg._first_saddle(real_subgame_matrix(A, rs, t, h, i + 1, c)) >= 0
+        lp_cells += np.count_nonzero(~exact)
+        for convention in ("total", "remaining"):
+            cfgs = [hs.SwitchConfig(t, c, convention) for c in costs]
+            F = hs.feedback_matrix(A, rs, cfgs)
+            with monkeypatch.context() as mp:
+                mp.setattr(payoff, "subgame_matrix", lambda *a: np.ascontiguousarray(real_subgame_matrix(*a)))
+                mp.setattr(payoff, "_game_stack", lambda G, m, k: np.empty((G, m, k)))
+                E = hs.feedback_matrix(A, rs, cfgs)
+            assert E.flags.c_contiguous and np.swapaxes(F, 1, 2)[0].flags.c_contiguous
+            assert F[exact].tobytes() == E[exact].tobytes(), (t, convention)
+            assert (np.abs(F - E)[~exact] <= 1e-12 * np.abs(A).max()).all(), (t, convention)
+    assert lp_cells > 0
+
+
 def test_feedback_matrix_stack_validation(base3, rs3):
     with pytest.raises(ValueError, match="no switch configs"):
         hs.feedback_matrix(base3, rs3, [])

@@ -30,6 +30,7 @@ from .payoff import (
     _game_stack,
     _prefix_gap,
     _prefix_min,
+    _switch_tail,
     base_matrix,
     feedback_matrix,
     subgame_matrix,
@@ -105,16 +106,17 @@ def sweep(
     The base game and every switch game share the shape n! x n, so they
     are solved together: _switch_games hands them to solve_games in chunks
     of the sweep's (t, c) cells, the base game first, and expected_voi
-    reads each switch game's Hider mix from its chunk's solution. Each run
-    of a reveal time's costs in a chunk then builds its feedback matrices
-    in one feedback_matrix call (under pure_min, as the prefix minima of
-    the chunk's switch matrices, payoff._prefix_min, so none is built
-    twice), solves them, the only part of that game printed, in one more
-    solve_games call, and takes every delta in one reduction over both
-    stacks, before the chunk is dropped. A sweep makes no LP call. From
-    n = 7 on, a chunk holds a few games or one: a switch game there is
-    large enough to fill the simplex's batched numpy calls on its own, so
-    more at once only takes memory. Every chunk and feedback stack is
+    reads each switch game's Hider mix from its chunk's solution. A reveal
+    time's tail costs, at which its total-convention switch matrix is the
+    base matrix (payoff._switch_tail), share one switch game, neither built
+    nor solved again under total, where it is the base game, and built and
+    solved once under remaining. Each run of a reveal time's games in a
+    chunk, with its tail in the chunk of its last game, then gets its
+    feedback values and deltas from _run_cells before the chunk is
+    dropped. A sweep makes no LP call. From n = 7 on, a chunk holds a few
+    games or one: a switch game there is large enough to fill the
+    simplex's batched numpy calls on its own, so more at once only takes
+    memory. Every chunk and feedback stack is
     Hider-major (payoff._game_stack), and solve_games gives each game the
     same bits in any stack of one layout, so the chunk bounds move no
     output byte.
@@ -134,23 +136,34 @@ def sweep(
         raise ValueError("empty cost grid")
     cg_inf = {t: cstar_global(cstar(A, rs, t, "infoset")) for t in t_list}
 
-    games = [None] + [SwitchConfig(t, c, convention, feedback_mode) for t in t_list for c in sorted(set(c_grid))]
+    costs = sorted(set(c_grid))
+    games = [None]  # the base game
+    tails, last = {}, {}
+    for t in t_list:
+        tail = _switch_tail(A, rs, t, costs)
+        games += [SwitchConfig(t, c, convention, feedback_mode) for c, same in zip(costs, tail) if not same]
+        tails[t] = [c for c, same in zip(costs, tail) if same]
+        if tails[t] and convention == "remaining":
+            games.append(SwitchConfig(t, tails[t][0], convention, feedback_mode))  # the tail's one game
+        last[t] = len(games) - 1  # t's tail is valued with the chunk of this game
+
     cells = {}
+    start = 0  # the index in games of the chunk's first game
     for cfgs, As, (v, y, z) in _switch_games(A, rs, games):
-        if cfgs[0] is None:  # the base game, first of the first chunk
-            v_base = v[0]
-        ts = [cfg.t_reveal if cfg else 0 for cfg in cfgs]
-        for t in sorted(set(ts) - {0}):
-            g = slice(ts.index(t), ts.index(t) + ts.count(t))  # the chunk's run of t's costs
-            if feedback_mode == "pure_min":
-                Fs = _prefix_min(As[g], prefix_block(rs, t))
-            else:
-                Fs = feedback_matrix(A, rs, cfgs[g])
-            v_fbs, deltas = solve_games(Fs)[0], _prefix_gap(As[g], Fs).max(axis=(1, 2, 3))
-            for cfg, S, v_switch, mix, v_fb, delta in zip(cfgs[g], As[g], v[g], z[g], v_fbs, deltas):
-                bar = worst_case_voi(voi_matrix(S, rs, t))
-                cells[t, cfg.c] = (v_switch, v_fb, expected_voi(bar, mix), delta)
-            del Fs
+        if start == 0:  # the base game, first of the first chunk
+            v_base, z_base = v[0], z[0]
+        for t in t_list:
+            run = [g for g, cfg in enumerate(cfgs) if cfg and cfg.t_reveal == t]  # the chunk's run of t's games
+            tail = None
+            if tails[t] and start <= last[t] < start + len(cfgs):
+                # the tail's game: the run's last under remaining, else the base game
+                k = run.pop() if convention == "remaining" else None
+                tail = (tails[t], *((A, v_base, z_base) if k is None else (As[k], v[k], z[k])))
+            if run or tail:
+                g = slice(run[0], run[-1] + 1) if run else slice(0)
+                cells.update(_run_cells(A, rs, t, feedback_mode, cfgs[g], As[g], v[g], z[g], tail))
+            del tail
+        start += len(cfgs)
         del As, y  # before the next chunk is built
 
     rows = []
@@ -174,13 +187,50 @@ def sweep(
     return rows
 
 
+def _run_cells(A, rs, t, feedback_mode, cfgs, As, v, z, tail):
+    """The sweep cells (t, c): (v_switch, v_fb, expected VOI, delta) of a
+    chunk's run of reveal time t's switch games, the stack As of the configs
+    cfgs with their values v and Hider mixes z, and of t's tail if it is
+    valued here: None, or its costs, their one game, its value and its mix.
+
+    The run's feedback matrices are built by feedback_matrix in one call
+    (under pure_min, as the prefix minima of As, so none is built twice).
+    Every tail subgame has a pure saddle, the stay cell of the route with
+    the least entry, so the tail's feedback matrix is the tail game's
+    prefix minimum in either mode, and at t = n-1 it is the tail game
+    itself, whose value is known. The others are solved in one solve_games
+    call, the only part of that game printed.
+    """
+    block = prefix_block(rs, t)
+    own = tail is not None and block > 1  # the tail has a feedback game of its own to solve
+    Fs = _game_stack(len(cfgs) + own, rs.m // block, rs.n)
+    if cfgs:
+        Fs[: len(cfgs)] = _prefix_min(As, block) if feedback_mode == "pure_min" else feedback_matrix(A, rs, cfgs)
+    played = list(zip([[cfg.c] for cfg in cfgs], As, v, z, Fs))
+    if tail is not None:
+        costs, S, v_tail, z_tail = tail
+        if own:
+            Fs[-1] = _prefix_min(S, block)
+        played.append((costs, S, v_tail, z_tail, Fs[-1] if own else S))
+    v_fbs = list(solve_games(Fs)[0]) if len(Fs) else []
+    if tail is not None and not own:
+        v_fbs.append(v_tail)
+    cells = {}
+    for (costs, S, v_switch, mix, F), v_fb in zip(played, v_fbs):
+        bar = worst_case_voi(voi_matrix(S, rs, t))
+        cells.update(((t, c), (v_switch, v_fb, expected_voi(bar, mix), _prefix_gap(S, F).max())) for c in costs)
+    return cells
+
+
 def _switch_games(A, rs, cfgs):
     """The games of the SwitchConfigs cfgs in order, None standing for the
     base game A, in chunks whose matrices (each the size of A) take at most
     _CHUNK_BYTES together: per chunk its configs, the Hider-major stack of
     their matrices (payoff._game_stack), and the stack's solve_games
     solution. A chunk's stack is dropped before the next one is built, once
-    the caller drops it too."""
+    the caller drops it too. The callers leave out the games they already
+    hold: a tail cost's switch game, which is one game per reveal time and,
+    under total, the base game."""
     size = max(1, _CHUNK_BYTES // A.nbytes)
     for j in range(0, len(cfgs), size):
         chunk = cfgs[j : j + size]
@@ -282,11 +332,18 @@ def verify_bounds(
 def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck:
     rs = enumerate_routes(inst.n)
     A = base_matrix(inst, rs)
-    # each cost's switch-game Hider mix at the first reveal time
-    z_first = []
-    for _, As, solution in _switch_games(A, rs, [SwitchConfig(t_list[0], c, convention) for c in c_list]):
-        z_first.extend(solution[2])
+    # each cost's switch-game Hider mix at the first reveal time, where the
+    # tail costs, the last of c_list, share one game: the base game under total
+    tail = _switch_tail(A, rs, t_list[0], c_list)
+    head = int((~tail).sum())
+    games = [SwitchConfig(t_list[0], c, convention) for c in c_list[:head]]
+    if head < len(c_list):
+        games.append(None if convention == "total" else SwitchConfig(t_list[0], c_list[head], convention))
+    z = []
+    for _, As, solution in _switch_games(A, rs, games):
+        z.extend(solution[2])
         del As, solution  # before the next chunk is built
+    z_first = z[:head] + z[head:] * (len(c_list) - head)
     for c, z in zip(c_list, z_first):
         games = (switch_matrix(A, rs, SwitchConfig(t, c, convention)) for t in t_list)
         ev = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, t in zip(games, t_list)]

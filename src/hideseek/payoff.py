@@ -78,29 +78,41 @@ def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
 
     Visited cells keep the baseline cost (the game ended before the reveal).
     Unvisited cells take the best reduced payoff over relocation targets.
-    Under the total convention every unvisited cell weakly dominates the
-    baseline, and for c past the largest residual gain the matrix equals A.
+    A is a base_matrix, whose entries rise along each route in visit order,
+    so the best paid target is the route's last visit: an unvisited cell
+    takes max(A, A[last] - c). That is the best reduced payoff bit for bit,
+    also at the last visit, where any other target less c pays no more than
+    staying. Under the total convention every unvisited cell weakly
+    dominates the baseline, and the matrix is A exactly at the costs
+    _switch_tail finds.
     """
     check_reveal_time(cfg.t_reveal, rs.n - 1)
-    m, n = A.shape
-    rows = np.arange(m)
+    rows = np.arange(len(A))
     unvisited = rs.position_matrix > cfg.t_reveal
-
-    masked = np.where(unvisited, A, -np.inf)
-    top = masked.max(axis=1)
-    top_col = masked.argmax(axis=1)
-    masked2 = masked.copy()
-    masked2[rows, top_col] = -np.inf
-    second = masked2.max(axis=1)
-    # best paid target other than i itself: the row max, or the runner-up
-    # when i is the argmax
-    best_other = np.where(np.arange(n)[None, :] == top_col[:, None], second[:, None], top[:, None])
-    switched = np.maximum(A, best_other - cfg.c)
-    S = np.where(unvisited, switched, A)
+    top = A[rows, rs.route_array[:, -1] - 1]
+    S = np.where(unvisited, np.maximum(A, (top - cfg.c)[:, None]), A)
     if cfg.convention == "remaining":
         reveal_cum = A[rows, rs.route_array[:, cfg.t_reveal - 1] - 1]
         S = np.where(unvisited, S - reveal_cum[:, None], S)
     return S
+
+
+def _switch_tail(A: np.ndarray, rs: RouteSet, t: int, costs) -> np.ndarray:
+    """Whether each cost's total-convention switch_matrix at reveal time t is
+    the base matrix A bit for bit: where every route's last visit, less the
+    cost, pays at most its visit t+1, its least unvisited entry, computed in
+    floats as switch_matrix computes it. At t = n-1 those are one visit, so
+    every cost passes. Rounding x - c falls with c, so the costs that pass
+    are those from some least one up: the tail of a sorted cost grid.
+
+    The test is exact where c >= c*_route(t) (voi.cstar) is not: the
+    threshold rounds the difference A[last] - A[visit t+1] once, and a cost
+    at or next to it can fall on either side of the test above."""
+    check_reveal_time(t, rs.n - 1)
+    rows = np.arange(len(A))
+    top = A[rows, rs.route_array[:, -1] - 1]
+    low = A[rows, rs.route_array[:, t] - 1]
+    return np.array([bool((top - c <= low).all()) for c in costs], dtype=bool)
 
 
 def _game_stack(G: int, m: int, k: int) -> np.ndarray:
@@ -157,9 +169,9 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     start i known to both players: its mixed game value by default, or its
     least row maximum under feedback_mode="pure_min", which is the prefix
     minimum of switch_matrix bit for bit (rounding x - c is monotone in x).
-    For c >= c*_route(t) (voi.cstar's route variant) the total-convention
-    switch_matrix is A, so the pure_min F is the prefix minimum of A, less
-    the reveal node's cumulative cost in unvisited cells under "remaining".
+    At the costs _switch_tail finds, the total-convention switch_matrix is
+    A, so the pure_min F is the prefix minimum of A, less the reveal node's
+    cumulative cost in unvisited cells under "remaining".
 
     A subgame depends on its prefix only through the Held-Karp state (the
     visited set and the last prefix node): the prefix order adds its

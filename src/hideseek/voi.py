@@ -70,7 +70,9 @@ def cstar(A: np.ndarray, rs: RouteSet, t: int, variant: str = "infoset") -> np.n
     are excluded from the global maximum.
 
     variant="route": the advantage along the committed route, which closes to
-    the row's last-location cost minus the stay cost. variant="infoset":
+    the row's last-location cost minus the stay cost (A is a base_matrix,
+    whose entries rise along the route, so the last visit's is the row's
+    largest unvisited entry). variant="infoset":
     each target's payoff is first minimized over prefix-consistent routes,
     then compared against the stay target the same way and clamped at 0;
     rows sharing a prefix get identical entries.
@@ -79,10 +81,8 @@ def cstar(A: np.ndarray, rs: RouteSet, t: int, variant: str = "infoset") -> np.n
         raise ValueError(f"variant must be one of {CSTAR_VARIANTS}")
     check_reveal_time(t, rs.n - 1)
     if variant == "route":
-        unvisited = rs.position_matrix > t
-        masked = np.where(unvisited, A, -np.inf)
-        row_max = masked.max(axis=1)
-        return np.where(unvisited, row_max[:, None] - A, np.nan)
+        last = A[np.arange(len(A)), rs.route_array[:, -1] - 1]
+        return np.where(rs.position_matrix > t, last[:, None] - A, np.nan)
     block = prefix_block(rs, t)
     unvisited = rs.position_matrix[::block] > t
     # each prefix's cumulative cost at its reveal node, which all of its

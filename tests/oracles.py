@@ -1,6 +1,7 @@
 """Reference implementations that the package's faster paths are checked
-against: per-prefix and per-route loops the package vectorises, a
-cell-by-cell pure saddle scan, an independent closed form for small
+against: per-prefix and per-route loops the package vectorises, the
+switch build and route threshold by masked row maxima, which read no route
+order, a cell-by-cell pure saddle scan, an independent closed form for small
 reveal-stage subgames, full-LP game values through scipy's linprog (and the
 same LP through HiGHS's default presolve), a recompute of a solution's
 best-response gaps, the cell-by-cell formatters the one-row writers
@@ -111,6 +112,38 @@ def reduced_payoff(A, rs, j, cfg, i, i_hat):
     if i_hat != i:
         value -= cfg.c
     return value
+
+
+def switch_matrix_masked(A, rs, cfg):
+    """switch_matrix without reading the route order: each row's largest
+    and second-largest unvisited entries by a masked max, argmax and second
+    max, and every unvisited cell paid the larger of its own entry and the
+    best other target's less c."""
+    check_reveal_time(cfg.t_reveal, rs.n - 1)
+    m, n = A.shape
+    rows = np.arange(m)
+    unvisited = rs.position_matrix > cfg.t_reveal
+    masked = np.where(unvisited, A, -np.inf)
+    top = masked.max(axis=1)
+    top_col = masked.argmax(axis=1)
+    masked2 = masked.copy()
+    masked2[rows, top_col] = -np.inf
+    second = masked2.max(axis=1)
+    best_other = np.where(np.arange(n)[None, :] == top_col[:, None], second[:, None], top[:, None])
+    S = np.where(unvisited, np.maximum(A, best_other - cfg.c), A)
+    if cfg.convention == "remaining":
+        reveal_cum = A[rows, rs.route_array[:, cfg.t_reveal - 1] - 1]
+        S = np.where(unvisited, S - reveal_cum[:, None], S)
+    return S
+
+
+def cstar_route_masked(A, rs, t):
+    """cstar's route variant from each row's masked maximum over its
+    unvisited cells, NaN where visited."""
+    check_reveal_time(t, rs.n - 1)
+    unvisited = rs.position_matrix > t
+    row_max = np.where(unvisited, A, -np.inf).max(axis=1)
+    return np.where(unvisited, row_max[:, None] - A, np.nan)
 
 
 def best_relocations(A, rs, cfg):

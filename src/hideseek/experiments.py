@@ -3,15 +3,12 @@
 Simulation randomness uses one Philox counter block (four 64-bit words) per
 trial, keyed by the seed: trial k always sees the same four words no
 matter how trials are split into blocks. Playouts only count how often each
-payoff cell occurs, so results are invariant to the block size and
-bit-reproducible for a fixed seed. The count is one np.add.at per block into
-the cell histogram. Every draw looks its word up in a guide table of 2^K
-equal buckets (Chen and Asau 1974; Devroye, Non-Uniform Random Variate
-Generation, 1986, III.2.4), by the word's top K bits, which gives the label
-a binary search of the mix's cdf gives for the word's uniform, bit for bit:
-a bucket holds that label wherever no cdf entry lies strictly inside it,
-and only the few trials in the other buckets make their word a uniform and
-search the cdf. No trial is sorted or grouped by subgame.
+payoff cell occurs, one np.add.at per block into the cell histogram, so
+results are invariant to the block size and bit-reproducible for a fixed
+seed. Every draw looks its word up in a guide table of 2^K equal buckets
+(Chen and Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+III.2.4), which gives the label a binary search of the mix's cdf gives, bit
+for bit (_guide). No trial is sorted or grouped by subgame.
 """
 
 from __future__ import annotations
@@ -103,22 +100,15 @@ def sweep(
     evaluated at each cell's own switch-game equilibrium mix; the bound
     column uses the route-variant threshold at that reveal time.
 
-    The base game and every switch game share the shape n! x n, so they
-    are solved together: _switch_games hands them to solve_games in chunks
-    of the sweep's (t, c) cells, the base game first, and expected_voi
-    reads each switch game's Hider mix from its chunk's solution. A reveal
-    time's tail costs, at which its total-convention switch matrix is the
-    base matrix (payoff._switch_tail), share one switch game, neither built
-    nor solved again under total, where it is the base game, and built and
-    solved once under remaining. Each run of a reveal time's games in a
-    chunk, with its tail in the chunk of its last game, then gets its
-    feedback values and deltas from _run_cells before the chunk is
-    dropped. A sweep makes no LP call. From n = 7 on, a chunk holds a few
-    games or one: a switch game there is large enough to fill the
-    simplex's batched numpy calls on its own, so more at once only takes
-    memory. Every chunk and feedback stack is
-    Hider-major (payoff._game_stack), and solve_games gives each game the
-    same bits in any stack of one layout, so the chunk bounds move no
+    The base game and every switch game share the shape n! x n, so
+    _switch_games solves them together in chunks of the sweep's (t, c)
+    cells, the base game first. A reveal time's tail costs
+    (payoff._switch_tail) share one switch game: the base game under
+    total, built and solved once under remaining. Each run of a reveal
+    time's games in a chunk, with its tail in the chunk of its last game,
+    gets its feedback values and deltas from _run_cells before the chunk
+    is dropped. A sweep makes no LP call, and as solve_games gives each
+    game the same bits in any Hider-major stack, the chunk bounds move no
     output byte.
     """
     rs = enumerate_routes(inst.n)
@@ -170,20 +160,11 @@ def sweep(
     for t in t_list:
         for c in c_grid:
             v_switch, v_fb, ev, delta = cells[t, c]
-            rows.append(
-                SweepRow(
-                    t_reveal=t,
-                    c=c,
-                    v_base=v_base,
-                    v_switch=v_switch,
-                    v_fb=v_fb,
-                    expected_voi=ev,
-                    theorem1_bound=theorem1_bound(cg_route[t], c),
-                    delta=delta,
-                    cstar_global_route=cg_route[t],
-                    cstar_global_infoset=cg_inf[t],
-                )
-            )
+            rows.append(SweepRow(
+                t_reveal=t, c=c, v_base=v_base, v_switch=v_switch, v_fb=v_fb, expected_voi=ev,
+                theorem1_bound=theorem1_bound(cg_route[t], c), delta=delta,
+                cstar_global_route=cg_route[t], cstar_global_infoset=cg_inf[t],
+            ))
     return rows
 
 
@@ -344,10 +325,16 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
         z.extend(solution[2])
         del As, solution  # before the next chunk is built
     z_first = z[:head] + z[head:] * (len(c_list) - head)
-    for c, z in zip(c_list, z_first):
-        games = (switch_matrix(A, rs, SwitchConfig(t, c, convention)) for t in t_list)
-        ev = [expected_voi(worst_case_voi(voi_matrix(S, rs, t)), z) for S, t in zip(games, t_list)]
-        for t, prev, cur in zip(t_list[1:], ev, ev[1:]):
+    ev = np.empty((len(c_list), len(t_list)))  # each (c, t) cell's fixed-mix expected VOI
+    for col, t in enumerate(t_list):
+        # t's tail costs share one switch game, whose worst-case VOI is built once
+        head_t = int((~_switch_tail(A, rs, t, c_list)).sum())
+        for row, c in enumerate(c_list[: head_t + 1]):
+            bar = worst_case_voi(voi_matrix(switch_matrix(A, rs, SwitchConfig(t, c, convention)), rs, t))
+            rows = range(row, len(c_list)) if row == head_t else [row]
+            ev[rows, col] = [expected_voi(bar, z_first[r]) for r in rows]
+    for c, cells in zip(c_list, ev.tolist()):
+        for t, prev, cur in zip(t_list[1:], cells, cells[1:]):
             if cur > prev + tol:
                 detail = f"c={c:g}: fixed-mix expected VOI rises {prev:.6f} -> {cur:.6f} at t={t}"
                 return BoundCheck("fixed_mix_voi_monotone_in_t", False, detail)

@@ -13,14 +13,11 @@ recovered from the constraint duals. Both certify through one helper,
 _certify, by best-response gaps against the full matrix rather than by
 trusting the solver, and a game that fails goes once to the other solver.
 
-HiGHS runs its dual simplex without presolve. Every row of these games is
-dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing (HiGHS
-logs "Presolve reductions: rows 40321(-0); columns 9(-0); nonzeros
-362888(-0) - Not reduced"), the simplex then runs the iterations it runs
-without it, and on the base game presolve takes about as long as the
-simplex. Where presolve could shrink a game (duplicate rows or columns, a
-restricted game at c = 0), the simplex solves the whole LP, and its
-solution is certified like any other.
+HiGHS runs its dual simplex without presolve: every row of these games is
+dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing, and on
+the base game it took about as long as the simplex. Where presolve could
+shrink a game (duplicate rows or columns, a restricted game at c = 0), the
+simplex solves the whole LP, certified like any other.
 
 HiGHS is reached through scipy's bundled extension module,
 scipy.optimize._highspy._core, loaded on its own: importing scipy.optimize
@@ -53,6 +50,7 @@ _RC_TOL = 1e-12
 _PIVOT_TOL = 1e-9
 _STALL_PIVOTS = 32
 _MAX_PIVOTS = 500
+_PRICE_BYTES = 1 << 20  # the most of its stack _simplex copies to price (see there)
 # Options for every HiGHS call: linprog's for its dual simplex, with
 # presolve off (see the module docstring).
 _HIGHS_OPTIONS = {
@@ -161,9 +159,10 @@ def _col_lp(A: np.ndarray):
     This is the LP, and these are the options, that linprog(method="highs")
     passed: min -v over the column-wise matrix [-A 1; 1^T 0] with its exact
     zeros dropped, rows -inf <= . <= 0 and 1 <= . <= 1, z >= 0 and v free.
-    Returns None, the primal (z, v) and the inequality rows' duals, or
-    HiGHS's model status text and no solution when the LP is not solved to
-    optimality.
+    The LP's arrays are dropped once passModel has copied them, before
+    HiGHS runs. Returns None, the primal (z, v) and the inequality rows'
+    duals, or HiGHS's model status text and no solution when the LP is not
+    solved to optimality.
     """
     m, n = A.shape
     inf = _highspy.kHighsInf
@@ -191,6 +190,7 @@ def _col_lp(A: np.ndarray):
         # all continuous; an empty array would pass HiGHS a dangling pointer
         np.zeros(n + 1, dtype=np.int32),
     )
+    del M, nz, index  # HiGHS holds its own copy of the model from here
     if status == _highspy.HighsStatus.kError:
         model_status = _highspy.HighsModelStatus.kModelError
     else:
@@ -302,14 +302,20 @@ def _simplex(S, scale):
     basis holds k+1 of them, with the free w always at position k, so
     c_B = b = e_k. One inverse of every basis per pivot gives the duals pi
     (its row k), whose Hider mix is z = -pi[:k] and value v = pi[k], and the
-    basic values (its column k). The reduced costs are S z - v for the rows,
-    one matmul over the stack, and z for the slacks. The most negative one
-    enters (Dantzig), or the first negative one while the game's current run
-    of zero-step pivots is _STALL_PIVOTS or longer (Bland, which cannot
-    cycle; a cycle holds only zero-step pivots). The ratio test skips w.
-    A game closes once no reduced cost is below -1e-12 (times max|A|, by the
-    scaling). A pivot does only the work its games need: it prices the rows
-    and the slacks apart (where they tie, the row enters), works out Bland's
+    basic values (its column k). The reduced costs are S z - v for the rows
+    and z for the slacks. The most negative one enters (Dantzig), or the
+    first negative one while the game's current run of zero-step pivots is
+    _STALL_PIVOTS or longer (Bland, which cannot cycle; a cycle holds only
+    zero-step pivots). The ratio test skips w. A game closes once no
+    reduced cost is below -1e-12 (times max|A|, by the scaling).
+
+    A pivot does only the work its games need. It prices the rows and the
+    slacks apart (where they tie, the row enters): S z goes into one
+    (G, m, 1) buffer, divided by the scales and less v in place, by one
+    matmul over the stack while most games are open, with no copy of it,
+    and then for the open games only, from copies of at most _PRICE_BYTES
+    of the stack (a copy per game made a sweep's tiny games slow, and one
+    of every open game took up to half the stack). It works out Bland's
     choices only while some game is in a Bland run, and reads the closing
     games' values and mixes, or drops the games that leave, only when some
     do. Returns each game's value, Seeker mix and Hider mix, uncleaned, and
@@ -332,16 +338,27 @@ def _simplex(S, scale):
     B[games, k, j0] = 1.0
     v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     pivots, stalls = np.zeros(G, dtype=int), np.zeros(G, dtype=int)
+    Sz = np.empty((G, m, 1))  # every pivot's pricing product S z
+    size = max(1, _PRICE_BYTES // (8 * m * k))  # games per priced copy
     open_ = games
     while len(open_):
         inv, finite = _inverses(B)
         z[open_], x = -inv[:, k, :k], inv[:, :k, k]
         if 2 * len(open_) > G:  # most games open: one matmul over the stack, no copy of it
-            Sz = (S @ z[:, :, None])[open_, :, 0]
-        else:
-            Sz = (S[open_] @ z[open_, :, None])[:, :, 0]
-        rc_row, rc_slack = Sz / scale[open_, None] - inv[:, k, k, None], z[open_]
-        row_min, slack_min = rc_row.min(axis=1), rc_slack.min(axis=1)
+            np.matmul(S, z[:, :, None], out=Sz)
+            priced, live = games, open_
+        else:  # only the open games, from copies of a few of them at a time
+            for j in range(0, len(open_), size):
+                g = open_[j : j + size]
+                np.matmul(S[g], z[g, :, None], out=Sz[j : j + len(g)])
+            priced, live = open_, np.arange(len(open_))
+        # the priced games' row reduced costs, in place; the open ones' are live
+        rc_row, w = Sz[: len(priced), :, 0], np.zeros(len(priced))
+        w[live] = inv[:, k, k]
+        rc_row /= scale[priced, None]
+        rc_row -= w[:, None]
+        rc_slack = z[open_]
+        row_min, slack_min = rc_row.min(axis=1)[live], rc_slack.min(axis=1)
         done = finite & (np.minimum(row_min, slack_min) >= -_RC_TOL)
         if done.any():
             g = open_[done]
@@ -349,12 +366,12 @@ def _simplex(S, scale):
             basic_rows = basis[done, :k] < m
             y[g[np.nonzero(basic_rows)[0]], basis[done, :k][basic_rows]] = x[done][basic_rows]
         # the most negative reduced cost, a row where a row and a slack tie
-        q = np.where(row_min <= slack_min, rc_row.argmin(axis=1), m + rc_slack.argmin(axis=1))
+        q = np.where(row_min <= slack_min, rc_row.argmin(axis=1)[live], m + rc_slack.argmin(axis=1))
         bland = stalls >= _STALL_PIVOTS
         in_bland = bland.any()
         if in_bland:  # the first negative one: a row if any, else a slack
             neg_row, neg_slack = rc_row < -_RC_TOL, rc_slack < -_RC_TOL
-            first = np.where(neg_row.any(axis=1), neg_row.argmax(axis=1), m + neg_slack.argmax(axis=1))
+            first = np.where(neg_row.any(axis=1)[live], neg_row.argmax(axis=1)[live], m + neg_slack.argmax(axis=1))
             q = np.where(bland, first, q)
         a = np.zeros((len(open_), k + 1))  # the entering column
         row = q < m
@@ -393,12 +410,10 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Raises SolverError if a game does not certify either way.
 
     The stack may be stored in any layout. Every stack the package builds
-    is Hider-major: np.swapaxes of a (G, k, m) array, so that each game's
-    m-long Seeker axis is contiguous, and the row maxima, the column minima
-    and the pricing product S z run along it. Within one layout, each game
-    gets the same bits in any stack: its value and mixes do not depend on
-    the games beside it or on its place. Across layouts they may differ in
-    round-off, as numpy's matmul may sum in another order.
+    is Hider-major, np.swapaxes of a (G, k, m) array, so that each game's
+    Seeker axis, along which the reductions and S z run, is contiguous.
+    Within one layout each game gets the same bits in any stack, beside any
+    games and in any place; across layouts they may differ in round-off.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
@@ -415,16 +430,12 @@ def _first_saddle(A: np.ndarray) -> np.ndarray:
     value a saddle would have, and not to max|A|, which a huge cost in the
     other cells would inflate.
 
-    A cell of row r and column j needs lo[r] <= hi[j], its row's lower
-    bound at most its column's upper bound, so a game whose least lo
-    exceeds its greatest hi holds no saddle. When that rules out every
-    game of the stack, as it does for every reveal-stage subgame of the
-    benchmark's eight-site instance at t = 2, c = 1, the cells are not
-    compared. A NaN bound fails the test, and its stack is compared.
-
-    The stack may be stored in any layout, and the cell order is row-major
-    in every one. The package's stacks are Hider-major (see solve_games),
-    so the row maxima and the column minima run along contiguous memory."""
+    A cell of row r and column j needs lo[r] <= hi[j], so a game whose
+    least lo exceeds its greatest hi holds no saddle; when that rules out
+    every game of the stack (every reveal-stage subgame of the benchmark's
+    eight-site instance at t = 2, c = 1), the cells are not compared. A NaN
+    bound fails the test, and its stack is compared. The cell order is
+    row-major in any layout of the stack."""
     rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
     lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
     if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():

@@ -58,18 +58,17 @@ def base_matrix(inst: Instance, rs: RouteSet) -> np.ndarray:
 
     Entry (j, i) is the origin leg plus all legs up to location i's visit
     position on route j. Entries read in visit order are non-decreasing.
+    The legs are summed one visit at a time, in visit order, each running
+    sum written straight into A: the only temporaries are a few columns.
     """
     if inst.n != rs.n:
         raise ValueError(f"instance has n={inst.n} but route set has n={rs.n}")
     D = distance_matrix(inst)
     R = rs.route_array
-    legs = np.empty(R.shape)
-    legs[:, 0] = D[0, R[:, 0]]
-    if rs.n > 1:
-        legs[:, 1:] = D[R[:, :-1], R[:, 1:]]
-    cum = legs.cumsum(axis=1)
-    A = np.empty(R.shape)
-    A[np.arange(rs.m)[:, None], R - 1] = cum
+    rows, cum, A = np.arange(rs.m), np.full(rs.m, -0.0), np.empty(R.shape)  # -0.0 + x is x, bit for bit
+    for p in range(rs.n):  # the leg to visit p, the first from the origin, node 0
+        cum += D[R[:, p - 1] if p else 0, R[:, p]]
+        A[rows, R[:, p] - 1] = cum
     return A
 
 
@@ -84,16 +83,18 @@ def switch_matrix(A: np.ndarray, rs: RouteSet, cfg: SwitchConfig) -> np.ndarray:
     also at the last visit, where any other target less c pays no more than
     staying. Under the total convention every unvisited cell weakly
     dominates the baseline, and the matrix is A exactly at the costs
-    _switch_tail finds.
+    _switch_tail finds. Every step writes into the one output array.
     """
     check_reveal_time(cfg.t_reveal, rs.n - 1)
     rows = np.arange(len(A))
     unvisited = rs.position_matrix > cfg.t_reveal
     top = A[rows, rs.route_array[:, -1] - 1]
-    S = np.where(unvisited, np.maximum(A, (top - cfg.c)[:, None]), A)
+    top -= cfg.c
+    S = np.maximum(A, top[:, None])
+    np.copyto(S, A, where=~unvisited)
     if cfg.convention == "remaining":
         reveal_cum = A[rows, rs.route_array[:, cfg.t_reveal - 1] - 1]
-        S = np.where(unvisited, S - reveal_cum[:, None], S)
+        np.subtract(S, reveal_cum[:, None], out=S, where=unvisited)
     return S
 
 
@@ -174,23 +175,18 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     cumulative cost in unvisited cells under "remaining".
 
     A subgame depends on its prefix only through the Held-Karp state (the
-    visited set and the last prefix node): the prefix order adds its
-    cumulative cost to every entry. So the mixed values are solved once per
-    state, C(n,t)*t of them instead of n!/(n-t)! prefixes, on the state's
-    lexicographically first prefix. One flat (cost, state, start) index
-    runs over those subgames of every cost. They are gathered in stacks of
-    at most _STACK_BYTES, and each stack is scanned for saddles once; its
-    subgames that no saddle closes go from the same stack to solve_games,
-    whose values are shifted by the difference of the prefixes' cumulative
-    costs. A subgame closed by a pure saddle gives a cell, which every
-    prefix of the state reads from A as its own subgame holds it. Visited
-    cells and saddle cells (which include every cell at t = n-1) are
-    bit-identical to solving each prefix's subgame on its own; the shifted
-    values agree with it to round-off. The subgame stacks and a stack F are
-    Hider-major (_game_stack), as every stack the package builds; one
-    config's F is row-major. solve_games gives each game the same bits in
-    any stack of one layout, so F does not depend on _STACK_BYTES or on
-    which costs come in one call.
+    visited set and the last prefix node; the prefix order adds its
+    cumulative cost to every entry), so the mixed values are solved once
+    per state, C(n,t)*t of them instead of n!/(n-t)!, on the state's first
+    prefix. The subgames of every (cost, state, start) are gathered in
+    stacks of at most _STACK_BYTES and scanned for saddles; the rest go
+    from the same stack to solve_games, and their values are shifted by
+    the difference of the prefixes' cumulative costs. A saddle's cell is
+    read from A by every prefix of the state, so visited and saddle cells
+    (every cell at t = n-1) are bit-identical to solving each prefix's
+    subgame alone; shifted values agree to round-off. Stacks are
+    Hider-major (_game_stack), one config's F is row-major, and F does not
+    depend on _STACK_BYTES or on which costs come in one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -208,7 +204,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
             F[g] = _prefix_min(switch_matrix(A, rs, cfg), block)
         return F[0] if one else F
     first = np.arange(0, rs.m, block)  # each prefix's first route
-    nodes = rs.route_array[first, :t]
+    nodes = rs.route_array[first, :t].astype(np.intp)  # the key's shifts wrap in uint8 past n = 8
     cum = A[first, nodes[:, -1] - 1]
     offset = cum if convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t

@@ -5,6 +5,7 @@ order; the row index of every payoff matrix refers to this order. Route
 indices are 0-based in code (row j holds the (j+1)-th route). The Seeker's
 information set at reveal time t is every route sharing a t-visit prefix;
 in this order it is a block of (n-t)! consecutive routes (prefix_block).
+The route tables are uint8 (RouteSet).
 """
 
 from __future__ import annotations
@@ -19,22 +20,27 @@ MAX_LOCATIONS = 8
 
 
 def _permutations(n: int) -> np.ndarray:
-    """The permutations of 1..n in lexicographic order, one per row.
+    """The permutations of 1..n in lexicographic order, one per row, uint8.
 
     Built up one size at a time: the permutations of 1..s are, for each
     first element f in turn, f followed by those of 1..s-1 with every entry
     >= f raised by one.
     """
-    P = np.zeros((1, 0), dtype=np.int64)
+    P = np.zeros((1, 0), dtype=np.uint8)
     for s in range(1, n + 1):
-        first = np.arange(1, s + 1)[:, None, None]
+        first = np.arange(1, s + 1, dtype=np.uint8)[:, None, None]
         rest = P[None] + (P[None] >= first)
         P = np.concatenate([np.broadcast_to(first, (s, len(P), 1)), rest], axis=2).reshape(-1, s)
     return P
 
 
 class RouteSet:
-    """All n! visiting orders plus each location's visit position. Immutable."""
+    """All n! visiting orders plus each location's visit position. Immutable.
+
+    Both tables are uint8, 0.3 MB each at n = 8, and index as they are; a
+    shift, product or key of their entries is taken in np.intp, as uint8
+    arithmetic wraps past 255 (1 << 8 is 0).
+    """
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_LOCATIONS:
@@ -44,10 +50,10 @@ class RouteSet:
         # route_array[j] = route j's visits in order
         self.route_array = _permutations(n)
         # position_matrix[j, i-1] = 1-based visit position of location i on route j
-        self.position_matrix = np.empty((self.m, n), dtype=np.int64)
-        cols = self.route_array - 1
-        rows = np.arange(self.m)[:, None]
-        self.position_matrix[rows, cols] = np.arange(1, n + 1)[None, :]
+        self.position_matrix = np.empty((self.m, n), dtype=np.uint8)
+        rows = np.arange(self.m)
+        for p in range(n):
+            self.position_matrix[rows, self.route_array[:, p] - 1] = p + 1
 
     def __repr__(self):
         return f"RouteSet(n={self.n}, m={self.m})"

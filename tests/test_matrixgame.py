@@ -1,6 +1,8 @@
 import functools
+import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -706,12 +708,45 @@ def test_solve_games_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
     for g, S in enumerate(games):
         stacks[f"{g} next to the Bland run"] = (np.stack([S, bland]), [g, None])
         stacks[f"{g} next to pivot 0"] = (np.stack([closed, S]), [None, g])
+    # more than half of the stack closes at pivot 0, and the open games, each
+    # twice and one in each pair, are priced from copies of a few of them,
+    # in three chunks or more
+    late = [g for g in range(len(games)) if g != 2] * 2
+    order = [g for pair in zip(late, [None] * len(late)) for g in pair] + [None]
+    shifts = iter(range(len(order)))
+    stacks["most closed at pivot 0"] = (np.stack([closed + next(shifts) if g is None else games[g] for g in order]), order)
+    assert len(late) > 2 * (mg._PRICE_BYTES // closed.nbytes) and 2 * len(late) < len(order)
     for case, (S, order) in stacks.items():
         solution = mg.solve_games(S)
         for j, g in enumerate(order):
             if g is not None:
                 for got, want in zip(solution, alone[g]):
                     assert np.array_equal(got[j], want[0]), (case, g)
+
+
+def test_solve_games_copies_no_more_of_a_stack_than_its_price_cap():
+    # the playout's 336 x 720 x 6 Hider-major stack, more than half of whose
+    # games close at pivot 0: the open ones are priced from copies of at most
+    # _PRICE_BYTES, and beside it the simplex and the certificate hold a few
+    # arrays of one float per game and row, where a copy of every open game
+    # took 5.5 MiB
+    n, t = 8, 2
+    inst = hs.make_instance(**workloads.make_instance(n, 1))
+    rs = hs.enumerate_routes(n)
+    A = hs.base_matrix(inst, rs)
+    h, i = np.nonzero(rs.position_matrix[:: hs.prefix_block(rs, t)] > t)
+    G, m, k, late = len(h), math.factorial(n - t), n - t, len(h) // 2 - 1
+    S = payoff._game_stack(G, m, k)
+    S[:late] = hs.subgame_matrix(A, rs, t, h[:late], i[:late] + 1, 1.0)
+    S[late:] = np.add.outer(np.arange(m, dtype=float), np.arange(k, dtype=float))
+    tracemalloc.start()
+    try:
+        v = mg.solve_games(S)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G == 336 and (v[late:] == k - 1).all()
+    assert peak <= mg._PRICE_BYTES + 4 * G * m * 8, peak
 
 
 def _hider_major(S):

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import hideseek as hs
 import hideseek.matrixgame as mg
 import hideseek.payoff as payoff
+import hideseek.routes as route_module
 
 import reference as ref
 from conftest import random_instance
@@ -626,3 +628,62 @@ def test_feedback_matches_per_prefix_oracle(name, inst):
                     np.testing.assert_array_equal(
                         F[closed], expect[convention][closed], err_msg=where
                     )
+
+
+def _traced_peak(build):
+    """build()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+# The slack the n = 8 memory bounds leave over what a step keeps: six
+# route-length float columns, 1.8 MiB, where the int64 route tables and the
+# full-size temporaries they replace took 3 to 12 MiB over it.
+SLACK_COLUMNS = 6
+
+
+def test_routes_and_base_matrix_peak_near_what_they_keep():
+    inst = random_instance(np.random.default_rng(8), 8)
+
+    def build():
+        rs = hs.enumerate_routes(8)
+        return rs, hs.base_matrix(inst, rs)
+
+    (rs, A), peak = _traced_peak(build)
+    kept = A.nbytes + rs.route_array.nbytes + rs.position_matrix.nbytes
+    assert peak <= kept + SLACK_COLUMNS * rs.m * 8, (peak, kept)
+
+
+@pytest.mark.parametrize("convention", payoff.CONVENTIONS)
+def test_switch_matrix_holds_about_one_output_array(convention):
+    rs = hs.enumerate_routes(8)
+    A = hs.base_matrix(random_instance(np.random.default_rng(8), 8), rs)
+    S, peak = _traced_peak(lambda: hs.switch_matrix(A, rs, hs.SwitchConfig(2, 1.0, convention)))
+    assert peak <= S.nbytes + SLACK_COLUMNS * rs.m * 8, peak
+
+
+def test_state_keys_keep_location_nine(monkeypatch):
+    # feedback_matrix numbers the Held-Karp states of the prefixes by a key
+    # whose quotient by n + 1 is the bitmask of the visited set. The route
+    # tables are uint8, where location 9's bit, 1 << 8, wraps to 0, so the key
+    # is built in np.intp. A wrapped bit merges no two states of one reveal
+    # time, whose visited sets all have t locations, so F alone cannot show
+    # it: the key is read as feedback_matrix hands it to np.unique.
+    monkeypatch.setattr(route_module, "MAX_LOCATIONS", 9)
+    rs = hs.enumerate_routes(9)
+    assert rs.route_array.dtype == rs.position_matrix.dtype == np.uint8
+    positions = np.take_along_axis(rs.position_matrix, rs.route_array - 1, axis=1)
+    assert (positions == np.arange(1, 10)).all()
+    A = hs.base_matrix(random_instance(np.random.default_rng(9), 9), rs)
+    keys, real_unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: keys.append(a) or real_unique(a, **kw))
+    F = hs.feedback_matrix(A, rs, hs.SwitchConfig(8, 1.0))
+    monkeypatch.undo()
+    assert np.array_equal(F, A)  # at t = n-1 every subgame is its stay cell
+    nodes = rs.route_array[:, :8].astype(np.int64)
+    assert np.array_equal(keys[0] // 10, (1 << (nodes - 1)).sum(axis=1))

@@ -27,7 +27,7 @@ def test_enumeration_edges():
 @pytest.mark.parametrize("n", range(1, MAX_LOCATIONS + 1))
 def test_route_array_matches_permutations(n):
     rs = hs.enumerate_routes(n)
-    assert rs.route_array.dtype == np.int64
+    assert rs.route_array.dtype == rs.position_matrix.dtype == np.uint8
     assert rs.route_array.shape == (rs.m, n) and rs.route_array.flags.c_contiguous
     assert np.array_equal(rs.route_array, np.array(routes(n)))
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .instance import Instance
-from .matrixgame import _first_saddle, check_cost, simplex_weights, solve_games, solve_zero_sum
+from .matrixgame import _first_saddle, _solve, check_cost, simplex_weights, solve_games
 from .payoff import (
     SwitchConfig,
     _csv_rows,
@@ -348,6 +348,11 @@ _BLOCK = 1 << 16  # trials per block: a 2 MB draw of words
 # the 40,320 at t = 6, where a playout that reaches every subgame holds more
 # in their mixes than in these 0.6 MB of tables.
 _TABLE_BYTES = 1 << 20
+# simulate solves the subgames its trials reach in batches of at most 256,
+# whose stack of matrices takes at most this many bytes: the 18 that the
+# benchmark's playout reaches at n = 8, t = 2 go together, and at t = 1,
+# where one 5,040 x 7 subgame takes 282 kB, three do.
+_SUBGAME_BYTES = 1 << 20
 
 
 def _trial_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -439,28 +444,38 @@ def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
     return drawn
 
 
-def _subgame_supports(A, rs, t, c, key):
+def _subgame_supports(A, rs, t, c, keys):
     """The supports of the Seeker's and the Hider's mixes in the reveal-stage
-    subgame key = h*n + i, labelled by the payoff codes they add: route k as
-    k*n, and target j as j, plus m*n if j is not i (the Hider switched).
+    subgames keys = h*n + i, a (row, column) pair for each key, labelled by
+    the payoff codes they add: route k as k*n, and target j as j, plus m*n
+    if j is not i (the Hider switched).
 
-    The subgame is played at its first pure saddle (_first_saddle,
-    feedback_matrix's rule for a cell) if it has one, else by
-    solve_zero_sum's mixes.
+    A subgame is played at its first pure saddle (_first_saddle,
+    feedback_matrix's rule for a cell) if it has one, else by the mixes
+    solve_zero_sum gives it. Those subgames are solved together, as one
+    Hider-major stack, as solve_zero_sum solves a game (matrixgame._solve
+    with unique): one lockstep simplex for all of them, then HiGHS, one
+    subgame per call, for those whose equilibrium the simplex's solution
+    does not prove unique.
     """
     m, n = A.shape
     block = prefix_block(rs, t)
-    h, i = divmod(key, n)
-    targets = np.flatnonzero(rs.position_matrix[h * block] > t)
+    h, i = np.divmod(np.asarray(keys), n)
+    targets = np.nonzero(rs.position_matrix[h * block] > t)[1].reshape(len(h), n - t)
     S = subgame_matrix(A, rs, t, h, i + 1, c)
-    saddle = int(_first_saddle(S))
-    if saddle >= 0:
-        r, j = divmod(saddle, len(targets))
-        y, z = (np.arange(block) == r).astype(float), (np.arange(len(targets)) == j).astype(float)
-    else:
-        sol = solve_zero_sum(S)
-        y, z = sol.row_strategy, sol.col_strategy
-    return _support(y, (h * block + np.arange(block)) * n), _support(z, targets + m * n * (targets != i))
+    saddle = _first_saddle(S)
+    y = np.zeros(S.shape[:2])
+    z = np.zeros((len(S), n - t))
+    hit = np.flatnonzero(saddle >= 0)
+    r, j = np.divmod(saddle[hit], n - t)
+    y[hit, r], z[hit, j] = 1.0, 1.0
+    lp = np.flatnonzero(saddle < 0)
+    if len(lp):
+        S = np.swapaxes(np.swapaxes(S, 1, 2)[lp], 1, 2)  # a copy in the stack's Hider-major layout
+        y[lp], z[lp] = _solve(S, unique=True)[1:3]
+    del S
+    codes = (h[:, None] * block + np.arange(block)) * n, targets + m * n * (targets != i[:, None])
+    return [(_support(y[g], codes[0][g]), _support(z[g], codes[1][g])) for g in range(len(h))]
 
 
 def simulate(
@@ -554,6 +569,7 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
         keys, pair_code[~ended] = np.unique((h * n + i)[~ended], return_inverse=True)
         size = _TABLE_BYTES // (2 * (m // block) * (n - t) * code_type.itemsize)
         scale = _buckets(min(size, trials, _BLOCK))
+        batch = max(1, min(256, _SUBGAME_BYTES // (8 * block * (n - t))))  # subgames built at once
         row_tables = np.empty((len(keys), scale), code_type)
         col_tables = np.empty_like(row_tables)
         row_supports, col_supports = {}, {}
@@ -579,9 +595,9 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
             # built in batches, which hold all their supports until their
             # tables are filled: only a support whose table holds the
             # sentinel is kept, as only its trials search it
-            for j in range(0, len(fresh), 256):
-                new = fresh[j : j + 256]
-                plays = zip(*(_subgame_supports(A, rs, t, c, key) for key in keys[new].tolist()))
+            for j in range(0, len(fresh), batch):
+                new = fresh[j : j + batch]
+                plays = zip(*_subgame_supports(A, rs, t, c, keys[new]))
                 for tables, supports, found in zip((row_tables, col_tables), (row_supports, col_supports), plays):
                     tables[new] = _guide(found, scale, code_type)
                     searched = (tables[new] == np.iinfo(code_type).max).any(axis=1)

@@ -2,22 +2,23 @@
 
 Throughout, the row player minimizes and the column player maximizes, so a
 pure saddle point is a cell that is the maximum of its row and the minimum
-of its column. Two solvers find equilibria, and each is the other's
-fallback. solve_games takes a stack of same-shape games and finds every
-game's value and both mixes with no LP call, by a primal simplex on every
-game's Seeker LP (k+1 constraints) that pivots the whole stack in lockstep.
-solve_zero_sum is the single-game HiGHS path, for the solves whose printed
-mix is HiGHS's vertex: a linear program on the column player (N variables,
-M constraints; these games are extremely tall) with the row strategy
-recovered from the constraint duals. Both certify through one helper,
-_certify, by best-response gaps against the full matrix rather than by
-trusting the solver, and a game that fails goes once to the other solver.
+of its column. Every solve runs solve_games' simplex first: a primal
+simplex on every game's Seeker LP (k+1 constraints) that pivots a whole
+stack of same-shape games in lockstep, with no LP call. HiGHS's column LP
+is its fallback. Both certify through one helper, _certify, by
+best-response gaps against the full matrix rather than by trusting the
+solver, and a game the simplex does not certify goes to HiGHS.
+
+The CLI prints the mixes solve_zero_sum returns. Where a game's optimal
+mixes form a set, which one a solver returns depends on its pivots, and
+the printed mix is HiGHS's vertex. So solve_zero_sum keeps the simplex's
+solution only where _unique proves that the game has no other
+equilibrium, which any certified solver returns, and sends every other
+game to HiGHS.
 
 HiGHS runs its dual simplex without presolve: every row of these games is
 dense, so on the 40,320 x 8 games at n = 8 presolve removes nothing, and on
-the base game it took about as long as the simplex. Where presolve could
-shrink a game (duplicate rows or columns, a restricted game at c = 0), the
-simplex solves the whole LP, certified like any other.
+the base game it took about as long as the simplex.
 
 HiGHS is reached through scipy's bundled extension module,
 scipy.optimize._highspy._core, loaded on its own: importing scipy.optimize
@@ -41,6 +42,11 @@ import numpy as np
 GAP_TOL = 1e-6
 # _first_saddle's ties: within SADDLE_TOL relative.
 SADDLE_TOL = 1e-9
+# _unique's supports hold the weights above UNIQUE_TOL, and a pure strategy
+# off its support must lose by UNIQUE_TOL times max|A|. At 1e-6 the seed-1
+# n = 8 restricted game at t = 2, c = 1 fails, though its equilibrium is
+# unique: two routes off the Seeker's support pay only 2.3e-6 above v.
+UNIQUE_TOL = 1e-9
 # solve_games' simplex: reduced costs and ties within _RC_TOL (times
 # max|A|) count as zero, a pivot below _PIVOT_TOL is refused, a game pivots
 # by Bland's rule while its run of zero-step pivots is _STALL_PIVOTS or
@@ -152,31 +158,45 @@ def _scales(S: np.ndarray) -> np.ndarray:
     return np.maximum(hi, -lo)
 
 
+def _lp_columns(A: np.ndarray):
+    """The column-wise matrix [-A 1; 1^T 0] of _col_lp's LP with its exact
+    zeros dropped, as HiGHS takes it: each LP column's first entry in
+    index and value (start, int32), the row of each entry (index, int32)
+    and the entries (value). It is built one LP column at a time from its
+    nonzeros, A's column j less its zeros and then a 1 for LP column j, m
+    ones for v, so no dense copy of the LP is made."""
+    m, n = A.shape
+    start = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.count_nonzero(A, axis=0) + 1, out=start[1 : n + 1])
+    start[n + 1] = start[n] + m
+    index, value = np.empty(start[-1], dtype=np.int32), np.empty(start[-1])
+    for j in range(n):
+        rows = np.flatnonzero(A[:, j])
+        a, b = start[j], start[j + 1] - 1
+        index[a:b], value[a:b] = rows, -A[rows, j]
+        index[b], value[b] = m, 1.0
+    index[start[n] :], value[start[n] :] = np.arange(m), 1.0
+    return start, index, value
+
+
 def _col_lp(A: np.ndarray):
     """Maximize v subject to A z >= v, sum z = 1, z >= 0, over the
     variables (z, v), by HiGHS without presolve (see the module docstring).
 
     This is the LP, and these are the options, that linprog(method="highs")
     passed: min -v over the column-wise matrix [-A 1; 1^T 0] with its exact
-    zeros dropped, rows -inf <= . <= 0 and 1 <= . <= 1, z >= 0 and v free.
-    The LP's arrays are dropped once passModel has copied them, before
-    HiGHS runs. Returns None, the primal (z, v) and the inequality rows'
-    duals, or HiGHS's model status text and no solution when the LP is not
-    solved to optimality.
+    zeros dropped (_lp_columns), rows -inf <= . <= 0 and 1 <= . <= 1,
+    z >= 0 and v free. The LP's arrays are dropped once passModel has
+    copied them, before HiGHS runs. Returns None, the primal (z, v) and
+    the inequality rows' duals, or HiGHS's model status text and no
+    solution when the LP is not solved to optimality.
     """
     m, n = A.shape
     inf = _highspy.kHighsInf
-    M = np.empty((n + 1, m + 1))  # row j holds column j of the LP
-    M[:n, :m] = -A.T
-    M[:n, m] = M[n, :m] = 1.0
-    M[n, m] = 0.0
-    nz = M != 0.0
-    start = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(nz.sum(axis=1), out=start[1:])
-    index = np.nonzero(nz)[1].astype(np.int32)
+    start, index, value = _lp_columns(A)
     highs = _highspy._Highs()
-    for option, value in _HIGHS_OPTIONS.items():
-        highs.setOptionValue(option, value)
+    for option, setting in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, setting)
     status = highs.passModel(
         n + 1, m + 1, int(start[-1]), 1, 1, 0.0,  # column-wise, minimize, no offset
         np.append(np.zeros(n), -1.0),
@@ -186,11 +206,11 @@ def _col_lp(A: np.ndarray):
         np.append(np.zeros(m), 1.0),
         start,
         index,
-        M[nz],
+        value,
         # all continuous; an empty array would pass HiGHS a dangling pointer
         np.zeros(n + 1, dtype=np.int32),
     )
-    del M, nz, index  # HiGHS holds its own copy of the model from here
+    del start, index, value  # HiGHS holds its own copy of the model from here
     if status == _highspy.HighsStatus.kError:
         model_status = _highspy.HighsModelStatus.kModelError
     else:
@@ -208,8 +228,7 @@ def _highs(S, scale):
     _simplex returns them, and HiGHS's model status for each game whose LP
     it did not solve, by index. Such a game has value NaN and zero mixes,
     so it fails its certificate. HiGHS takes the games unscaled, so scale
-    is unused; it is there so that either solver can stand in for the
-    other."""
+    is unused; it is there so that _highs takes _simplex's arguments."""
     G, m, k = S.shape
     v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     failures = {}
@@ -222,38 +241,97 @@ def _highs(S, scale):
     return v, y, z, failures
 
 
-def _certify(S, scale, v, y, z):
+def _certify(S, scale, v, y, z, unique=False):
     """Certify the solutions (v[g], y[g], z[g]) of the games S[g] of a stack.
 
     Each mix is clipped at 0 and normalised to sum 1; a mix of no weight
     turns NaN, and its game fails. Both best-response gaps are taken against
     the whole matrices, each by one matmul over the stack, so no copy of it
     is made. Returns the clean mixes, the gaps and which games certify:
-    both gaps within GAP_TOL times the game's max|A|, scale[g].
+    both gaps within GAP_TOL times the game's max|A|, scale[g], and, if
+    unique, _unique's proof from the same two products that the game has
+    no other equilibrium.
     """
     y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
     with np.errstate(invalid="ignore"):
         y /= y.sum(axis=1, keepdims=True)
         z /= z.sum(axis=1, keepdims=True)
-    row_gap = (y[:, None, :] @ S)[:, 0].max(axis=1) - v
-    col_gap = v - (S @ z[:, :, None])[:, :, 0].min(axis=1)
-    return y, z, row_gap, col_gap, np.maximum(row_gap, col_gap) <= GAP_TOL * scale
+    yS, Sz = (y[:, None, :] @ S)[:, 0], (S @ z[:, :, None])[:, :, 0]
+    row_gap, col_gap = yS.max(axis=1) - v, v - Sz.min(axis=1)
+    ok = np.maximum(row_gap, col_gap) <= GAP_TOL * scale
+    if unique:
+        ok = _unique(S, scale, v, y, z, yS, Sz, ok)
+    return y, z, row_gap, col_gap, ok
 
 
-def _solve(S, scale, first, second):
-    """Solve the stack S, of max|A| scale, by the solver first, and every
-    game whose certificate is slack once more by second. Returns the
-    values, the clean mixes and the gaps; raises SolverError if a game is
-    slack under both, naming HiGHS's status if HiGHS did not solve it."""
-    v, y, z, failures = first(S, scale)
+def _unique(S, scale, v, y, z, yS, Sz, ok):
+    """Which of the games ok marks provably have (v[g], y[g], z[g]) as their
+    only equilibrium, given the clean mixes and the products yS = y^T S and
+    Sz = S z.
+
+    This is the Shapley-Snow (1950) and Kaplansky (1945) characterization
+    of a unique solution, with the supports R = {r : y_r > UNIQUE_TOL} and
+    C = {j : z_j > UNIQUE_TOL}, and tau = UNIQUE_TOL times max|A|:
+    |R| = |C|; every row off R pays at least v + tau against z, and every
+    column off C at most v - tau against y (strict complementarity); and
+    the bordered support block [S_RC / max|A|, -1; 1^T, 0] is nonsingular.
+    The last holds when one small solve, of the block against the
+    identity, gives an inverse whose column and row for v reproduce
+    (z_C, v / max|A|) and (y_R, v / max|A|) within UNIQUE_TOL: the
+    equations S_RC z_C = v 1 and y_R^T S_RC = v 1^T, with both mixes
+    summing to 1, then pin both mixes. Then any other equilibrium would
+    play only R and C, since every other pure strategy loses against this
+    one, and would solve the same equations.
+    """
+    scale = np.where(scale > 0, scale, 1.0)
+    margin = UNIQUE_TOL * scale
+    R, C = y > UNIQUE_TOL, z > UNIQUE_TOL
+    ok = ok & (R.sum(axis=1) == C.sum(axis=1))
+    ok &= (R | (Sz >= (v + margin)[:, None])).all(axis=1)
+    ok &= (C | (yS <= (v - margin)[:, None])).all(axis=1)
+    for g in np.flatnonzero(ok).tolist():
+        rows, cols = np.flatnonzero(R[g]), np.flatnonzero(C[g])
+        s = len(cols)
+        B = np.zeros((s + 1, s + 1))
+        B[:s, :s] = S[g][np.ix_(rows, cols)] / scale[g]
+        B[:s, s], B[s, :s] = -1.0, 1.0
+        try:
+            inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            ok[g] = False
+            continue
+        found = np.concatenate([inv[:s, s], -inv[s, :s], inv[s, s:]])
+        given = np.concatenate([z[g, cols], y[g, rows], [v[g] / scale[g]]])
+        ok[g] = bool(np.abs(found - given).max() <= UNIQUE_TOL)
+    return ok
+
+
+def _solve(S, unique=False):
+    """Solve the stack S by the simplex, and by HiGHS every game whose
+    certificate is slack or, if unique, that _unique does not prove to have
+    one equilibrium; such a game keeps the simplex's solution where HiGHS's
+    is slack and the simplex's is not. Returns the values, the clean mixes
+    and the gaps; raises SolverError if a game is slack under both, naming
+    HiGHS's status if HiGHS did not solve it."""
+    scale = _scales(S)
+    v, y, z, failures = _simplex(S, scale)
     v += 0.0  # -0.0 + 0.0 is +0.0: a zero-valued game's value and gaps print as 0
-    y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
+    if unique:
+        y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z, unique=True)
+    else:
+        y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
     if not ok.all():
         g = np.flatnonzero(~ok)
-        v[g], y[g], z[g], again = second(S[g], scale[g])
-        v[g] += 0.0
-        failures.update((int(g[j]), failure) for j, failure in again.items())
-        y[g], z[g], row_gap[g], col_gap[g], ok[g] = _certify(S[g], scale[g], v[g], y[g], z[g])
+        certified = np.maximum(row_gap[g], col_gap[g]) <= GAP_TOL * scale[g]
+        again = S if len(g) == len(S) else S[g]  # a stack that all goes is not copied
+        v2, y2, z2, failed = _highs(again, scale[g])
+        v2 += 0.0
+        failures.update((int(g[j]), failure) for j, failure in failed.items())
+        y2, z2, row_gap2, col_gap2, ok2 = _certify(again, scale[g], v2, y2, z2)
+        ok[g] = ok2 | certified
+        take = ok2 | ~certified
+        h = g[take]
+        v[h], y[h], z[h], row_gap[h], col_gap[h] = (x[take] for x in (v2, y2, z2, row_gap2, col_gap2))
         if not ok.all():
             j = int(np.flatnonzero(~ok)[0])
             failure = f"column LP failed: {failures[j]}; " if j in failures else ""
@@ -266,15 +344,19 @@ def _solve(S, scale, first, second):
 def solve_zero_sum(A) -> GameSolution:
     """Equilibrium value and certified mixed strategies of one zero-sum game.
 
-    The value and column strategy come from HiGHS's column LP, the row
-    strategy from its inequality duals. An LP that HiGHS does not solve
-    (it refuses entries of 1e15 and more) or a slack certificate (degenerate
-    bases occasionally produce one, and HiGHS's absolute tolerances do on a
-    game in tiny units) sends the game to solve_games' simplex. Raises
+    The simplex of solve_games solves the game first. Its solution stands
+    where _unique proves the equilibrium unique, so that any certified
+    solver would return it. Every other game, and one whose simplex
+    certificate is slack, goes to HiGHS's column LP, whose value and column
+    strategy come from its primal and whose row strategy comes from its
+    inequality duals: where the optimal mixes form a set, HiGHS's vertex is
+    the one printed. An LP that HiGHS does not solve (it refuses entries of
+    1e15 and more) or whose certificate is slack (degenerate bases
+    occasionally produce one, and HiGHS's absolute tolerances do on a game
+    in tiny units) keeps the simplex's certified solution. Raises
     SolverError if neither solver certifies the game.
     """
-    S = np.asarray(A, dtype=float)[None]
-    v, y, z, row_gap, col_gap = _solve(S, _scales(S), _highs, _simplex)
+    v, y, z, row_gap, col_gap = _solve(np.asarray(A, dtype=float)[None], unique=True)
     return GameSolution(float(v[0]), y[0], z[0], float(row_gap[0]), float(col_gap[0]))
 
 
@@ -418,7 +500,7 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     S = np.asarray(S, dtype=float)
     if S.ndim != 3:
         raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
-    return _solve(S, _scales(S), _simplex, _highs)[:3]
+    return _solve(S)[:3]
 
 
 def _first_saddle(A: np.ndarray) -> np.ndarray:

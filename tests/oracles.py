@@ -283,6 +283,38 @@ def col_lp_reference(A, presolve=False):
     )
 
 
+def col_lp_dense(A):
+    """The column-wise arrays (start, index, value) of matrixgame._col_lp's
+    LP, built as _col_lp built them before it went one column at a time:
+    the dense (n+1) x (m+1) matrix [-A 1; 1^T 0], stored by LP column, with
+    its exact zeros dropped."""
+    m, n = A.shape
+    M = np.empty((n + 1, m + 1))  # row j holds column j of the LP
+    M[:n, :m] = -A.T
+    M[:n, m] = M[n, :m] = 1.0
+    M[n, m] = 0.0
+    nz = M != 0.0
+    start = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(nz.sum(axis=1), out=start[1:])
+    return start, np.nonzero(nz)[1].astype(np.int32), M[nz]
+
+
+def hider_mix_spread(A, value):
+    """How far the Hider's optimal mixes of A spread: the largest range of
+    one weight z_j over the mixes that hold every row to at least value,
+    by two linprog calls per column, within HiGHS's feasibility tolerance.
+    Near 0 where the Hider's optimal mix is unique; where the mixes form a
+    set, the width of its widest weight."""
+    m, n = A.shape
+    face = dict(A_ub=-A, b_ub=np.full(m, -value), A_eq=np.ones((1, n)), b_eq=np.ones(1), method="highs")
+    spread = 0.0
+    for j in range(n):
+        lo, hi = (linprog(sign * np.eye(n)[j], **face) for sign in (1.0, -1.0))
+        assert lo.status == hi.status == 0, (lo.message, hi.message)
+        spread = max(spread, -hi.fun - lo.fun)
+    return spread
+
+
 def full_lp_values(S):
     """Each game's value from one HiGHS column LP over all its rows, through
     scipy's linprog, with no certificate and so no fallback to the simplex:

@@ -427,6 +427,33 @@ def test_raw_philox_words_count_the_cells_their_uniforms_count(model, monkeypatc
     assert 0 < runs[0][2] < 70_000  # some trials end by the reveal, and some play on
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_a_batch_of_subgames_plays_as_each_subgame_alone(c, monkeypatch):
+    # the playout solves a batch's LP-bound subgames as one stack, and runs
+    # HiGHS only on those that solve_zero_sum, given one alone, sends to it
+    rs = hs.enumerate_routes(7)
+    A = hs.base_matrix(random_instance(np.random.default_rng(29), 7), rs)
+    t, n, block = 2, rs.n, hs.prefix_block(rs, 2)
+    keys = np.array([h * n + i for h in range(rs.m // block) for i in range(n) if rs.position_matrix[h * block, i] > t])
+    calls = []
+    real_col_lp = hs.matrixgame._col_lp
+    monkeypatch.setattr(hs.matrixgame, "_col_lp", lambda S: calls.append(S) or real_col_lp(S))
+    batch = experiments._subgame_supports(A, rs, t, c, keys)
+    stacked = len(calls)
+    for key, (rows, cols) in zip(keys.tolist(), batch, strict=True):
+        h, i = divmod(key, n)
+        targets, ys, zs = oracles.subgame_play(A, rs, t, c, h, i)
+        for (cdf, labels), (w, codes) in zip((rows, cols), (
+            (ys, (h * block + np.arange(block)) * n),
+            (zs, targets + rs.m * n * (targets != i)),
+        )):
+            want = experiments._support(w, codes)
+            np.testing.assert_array_equal(labels, want[1])
+            np.testing.assert_allclose(cdf, want[0], rtol=0, atol=1e-12)
+    assert 0 < stacked == len(calls) - stacked
+    assert (stacked < len(keys)) == (c > 0)  # at c = 0 every subgame here goes to HiGHS
+
+
 def test_feedback_counts_match_the_oracle_past_65536_keys():
     # n = 8, t = 6 with 13 of the 20,160 prefixes in the Seeker's support,
     # the last among them: its subgame keys h*n + i pass 65,535, and the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hideseek as hs
 import hideseek.matrixgame as mg
 import hideseek.payoff as payoff
-from hideseek import experiments
+from hideseek import cli, experiments
 
 import reference as ref
 from conftest import random_instance
@@ -297,33 +297,58 @@ def test_game_values_match_solve_zero_sum_on_mixed_shapes():
         assert abs(v - hs.solve_zero_sum(A).value) <= 1e-9 * np.abs(A).max()
 
 
-def test_solve_zero_sum_falls_back_to_the_simplex(monkeypatch):
-    # a slack HiGHS certificate sends the game to solve_games' simplex, whose
-    # solution is certified in turn and returned as solve_games returns it
-    A = _mixed_shapes()[3]
-    expect = mg.solve_games(A[None])
-    real_certify, real_simplex = mg._certify, mg._simplex
-    certified, simplexed = [], []
+def _highs_solution(A):
+    """HiGHS's own solution of A, cleaned and certified as _solve cleans and
+    certifies it: (value, Seeker mix, Hider mix)."""
+    failure, x, duals = mg._col_lp(A)
+    assert failure is None
+    y, z = mg._certify(A[None], np.array([np.abs(A).max()]), x[-1:], -duals[None], x[None, :-1])[:2]
+    return x[-1] + 0.0, y[0], z[0]
 
-    def slack_first(S, scale, v, y, z):
-        y, z, row_gap, col_gap, ok = real_certify(S, scale, v, y, z)
-        certified.append(S)
-        return y, z, row_gap, col_gap, ok & (len(certified) > 1)
 
-    def spy_simplex(S, scale):
-        simplexed.append(S)
-        return real_simplex(S, scale)
+def _assert_solution(sol, expect):
+    assert sol.value == expect[0]
+    np.testing.assert_array_equal(sol.row_strategy, expect[1])
+    np.testing.assert_array_equal(sol.col_strategy, expect[2])
 
-    monkeypatch.setattr(mg, "_certify", slack_first)
-    monkeypatch.setattr(mg, "_simplex", spy_simplex)
-    sol = hs.solve_zero_sum(A)
-    assert len(certified) == 2 and len(simplexed) == 1
-    np.testing.assert_array_equal(simplexed[0], A[None])
-    assert sol.value == expect[0][0]
-    np.testing.assert_array_equal(sol.row_strategy, expect[1][0])
-    np.testing.assert_array_equal(sol.col_strategy, expect[2][0])
-    assert (sol.row_gap, sol.col_gap) == pytest.approx(_recomputed_gaps(A, sol), abs=1e-15)
-    _assert_certified([A], _solved([sol]))
+
+def test_solve_zero_sum_sends_slack_and_unproven_games_to_highs(monkeypatch):
+    # the simplex goes first; a slack simplex certificate sends the game to
+    # HiGHS, and so does a certified game that the gate does not prove to
+    # have one equilibrium; where HiGHS's certificate is then slack, the
+    # simplex's certified solution stands
+    unique = _mixed_shapes()[3]  # a random 6 x 3 game: its equilibrium is unique
+    tied = _presolve_reducible()["duplicate_columns"]  # certified, but its Hider mixes form a set
+    simplex = {name: [x[0] for x in mg.solve_games(A[None])] for name, A in (("unique", unique), ("tied", tied))}
+    highs = {"unique": _highs_solution(unique), "tied": _highs_solution(tied)}
+    _assert_certified([unique, tied, unique, tied], [*simplex.values(), *highs.values()])
+    real_certify = mg._certify
+    slack = []  # which certificates, in call order, are made slack
+
+    def certify(S, scale, v, y, z, unique=False):
+        y, z, row_gap, col_gap, ok = real_certify(S, scale, v, y, z, unique)
+        if slack.pop(0):
+            return y, z, row_gap + 1.0, col_gap, ok & False
+        return y, z, row_gap, col_gap, ok
+
+    monkeypatch.setattr(mg, "_certify", certify)
+    reached = _spy_highs(monkeypatch)
+    slack[:] = [False]
+    _assert_solution(hs.solve_zero_sum(unique), simplex["unique"])
+    assert reached == [] and slack == []
+    slack[:] = [True, False]  # the simplex's certificate is slack
+    sol = hs.solve_zero_sum(unique)
+    assert len(reached) == 1 and np.array_equal(reached[0], unique) and slack == []
+    _assert_solution(sol, highs["unique"])
+    assert (sol.row_gap, sol.col_gap) == pytest.approx(_recomputed_gaps(unique, sol), abs=1e-15)
+
+    slack[:] = [False, False]
+    _assert_solution(hs.solve_zero_sum(tied), highs["tied"])
+    assert len(reached) == 2 and np.array_equal(reached[1], tied) and slack == []
+    slack[:] = [False, True]  # HiGHS's certificate is slack: the simplex's stands
+    _assert_solution(hs.solve_zero_sum(tied), simplex["tied"])
+    assert len(reached) == 3 and slack == []
+    assert np.abs(simplex["tied"][2] - highs["tied"][2]).max() > 1e-3  # two vertices of the set
 
 
 def test_solve_zero_sum_raises_when_both_solvers_are_slack(monkeypatch):
@@ -361,6 +386,184 @@ def test_the_column_lp_reports_a_model_highs_refuses():
     # HiGHS refuses matrix entries of 1e15 and more
     A = np.array([[1e300, 1.0], [0.5, 2.0]])
     assert mg._col_lp(A) == ("Model error", None, None)
+
+
+# the uniqueness gate: solve_zero_sum keeps the simplex's solution, and
+# makes no HiGHS LP, only where strict complementarity and a nonsingular
+# support block prove the equilibrium unique
+
+def _gate(A):
+    """Whether the gate passes the simplex's certified solution of A."""
+    S = A[None]
+    scale = mg._scales(S)
+    v, y, z, _ = mg._simplex(S, scale)
+    return bool(mg._certify(S, scale, v, y, z, unique=True)[4][0])
+
+
+def test_a_unique_mixed_equilibrium_makes_no_highs_lp(monkeypatch):
+    made = _recorded_highs(monkeypatch)
+    A = np.array([[2.4142, 3.4142], [4.4142, 1.4142]])
+    sol = hs.solve_zero_sum(A)
+    assert made == []
+    den = A[0, 0] + A[1, 1] - A[0, 1] - A[1, 0]
+    assert sol.value == pytest.approx((A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / den, abs=1e-12)
+    np.testing.assert_allclose(sol.row_strategy, [(A[1, 1] - A[1, 0]) / den, (A[0, 0] - A[0, 1]) / den], atol=1e-12)
+    np.testing.assert_allclose(sol.col_strategy, [(A[1, 1] - A[0, 1]) / den, (A[0, 0] - A[1, 0]) / den], atol=1e-12)
+
+
+def test_duplicated_hider_columns_go_to_highs(monkeypatch):
+    A = np.array([[2.4142, 3.4142, 3.4142], [4.4142, 1.4142, 1.4142]])
+    expect = _highs_solution(A)
+    calls = _spy_col_lp(monkeypatch)
+    _assert_solution(hs.solve_zero_sum(A), expect)
+    assert len(calls) == 1
+    assert not _gate(A) and _gate(A[:, :2])
+
+
+def test_an_off_support_row_inside_the_margin_goes_to_highs(monkeypatch):
+    # the third row loses by 1e-12 against the Hider's (1/2, 1/2): the
+    # equilibrium is unique, but the gate asks for a loss of 1e-9 max|A|
+    near = np.array([[1.0, -1.0], [-1.0, 1.0], [1e-12, 1e-12]])
+    far = np.array([[1.0, -1.0], [-1.0, 1.0], [1e-6, 1e-6]])
+    calls = _spy_col_lp(monkeypatch)
+    for A, highs in ((near, 1), (far, 0)):
+        sol = hs.solve_zero_sum(A)
+        assert len(calls) == highs and sol.value == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(sol.col_strategy, [0.5, 0.5], atol=1e-12)
+        calls.clear()
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.559, 2.117)])
+def test_a_singular_support_block_goes_to_highs(a, b, monkeypatch):
+    # the game [[a, b, m], [b, a, m], [m, m, m]], m = (a + b) / 2, solved
+    # with both mixes at (1/4, 1/4, 1/2): every strategy is in its support,
+    # so strict complementarity holds, but the third row and column are the
+    # means of the others, so the support block [S_RC, -1; 1^T, 0] is
+    # singular and the optimal mixes form a set. At a = b the inverse
+    # raises; at (1.559, 2.117) round-off leaves a pivot near 1e-16 and an
+    # inverse with entries near 9e15, which does not give the mixes back
+    m = (a + b) / 2
+    A = np.array([[a, b, m], [b, a, m], [m, m, m]])
+    S, scale, v = A[None], np.array([max(a, b)]), np.array([m])
+    w = np.array([[0.25, 0.25, 0.5]])
+    y, z, row_gap, col_gap, ok = mg._certify(S, scale, v, w.copy(), w.copy())
+    assert ok[0] and max(row_gap[0], col_gap[0]) <= 1e-15
+    assert not mg._unique(S, scale, v, y, z, y @ A, z @ A.T, ok)[0]
+    expect = _highs_solution(A)
+    monkeypatch.setattr(mg, "_simplex", lambda S, scale: (v.copy(), w.copy(), w.copy(), {}))
+    calls = _spy_col_lp(monkeypatch)
+    _assert_solution(hs.solve_zero_sum(A), expect)
+    assert len(calls) == 1
+
+
+def _tie_heavy_games(data):
+    """A small integer game with repeated rows and columns, at a drawn scale."""
+    m, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+    top = data.draw(st.sampled_from([1, 2, 4]))
+    base = np.array(data.draw(st.lists(st.integers(-top, top), min_size=m * k, max_size=m * k)), dtype=float)
+    rows = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=2 * m), label="rows")
+    cols = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=2 * k), label="cols")
+    return data.draw(st.sampled_from([1.0, 0.37, 1e-6, 1e5])) * base.reshape(m, k)[rows][:, cols]
+
+
+def _assert_highs_agrees(A):
+    """HiGHS's value within 1e-9 max|A| of the simplex's, and both of its
+    mixes within 1e-9 of the simplex's."""
+    v, y, z = (x[0] for x in mg.solve_games(A[None]))
+    hv, hy, hz = _highs_solution(A)
+    assert abs(hv - v) <= 1e-9 * np.abs(A).max()
+    assert np.abs(hy - y).max() <= 1e-9 and np.abs(hz - z).max() <= 1e-9
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_where_the_gate_passes_highs_agrees(data):
+    A = _tie_heavy_games(data)
+    if _gate(A):
+        _assert_highs_agrees(A)
+
+
+def test_the_gate_passes_many_random_integer_games():
+    # the hypothesis test above checks only the games that pass: here a
+    # fixed draw of tie-heavy games, about two fifths of which pass
+    rng = np.random.default_rng(97)
+    passed = 0
+    for _ in range(400):
+        A = rng.integers(-2, 3, size=(rng.integers(1, 7), rng.integers(1, 6))).astype(float)
+        if rng.random() < 0.3:  # a repeated column
+            A = A[:, rng.integers(0, A.shape[1], size=A.shape[1] + 1)]
+        if _gate(A):
+            passed += 1
+            _assert_highs_agrees(A)
+    assert passed >= 120
+
+
+def test_the_benchmark_game8_commands_make_one_highs_lp(tmp_path, capsys, monkeypatch):
+    # seed-1 n = 8: the restricted t = 2, c = 1 game, solved by solve, voi
+    # and simulate, has a unique equilibrium; the base game's mixes form a set
+    path = tmp_path / "n8.json"
+    workloads.write_instance(path, 8, 1)
+    calls = _spy_col_lp(monkeypatch)
+    for argv in workloads.workload("game8", str(path)).commands:
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == 1 and np.array_equal(calls[0], _seed1_8_games()["base"])
+    assert _gate(_seed1_8_games()["switch"]) and _gate(_seed1_8_games()["feedback"])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_c0_feedback_games_whose_mixes_form_a_set_go_to_highs(seed, monkeypatch):
+    # at c = 0 a prefix row's unvisited cells tie, and on some games the
+    # Hider's optimal mixes form a set, from which round-off picks HiGHS's
+    # vertex; the gate sends each of those to HiGHS, so solve_zero_sum
+    # prints HiGHS's vertex there, as it did before the simplex went first
+    rs = hs.enumerate_routes(8)
+    A = hs.base_matrix(hs.make_instance(**workloads.make_instance(8, seed)), rs)
+    calls = _spy_col_lp(monkeypatch)
+    sets = 0
+    for t in range(1, 6):  # up to 6,720 prefixes
+        for convention in ("total", "remaining"):
+            F = hs.feedback_matrix(A, rs, hs.SwitchConfig(t, 0.0, convention))
+            calls.clear()
+            sol = hs.solve_zero_sum(F)
+            if oracles.hider_mix_spread(F, sol.value) > 1e-6:
+                sets += 1
+                assert len(calls) == 1, (t, convention)
+                _assert_solution(sol, _highs_solution(F))
+            elif not calls:  # the gate passed: the Hider's mix is the one optimal mix
+                assert oracles.hider_mix_spread(F, sol.value) <= 1e-6
+    assert sets >= 3  # t = 1 and 2 under total and t = 5 under remaining
+
+
+# _lp_columns builds _col_lp's LP one column at a time, with the arrays the
+# dense build gave (oracles.col_lp_dense)
+
+def _assert_lp_columns_match_the_dense_build(A):
+    for got, want in zip(mg._lp_columns(A), oracles.col_lp_dense(A), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three"])
+def test_lp_columns_match_the_dense_build_on_bundled_games(name):
+    inst = hs.load_instance(ROOT / "instances" / f"{name}.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    _assert_lp_columns_match_the_dense_build(A)
+    for t in range(1, inst.n):
+        for c in (0.0, 1.0):
+            cfg = hs.SwitchConfig(t, c)
+            _assert_lp_columns_match_the_dense_build(hs.switch_matrix(A, rs, cfg))
+            _assert_lp_columns_match_the_dense_build(hs.feedback_matrix(A, rs, cfg))
+
+
+def test_lp_columns_match_the_dense_build_on_seeded_and_zero_games():
+    games = [*_seed1_8_games().values(), *_mixed_shapes(), *_presolve_reducible().values()]
+    zeros = np.array([[0.0, -0.0, 2.0], [1.5, 0.0, -0.0], [-0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
+    games += [zeros, zeros[:, 1:], np.zeros((3, 2))]
+    for A in games:
+        _assert_lp_columns_match_the_dense_build(A)
+    for A in games[-3:-1]:
+        _assert_col_lp_matches_linprog(A)
 
 
 def _lp_bound_stacks(inst, t, c):
@@ -867,7 +1070,8 @@ def test_feedback_matrix_needs_no_lp_when_every_game_certifies(monkeypatch):
 # HiGHS runs without presolve: every call says so, and the games presolve
 # could shrink still certify and keep the values presolved HiGHS gives
 
-def test_every_lp_runs_without_presolve(monkeypatch):
+def _recorded_highs(monkeypatch):
+    """Every HiGHS object made, one per LP."""
     made = []
 
     class RecordingHighs(mg._highspy._Highs):
@@ -876,11 +1080,18 @@ def test_every_lp_runs_without_presolve(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(mg._highspy, "_Highs", RecordingHighs)
+    return made
+
+
+def test_every_lp_runs_without_presolve(monkeypatch):
+    made = _recorded_highs(monkeypatch)
+    reached = _spy_highs(monkeypatch)  # the games that reach HiGHS
     for A in _mixed_shapes():
         mg.solve_zero_sum(A)
+    assert len(reached) >= 2  # the constant game and the one of duplicate rows and columns
     monkeypatch.setattr(mg, "_MAX_PIVOTS", 1)  # games left open go to HiGHS
     mg.solve_games(np.random.default_rng(5).uniform(0, 4, size=(3, 200, 5)))
-    assert len(made) == len(_mixed_shapes()) + 3
+    assert len(made) == len(reached) >= 5
     for highs in made:
         assert highs.getOptionValue("presolve")[1] == "off"
         assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual

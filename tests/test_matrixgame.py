@@ -721,56 +721,112 @@ def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
+def _spy_pivots(monkeypatch):
+    """Each pivot round of _simplex, as the basis lists and inverses of the
+    games it pivots, recorded once _pivot has updated them."""
+    real_pivot = mg._pivot
+    pivots = []
+
+    def spy_pivot(inv, basis, D, p, q):
+        real_pivot(inv, basis, D, p, q)
+        pivots.append((basis.copy(), inv.copy()))
+
+    monkeypatch.setattr(mg, "_pivot", spy_pivot)
+    return pivots
+
+
+def _basis_matrix(A, basis):
+    """The basis matrix of A's Seeker LP, A divided by its max|A|, for the
+    variables basis (rows 0..m-1, slacks m..m+k-1, w m+k), in _simplex's
+    numbering."""
+    m, k = A.shape
+    lp = np.zeros((k + 1, m + k + 1))  # the LP's columns: [S^T / max|A|, I, -1; 1^T, 0, 0]
+    lp[:k, :m], lp[k, :m] = A.T / np.abs(A).max(), 1.0
+    lp[:k, m : m + k] = np.eye(k)
+    lp[:k, m + k] = -1.0
+    return lp[:, basis]
+
+
+def _drift(A, basis, inv):
+    """How far a maintained inverse is from a fresh inverse of its basis,
+    relative to the fresh inverse's largest entry."""
+    fresh = np.linalg.inv(_basis_matrix(A, basis))
+    return np.abs(inv - fresh).max() / np.abs(fresh).max()
+
+
 def test_game_values_solve_the_games_of_a_failed_batch_alone(monkeypatch):
-    # one singular basis in the batched inverse fails its own game only
+    # one game whose inverse turns NaN in the stack fails its own game only
     S = np.random.default_rng(89).uniform(-4, 4, size=(6, 300, 5))
     expect = mg.solve_games(S)[0]
-    real_inverses = mg._inverses
-    singular = []
+    real_pivot = mg._pivot
+    broken = []
 
-    def singular_second_game(B):
-        if not singular:
-            singular.append(B[1].copy())
-            B = B.copy()
-            B[1] = 0.0
-        return real_inverses(B)
+    def break_second_game(inv, basis, D, p, q):
+        real_pivot(inv, basis, D, p, q)
+        if not broken:
+            broken.append(len(inv))
+            inv[1] = np.nan
 
-    monkeypatch.setattr(mg, "_inverses", singular_second_game)
+    monkeypatch.setattr(mg, "_pivot", break_second_game)
     alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
-    assert len(alone) == 1
+    assert broken == [6] and len(alone) == 1
     np.testing.assert_array_equal(alone[0], S[1])
     np.testing.assert_allclose(values, expect, rtol=0, atol=1e-9 * np.abs(S).max())
 
 
-def test_inverses_keep_the_stack_past_a_singular_basis():
-    B = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
-    inv, finite = mg._inverses(B)
-    np.testing.assert_array_equal(finite, [True, False, True])
-    np.testing.assert_array_equal(inv[0], np.eye(3))
-    np.testing.assert_array_equal(inv[2], 0.5 * np.eye(3))
+def test_pivot_updates_each_inverse_of_the_stack_alone():
+    # the rank-one update gives the inverse of the new basis, game by game:
+    # a game whose inverse is NaN leaves the others as they are
+    rng = np.random.default_rng(7)
+    B = rng.uniform(-1, 1, size=(3, 4, 4)) + 4 * np.eye(4)
+    a = rng.uniform(-1, 1, size=(3, 4))
+    inv = np.linalg.inv(B)
+    inv[1] = np.nan
+    basis = np.tile(np.arange(4), (3, 1))
+    p, q = np.array([0, 2, 3]), np.array([7, 8, 9])
+    mg._pivot(inv, basis, np.einsum("gij,gj->gi", inv, a), p, q)
+    np.testing.assert_array_equal(basis, [[7, 1, 2, 3], [0, 1, 8, 3], [0, 1, 2, 9]])
+    for g in (0, 2):
+        B[g, :, p[g]] = a[g]
+        np.testing.assert_allclose(inv[g], np.linalg.inv(B[g]), rtol=1e-12, atol=1e-12)
     assert np.isnan(inv[1]).all()
 
 
 def test_game_values_never_re_add_active_rows(monkeypatch):
     # a basic row or slack never enters the basis again: every basis holds
-    # k + 1 distinct columns, and the loop stops within the pivot cap
+    # k + 1 distinct variables, and the loop stops within the pivot cap
     S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
-    real_inverses = mg._inverses
-    bases = []
-
-    def spy_inverses(B):
-        bases.append(B.copy())
-        return real_inverses(B)
-
-    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    pivots = _spy_pivots(monkeypatch)
     alone = _spy_highs(monkeypatch)
     values = mg.solve_games(S)[0]
-    assert alone == [] and 1 < len(bases) <= mg._MAX_PIVOTS + 1
-    for B in bases:
-        for b in B:
-            assert len(np.unique(b.T, axis=0)) == len(b)
+    assert alone == [] and 0 < len(pivots) <= mg._MAX_PIVOTS
+    for basis, _ in pivots:
+        for b in basis:
+            assert len(np.unique(b)) == len(b)
     np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=1e-12 * np.abs(S).max())
+
+
+def test_the_simplex_runs_one_lapack_inverse_per_stack(monkeypatch):
+    # the start bases' inverses are written out, every pivot updates them
+    # in place, and one LAPACK call inverts the optimal bases of the games
+    # that closed, for their solutions
+    S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
+    real_inv, real_pivot = np.linalg.inv, mg._pivot
+    inverted, starts = [], []
+    monkeypatch.setattr(np.linalg, "inv", lambda B: inverted.append(B.shape) or real_inv(B))
+
+    def spy_pivot(inv, basis, D, p, q):
+        starts.append((basis.copy(), inv.copy()))
+        real_pivot(inv, basis, D, p, q)
+
+    monkeypatch.setattr(mg, "_pivot", spy_pivot)
+    v = mg._simplex(S, mg._scales(S))[0]
+    assert inverted == [(4, 6, 6)] and len(starts) > 5 and np.isfinite(v).all()
+    basis, inv = starts[0]
+    for g in range(4):
+        fresh = real_inv(_basis_matrix(S[g], basis[g]))
+        np.testing.assert_allclose(inv[g], fresh, rtol=0, atol=1e-15 * np.abs(fresh).max())
 
 
 def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
@@ -825,18 +881,14 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
     assert A.shape == (120, 5)
     expect = hs.solve_zero_sum(A).value
     assert expect == pytest.approx(10.2974586, abs=1e-7)
-    real_inverses = mg._inverses
-    bases = []
-
-    def spy_inverses(B):
-        bases.append(len(B))
-        return real_inverses(B)
-
-    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    pivots = _spy_pivots(monkeypatch)
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)  # Bland's rule from the first pivot
     v, y, z, failures = mg._simplex(A[None], np.array([np.abs(A).max()]))
     assert failures == {}
-    assert np.isfinite(v).all() and len(bases) == 42  # 41 pivots, then the optimal basis
+    assert np.isfinite(v).all() and len(pivots) == 41  # 41 pivots to the optimal basis
+    # the inverse updated over the 41 pivots is a fresh inverse of the optimal basis
+    basis, inv = pivots[-1]
+    assert _drift(A, basis[0], inv[0]) <= 1e-12
     _, _, row_gap, col_gap, _ = mg._certify(A[None], np.array([np.abs(A).max()]), v, y, z)
     assert max(row_gap[0], col_gap[0]) <= 1e-14 * np.abs(A).max()
     assert abs(v[0] - expect) <= 1e-12 * np.abs(A).max()
@@ -852,37 +904,67 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
 SWEEP_GAMES = {"seed1_n8_t4_c8.585": (8, 1, 4, 7), "seed3_n7_t2_c12.339": (7, 3, 2, 12)}
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_GAMES))
-def test_sweep_switch_games_close_by_the_simplex_alone(name, monkeypatch):
+def _sweep_switch_game(name):
+    """The switch game SWEEP_GAMES names."""
     n, seed, t, index = SWEEP_GAMES[name]
     inst = hs.make_instance(**workloads.make_instance(n, seed))
     rs = hs.enumerate_routes(n)
     A = hs.base_matrix(inst, rs)
     c = np.linspace(0.0, 1.2 * hs.cstar_global(hs.cstar(A, rs, 1, "route")), 25)[index]
-    S = hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(c)))[None]
-    real_inverses = mg._inverses
-    bases = []
+    return hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(c)))
 
-    def spy_inverses(B):
-        bases.append(len(B))
-        return real_inverses(B)
 
-    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+@pytest.mark.parametrize("name", sorted(SWEEP_GAMES))
+def test_sweep_switch_games_close_by_the_simplex_alone(name, monkeypatch):
+    S = _sweep_switch_game(name)[None]
+    pivots = _spy_pivots(monkeypatch)
     alone = _spy_highs(monkeypatch)
     v = mg.solve_games(S)[0]
-    assert alone == [] and len(bases) - 1 <= 100  # pivots, then the optimal basis
+    assert alone == [] and len(pivots) <= 100
     np.testing.assert_allclose(v, [hs.solve_zero_sum(S[0]).value], rtol=1e-9, atol=0)
 
 
+def test_the_updated_inverse_holds_up_to_the_pivot_cap(monkeypatch):
+    # under Bland's rule from the first pivot, the seed-3 n = 7 switch game
+    # is still open at the cap, beside a random game that closes early: after
+    # _MAX_PIVOTS rank-one updates its inverse is within 1e-8 (relative to
+    # its largest entry) of a fresh inverse of its basis, about 2e-10 here
+    late = _sweep_switch_game("seed3_n7_t2_c12.339")
+    S = np.stack([np.random.default_rng(3).uniform(-4, 4, size=late.shape), late])
+    pivots = _spy_pivots(monkeypatch)
+    monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)
+    v = mg._simplex(S, mg._scales(S))[0]
+    assert np.isfinite(v[0]) and np.isnan(v[1]) and len(pivots) == mg._MAX_PIVOTS
+    basis, inv = pivots[-1]
+    assert len(basis) == 1 and _drift(late, basis[0], inv[0]) <= 1e-8
+
+
+def test_games_that_close_or_leave_at_different_pivots_raise_no_warning(monkeypatch):
+    # a game closed at its start basis, one closed after a few pivots and
+    # one left open by the cap: the games that close or leave are dropped
+    # before the update, so none divides by a zero pivot element
+    late = _sweep_switch_game("seed3_n7_t2_c12.339")
+    closed = np.add.outer(np.arange(late.shape[0], dtype=float), np.arange(late.shape[1], dtype=float))
+    S = np.stack([closed, np.random.default_rng(3).uniform(-4, 4, size=late.shape), late])
+    alone = [mg._simplex(S[g : g + 1], mg._scales(S[g : g + 1])) for g in range(2)]
+    pivots = _spy_pivots(monkeypatch)
+    monkeypatch.setattr(mg, "_MAX_PIVOTS", 30)  # the late game takes 39
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        v, y, z, _ = mg._simplex(S, mg._scales(S))
+    counts = [len(basis) for basis, _ in pivots]
+    assert len(counts) == 30 and counts[0] == 2 and counts[-1] == 1
+    assert np.isnan(v[2]) and not y[2].any()
+    for g in range(2):
+        for got, want in zip((v, y, z), alone[g]):
+            assert np.array_equal(got[g], want[0])
+
+
 def _pivot_counts(S, monkeypatch):
-    """The bases _simplex inverts while it solves the stack S: its pivots,
-    then the optimal basis."""
-    real_inverses = mg._inverses
-    bases = []
-    monkeypatch.setattr(mg, "_inverses", lambda B: bases.append(len(B)) or real_inverses(B))
+    """The pivot rounds _simplex makes while it solves the stack S."""
+    pivots = _spy_pivots(monkeypatch)
     mg.solve_games(S)
     monkeypatch.undo()
-    return len(bases)
+    return len(pivots)
 
 
 def test_solve_games_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
@@ -897,7 +979,7 @@ def test_solve_games_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
     bland = hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(grid[index])))
     # a saddle at (0, k-1), on the start basis: the row of least row maximum
     closed = np.add.outer(np.arange(rs.m, dtype=float), np.arange(n, dtype=float))
-    assert _pivot_counts(closed[None], monkeypatch) == 1
+    assert _pivot_counts(closed[None], monkeypatch) == 0
     assert _pivot_counts(bland[None], monkeypatch) > 32  # past _STALL_PIVOTS zero-step pivots
     games = [A, bland, closed] + [
         hs.switch_matrix(A, rs, hs.SwitchConfig(t, float(c), convention))
@@ -1021,25 +1103,18 @@ def test_game_values_scale_with_the_matrix(factor, monkeypatch):
     # to GAP_TOL times it: no game leaves it for HiGHS at any scale, and a
     # power of two changes no pivot and no bit of the values
     inst = random_instance(np.random.default_rng(4), 6)
-    real_inverses = mg._inverses
-    bases = []
-
-    def spy_inverses(B):
-        bases.append(len(B))
-        return real_inverses(B)
-
-    monkeypatch.setattr(mg, "_inverses", spy_inverses)
+    pivots = _spy_pivots(monkeypatch)
     alone = _spy_highs(monkeypatch)
     exact = np.log2(factor).is_integer()
     for t in (1, 2, 3):
         for S in _lp_bound_stacks(inst, t, 0.5):
-            bases.clear()
+            pivots.clear()
             values = mg.solve_games(S)[0]
-            pivots = bases.copy()
-            bases.clear()
+            bases = [basis.tolist() for basis, _ in pivots]
+            pivots.clear()
             scaled = mg.solve_games(factor * S)[0]
             np.testing.assert_allclose(scaled, factor * values, rtol=0 if exact else 1e-12, atol=0)
-            assert bases == pivots or not exact
+            assert [basis.tolist() for basis, _ in pivots] == bases or not exact
     assert alone == []
 
 

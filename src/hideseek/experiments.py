@@ -417,26 +417,33 @@ def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
     (slot may also be one int for every k), whose guide table is
     tables[slot[k]]: labels[searchsorted(cdf, u[k], "right")], as _support
     defines it. u holds uniforms in [0, 1), or the uint64 Philox words
-    they stand for (_trial_words), which give the same labels.
+    they stand for (_trial_words), which give the same labels."""
+    return _draw_at(tables, supports, np.asarray(slot, dtype=np.intp) * tables.shape[1], u)
+
+
+def _draw_at(tables: np.ndarray, supports, base, u: np.ndarray) -> np.ndarray:
+    """_draw, with each uniform's table row given by its offset base[k] =
+    slot[k] * 2^K in the flattened tables, so that draws from the same
+    slots share it.
 
     u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1); a
-    word's bucket is its top K bits, and a lookup gives its label. A trial
-    whose bucket holds the sentinel is drawn by a search of its own
-    support's cdf, and only its word is made a uniform; the few such
-    trials are sorted by support, so each support is searched once.
+    word's bucket is its top K bits, read as an intp in place, and a
+    lookup gives its label. A trial whose bucket holds the sentinel is
+    drawn by a search of its own support's cdf, and only its word is made
+    a uniform; the few such trials are sorted by support, so each support
+    is searched once.
     """
     scale = tables.shape[1]
-    words = u.dtype == np.uint64
     # numpy shifts a word by 64 to 0, the one bucket of a table of 2^0
-    bucket = (u >> (65 - scale.bit_length()) if words else u * scale).astype(np.intp)
-    bucket += np.asarray(slot, dtype=np.intp) * scale  # a 1-D take is faster than a 2-D gather
+    bucket = (u >> (65 - scale.bit_length())).view(np.intp) if u.dtype == np.uint64 else (u * scale).astype(np.intp)
+    bucket += base  # a 1-D take is faster than a 2-D gather
     drawn = tables.ravel().take(bucket)
     miss = np.flatnonzero(drawn == np.iinfo(drawn.dtype).max)
     if len(miss):
-        slots = np.broadcast_to(slot, u.shape)[miss]
+        slots = np.broadcast_to(base, u.shape)[miss] // scale
         order = np.argsort(slots)
         miss, slots = miss[order], slots[order]
-        x = (u[miss] >> 11) * 2.0**-53 if words else u[miss]
+        x = (u[miss] >> 11) * 2.0**-53 if u.dtype == np.uint64 else u[miss]
         bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(miss)]
         for a, b in zip(bounds, bounds[1:]):
             cdf, labels = supports[slots[a]]
@@ -508,14 +515,17 @@ def simulate(
     Every draw is a guide-table lookup (_draw), exact for every word,
     and no table has more buckets than a block has trials. The first two
     draws give a trial's positions in the supports of y and z, whose pair
-    indexes tables of whether the trial ended and of its base-matrix code
-    or, when it is late in the feedback model, its subgame. A subgame is
-    built and solved when a trial first reaches it, and its row and column
+    indexes tables of whether the trial ended and of its base-matrix code,
+    and in the feedback model of its subgame's slot. A subgame is built
+    and solved when a trial first reaches it, and its row and column
     tables are filled into its own rows of the two subgame tables, whose
     bucket count fits two tables for every possible subgame into
     _TABLE_BYTES. Its row labels are route codes k*n and its column labels
     target codes with the m*n switch offset, so a late trial's code is the
-    sum of its two draws.
+    sum of its two draws. A late pair's base-matrix code is 0 and an ended
+    pair's slot is a last, all-zero one, so every trial of a block takes
+    both draws and adds them to its code, with no subset of the block
+    taken.
     """
     values, counts, ended = _cell_counts(A, rs, model, y, z, t, c, trials, seed)
     mean = float(counts @ values / trials)
@@ -565,15 +575,21 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
     ended = rs.position_matrix[h * block, i] <= t
     pair_code = (h * block * n + i).astype(code_type)
     if feedback:
-        # a late pair's code is its subgame's slot among the distinct late keys h*n + i
-        keys, pair_code[~ended] = np.unique((h * n + i)[~ended], return_inverse=True)
+        # a late pair draws its code from its subgame's slot among the
+        # distinct late keys h*n + i, and an ended pair its code plus two
+        # draws from a last, all-zero slot, so every trial takes one path
+        keys, late_slot = np.unique((h * n + i)[~ended], return_inverse=True)
+        pair_slot = np.full(ended.shape, len(keys))
+        pair_slot[~ended], pair_code[~ended] = late_slot, 0
         size = _TABLE_BYTES // (2 * (m // block) * (n - t) * code_type.itemsize)
         scale = _buckets(min(size, trials, _BLOCK))
         batch = max(1, min(256, _SUBGAME_BYTES // (8 * block * (n - t))))  # subgames built at once
-        row_tables = np.empty((len(keys), scale), code_type)
-        col_tables = np.empty_like(row_tables)
+        row_tables = np.zeros((len(keys) + 1, scale), code_type)
+        col_tables = np.zeros_like(row_tables)
         row_supports, col_supports = {}, {}
-        built = np.zeros(len(keys), dtype=bool)
+        built = np.zeros(len(keys) + 1, dtype=bool)
+        built[-1] = True
+        pair_slot = pair_slot.ravel()
     pair_code, pair_ended = pair_code.ravel(), ended.ravel()
 
     counts = np.zeros(len(values))  # a float histogram, so that counts @ values makes no copy
@@ -583,12 +599,10 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
         pair = _draw(*tops[0], 0, u[:, 0]).astype(np.intp)
         pair *= len(i)
         pair += _draw(*tops[1], 0, u[:, 1])
-        ended = pair_ended[pair]
-        ended_total += int(np.count_nonzero(ended))
+        ended_total += int(np.count_nonzero(pair_ended[pair]))
         code = pair_code[pair]
         if feedback:
-            late = np.flatnonzero(~ended)
-            slot = code[late]
+            slot = pair_slot[pair]
             reached = np.zeros_like(built)
             reached[slot] = True
             fresh = np.flatnonzero(reached & ~built).tolist()
@@ -603,8 +617,8 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
                     searched = (tables[new] == np.iinfo(code_type).max).any(axis=1)
                     supports.update((k, support) for k, support, hit in zip(new, found, searched) if hit)
             built |= reached
-            code[late] = _draw(row_tables, row_supports, slot, u[late, 2]) + _draw(
-                col_tables, col_supports, slot, u[late, 3]
-            )
+            slot *= scale  # each trial's table row as its offset, which both late draws share
+            code += _draw_at(row_tables, row_supports, slot, u[:, 2])
+            code += _draw_at(col_tables, col_supports, slot, u[:, 3])
         np.add.at(counts, code, 1.0)  # a float 1, for which add.at has a fast loop
     return values, counts, ended_total

@@ -12,6 +12,16 @@ LP is its fallback. Both certify through one helper, _certify, by
 best-response gaps against the full matrix rather than by trusting the
 solver, and a game the simplex does not certify goes to HiGHS.
 
+A stack is dense, or shared (_SharedStack): a few blocks B, and for each
+game a block and a shift constant down each column, S_g = B - 1 shift^T,
+as the reveal-stage subgames of one Held-Karp state share one block of
+the base matrix. _scales, _simplex and _certify take one form, in which a
+dense stack is one block per game and no shift: every entry they read is
+the block's less the shift, the game's own bit for bit, each game is
+priced and certified by matrix-vector products on its own block, and
+only a game that goes to HiGHS is materialised. _saddle_possible screens
+a shared stack for pure saddles by _first_saddle's exact bound test.
+
 The CLI prints the mixes solve_zero_sum returns. Where a game's optimal
 mixes form a set, which one a solver returns depends on its pivots, and
 the printed mix is HiGHS's vertex. So solve_zero_sum keeps the simplex's
@@ -150,12 +160,104 @@ class GameSolution:
     col_gap: float
 
 
-def _scales(S: np.ndarray) -> np.ndarray:
-    """Each game's max|A| in the stack S, shape (G, m, k). Raises ValueError
-    unless every game has a row, a column and finite entries only."""
-    if S.ndim != 3 or 0 in S.shape[1:]:
+class _SharedStack:
+    """A stack of games that share a few blocks: game g is the block
+    blocks[block[g]] less cost[g] off every column but keep[g], that is
+    S_g = B - 1 shift_g^T with shift_g = cost[g] (1 - e_keep[g]) and
+    cost[g] >= 0 (check_cost). All the (cost, start) reveal-stage
+    subgames of one Held-Karp state are one block (payoff._subgames). A
+    dense stack is the same form with one game per block and no shift
+    (_shared).
+
+    Every entry of a game is read as B - shift, which is the game's own
+    entry bit for bit, and so are its row maxima (row_maxima) and column
+    extremes, since rounding x - c is monotone in x. Indexing materialises
+    games, Hider-major as the blocks are: S[g] is game g, S[array] a dense
+    stack of games, and np.asarray(S) the whole stack.
+
+    The blocks are kept in falling order of their game counts, copied into
+    it if they come in another, so that the blocks with equal counts run
+    together (groups). Taken in block order (order), the games of such a
+    run form a (blocks, count) grid, and one matmul of the run's blocks,
+    broadcast over the count, takes a product of each game with its own
+    block: one matrix-vector product per game, a block's games one after
+    the other while the block is in cache.
+    """
+
+    def __init__(self, blocks, block, cost, keep):
+        check_cost(cost)
+        block = np.asarray(block, dtype=np.intp)
+        counts = np.bincount(block, minlength=len(blocks))
+        if (np.diff(counts) > 0).any():
+            used = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+            where = np.empty(len(blocks), dtype=np.intp)
+            where[used] = np.arange(len(used))
+            blocks, block, counts = blocks[used], where[block], counts[used]
+        self.blocks, self.block, self.cost, self.keep = blocks, block, cost, keep
+        self.shape = (len(block), *blocks.shape[1:])
+        self.shift = np.where(np.arange(blocks.shape[2]) == keep[:, None], 0.0, cost[:, None])
+        self.order = np.argsort(block, kind="stable")
+        # (first block, end block, games per block, first game in order)
+        ends = [*(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+        starts = np.cumsum(counts) - counts
+        self.groups = [(a, b, int(counts[a]), int(starts[a])) for a, b in zip([0, *ends], ends) if a < b and counts[a]]
+
+    def __len__(self):
+        return len(self.block)
+
+    def __getitem__(self, g):
+        if np.ndim(g) == 0:
+            return self.blocks[self.block[g]] - self.shift[g]
+        S = self.blocks[self.block[g]]  # a copy, shifted in place
+        S -= self.shift[g][:, None, :]
+        return S
+
+    def __array__(self, dtype=None, copy=None):
+        S = self[np.arange(len(self))]
+        return S if dtype is None else S.astype(dtype, copy=False)
+
+    def take(self, g):
+        """The shared stack of the games g."""
+        return _SharedStack(self.blocks, self.block[g], self.cost[g], self.keep[g])
+
+    def row_maxima(self, games):
+        """Yield the row maxima of the games, in order, for at most a
+        quarter of _PRICE_BYTES of them at a time, as a caller holds a few
+        such arrays: (their slice of games, maxima of shape (len, m)). A
+        row's maximum is the larger of its entry at the kept column and
+        its block's row maximum less the cost: where that maximum lies off
+        the kept column, this is the row's largest entry off it less the
+        cost, and elsewhere the kept entry is the maximum, which no entry
+        less a cost of 0 or more exceeds."""
+        B = self.blocks
+        top = B.max(axis=2)
+        step = max(1, _PRICE_BYTES // (32 * B.shape[1]))
+        for a in range(0, len(games), step):
+            g = games[a : a + step]
+            rowmax = top[self.block[g]]
+            rowmax -= self.cost[g, None]
+            yield slice(a, a + len(g)), np.maximum(rowmax, B[self.block[g], :, self.keep[g]], out=rowmax)
+
+
+def _shared(S) -> _SharedStack:
+    """The stack S in the shared form: as it is, or a dense (G, m, k) stack
+    as G blocks of one unshifted game each."""
+    if isinstance(S, _SharedStack):
+        return S
+    G = len(S)
+    return _SharedStack(S, np.arange(G), np.zeros(G), np.zeros(G, dtype=np.intp))
+
+
+def _scales(S) -> np.ndarray:
+    """Each game's max|A| in the stack S, shape (G, m, k), dense or shared:
+    from its block's column maxima and minima less its shift, which are its
+    own. Raises ValueError unless every game has a row, a column and finite
+    entries only."""
+    if len(S.shape) != 3 or 0 in S.shape[1:]:
         raise ValueError(f"degenerate matrix shape {S.shape[1:]}")
-    hi, lo = S.max(axis=(1, 2)), S.min(axis=(1, 2))  # NaN and inf show in these
+    S = _shared(S)
+    hi = (S.blocks.max(axis=1)[S.block] - S.shift).max(axis=1)  # NaN and inf show in these
+    lo = (S.blocks.min(axis=1)[S.block] - S.shift).min(axis=1)
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise ValueError("matrix has non-finite entries")
     return np.maximum(hi, -lo)
@@ -247,20 +349,38 @@ def _highs(S, scale):
 def _certify(S, scale, v, y, z, unique=False):
     """Certify the solutions (v[g], y[g], z[g]) of the games S[g] of a stack.
 
-    Each mix is clipped at 0 and normalised to sum 1; a mix of no weight
-    turns NaN, and its game fails. Both best-response gaps are taken against
-    the whole matrices, each by one matmul over the stack, so no copy of it
-    is made. Returns the clean mixes, the gaps and which games certify:
-    both gaps within GAP_TOL times the game's max|A|, scale[g], and, if
-    unique, _unique's proof from the same two products that the game has
-    no other equilibrium.
+    Each mix is clipped at 0 and normalised to sum 1, in place, so that no
+    second Seeker mix of one float per game and row is held; a mix of no
+    weight turns NaN, and its game fails. Both best-response gaps are taken
+    against the whole games, dense or shared (_SharedStack), from y^T B
+    and B z on each game's block less its shift, y^T 1 shift^T and
+    (shift^T z) 1: one matmul per group of blocks with equal game counts
+    (_SharedStack.groups), so no game is materialised. Returns the clean
+    mixes, the gaps and which games certify: both gaps within GAP_TOL times
+    the game's max|A|, scale[g], and, if unique, _unique's proof from the
+    same two products that the game has no other equilibrium.
     """
-    y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
+    y, z = np.maximum(y, 0.0, out=y), np.maximum(z, 0.0, out=z)
     with np.errstate(invalid="ignore"):
         y /= y.sum(axis=1, keepdims=True)
         z /= z.sum(axis=1, keepdims=True)
-    yS, Sz = (y[:, None, :] @ S)[:, 0], (S @ z[:, :, None])[:, :, 0]
-    row_gap, col_gap = yS.max(axis=1) - v, v - Sz.min(axis=1)
+    T = _shared(S)
+    G, m, k = T.shape
+    yS, low, Sz = np.empty((G, k)), np.empty(G), np.empty((G, m)) if unique else None
+    in_order = (T.order == np.arange(G)).all()  # as a dense stack: slices, not copies
+    for a, b, count, start in T.groups:
+        g = slice(start, start + (b - a) * count)
+        g = g if in_order else T.order[g]
+        yg, zg, shift = y[g], z[g], T.shift[g]
+        grid = (b - a, count)
+        yB = np.matmul(yg.reshape(*grid, 1, m), T.blocks[a:b, None]).reshape(-1, k)
+        yS[g] = yB - yg.sum(axis=1, keepdims=True) * shift
+        Bz = np.matmul(T.blocks[a:b, None], zg.reshape(*grid, k, 1)).reshape(-1, m)
+        Bz -= np.einsum("gk,gk->g", shift, zg)[:, None]
+        low[g] = Bz.min(axis=1)
+        if unique:
+            Sz[g] = Bz
+    row_gap, col_gap = yS.max(axis=1) - v, v - low
     ok = np.maximum(row_gap, col_gap) <= GAP_TOL * scale
     if unique:
         ok = _unique(S, scale, v, y, z, yS, Sz, ok)
@@ -363,19 +483,19 @@ def solve_zero_sum(A) -> GameSolution:
     return GameSolution(float(v[0]), y[0], z[0], float(row_gap[0]), float(col_gap[0]))
 
 
-def _bases(S, scale, games, basis):
-    """The basis matrices of the Seeker LPs of the games S[games], each
-    divided by its scale, for the variables basis[j] of game games[j], in
+def _bases(B, block, shift, scale, basis):
+    """The basis matrices of the Seeker LPs of the games B[block[j]] -
+    shift[j], each divided by scale[j], for the variables basis[j], in
     _simplex's numbering and order (w at position k)."""
-    m, k = S.shape[1:]
-    B = np.zeros((len(games), k + 1, k + 1))
-    B[:, :k, k] = -1.0
+    m, k = B.shape[1:]
+    M = np.zeros((len(basis), k + 1, k + 1))
+    M[:, :k, k] = -1.0
     j, at = np.nonzero(basis[:, :k] < m)  # basic rows
-    B[j, :k, at] = S[games[j], basis[j, at]] / scale[games[j], None]
-    B[j, k, at] = 1.0
+    M[j, :k, at] = (B[block[j], basis[j, at]] - shift[j]) / scale[j, None]
+    M[j, k, at] = 1.0
     j, at = np.nonzero(basis[:, :k] >= m)  # basic slacks
-    B[j, basis[j, at] - m, at] = 1.0
-    return B
+    M[j, basis[j, at] - m, at] = 1.0
+    return M
 
 
 def _pivot(inv, basis, D, p, q):
@@ -394,7 +514,8 @@ def _pivot(inv, basis, D, p, q):
 
 def _simplex(S, scale):
     """Lockstep revised primal simplex on the Seeker LP of every game of the
-    stack S, shape (G, m, k): min w subject to S^T y <= w, sum y = 1, y >= 0.
+    stack S, shape (G, m, k), dense or shared (_SharedStack): min w
+    subject to S^T y <= w, sum y = 1, y >= 0.
 
     Each game is divided by its max|A|, scale[g] (an all-zero game by 1).
     Its variables are numbered rows 0..m-1, slacks m..m+k-1 and w m+k; its
@@ -418,73 +539,94 @@ def _simplex(S, scale):
     inverse of the closed games' optimal bases gives their values and
     mixes, so that these carry no round-off from the updates.
 
-    Every open game pivots in every round, and a round touches only the
-    open games. It prices the rows and the slacks apart (where they tie,
-    the row enters): the rows by S (z / max|A|), which divides k numbers
-    per game where (S z) / max|A| divided m, into one (G, m, 1) buffer by
-    one matmul over the stack while most games are open, with no copy of
-    the stack, and then from copies of at most _PRICE_BYTES of it (a copy
-    per game made a sweep's tiny games slow, and one of every open game
-    took up to half the stack); v is taken off the open games' rows only.
-    It works out Bland's choices only while some game is in a Bland run,
-    and drops the games that close or leave before the update, so that no
+    Every entry the simplex reads, the start row of least row maximum, an
+    entering row and a basis matrix, is read from the game's block less
+    its shift, which is the game's own entry bit for bit. Every open game
+    pivots in every round, and a round touches only the open games. It
+    prices the rows and the slacks apart (where they tie, the row enters):
+    the rows by B (z / max|A|) less (shift^T z / max|A|) + v for each game
+    on its block B, which divides k numbers per game where (S z) / max|A|
+    divided m. While most games are open, every game is priced into one
+    (G, m, 1) buffer by one matmul per group of blocks with equal game
+    counts (_SharedStack.groups), one matrix-vector product per game, with
+    no copy of a block; then the open games only, from copies of the blocks
+    of at most _PRICE_BYTES of them at a time (a copy per game made a
+    sweep's tiny games slow, and one of every open game took up to half
+    the stack). So a game's bits do not depend on the games beside it. It
+    works out Bland's choices only while some game is in a Bland run, and
+    drops the games that close or leave before the update, so that no
     closing game divides by a zero pivot element. Returns each game's
     value, Seeker mix and Hider mix, uncleaned, and no failure statuses
     (see _highs); a game left open by an unbounded or undefined ratio test
     or by the pivot cap has value NaN and both mixes 0.
     """
-    G, m, k = S.shape
+    T = _shared(S)
+    G, m, k = T.shape
+    B, order = T.blocks, T.order  # the simplex numbers the games in block order
+    block, shift = T.block[order], T.shift[order]
     games, cols = np.arange(G), np.arange(k)
-    scale = np.where(scale > 0, scale, 1.0)
+    scale = np.where(scale > 0, scale, 1.0)[order]
     # start at the row of least row maximum, every slack basic but its argmax's
-    r0 = S.max(axis=2).argmin(axis=1)
-    j0 = S[games, r0].argmax(axis=1)
+    r0 = np.empty(G, dtype=np.intp)
+    for at, rowmax in T.row_maxima(order):
+        r0[at] = rowmax.argmin(axis=1)
+    s = B[block, r0] - shift
+    j0 = s.argmax(axis=1)
     # position j holds slack j, or row r0 for j = j0; position k holds w
     basis = np.tile(np.append(m + cols, m + k), (G, 1))
     basis[games, j0] = r0
     # its inverse, with s = S[r0] / scale: row j0 is e_k, row k is
     # s[j0] e_k - e_j0, and each other row i is e_i - e_j0 + (s[j0] - s[i]) e_k
-    s = S[games, r0] / scale[:, None]
+    s /= scale[:, None]
     inv = np.zeros((G, k + 1, k + 1))
     inv[:, cols, cols] = 1.0
     inv[games, :, j0] = -1.0
     inv[:, :k, k] = s[games, j0][:, None] - s
     inv[games, j0, j0], inv[games, j0, k] = 0.0, 1.0
     inv[:, k, k] = s[games, j0]
-    v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     stalls = np.zeros(G, dtype=int)
     closed, optimal = np.zeros(G, dtype=bool), np.empty_like(basis)  # each closed game's basis
     u = np.zeros((G, k, 1))  # each open game's Hider mix z / scale, which prices its rows
-    Sz = np.empty((G, m, 1))  # every round's pricing product S u
+    Sz = np.empty((G, m, 1))  # every round's pricing product B u
+    lift = np.zeros(G)  # and what each game takes off it: shift^T u + v
     size = max(1, _PRICE_BYTES // (8 * m * k))  # games per priced copy
     open_, pivots = games, 0
+    bk, sh, sc = block, shift, scale  # the open games' blocks, shifts and scales
+    shifted = T.cost.any()
     while len(open_):
         rc_slack, x, w = -inv[:, k, :k], inv[:, :k, k], inv[:, k, k]
-        u[open_, :, 0] = rc_slack / scale[open_, None]
-        if 2 * len(open_) > G:  # most games open: one matmul over the stack, no copy of it
-            np.matmul(S, u, out=Sz)
-            rc_row = Sz[:, :, 0] if len(open_) == G else Sz[open_, :, 0]
-        else:  # only the open games, from copies of a few of them at a time
+        uo = rc_slack / sc[:, None]
+        u[open_, :, 0] = uo
+        if shifted:
+            w = w + np.einsum("gk,gk->g", sh, uo)
+        if 2 * len(open_) > G:  # most games open: every game on its block, no copy of one
+            for a, b, count, start in T.groups:
+                g = slice(start, start + (b - a) * count)
+                np.matmul(B[a:b, None], u[g].reshape(b - a, count, k, 1), out=Sz[g].reshape(b - a, count, m, 1))
+            lift[open_] = w
+            rc_row, at = Sz[:, :, 0], open_
+        else:  # only the open games, from copies of a few blocks at a time
             for j in range(0, len(open_), size):
                 g = open_[j : j + size]
-                np.matmul(S[g], u[g], out=Sz[j : j + len(g)])
-            rc_row = Sz[: len(open_), :, 0]
-        rc_row -= w[:, None]  # the open games' row reduced costs, in place
-        row_min, slack_min = rc_row.min(axis=1), rc_slack.min(axis=1)
+                np.matmul(B[bk[j : j + size]], u[g], out=Sz[j : j + len(g)])
+            rc_row, at = Sz[: len(open_), :, 0], slice(None)
+            lift[: len(open_)] = w
+        rc_row -= lift[: len(rc_row), None]  # the row reduced costs, in place; those of closed games unread
+        row_min, slack_min = rc_row.min(axis=1)[at], rc_slack.min(axis=1)
         done = np.minimum(row_min, slack_min) >= -_RC_TOL
         if done.any():
             closed[open_[done]], optimal[open_[done]] = True, basis[done]
         # the most negative reduced cost, a row where a row and a slack tie
-        q = np.where(row_min <= slack_min, rc_row.argmin(axis=1), m + rc_slack.argmin(axis=1))
+        q = np.where(row_min <= slack_min, rc_row.argmin(axis=1)[at], m + rc_slack.argmin(axis=1))
         bland = stalls >= _STALL_PIVOTS
         in_bland = bland.any()
         if in_bland:  # the first negative one: a row if any, else a slack
-            neg_row, neg_slack = rc_row < -_RC_TOL, rc_slack < -_RC_TOL
+            neg_row, neg_slack = (rc_row < -_RC_TOL)[at], rc_slack < -_RC_TOL
             first = np.where(neg_row.any(axis=1), neg_row.argmax(axis=1), m + neg_slack.argmax(axis=1))
             q = np.where(bland, first, q)
         a = np.zeros((len(open_), k + 1))  # the entering column
         row = q < m
-        a[row, :k] = S[open_[row], q[row]] / scale[open_[row], None]
+        a[row, :k] = (B[bk[row], q[row]] - sh[row]) / sc[row, None]
         a[row, k] = 1.0
         a[np.flatnonzero(~row), q[~row] - m] = 1.0
         D = np.einsum("gij,gj->gi", inv, a)  # the entering column in the basis
@@ -499,16 +641,22 @@ def _simplex(S, scale):
             p = np.where(bland, np.where(tie, basis[:, :k], m + k).argmin(axis=1), p)
         stalls = np.where(step <= _RC_TOL, stalls + 1, 0)
         if not go.all():  # a game closes or leaves: keep the open ones
-            open_, inv, basis, stalls, D, p, q = (part[go] for part in (open_, inv, basis, stalls, D, p, q))
+            open_, inv, basis, stalls, D, p, q, bk, sh, sc = (
+                part[go] for part in (open_, inv, basis, stalls, D, p, q, bk, sh, sc)
+            )
         if len(open_):
             _pivot(inv, basis, D, p, q)
         pivots += 1
-    # the closed games' solutions, from one fresh inverse of their optimal bases
+    Sz = rc_row = None  # the pricing buffer goes before the Seeker mixes come
+    # the closed games' solutions, from one fresh inverse of their optimal
+    # bases, each put back at its place in the stack
+    v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     g = np.flatnonzero(closed)
-    inv = np.linalg.inv(_bases(S, scale, g, optimal[g]))
-    v[g], z[g] = inv[:, k, k] * scale[g], -inv[:, k, :k]
+    inv = np.linalg.inv(_bases(B, block[g], shift[g], scale[g], optimal[g]))
+    at = order[g]
+    v[at], z[at] = inv[:, k, k] * scale[g], -inv[:, k, :k]
     basic_rows = optimal[g, :k] < m
-    y[g[np.nonzero(basic_rows)[0]], optimal[g, :k][basic_rows]] = inv[:, :k, k][basic_rows]
+    y[at[np.nonzero(basic_rows)[0]], optimal[g, :k][basic_rows]] = inv[:, :k, k][basic_rows]
     return v, y, z, {}
 
 
@@ -517,24 +665,46 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero-sum games, shape (G, m, k): (values, Seeker mixes, Hider mixes),
     of shapes (G,), (G, m) and (G, k).
 
-    Every game's Seeker LP (k+1 constraints) is solved by a lockstep primal
-    simplex over the whole stack (_simplex): one row enters per pivot, as
-    in row generation, and all the games pivot together in a few batched
-    numpy calls, with no LP built. The Seeker mixes are read from the bases
-    and the Hider mixes from the duals. A game the simplex could not close,
-    or whose certificate is slack, is solved again by HiGHS's column LP.
-    Raises SolverError if a game does not certify either way.
+    The stack is a dense array, or a shared stack (_SharedStack): a few
+    blocks, and for each game its block and the shift, constant down each
+    column, that it takes off it, as feedback_matrix hands over the
+    subgames of its Held-Karp states. Every game's Seeker LP (k+1
+    constraints) is solved by a lockstep primal simplex over the whole
+    stack (_simplex): one row enters per pivot, as in row generation, and
+    all the games pivot together in a few batched numpy calls, with no LP
+    built. Each game is priced by one matrix-vector product on its own
+    block, and every entry read is the block's less the shift, so a shared
+    stack is never copied per game. The Seeker mixes are read from the
+    bases and the Hider mixes from the duals. A game the simplex could not
+    close, or whose certificate is slack, is materialised and solved again
+    by HiGHS's column LP. Raises SolverError if a game does not certify
+    either way.
 
     The stack may be stored in any layout. Every stack the package builds
     is Hider-major, np.swapaxes of a (G, k, m) array, so that each game's
     Seeker axis, along which the reductions and S z run, is contiguous.
     Within one layout each game gets the same bits in any stack, beside any
-    games and in any place; across layouts they may differ in round-off.
+    games and in any place; across layouts they may differ in round-off,
+    and so may a shared game and the same game materialised.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 3:
-        raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
+    if not isinstance(S, _SharedStack):
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 3:
+            raise ValueError(f"expected a (G, m, k) stack of games, got shape {S.shape}")
     return _solve(S)[:3]
+
+
+def _saddle_bounds(rowmax, colmin):
+    """_first_saddle's tie bounds, from the row maxima and column minima:
+    a cell of row r and column j is a saddle if lo[r] <= it <= hi[j], with
+    lo = rowmax - SADDLE_TOL |rowmax| and hi = colmin + SADDLE_TOL |colmin|,
+    each taken in place in one array."""
+    lo, hi = np.abs(rowmax), np.abs(colmin)
+    lo *= -SADDLE_TOL
+    lo += rowmax
+    hi *= SADDLE_TOL
+    hi += colmin
+    return lo, hi
 
 
 def _first_saddle(A: np.ndarray) -> np.ndarray:
@@ -552,11 +722,24 @@ def _first_saddle(A: np.ndarray) -> np.ndarray:
     eight-site instance at t = 2, c = 1), the cells are not compared. A NaN
     bound fails the test, and its stack is compared. The cell order is
     row-major in any layout of the stack."""
-    rowmax, colmin = A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True)
-    lo, hi = rowmax - SADDLE_TOL * np.abs(rowmax), colmin + SADDLE_TOL * np.abs(colmin)
+    lo, hi = _saddle_bounds(A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True))
     if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():
         return np.full(A.shape[:-2], -1)
     mask = A >= lo
     mask &= A <= hi
     mask = mask.reshape(*A.shape[:-2], -1)
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), -1)
+
+
+def _saddle_possible(S: _SharedStack) -> np.ndarray:
+    """Which games of the shared stack S _first_saddle's bound test leaves
+    open (the least lo at most the greatest hi, or a NaN bound), taken from
+    the blocks: each game's row maxima (_SharedStack.row_maxima) and column
+    minima (the block's less the shift) are its own, so the test is
+    _first_saddle's exactly, and a game it rules out has no saddle."""
+    colmin = S.blocks.min(axis=1)
+    possible = np.empty(len(S), dtype=bool)
+    for at, rowmax in S.row_maxima(np.arange(len(S))):
+        lo, hi = _saddle_bounds(rowmax, colmin[S.block[at]] - S.shift[at])
+        possible[at] = ~(lo.min(axis=1) > hi.max(axis=1))
+    return possible

@@ -22,13 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, distance_matrix
-from .matrixgame import _first_saddle, check_cost, solve_games
+from .matrixgame import _first_saddle, _saddle_possible, _SharedStack, check_cost, solve_games
 from .routes import RouteSet, check_reveal_time, prefix_block
 
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
-# feedback_matrix gathers, scans and solves its subgames in stacks of at most
-# this many bytes: one cost's subgames at n = 8, t = 1 (15.8 MB) fit in one.
+# _subgames scans the subgames its saddle screen leaves open in dense stacks
+# of at most this many bytes, and feedback_matrix solves its LP-bound ones in
+# shared stacks of at most this many bytes of four floats per subgame and row
+# (the simplex's pricing and row maxima, the Seeker mix and a certificate
+# product): all 336 of the seed-1 n = 8 instance at t = 2 go in one.
 _STACK_BYTES = 1 << 24
 
 
@@ -158,6 +161,44 @@ def subgame_matrix(A: np.ndarray, rs: RouteSet, t: int, h, i, c) -> np.ndarray:
     return np.swapaxes(S, -1, -2)
 
 
+def _states(rs: RouteSet, t: int):
+    """Each prefix's Held-Karp state at reveal time t, its visited set and
+    last node, with the states numbered in order of their first prefixes:
+    (the state of each prefix, the first prefix of each state)."""
+    nodes = rs.route_array[:: prefix_block(rs, t), :t].astype(np.intp)  # the key's shifts wrap in uint8 past n = 8
+    key = (1 << (nodes - 1)).sum(axis=1) * (rs.n + 1) + nodes[:, -1]
+    _, rep, state = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(rep)
+    return np.argsort(order)[state], rep[order]
+
+
+def _subgames(A: np.ndarray, rs: RouteSet, t: int, rep, costs):
+    """The reveal-stage subgames of the states whose first prefixes are rep,
+    at each cost, as one shared stack (matrixgame._SharedStack), and each
+    one's first pure saddle, as _first_saddle finds it, or -1.
+
+    The subgames run over (cost, state, start), the starts ascending. A
+    state's block B_s is gathered once, as subgame_matrix's subgame at
+    c = 0, and the subgame of cost c and start i is B_s less c off every
+    column but i's, subgame_matrix's subgame bit for bit. _saddle_possible
+    screens every subgame from the blocks, by _first_saddle's exact bound
+    test, and only the subgames it leaves open are scanned, materialised in
+    stacks of at most _STACK_BYTES.
+    """
+    k = rs.n - t
+    cols = np.nonzero(rs.position_matrix[rep * prefix_block(rs, t)] > t)[1].reshape(len(rep), k)
+    B = subgame_matrix(A, rs, t, rep, cols[:, 0] + 1, 0.0)
+    c, s, i = (index.ravel() for index in np.indices((len(costs), len(rep), k)))
+    games = _SharedStack(B, s, costs[c], i)
+    cell = np.full(len(games), -1)
+    open_ = np.flatnonzero(_saddle_possible(games))
+    size = max(1, _STACK_BYTES // B[0].nbytes)  # subgames per scanned stack
+    for j in range(0, len(open_), size):
+        g = open_[j : j + size]
+        cell[g] = _first_saddle(games[g])
+    return games, cell
+
+
 def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     """Prefix-indexed payoffs when the Seeker anticipates relocation.
 
@@ -178,15 +219,18 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     visited set and the last prefix node; the prefix order adds its
     cumulative cost to every entry), so the mixed values are solved once
     per state, C(n,t)*t of them instead of n!/(n-t)!, on the state's first
-    prefix. The subgames of every (cost, state, start) are gathered in
-    stacks of at most _STACK_BYTES and scanned for saddles; the rest go
-    from the same stack to solve_games, and their values are shifted by
-    the difference of the prefixes' cumulative costs. A saddle's cell is
-    read from A by every prefix of the state, so visited and saddle cells
-    (every cell at t = n-1) are bit-identical to solving each prefix's
-    subgame alone; shifted values agree to round-off. Stacks are
-    Hider-major (_game_stack), one config's F is row-major, and F does not
-    depend on _STACK_BYTES or on which costs come in one call.
+    prefix. Every (cost, start) subgame of a state is the state's one block
+    of A less a shift constant down each column (_subgames): the blocks are
+    gathered once, the subgames are screened for saddles from them, and
+    the LP-bound subgames go to solve_games as shared stacks of (block,
+    shift) pairs, with no copy per subgame, in stacks of at most
+    _STACK_BYTES of four floats per subgame and row. Their values are
+    shifted by the difference of the prefixes' cumulative costs. A
+    saddle's cell is read from A by every prefix of the state, so visited
+    and saddle cells (every cell at t = n-1) are bit-identical to solving
+    each prefix's subgame alone; shifted values agree to round-off. One
+    config's F is row-major, a stack of them Hider-major (_game_stack), and
+    F does not depend on _STACK_BYTES or on which costs come in one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -204,46 +248,35 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
             F[g] = _prefix_min(switch_matrix(A, rs, cfg), block)
         return F[0] if one else F
     first = np.arange(0, rs.m, block)  # each prefix's first route
-    nodes = rs.route_array[first, :t].astype(np.intp)  # the key's shifts wrap in uint8 past n = 8
-    cum = A[first, nodes[:, -1] - 1]
+    cum = A[first, rs.route_array[first, t - 1] - 1]
     offset = cum if convention == "remaining" else np.zeros(len(first))
     unvisited = rs.position_matrix[first] > t
     costs = np.array([cfg.c for cfg in cfgs])
     F[:] = A[first]  # visited cells keep their prefix-constant baseline cost
-    # Held-Karp states, numbered in order of their first prefix rep[s]
-    key = (1 << (nodes - 1)).sum(axis=1) * (n + 1) + nodes[:, -1]
-    _, rep, state = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(rep)
-    rep, state = rep[order], np.argsort(order)[state]
-    # the flat (cost, state, start) index of the states' subgames
-    k, s, i0 = np.nonzero(np.broadcast_to(unvisited[rep], (len(cfgs), len(rep), n)))
-    value = np.zeros((len(cfgs), len(rep), n))  # LP values
-    cell = np.full(value.shape, -1)  # each saddle-closed subgame's first saddle, row-major
-    size = max(1, _STACK_BYTES // (block * (n - t) * 8))  # subgames per stack
-    for j in range(0, len(s), size):
-        g = (k[j : j + size], s[j : j + size], i0[j : j + size])
-        sub = subgame_matrix(A, rs, t, rep[g[1]], g[2] + 1, costs[g[0]])
-        cell[g] = saddle = _first_saddle(sub)
-        if (saddle < 0).any():
-            # the rest go to the simplex from this stack: moved to its front
-            # in place, as a copy of them would take up to its size again
-            lp = np.flatnonzero(saddle < 0)
-            for dst, src in enumerate(lp.tolist()):
-                if dst != src:
-                    sub[dst] = sub[src]
-            value[tuple(a[lp] for a in g)] = solve_games(sub[: len(lp)])[0]
-        del sub
+    state, rep = _states(rs, t)
+    games, cell = _subgames(A, rs, t, rep, costs)
+    value = np.zeros(len(games))  # LP values
+    lp = np.flatnonzero(cell < 0)
+    size = max(1, _STACK_BYTES // (32 * block))  # LP-bound subgames per stack
+    for j in range(0, len(lp), size):
+        g = lp[j : j + size]
+        value[g] = solve_games(games.take(g))[0]
 
-    k, h, i0 = np.nonzero(np.broadcast_to(unvisited, F.shape))  # every unvisited cell
+    # every unvisited cell: its cost, prefix, and place among the prefix's
+    # unvisited locations, the place of its start in its state's subgames
+    k, h, i = (index.ravel() for index in np.indices((len(cfgs), len(first), n - t)))
+    cols = np.nonzero(unvisited)[1].reshape(-1, n - t)
+    g = (k * len(rep) + state[h]) * (n - t) + i  # its subgame
+    i0 = cols[h, i]
     # a saddle cell is read from A, as the prefix's own subgame holds it
-    r, j = np.divmod(cell[k, state[h], i0], n - t)
+    r, j = np.divmod(cell[g], n - t)
     hit = r >= 0
-    col = np.nonzero(unvisited)[1].reshape(-1, n - t)[h[hit], j[hit]]
+    col = cols[h[hit], j[hit]]
     a = A[first[h[hit]] + r[hit], col]
     F[k[hit], h[hit], i0[hit]] = np.where(col == i0[hit], a, a - costs[k[hit]]) - offset[h[hit]]
     # an LP value is shifted by the difference of the prefixes' cumulative costs
-    k, h, i0 = k[~hit], h[~hit], i0[~hit]
-    F[k, h, i0] = (value[k, state[h], i0] + (cum[h] - cum[rep[state[h]]])) - offset[h]
+    k, h, i0, g = k[~hit], h[~hit], i0[~hit], g[~hit]
+    F[k, h, i0] = (value[g] + (cum[h] - cum[rep[state[h]]])) - offset[h]
     return F[0] if one else F
 
 

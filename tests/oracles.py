@@ -20,6 +20,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.optimize import linprog
 
 import hideseek as hs
+import hideseek.matrixgame as mg
 from hideseek.matrixgame import SADDLE_TOL, check_cost, simplex_weights
 from hideseek.routes import check_reveal_time
 
@@ -445,6 +446,43 @@ def feedback_matrices_per_prefix(A, rs, t, c, feedback_mode):
             for conv, offset in offsets.items():
                 F[conv][hi, i - 1] = val - offset
     return F, closed
+
+
+def feedback_matrix_dense(A, rs, cfgs, layout="hider"):
+    """The mixed_subgame feedback matrices of the configs (which share t
+    and the convention), stacked, from a dense copy of every subgame: the
+    (cost, prefix, start) subgames gathered by subgame_matrix, stored
+    Hider-major as the package gathers them or, with layout="rows", row by
+    row, and scanned by _first_saddle and solved by a dense solve_games.
+
+    Returns (F, saddle): saddle marks the cells closed by a pure saddle,
+    read from A as the package reads them. Visited and saddle cells must
+    match the package bit for bit; LP cells agree to round-off, as a shared
+    game and its dense copy price in another order.
+    """
+    t, convention = cfgs[0].t_reveal, cfgs[0].convention
+    n, block = rs.n, hs.prefix_block(rs, t)
+    first = np.arange(0, rs.m, block)
+    cum = A[first, rs.route_array[first, t - 1] - 1]
+    offset = cum if convention == "remaining" else np.zeros(len(first))
+    h, i = np.nonzero(rs.position_matrix[first] > t)  # the unvisited cells
+    cols = np.nonzero(rs.position_matrix[first] > t)[1].reshape(-1, n - t)
+    F = np.repeat(A[first][None], len(cfgs), axis=0)
+    saddle = np.zeros(F.shape, dtype=bool)
+    for k, cfg in enumerate(cfgs):
+        S = hs.subgame_matrix(A, rs, t, h, i + 1, cfg.c)
+        if layout == "rows":
+            S = np.ascontiguousarray(S)
+        cell = mg._first_saddle(S)
+        r, j = np.divmod(cell, n - t)
+        hit = cell >= 0
+        col = cols[h[hit], j[hit]]
+        a = A[first[h[hit]] + r[hit], col]
+        F[k, h[hit], i[hit]] = np.where(col == i[hit], a, a - cfg.c) - offset[h[hit]]
+        saddle[k, h[hit], i[hit]] = True
+        if not hit.all():
+            F[k, h[~hit], i[~hit]] = hs.solve_games(S[~hit])[0] - offset[h[~hit]]
+    return F, saddle
 
 
 def cstar_infoset_per_prefix(A, rs, t):

@@ -1034,6 +1034,39 @@ def test_solve_games_copies_no_more_of_a_stack_than_its_price_cap():
     assert peak <= mg._PRICE_BYTES + 4 * G * m * 8, peak
 
 
+def test_a_shared_stack_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
+    # the LP-bound subgames of a state share its block: each gets the same
+    # value and mixes alone, beside every other, in reverse, in its own
+    # cost's stack, and through feedback_matrix split into stacks of one
+    inst = hs.make_instance(*CYCLING_7)
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    t, costs = 2, np.array([0.0, 1.0, 2.5])
+    _, rep = payoff._states(rs, t)
+    games, cell = payoff._subgames(A, rs, t, rep, costs)
+    lp = np.flatnonzero(cell < 0)
+    assert len(lp) > 100 and len(np.unique(games.block[lp])) < len(lp) // 2
+    alone = [mg.solve_games(games.take(lp[j : j + 1])) for j in range(len(lp))]
+    cost = games.cost[lp]
+    splits = {
+        "together": [np.arange(len(lp))],
+        "reversed": [np.arange(len(lp))[::-1]],
+        "per cost": [np.flatnonzero(cost == c) for c in costs],
+    }
+    for case, parts in splits.items():
+        for part in parts:
+            solution = mg.solve_games(games.take(lp[part]))
+            for at, j in enumerate(part):
+                for got, want in zip(solution, alone[j]):
+                    assert np.array_equal(got[at], want[0]), (case, j)
+    cfgs = [hs.SwitchConfig(t, float(c)) for c in costs]
+    F = hs.feedback_matrix(A, rs, cfgs)
+    monkeypatch.setattr(payoff, "_STACK_BYTES", 1)
+    assert hs.feedback_matrix(A, rs, cfgs).tobytes() == F.tobytes()
+    for k, cfg in enumerate(cfgs):
+        assert hs.feedback_matrix(A, rs, cfg).tobytes() == np.ascontiguousarray(F[k]).tobytes()
+
+
 def _hider_major(S):
     """Whether every game of the stack S keeps each column contiguous."""
     return all(np.swapaxes(S, -1, -2)[g].flags.c_contiguous for g in range(len(S)))

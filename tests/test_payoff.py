@@ -16,6 +16,7 @@ from oracles import (
     best_relocations,
     dump_matrix_cells,
     feedback_matrices_per_prefix,
+    feedback_matrix_dense,
     information_set,
     lift,
     prefixes,
@@ -404,21 +405,69 @@ def test_lifted_feedback_below_switch_everywhere():
 
 
 def test_feedback_scans_each_subgame_once(demo6, rs6, monkeypatch):
-    # one saddle scan per Held-Karp state and start location: C(n,t)*t
-    # states, each with n-t unvisited start locations, scanned in stacks
-    games = []
-    real = mg._first_saddle
+    # one gather per Held-Karp state, C(n,t)*t of them, and one saddle
+    # screen per state and start location, each of the n-t unvisited ones;
+    # only the subgames the screen leaves open are scanned cell by cell
+    gathers, screens, scans = [], [], []
+    real_subgame_matrix, real_screen, real_scan = payoff.subgame_matrix, payoff._saddle_possible, payoff._first_saddle
 
-    def spy(A, *args, **kwargs):
-        games.append(A.shape[0] if A.ndim == 3 else 1)
-        return real(A, *args, **kwargs)
+    def gather(A, rs, t, h, i, c):
+        gathers.append(np.size(h))
+        return real_subgame_matrix(A, rs, t, h, i, c)
 
-    monkeypatch.setattr(payoff, "_first_saddle", spy)
+    def screen(S):
+        possible = real_screen(S)
+        screens.append((len(S), int(possible.sum())))
+        return possible
+
+    monkeypatch.setattr(payoff, "subgame_matrix", gather)
+    monkeypatch.setattr(payoff, "_saddle_possible", screen)
+    monkeypatch.setattr(payoff, "_first_saddle", lambda S: scans.append(len(S)) or real_scan(S))
     A = hs.base_matrix(demo6, rs6)
     for t in range(1, 6):
-        games.clear()
-        hs.feedback_matrix(A, rs6, hs.SwitchConfig(t, 0.5))
-        assert sum(games) == math.comb(6, t) * t * (6 - t), t
+        for lists in (gathers, screens, scans):
+            lists.clear()
+        cfg = hs.SwitchConfig(t, 0.5)
+        F = hs.feedback_matrix(A, rs6, cfg)
+        states = math.comb(6, t) * t
+        assert gathers == [states], t
+        assert len(screens) == 1 and screens[0][0] == states * (6 - t), t
+        assert sum(scans) == screens[0][1], t
+        E, saddle = feedback_matrix_dense(A, rs6, [cfg])
+        exact = saddle[0] | (rs6.position_matrix[:: hs.prefix_block(rs6, t)] <= t)
+        assert F[exact].tobytes() == E[0][exact].tobytes(), t
+        assert np.abs(F - E[0]).max() <= 1e-12 * np.abs(A).max(), t
+
+
+def _screen_instances():
+    yield "integer5", hs.make_instance([0, 0], [[1, 0], [0, 1], [2, 1], [1, 2], [2, 2]])
+    # two pairs of duplicated points: zero legs, and whole columns that tie
+    yield "duplicated", hs.make_instance([0, 0], [[1, 2], [3, 1], [1, 2], [2, 2], [3, 1]])
+    yield "six_sites", hs.load_instance(INSTANCES / "six_sites.json")
+
+
+@pytest.mark.parametrize("name,inst", list(_screen_instances()))
+def test_the_saddle_screen_gives_first_saddles_cell(name, inst):
+    # at c = 0, at c*_route(t), one ulp either side of it and between: the
+    # screen from the blocks' row maxima and column minima, and the scan of
+    # the subgames it leaves open, give every subgame _first_saddle's cell
+    # on its own matrix, which the shared stack materialises bit for bit
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    closed = set()  # whether a subgame has a saddle: both kinds turn up
+    for t in range(1, inst.n):
+        cstar = hs.cstar_global(hs.cstar(A, rs, t, "route"))
+        costs = np.array([0.0, 0.5 * cstar, np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, np.inf), 2 * cstar])
+        state, rep = payoff._states(rs, t)
+        games, cell = payoff._subgames(A, rs, t, rep, costs)
+        k = rs.n - t
+        c, s, j = np.indices((len(costs), len(rep), k)).reshape(3, -1)
+        starts = np.nonzero(rs.position_matrix[rep * hs.prefix_block(rs, t)] > t)[1].reshape(len(rep), k)
+        S = hs.subgame_matrix(A, rs, t, rep[s], starts[s, j] + 1, costs[c])
+        assert np.asarray(games).tobytes() == S.tobytes(), (name, t)
+        np.testing.assert_array_equal(cell, mg._first_saddle(S), err_msg=f"{name} t={t}")
+        closed.update((cell >= 0).tolist())
+    assert closed == {False, True}
 
 
 @pytest.mark.parametrize("name", ["three_sites", "six_sites", "collinear_three", "random_6"])
@@ -449,33 +498,29 @@ def test_feedback_matrix_stack_matches_per_cost_calls(name, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_feedback_matrix_matches_its_c_layout_recomputation(n, monkeypatch):
-    # the Hider-major subgame and feedback stacks move no visited or saddle
-    # cell, and an LP cell by round-off at most, against the same build on
-    # stacks stored row by row
+def test_feedback_matrix_matches_its_c_layout_recomputation(n):
+    # the shared-block build moves no visited or saddle cell, and an LP cell
+    # by round-off at most, against the dense oracle that gathers every
+    # (cost, prefix, start) subgame and solves it in stacks stored row by
+    # row, and against the same oracle on Hider-major stacks
     inst = random_instance(np.random.default_rng(n), n)
     rs = hs.enumerate_routes(n)
     A = hs.base_matrix(inst, rs)
-    costs = (0.0, 0.5, 2.0, 8.0)
-    real_subgame_matrix = payoff.subgame_matrix
+    tol = 1e-12 * np.abs(A).max()
     lp_cells = 0
     for t in range(1, n):
         block = hs.prefix_block(rs, t)
-        h, i = np.nonzero(rs.position_matrix[::block] > t)  # the unvisited cells
-        exact = np.ones((len(costs), rs.m // block, n), dtype=bool)  # visited or saddle
-        for k, c in enumerate(costs):
-            exact[k, h, i] = mg._first_saddle(real_subgame_matrix(A, rs, t, h, i + 1, c)) >= 0
-        lp_cells += np.count_nonzero(~exact)
+        visited = np.broadcast_to(rs.position_matrix[::block] <= t, (4, rs.m // block, n))
         for convention in ("total", "remaining"):
-            cfgs = [hs.SwitchConfig(t, c, convention) for c in costs]
+            cfgs = [hs.SwitchConfig(t, c, convention) for c in (0.0, 0.5, 2.0, 8.0)]
             F = hs.feedback_matrix(A, rs, cfgs)
-            with monkeypatch.context() as mp:
-                mp.setattr(payoff, "subgame_matrix", lambda *a: np.ascontiguousarray(real_subgame_matrix(*a)))
-                mp.setattr(payoff, "_game_stack", lambda G, m, k: np.empty((G, m, k)))
-                E = hs.feedback_matrix(A, rs, cfgs)
-            assert E.flags.c_contiguous and np.swapaxes(F, 1, 2)[0].flags.c_contiguous
-            assert F[exact].tobytes() == E[exact].tobytes(), (t, convention)
-            assert (np.abs(F - E)[~exact] <= 1e-12 * np.abs(A).max()).all(), (t, convention)
+            assert np.swapaxes(F, 1, 2)[0].flags.c_contiguous
+            for layout in ("rows", "hider"):
+                E, saddle = feedback_matrix_dense(A, rs, cfgs, layout)
+                exact = visited | saddle
+                assert F[exact].tobytes() == E[exact].tobytes(), (t, convention, layout)
+                assert (np.abs(F - E)[~exact] <= tol).all(), (t, convention, layout)
+            lp_cells += np.count_nonzero(~exact)
     assert lp_cells > 0
 
 

@@ -20,17 +20,17 @@ import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .instance import Instance
-from .matrixgame import _first_saddle, _solve, check_cost, simplex_weights, solve_games
+from .matrixgame import _solve, check_cost, simplex_weights, solve_games
 from .payoff import (
     SwitchConfig,
     _csv_rows,
     _game_stack,
     _prefix_gap,
     _prefix_min,
+    _subgames,
     _switch_tail,
     base_matrix,
     feedback_matrix,
-    subgame_matrix,
     switch_matrix,
 )
 from .routes import RouteSet, check_reveal_time, enumerate_routes, prefix_block
@@ -348,11 +348,6 @@ _BLOCK = 1 << 16  # trials per block: a 2 MB draw of words
 # the 40,320 at t = 6, where a playout that reaches every subgame holds more
 # in their mixes than in these 0.6 MB of tables.
 _TABLE_BYTES = 1 << 20
-# simulate solves the subgames its trials reach in batches of at most 256,
-# whose stack of matrices takes at most this many bytes: the 18 that the
-# benchmark's playout reaches at n = 8, t = 2 go together, and at t = 1,
-# where one 5,040 x 7 subgame takes 282 kB, three do.
-_SUBGAME_BYTES = 1 << 20
 
 
 def _trial_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -457,30 +452,33 @@ def _subgame_supports(A, rs, t, c, keys):
     the payoff codes they add: route k as k*n, and target j as j, plus m*n
     if j is not i (the Hider switched).
 
-    A subgame is played at its first pure saddle (_first_saddle,
-    feedback_matrix's rule for a cell) if it has one, else by the mixes
-    solve_zero_sum gives it. Those subgames are solved together, as one
-    Hider-major stack, as solve_zero_sum solves a game (matrixgame._solve
-    with unique): one lockstep simplex for all of them, then HiGHS, one
-    subgame per call, for those whose equilibrium the simplex's solution
-    does not prove unique.
+    The subgames come from payoff._subgames, as feedback_matrix's do: one
+    shared stack on the blocks of the distinct prefixes h, and each
+    subgame's first pure saddle, at which it is played if it has one.
+    Each key's subgame is on its own prefix's block, not on its Held-Karp
+    state's first prefix: the blocks of one state differ by a constant
+    only up to round-off, and the vertex HiGHS returns can follow those
+    bits. The other subgames are solved together as solve_zero_sum solves
+    a game (matrixgame._solve with unique): one lockstep simplex, then
+    HiGHS, one subgame per call, for those whose equilibrium the simplex's
+    solution does not prove unique.
     """
     m, n = A.shape
     block = prefix_block(rs, t)
     h, i = np.divmod(np.asarray(keys), n)
     targets = np.nonzero(rs.position_matrix[h * block] > t)[1].reshape(len(h), n - t)
-    S = subgame_matrix(A, rs, t, h, i + 1, c)
-    saddle = _first_saddle(S)
-    y = np.zeros(S.shape[:2])
-    z = np.zeros((len(S), n - t))
-    hit = np.flatnonzero(saddle >= 0)
-    r, j = np.divmod(saddle[hit], n - t)
+    prefixes, own = np.unique(h, return_inverse=True)
+    place = np.argmax(targets == i[:, None], axis=1)  # each start among its prefix's unvisited locations
+    games, cell = _subgames(A, rs, t, prefixes, own, place, np.full(len(h), float(c)))
+    y = np.zeros((len(h), block))
+    z = np.zeros((len(h), n - t))
+    hit = np.flatnonzero(cell >= 0)
+    r, j = np.divmod(cell[hit], n - t)
     y[hit, r], z[hit, j] = 1.0, 1.0
-    lp = np.flatnonzero(saddle < 0)
+    lp = np.flatnonzero(cell < 0)
     if len(lp):
-        S = np.swapaxes(np.swapaxes(S, 1, 2)[lp], 1, 2)  # a copy in the stack's Hider-major layout
-        y[lp], z[lp] = _solve(S, unique=True)[1:3]
-    del S
+        y[lp], z[lp] = _solve(games.take(lp), unique=True)[1:3]
+    del games
     codes = (h[:, None] * block + np.arange(block)) * n, targets + m * n * (targets != i[:, None])
     return [(_support(y[g], codes[0][g]), _support(z[g], codes[1][g])) for g in range(len(h))]
 
@@ -502,7 +500,8 @@ def simulate(
     only reads: the played game's matrix (payoff._model_matrix, total
     convention) for the base and restricted models, and the base matrix
     for the feedback model, whose trials still running at the reveal play
-    its reveal-stage subgames (_subgame_supports). At t = n it is the base
+    its reveal-stage subgames, built by feedback_matrix's own subgame
+    pipeline (_subgame_supports, payoff._subgames). At t = n it is the base
     matrix for every model. y is the Seeker's mix over the played game's
     rows: the routes, or for the feedback model with t < n the prefixes of
     feedback_matrix, prefix h paid at its first route h*B. Each trial
@@ -517,7 +516,8 @@ def simulate(
     draws give a trial's positions in the supports of y and z, whose pair
     indexes tables of whether the trial ended and of its base-matrix code,
     and in the feedback model of its subgame's slot. A subgame is built
-    and solved when a trial first reaches it, and its row and column
+    and solved when a trial first reaches it, all those a block of trials
+    first reaches in one shared stack, and its row and column
     tables are filled into its own rows of the two subgame tables, whose
     bucket count fits two tables for every possible subgame into
     _TABLE_BYTES. Its row labels are route codes k*n and its column labels
@@ -583,7 +583,6 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
         pair_slot[~ended], pair_code[~ended] = late_slot, 0
         size = _TABLE_BYTES // (2 * (m // block) * (n - t) * code_type.itemsize)
         scale = _buckets(min(size, trials, _BLOCK))
-        batch = max(1, min(256, _SUBGAME_BYTES // (8 * block * (n - t))))  # subgames built at once
         row_tables = np.zeros((len(keys) + 1, scale), code_type)
         col_tables = np.zeros_like(row_tables)
         row_supports, col_supports = {}, {}
@@ -605,12 +604,11 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
             slot = pair_slot[pair]
             reached = np.zeros_like(built)
             reached[slot] = True
-            fresh = np.flatnonzero(reached & ~built).tolist()
-            # built in batches, which hold all their supports until their
-            # tables are filled: only a support whose table holds the
-            # sentinel is kept, as only its trials search it
-            for j in range(0, len(fresh), batch):
-                new = fresh[j : j + batch]
+            new = np.flatnonzero(reached & ~built).tolist()
+            # the fresh subgames are built together, and hold all their
+            # supports until their tables are filled: only a support whose
+            # table holds the sentinel is kept, as only its trials search it
+            if new:
                 plays = zip(*_subgame_supports(A, rs, t, c, keys[new]))
                 for tables, supports, found in zip((row_tables, col_tables), (row_supports, col_supports), plays):
                     tables[new] = _guide(found, scale, code_type)

@@ -14,13 +14,14 @@ solver, and a game the simplex does not certify goes to HiGHS.
 
 A stack is dense, or shared (_SharedStack): a few blocks B, and for each
 game a block and a shift constant down each column, S_g = B - 1 shift^T,
-as the reveal-stage subgames of one Held-Karp state share one block of
-the base matrix. _scales, _simplex and _certify take one form, in which a
-dense stack is one block per game and no shift: every entry they read is
-the block's less the shift, the game's own bit for bit, each game is
-priced and certified by matrix-vector products on its own block, and
-only a game that goes to HiGHS is materialised. _saddle_possible screens
-a shared stack for pure saddles by _first_saddle's exact bound test.
+as the reveal-stage subgames of one prefix, or of one Held-Karp state,
+share one block of the base matrix. _scales, _simplex and _certify take
+one form, in which a dense stack is one block per game and no shift:
+every entry they read is the block's less the shift, the game's own bit
+for bit, each game is priced and certified by matrix-vector products on
+its own block, and only a game that goes to HiGHS is materialised, one at
+a time. _saddle_possible screens a shared stack for pure saddles by an
+exact test of _first_saddle's bounds.
 
 The CLI prints the mixes solve_zero_sum returns. Where a game's optimal
 mixes form a set, which one a solver returns depends on its pivots, and
@@ -165,8 +166,8 @@ class _SharedStack:
     blocks[block[g]] less cost[g] off every column but keep[g], that is
     S_g = B - 1 shift_g^T with shift_g = cost[g] (1 - e_keep[g]) and
     cost[g] >= 0 (check_cost). All the (cost, start) reveal-stage
-    subgames of one Held-Karp state are one block (payoff._subgames). A
-    dense stack is the same form with one game per block and no shift
+    subgames of one prefix, or of one Held-Karp state, are one block
+    (payoff._subgames). A dense stack is the same form with one game per block and no shift
     (_shared).
 
     Every entry of a game is read as B - shift, which is the game's own
@@ -327,13 +328,12 @@ def _col_lp(A: np.ndarray):
     return None, np.array(solution.col_value), np.array(solution.row_dual[:m])
 
 
-def _highs(S, scale):
+def _highs(S):
     """Each game of the stack S by HiGHS's column LP, one call per game:
     values, Seeker mixes from the inequality duals and Hider mixes, as
     _simplex returns them, and HiGHS's model status for each game whose LP
     it did not solve, by index. Such a game has value NaN and zero mixes,
-    so it fails its certificate. HiGHS takes the games unscaled, so scale
-    is unused; it is there so that _highs takes _simplex's arguments."""
+    so it fails its certificate."""
     G, m, k = S.shape
     v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     failures = {}
@@ -437,7 +437,7 @@ def _solve(S, unique=False):
     and the gaps; raises SolverError if a game is slack under both, naming
     HiGHS's status if HiGHS did not solve it."""
     scale = _scales(S)
-    v, y, z, failures = _simplex(S, scale)
+    v, y, z = _simplex(S, scale)
     v += 0.0  # -0.0 + 0.0 is +0.0: a zero-valued game's value and gaps print as 0
     if unique:
         y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z, unique=True)
@@ -446,10 +446,12 @@ def _solve(S, unique=False):
     if not ok.all():
         g = np.flatnonzero(~ok)
         certified = np.maximum(row_gap[g], col_gap[g]) <= GAP_TOL * scale[g]
-        again = S if len(g) == len(S) else S[g]  # a stack that all goes is not copied
-        v2, y2, z2, failed = _highs(again, scale[g])
+        # HiGHS materialises one game at a time: a stack that all goes is
+        # not copied, and a shared one keeps its blocks
+        again = S if len(g) == len(S) else _shared(S).take(g)
+        v2, y2, z2, failed = _highs(again)
         v2 += 0.0
-        failures.update((int(g[j]), failure) for j, failure in failed.items())
+        failures = {int(g[j]): failure for j, failure in failed.items()}
         y2, z2, row_gap2, col_gap2, ok2 = _certify(again, scale[g], v2, y2, z2)
         ok[g] = ok2 | certified
         take = ok2 | ~certified
@@ -556,9 +558,9 @@ def _simplex(S, scale):
     works out Bland's choices only while some game is in a Bland run, and
     drops the games that close or leave before the update, so that no
     closing game divides by a zero pivot element. Returns each game's
-    value, Seeker mix and Hider mix, uncleaned, and no failure statuses
-    (see _highs); a game left open by an unbounded or undefined ratio test
-    or by the pivot cap has value NaN and both mixes 0.
+    value, Seeker mix and Hider mix, uncleaned; a game left open by an
+    unbounded or undefined ratio test or by the pivot cap has value NaN and
+    both mixes 0.
     """
     T = _shared(S)
     G, m, k = T.shape
@@ -657,7 +659,7 @@ def _simplex(S, scale):
     v[at], z[at] = inv[:, k, k] * scale[g], -inv[:, k, :k]
     basic_rows = optimal[g, :k] < m
     y[at[np.nonzero(basic_rows)[0]], optimal[g, :k][basic_rows]] = inv[:, :k, k][basic_rows]
-    return v, y, z, {}
+    return v, y, z
 
 
 def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -714,17 +716,9 @@ def _first_saddle(A: np.ndarray) -> np.ndarray:
     (shape A.shape[:-2]). Ties count within SADDLE_TOL times the size of the
     row maximum or column minimum they are compared with: relative to the
     value a saddle would have, and not to max|A|, which a huge cost in the
-    other cells would inflate.
-
-    A cell of row r and column j needs lo[r] <= hi[j], so a game whose
-    least lo exceeds its greatest hi holds no saddle; when that rules out
-    every game of the stack (every reveal-stage subgame of the benchmark's
-    eight-site instance at t = 2, c = 1), the cells are not compared. A NaN
-    bound fails the test, and its stack is compared. The cell order is
-    row-major in any layout of the stack."""
+    other cells would inflate. The cell order is row-major in any layout of
+    the stack."""
     lo, hi = _saddle_bounds(A.max(axis=-1, keepdims=True), A.min(axis=-2, keepdims=True))
-    if (lo.min(axis=(-2, -1)) > hi.max(axis=(-2, -1))).all():
-        return np.full(A.shape[:-2], -1)
     mask = A >= lo
     mask &= A <= hi
     mask = mask.reshape(*A.shape[:-2], -1)
@@ -732,11 +726,12 @@ def _first_saddle(A: np.ndarray) -> np.ndarray:
 
 
 def _saddle_possible(S: _SharedStack) -> np.ndarray:
-    """Which games of the shared stack S _first_saddle's bound test leaves
-    open (the least lo at most the greatest hi, or a NaN bound), taken from
-    the blocks: each game's row maxima (_SharedStack.row_maxima) and column
-    minima (the block's less the shift) are its own, so the test is
-    _first_saddle's exactly, and a game it rules out has no saddle."""
+    """Which games of the shared stack S may hold a pure saddle: a cell of
+    row r and column j needs lo[r] <= hi[j] (_saddle_bounds), so a game
+    whose least lo exceeds its greatest hi has none; a NaN bound leaves
+    its game open. Each game's row maxima (_SharedStack.row_maxima) and
+    column minima (its block's less the shift) are its own, so these are
+    _first_saddle's bounds exactly."""
     colmin = S.blocks.min(axis=1)
     possible = np.empty(len(S), dtype=bool)
     for at, rowmax in S.row_maxima(np.arange(len(S))):

@@ -172,24 +172,25 @@ def _states(rs: RouteSet, t: int):
     return np.argsort(order)[state], rep[order]
 
 
-def _subgames(A: np.ndarray, rs: RouteSet, t: int, rep, costs):
-    """The reveal-stage subgames of the states whose first prefixes are rep,
-    at each cost, as one shared stack (matrixgame._SharedStack), and each
-    one's first pure saddle, as _first_saddle finds it, or -1.
+def _subgames(A: np.ndarray, rs: RouteSet, t: int, prefixes, block, keep, cost):
+    """The reveal-stage subgames at reveal time t on the blocks of the
+    prefixes, as one shared stack (matrixgame._SharedStack), and each one's
+    first pure saddle, as _first_saddle finds it, or -1.
 
-    The subgames run over (cost, state, start), the starts ascending. A
-    state's block B_s is gathered once, as subgame_matrix's subgame at
-    c = 0, and the subgame of cost c and start i is B_s less c off every
-    column but i's, subgame_matrix's subgame bit for bit. _saddle_possible
-    screens every subgame from the blocks, by _first_saddle's exact bound
-    test, and only the subgames it leaves open are scanned, materialised in
-    stacks of at most _STACK_BYTES.
+    Subgame g plays on the block of prefixes[block[g]], its start at place
+    keep[g] among the prefix's unvisited locations, ascending, at the cost
+    cost[g]. Each prefix's block B is gathered once, by one subgame_matrix
+    call at c = 0, and the subgame is B less cost[g] off every column but
+    its start's: subgame_matrix's subgame of its prefix, start and cost,
+    bit for bit. _saddle_possible screens every subgame from the blocks,
+    by an exact test of _first_saddle's bounds, and only the subgames it
+    leaves open are scanned, materialised in stacks of at most
+    _STACK_BYTES.
     """
-    k = rs.n - t
-    cols = np.nonzero(rs.position_matrix[rep * prefix_block(rs, t)] > t)[1].reshape(len(rep), k)
-    B = subgame_matrix(A, rs, t, rep, cols[:, 0] + 1, 0.0)
-    c, s, i = (index.ravel() for index in np.indices((len(costs), len(rep), k)))
-    games = _SharedStack(B, s, costs[c], i)
+    # at c = 0 the start moves no entry: any unvisited location will do
+    start = np.argmax(rs.position_matrix[prefixes * prefix_block(rs, t)] > t, axis=1)
+    B = subgame_matrix(A, rs, t, prefixes, start + 1, 0.0)
+    games = _SharedStack(B, block, cost, keep)
     cell = np.full(len(games), -1)
     open_ = np.flatnonzero(_saddle_possible(games))
     size = max(1, _STACK_BYTES // B[0].nbytes)  # subgames per scanned stack
@@ -254,7 +255,9 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     costs = np.array([cfg.c for cfg in cfgs])
     F[:] = A[first]  # visited cells keep their prefix-constant baseline cost
     state, rep = _states(rs, t)
-    games, cell = _subgames(A, rs, t, rep, costs)
+    # the subgames run over (cost, state, start), the starts ascending
+    c, s, i = (index.ravel() for index in np.indices((len(costs), len(rep), n - t)))
+    games, cell = _subgames(A, rs, t, rep, s, i, costs[c])
     value = np.zeros(len(games))  # LP values
     lp = np.flatnonzero(cell < 0)
     size = max(1, _STACK_BYTES // (32 * block))  # LP-bound subgames per stack

@@ -454,6 +454,55 @@ def test_a_batch_of_subgames_plays_as_each_subgame_alone(c, monkeypatch):
     assert (stacked < len(keys)) == (c > 0)  # at c = 0 every subgame here goes to HiGHS
 
 
+def test_the_playout_builds_each_reached_subgame_once(demo6, rs6, monkeypatch):
+    # each block of trials that reaches fresh subgames gathers one block per
+    # distinct prefix among them and screens each of them once, and only
+    # the subgames the screen leaves open are scanned cell by cell
+    t, c, trials, size = 3, 2.0, 2_000, 400
+    A = hs.base_matrix(demo6, rs6)
+    rng = np.random.default_rng(4)
+    y, z = rng.dirichlet(np.ones(rs6.m // hs.prefix_block(rs6, t))), rng.dirichlet(np.ones(6))
+    builds = []  # per build: the prefixes gathered, the subgames screened, open and scanned
+    payoff = hs.payoff
+    real_subgame_matrix, real_screen, real_scan = payoff.subgame_matrix, payoff._saddle_possible, payoff._first_saddle
+
+    def gather(A, rs, t, h, i, c):
+        builds.append([np.asarray(h).tolist(), 0, 0, 0])
+        return real_subgame_matrix(A, rs, t, h, i, c)
+
+    def screen(S):
+        possible = real_screen(S)
+        builds[-1][1:3] = len(S), int(possible.sum())
+        return possible
+
+    def scan(S):
+        builds[-1][3] += len(S)
+        return real_scan(S)
+
+    monkeypatch.setattr(payoff, "subgame_matrix", gather)
+    monkeypatch.setattr(payoff, "_saddle_possible", screen)
+    monkeypatch.setattr(payoff, "_first_saddle", scan)
+    monkeypatch.setattr(experiments, "_BLOCK", size)
+    args = (A, rs6, "feedback", y, z, t, c, trials, 3)
+    assert hs.simulate(*args) == oracles.playout(*args)
+    # the late keys each block of trials reaches first, from the trials' draws
+    key = SeedSequence(3).generate_state(2, np.uint64)
+    u = Generator(Philox(counter=[0, 0, 0, 0], key=key)).random((trials, 4))
+    h, i = draw_full_cdf(y, u[:, 0]), draw_full_cdf(z, u[:, 1])
+    late = rs6.position_matrix[h * hs.prefix_block(rs6, t), i] > t
+    keys, seen, fresh = np.where(late, h * 6 + i, -1), {-1}, []
+    for start in range(0, trials, size):
+        new = set(keys[start : start + size].tolist()) - seen
+        seen |= new
+        if new:
+            fresh.append(new)
+    assert len(fresh) > 2
+    assert [prefixes for prefixes, *_ in builds] == [sorted({key // 6 for key in new}) for new in fresh]
+    assert [screened for _, screened, _, _ in builds] == [len(new) for new in fresh]
+    assert all(scanned == possible for _, _, possible, scanned in builds)
+    assert 0 < sum(possible for _, _, possible, _ in builds) < len(seen) - 1
+
+
 def test_feedback_counts_match_the_oracle_past_65536_keys():
     # n = 8, t = 6 with 13 of the 20,160 prefixes in the Seeker's support,
     # the last among them: its subgame keys h*n + i pass 65,535, and the

@@ -1,8 +1,8 @@
 """Every import in the package's modules is used, every public name they
-define is used, and so is every defaulted parameter of their public
-functions. __init__.py is left out of the first check: its imports are the
-package's public names. The CLI imports no scipy.optimize, and
-shares scipy's HiGHS extension module with it."""
+define is used, every private one is read, and so is every defaulted
+parameter of their public functions. __init__.py is left out of the first
+check: its imports are the package's public names. The CLI imports no
+scipy.optimize, and shares scipy's HiGHS extension module with it."""
 
 import ast
 import os
@@ -47,9 +47,9 @@ def test_no_unused_imports(module):
 ROOT = PACKAGE.parents[1]
 
 
-def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """The module's public top-level functions, classes and constants, each
-    with the node that defines it."""
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The module's top-level functions, classes and constants, each with
+    the node that defines it."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -58,7 +58,22 @@ def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     found[target.id] = node
-    return {name: node for name, node in found.items() if not name.startswith("_")}
+    return found
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """The module's public top-level functions, classes and constants."""
+    return {name: node for name, node in _definitions(tree).items() if not name.startswith("_")}
+
+
+def _read_outside(name: str, definition: ast.AST, trees: dict[str, ast.Module]) -> bool:
+    """Whether any of the modules reads name outside its own definition."""
+    own = {id(node) for node in ast.walk(definition)}
+    return any(
+        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load) and id(node) not in own
+        for tree in trees.values()
+        for node in ast.walk(tree)
+    )
 
 
 def unused_public_names() -> list[str]:
@@ -72,25 +87,42 @@ def unused_public_names() -> list[str]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "hideseek":
                 bench.update(alias.name for alias in node.names)
-    unused = []
-    for module, tree in trees.items():
-        for name, definition in _public_definitions(tree).items():
-            if name in readme or name in bench:
-                continue
-            own = {id(node) for node in ast.walk(definition)}
-            reads = (
-                node
-                for other in trees.values()
-                for node in ast.walk(other)
-                if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-            )
-            if all(id(node) in own for node in reads):
-                unused.append(f"{module}: {name}")
-    return unused
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in _public_definitions(tree).items()
+        if name not in readme and name not in bench and not _read_outside(name, definition, trees)
+    ]
 
 
 def test_every_public_name_is_used():
     assert unused_public_names() == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions, classes and constants of the modules
+    (name to source) that none of them reads outside the name's own
+    definition. Dunders, which Python itself reads, are left out."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in _definitions(tree).items()
+        if name.startswith("_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and not _read_outside(name, definition, trees)
+    ]
+
+
+def test_the_check_finds_an_unread_private_name():
+    a = "_CAP = 1\n_LEFT = 2\n\ndef _loop(n):\n    return _loop(n - 1)\n\ndef __getattr__(name):\n    pass\n"
+    b = "from a import _CAP\n\nclass _Unused:\n    pass\n\nprint(_CAP)\n"
+    assert unread_private_names({"a.py": a, "b.py": b}) == ["a.py: _LEFT", "a.py: _loop", "b.py: _Unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def unset_parameters(modules: dict[str, str], callers: list[str], readme: str) -> list[str]:

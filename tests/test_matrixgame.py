@@ -370,7 +370,7 @@ def test_solve_zero_sum_falls_back_when_the_column_lp_fails(monkeypatch):
     expect = mg.solve_games(A[None])
     monkeypatch.setitem(mg._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
     assert mg._col_lp(A) == ("Iteration limit reached", None, None)
-    v, y, z, failures = mg._highs(A[None], np.array([np.abs(A).max()]))
+    v, y, z, failures = mg._highs(A[None])
     assert np.isnan(v).all() and not y.any() and not z.any() and failures == {0: "Iteration limit reached"}
     sol = hs.solve_zero_sum(A)
     assert sol.value == expect[0][0]
@@ -396,7 +396,7 @@ def _gate(A):
     """Whether the gate passes the simplex's certified solution of A."""
     S = A[None]
     scale = mg._scales(S)
-    v, y, z, _ = mg._simplex(S, scale)
+    v, y, z = mg._simplex(S, scale)
     return bool(mg._certify(S, scale, v, y, z, unique=True)[4][0])
 
 
@@ -450,7 +450,7 @@ def test_a_singular_support_block_goes_to_highs(a, b, monkeypatch):
     assert ok[0] and max(row_gap[0], col_gap[0]) <= 1e-15
     assert not mg._unique(S, scale, v, y, z, y @ A, z @ A.T, ok)[0]
     expect = _highs_solution(A)
-    monkeypatch.setattr(mg, "_simplex", lambda S, scale: (v.copy(), w.copy(), w.copy(), {}))
+    monkeypatch.setattr(mg, "_simplex", lambda S, scale: (v.copy(), w.copy(), w.copy()))
     calls = _spy_col_lp(monkeypatch)
     _assert_solution(hs.solve_zero_sum(A), expect)
     assert len(calls) == 1
@@ -638,9 +638,9 @@ def _spy_highs(monkeypatch):
     real_highs = mg._highs
     alone = []
 
-    def spy_highs(S, scale):
+    def spy_highs(S):
         alone.extend(S)
-        return real_highs(S, scale)
+        return real_highs(S)
 
     monkeypatch.setattr(mg, "_highs", spy_highs)
     return alone
@@ -883,8 +883,7 @@ def test_game_values_close_a_degenerate_game_by_blands_rule(monkeypatch):
     assert expect == pytest.approx(10.2974586, abs=1e-7)
     pivots = _spy_pivots(monkeypatch)
     monkeypatch.setattr(mg, "_STALL_PIVOTS", 0)  # Bland's rule from the first pivot
-    v, y, z, failures = mg._simplex(A[None], np.array([np.abs(A).max()]))
-    assert failures == {}
+    v, y, z = mg._simplex(A[None], np.array([np.abs(A).max()]))
     assert np.isfinite(v).all() and len(pivots) == 41  # 41 pivots to the optimal basis
     # the inverse updated over the 41 pivots is a fresh inverse of the optimal basis
     basis, inv = pivots[-1]
@@ -950,7 +949,7 @@ def test_games_that_close_or_leave_at_different_pivots_raise_no_warning(monkeypa
     pivots = _spy_pivots(monkeypatch)
     monkeypatch.setattr(mg, "_MAX_PIVOTS", 30)  # the late game takes 39
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        v, y, z, _ = mg._simplex(S, mg._scales(S))
+        v, y, z = mg._simplex(S, mg._scales(S))
     counts = [len(basis) for basis, _ in pivots]
     assert len(counts) == 30 and counts[0] == 2 and counts[-1] == 1
     assert np.isnan(v[2]) and not y[2].any()
@@ -1043,7 +1042,8 @@ def test_a_shared_stack_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
     A = hs.base_matrix(inst, rs)
     t, costs = 2, np.array([0.0, 1.0, 2.5])
     _, rep = payoff._states(rs, t)
-    games, cell = payoff._subgames(A, rs, t, rep, costs)
+    c, s, i = np.indices((len(costs), len(rep), inst.n - t)).reshape(3, -1)
+    games, cell = payoff._subgames(A, rs, t, rep, s, i, costs[c])
     lp = np.flatnonzero(cell < 0)
     assert len(lp) > 100 and len(np.unique(games.block[lp])) < len(lp) // 2
     alone = [mg.solve_games(games.take(lp[j : j + 1])) for j in range(len(lp))]

@@ -451,22 +451,35 @@ def test_the_saddle_screen_gives_first_saddles_cell(name, inst):
     # at c = 0, at c*_route(t), one ulp either side of it and between: the
     # screen from the blocks' row maxima and column minima, and the scan of
     # the subgames it leaves open, give every subgame _first_saddle's cell
-    # on its own matrix, which the shared stack materialises bit for bit
+    # on its own matrix, which the shared stack materialises bit for bit.
+    # The subgames come as feedback_matrix asks for them, (cost, state,
+    # start) on the states' first prefixes, and as simulate does, at one
+    # cost on each key's own prefix: prefixes unsorted and repeated, and
+    # starts in any order
     rs = hs.enumerate_routes(inst.n)
     A = hs.base_matrix(inst, rs)
+    rng = np.random.default_rng(5)
     closed = set()  # whether a subgame has a saddle: both kinds turn up
     for t in range(1, inst.n):
         cstar = hs.cstar_global(hs.cstar(A, rs, t, "route"))
         costs = np.array([0.0, 0.5 * cstar, np.nextafter(cstar, 0.0), cstar, np.nextafter(cstar, np.inf), 2 * cstar])
+        k, prefixes = rs.n - t, rs.m // hs.prefix_block(rs, t)
+        starts = np.nonzero(rs.position_matrix[:: hs.prefix_block(rs, t)] > t)[1].reshape(prefixes, k)
         state, rep = payoff._states(rs, t)
-        games, cell = payoff._subgames(A, rs, t, rep, costs)
-        k = rs.n - t
         c, s, j = np.indices((len(costs), len(rep), k)).reshape(3, -1)
-        starts = np.nonzero(rs.position_matrix[rep * hs.prefix_block(rs, t)] > t)[1].reshape(len(rep), k)
-        S = hs.subgame_matrix(A, rs, t, rep[s], starts[s, j] + 1, costs[c])
-        assert np.asarray(games).tobytes() == S.tobytes(), (name, t)
-        np.testing.assert_array_equal(cell, mg._first_saddle(S), err_msg=f"{name} t={t}")
-        closed.update((cell >= 0).tolist())
+        requests = [(rep, s, j, costs[c])]
+        h = rng.integers(prefixes, size=prefixes)
+        assert len(np.unique(h)) < len(h) and (np.diff(h) < 0).any()
+        played, own = np.unique(h, return_inverse=True)
+        j = rng.integers(k, size=len(h))
+        requests += [(played, own, j, np.full(len(h), cost)) for cost in costs]
+        for prefix, block, keep, cost in requests:
+            games, cell = payoff._subgames(A, rs, t, prefix, block, keep, cost)
+            h = prefix[block]
+            S = hs.subgame_matrix(A, rs, t, h, starts[h, keep] + 1, cost)
+            assert np.asarray(games).tobytes() == S.tobytes(), (name, t)
+            np.testing.assert_array_equal(cell, mg._first_saddle(S), err_msg=f"{name} t={t}")
+            closed.update((cell >= 0).tolist())
     assert closed == {False, True}
 
 

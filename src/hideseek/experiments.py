@@ -407,19 +407,14 @@ def _buckets(limit: int) -> int:
     return 1 << (max(1, limit).bit_length() - 1)
 
 
-def _draw(tables: np.ndarray, supports, slot, u: np.ndarray) -> np.ndarray:
-    """The label each uniform u[k] draws from the support supports[slot[k]]
-    (slot may also be one int for every k), whose guide table is
-    tables[slot[k]]: labels[searchsorted(cdf, u[k], "right")], as _support
-    defines it. u holds uniforms in [0, 1), or the uint64 Philox words
-    they stand for (_trial_words), which give the same labels."""
-    return _draw_at(tables, supports, np.asarray(slot, dtype=np.intp) * tables.shape[1], u)
-
-
 def _draw_at(tables: np.ndarray, supports, base, u: np.ndarray) -> np.ndarray:
-    """_draw, with each uniform's table row given by its offset base[k] =
-    slot[k] * 2^K in the flattened tables, so that draws from the same
-    slots share it.
+    """The label each uniform u[k] draws from the support supports[slot[k]],
+    whose guide table is tables[slot[k]]: labels[searchsorted(cdf, u[k],
+    "right")], as _support defines it. Each uniform's table row is given by
+    its offset base[k] = slot[k] * 2^K in the flattened tables (base may
+    also be one int for every k), so that draws from the same slots share
+    it. u holds uniforms in [0, 1), or the uint64 Philox words they stand
+    for (_trial_words), which give the same labels.
 
     u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1); a
     word's bucket is its top K bits, read as an intp in place, and a
@@ -511,7 +506,7 @@ def simulate(
     2^53 trials): memory stays bounded, and identical seeds give
     bit-identical results for any block size.
 
-    Every draw is a guide-table lookup (_draw), exact for every word,
+    Every draw is a guide-table lookup (_draw_at), exact for every word,
     and no table has more buckets than a block has trials. The first two
     draws give a trial's positions in the supports of y and z, whose pair
     indexes tables of whether the trial ended and of its base-matrix code,
@@ -560,8 +555,13 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
     block = prefix_block(rs, t) if feedback else 1  # routes per row of y
     y = simplex_weights(y, m // block, "y")
     z = simplex_weights(z, n, "z")
-    # feedback codes past m*n are the switched cells, paid minus c
-    values = np.concatenate([A.ravel(), A.ravel() - c]) if feedback else A.ravel()
+    # each cell's payoff by its code, route-major; feedback codes past m*n
+    # are the switched cells, paid minus c
+    values = np.empty((1 + feedback, m, n))
+    values[0] = A
+    if feedback:
+        np.subtract(A, c, out=values[1])
+    values = values.ravel()
 
     code_type = np.min_scalar_type(2 * m * n)  # a late code, with the sentinel past them all
     tops, pair_rows = [], []
@@ -595,9 +595,9 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
     ended_total = 0
     for start in range(0, trials, _BLOCK):
         u = _trial_words(seed, start, min(_BLOCK, trials - start))
-        pair = _draw(*tops[0], 0, u[:, 0]).astype(np.intp)
+        pair = _draw_at(*tops[0], 0, u[:, 0]).astype(np.intp)
         pair *= len(i)
-        pair += _draw(*tops[1], 0, u[:, 1])
+        pair += _draw_at(*tops[1], 0, u[:, 1])
         ended_total += int(np.count_nonzero(pair_ended[pair]))
         code = pair_code[pair]
         if feedback:

@@ -7,10 +7,11 @@ simplex on every game's Seeker LP (k+1 constraints) that pivots a whole
 stack of same-shape games in lockstep, with no LP call. Each game keeps
 its basis inverse, from a closed form at the start basis, and every pivot
 updates it in place by a rank-one product-form update (Dantzig and
-Orchard-Hays 1954), so no LAPACK inverse runs per pivot. HiGHS's column
-LP is its fallback. Both certify through one helper, _certify, by
-best-response gaps against the full matrix rather than by trusting the
-solver, and a game the simplex does not certify goes to HiGHS.
+Orchard-Hays 1954), so the simplex runs no LAPACK inverse: a game's value
+and mixes are read from the inverse it closes with. HiGHS's column LP is
+its fallback. Both certify through one helper, _certify, by best-response
+gaps against the full matrix rather than by trusting the solver, and a
+game the simplex does not certify goes to HiGHS.
 
 A stack is dense, or shared (_SharedStack): a few blocks B, and for each
 game a block and a shift constant down each column, S_g = B - 1 shift^T,
@@ -173,8 +174,8 @@ class _SharedStack:
     Every entry of a game is read as B - shift, which is the game's own
     entry bit for bit, and so are its row maxima (row_maxima) and column
     extremes, since rounding x - c is monotone in x. Indexing materialises
-    games, Hider-major as the blocks are: S[g] is game g, S[array] a dense
-    stack of games, and np.asarray(S) the whole stack.
+    games, Hider-major as the blocks are: S[g] is game g, and S[array] a
+    dense stack of games.
 
     The blocks are kept in falling order of their game counts, copied into
     it if they come in another, so that the blocks with equal counts run
@@ -212,10 +213,6 @@ class _SharedStack:
         S = self.blocks[self.block[g]]  # a copy, shifted in place
         S -= self.shift[g][:, None, :]
         return S
-
-    def __array__(self, dtype=None, copy=None):
-        S = self[np.arange(len(self))]
-        return S if dtype is None else S.astype(dtype, copy=False)
 
     def take(self, g):
         """The shared stack of the games g."""
@@ -439,10 +436,7 @@ def _solve(S, unique=False):
     scale = _scales(S)
     v, y, z = _simplex(S, scale)
     v += 0.0  # -0.0 + 0.0 is +0.0: a zero-valued game's value and gaps print as 0
-    if unique:
-        y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z, unique=True)
-    else:
-        y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z)
+    y, z, row_gap, col_gap, ok = _certify(S, scale, v, y, z, unique=unique)
     if not ok.all():
         g = np.flatnonzero(~ok)
         certified = np.maximum(row_gap[g], col_gap[g]) <= GAP_TOL * scale[g]
@@ -485,21 +479,6 @@ def solve_zero_sum(A) -> GameSolution:
     return GameSolution(float(v[0]), y[0], z[0], float(row_gap[0]), float(col_gap[0]))
 
 
-def _bases(B, block, shift, scale, basis):
-    """The basis matrices of the Seeker LPs of the games B[block[j]] -
-    shift[j], each divided by scale[j], for the variables basis[j], in
-    _simplex's numbering and order (w at position k)."""
-    m, k = B.shape[1:]
-    M = np.zeros((len(basis), k + 1, k + 1))
-    M[:, :k, k] = -1.0
-    j, at = np.nonzero(basis[:, :k] < m)  # basic rows
-    M[j, :k, at] = (B[block[j], basis[j, at]] - shift[j]) / scale[j, None]
-    M[j, k, at] = 1.0
-    j, at = np.nonzero(basis[:, :k] >= m)  # basic slacks
-    M[j, basis[j, at] - m, at] = 1.0
-    return M
-
-
 def _pivot(inv, basis, D, p, q):
     """Bring variable q[g] into position p[g] of each basis of a stack, in
     place: basis[g] and its inverse inv[g], by the product-form rank-one
@@ -521,46 +500,44 @@ def _simplex(S, scale):
 
     Each game is divided by its max|A|, scale[g] (an all-zero game by 1).
     Its variables are numbered rows 0..m-1, slacks m..m+k-1 and w m+k; its
-    basis holds k+1 of them, with the free w always at position k, so
-    c_B = b = e_k. Each open game keeps its basis inverse. The start basis
-    (slack columns, one row and w, of determinant 1) has a closed-form
-    inverse, which is written out, and each pivot updates the inverse in
-    place by the rank-one product-form update (_pivot), so no LAPACK
-    inverse runs per pivot. The inverse's row k gives the duals pi, whose
-    Hider mix is z = -pi[:k] and value v = pi[k], and its column k the
-    basic values. The reduced costs are S z - v for the rows and z for the
-    slacks. The most negative one enters (Dantzig), or the first negative
-    one while the game's current run of zero-step pivots is _STALL_PIVOTS
-    or longer (Bland, which cannot cycle; a cycle holds only zero-step
-    pivots). The ratio test skips w. A game closes once no reduced cost is
-    below -1e-12 (times max|A|, by the scaling). No inverse is refreshed:
-    on the games tried, an updated inverse stayed within 1.1e-13 of a fresh
-    inverse of its basis after 41 Bland pivots, and within 2.5e-9 after
-    _MAX_PIVOTS (relative to its largest entry), far inside the 1e-6 the
-    certificate allows. Once every game has closed or left, one LAPACK
-    inverse of the closed games' optimal bases gives their values and
-    mixes, so that these carry no round-off from the updates.
+    basis holds k+1 of them, with the free w always at position k, so c_B =
+    b = e_k. Each open game keeps its basis inverse. The start basis (slack
+    columns, one row and w, of determinant 1) has a closed-form inverse,
+    which is written out, and each pivot updates the inverse in place by
+    the rank-one product-form update (_pivot), so no LAPACK inverse runs.
+    The inverse's row k gives the duals pi, whose Hider mix is z = -pi[:k]
+    and value v = pi[k], and its column k the basic values, and a game's
+    value and mixes are read from the inverse it closes with. The reduced
+    costs are S z - v for the rows and z for the slacks. The most negative
+    one enters (Dantzig), or the first negative one while the game's
+    current run of zero-step pivots is _STALL_PIVOTS or longer (Bland,
+    which cannot cycle; a cycle holds only zero-step pivots). The ratio
+    test skips w. A game closes once no reduced cost is below -1e-12 (times
+    max|A|, by the scaling). No inverse is refreshed: on the games tried,
+    an updated inverse stayed within 1.1e-13 of a fresh inverse of its
+    basis after 41 Bland pivots, and within 2.5e-9 after _MAX_PIVOTS
+    (relative to its largest entry), far inside the 1e-6 the certificate
+    allows.
 
-    Every entry the simplex reads, the start row of least row maximum, an
-    entering row and a basis matrix, is read from the game's block less
-    its shift, which is the game's own entry bit for bit. Every open game
-    pivots in every round, and a round touches only the open games. It
-    prices the rows and the slacks apart (where they tie, the row enters):
-    the rows by B (z / max|A|) less (shift^T z / max|A|) + v for each game
-    on its block B, which divides k numbers per game where (S z) / max|A|
-    divided m. While most games are open, every game is priced into one
-    (G, m, 1) buffer by one matmul per group of blocks with equal game
-    counts (_SharedStack.groups), one matrix-vector product per game, with
-    no copy of a block; then the open games only, from copies of the blocks
-    of at most _PRICE_BYTES of them at a time (a copy per game made a
-    sweep's tiny games slow, and one of every open game took up to half
-    the stack). So a game's bits do not depend on the games beside it. It
-    works out Bland's choices only while some game is in a Bland run, and
-    drops the games that close or leave before the update, so that no
-    closing game divides by a zero pivot element. Returns each game's
-    value, Seeker mix and Hider mix, uncleaned; a game left open by an
-    unbounded or undefined ratio test or by the pivot cap has value NaN and
-    both mixes 0.
+    Every entry the simplex reads, of the start row of least row maximum or
+    of an entering row, is read from the game's block less its shift, which
+    is the game's own entry bit for bit. Every open game pivots in every
+    round, and a round touches only the open games. It prices the rows and
+    the slacks apart (where they tie, the row enters): the rows by B (z /
+    max|A|) less (shift^T z / max|A|) + v for each game on its block B,
+    which divides k numbers per game where (S z) / max|A| divided m. While
+    most games are open, every game is priced into one (G, m, 1) buffer by
+    one matmul per group of blocks with equal game counts
+    (_SharedStack.groups), one matrix-vector product per game, with no copy
+    of a block; then the open games only, from copies of the blocks of at
+    most _PRICE_BYTES of them at a time (a copy per game made a sweep's
+    tiny games slow, and one of every open game took up to half the stack).
+    So a game's bits do not depend on the games beside it. It works out
+    Bland's choices only while some game is in a Bland run, and drops the
+    games that close or leave before the update, so that no closing game
+    divides by a zero pivot element. Returns each game's value, Seeker mix
+    and Hider mix, uncleaned; a game left open by an unbounded or undefined
+    ratio test or by the pivot cap has value NaN and both mixes 0.
     """
     T = _shared(S)
     G, m, k = T.shape
@@ -587,7 +564,8 @@ def _simplex(S, scale):
     inv[games, j0, j0], inv[games, j0, k] = 0.0, 1.0
     inv[:, k, k] = s[games, j0]
     stalls = np.zeros(G, dtype=int)
-    closed, optimal = np.zeros(G, dtype=bool), np.empty_like(basis)  # each closed game's basis
+    closed = np.zeros(G, dtype=bool)
+    optimal, kept = np.empty_like(basis), np.empty_like(inv)  # each closed game's basis and its inverse
     u = np.zeros((G, k, 1))  # each open game's Hider mix z / scale, which prices its rows
     Sz = np.empty((G, m, 1))  # every round's pricing product B u
     lift = np.zeros(G)  # and what each game takes off it: shift^T u + v
@@ -617,7 +595,8 @@ def _simplex(S, scale):
         row_min, slack_min = rc_row.min(axis=1)[at], rc_slack.min(axis=1)
         done = np.minimum(row_min, slack_min) >= -_RC_TOL
         if done.any():
-            closed[open_[done]], optimal[open_[done]] = True, basis[done]
+            g = open_[done]
+            closed[g], optimal[g], kept[g] = True, basis[done], inv[done]
         # the most negative reduced cost, a row where a row and a slack tie
         q = np.where(row_min <= slack_min, rc_row.argmin(axis=1)[at], m + rc_slack.argmin(axis=1))
         bland = stalls >= _STALL_PIVOTS
@@ -650,12 +629,11 @@ def _simplex(S, scale):
             _pivot(inv, basis, D, p, q)
         pivots += 1
     Sz = rc_row = None  # the pricing buffer goes before the Seeker mixes come
-    # the closed games' solutions, from one fresh inverse of their optimal
-    # bases, each put back at its place in the stack
+    # the closed games' solutions, read from the inverses they closed with,
+    # each put back at its place in the stack
     v, y, z = np.full(G, np.nan), np.zeros((G, m)), np.zeros((G, k))
     g = np.flatnonzero(closed)
-    inv = np.linalg.inv(_bases(B, block[g], shift[g], scale[g], optimal[g]))
-    at = order[g]
+    inv, at = kept[g], order[g]
     v[at], z[at] = inv[:, k, k] * scale[g], -inv[:, k, :k]
     basic_rows = optimal[g, :k] < m
     y[at[np.nonzero(basic_rows)[0]], optimal[g, :k][basic_rows]] = inv[:, :k, k][basic_rows]
@@ -682,12 +660,13 @@ def solve_games(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by HiGHS's column LP. Raises SolverError if a game does not certify
     either way.
 
-    The stack may be stored in any layout. Every stack the package builds
-    is Hider-major, np.swapaxes of a (G, k, m) array, so that each game's
-    Seeker axis, along which the reductions and S z run, is contiguous.
-    Within one layout each game gets the same bits in any stack, beside any
-    games and in any place; across layouts they may differ in round-off,
-    and so may a shared game and the same game materialised.
+    The stack may be stored in any layout, and within one layout each game
+    gets the same bits in any stack, beside any games and in any place.
+    Every game matrix the package builds is Hider-major (payoff._game_stack),
+    so that each game's Seeker axis, along which the reductions and S z
+    run, is contiguous, and a game gets the same bits wherever the package
+    solves it; a shared game and the same game materialised may differ in
+    round-off.
     """
     if not isinstance(S, _SharedStack):
         S = np.asarray(S, dtype=float)

@@ -3,9 +3,10 @@
 Builds the baseline travel-cost matrix, the restricted-model switch matrix
 (Seeker committed, Hider may relocate once after the reveal), the
 reveal-stage subgames, and the seeker-aware feedback matrix. Every matrix
-is a float array whose rows minimize and columns maximize. Route-indexed
-matrices have one row per route; the feedback matrix has one row per
-prefix, and prefix h covers routes h*B .. h*B+B-1 (routes.prefix_block).
+is a float array, stored Hider-major (_game_stack), whose rows minimize
+and columns maximize. Route-indexed matrices have one row per route; the
+feedback matrix has one row per prefix, and prefix h covers routes
+h*B .. h*B+B-1 (routes.prefix_block).
 
 Two value conventions are supported for post-reveal payoffs. ``total`` keeps
 full cumulative distances from the origin; ``remaining`` subtracts the
@@ -68,7 +69,7 @@ def base_matrix(inst: Instance, rs: RouteSet) -> np.ndarray:
         raise ValueError(f"instance has n={inst.n} but route set has n={rs.n}")
     D = distance_matrix(inst)
     R = rs.route_array
-    rows, cum, A = np.arange(rs.m), np.full(rs.m, -0.0), np.empty(R.shape)  # -0.0 + x is x, bit for bit
+    rows, cum, A = np.arange(rs.m), np.full(rs.m, -0.0), _game_stack(1, *R.shape)[0]  # -0.0 + x is x, bit for bit
     for p in range(rs.n):  # the leg to visit p, the first from the origin, node 0
         cum += D[R[:, p - 1] if p else 0, R[:, p]]
         A[rows, R[:, p] - 1] = cum
@@ -122,7 +123,9 @@ def _switch_tail(A: np.ndarray, rs: RouteSet, t: int, costs) -> np.ndarray:
 def _game_stack(G: int, m: int, k: int) -> np.ndarray:
     """An uninitialised stack of G games of shape (m, k), stored Hider-major:
     memory shape (G, k, m), so each game's m-long Seeker axis, the long
-    one of these tall games, is contiguous in every column."""
+    one of these tall games, is contiguous in every column. Every payoff
+    matrix has this layout: base_matrix and feedback_matrix allocate
+    through it, and switch_matrix's ufuncs keep their input's layout."""
     return np.swapaxes(np.empty((G, k, m)), 1, 2)
 
 
@@ -229,9 +232,9 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     shifted by the difference of the prefixes' cumulative costs. A
     saddle's cell is read from A by every prefix of the state, so visited
     and saddle cells (every cell at t = n-1) are bit-identical to solving
-    each prefix's subgame alone; shifted values agree to round-off. One
-    config's F is row-major, a stack of them Hider-major (_game_stack), and
-    F does not depend on _STACK_BYTES or on which costs come in one call.
+    each prefix's subgame alone; shifted values agree to round-off. F is
+    Hider-major (_game_stack), and does not depend on _STACK_BYTES or on
+    which costs come in one call.
     """
     one = isinstance(cfg, SwitchConfig)
     cfgs = [cfg] if one else list(cfg)
@@ -241,9 +244,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     if any((cfg.t_reveal, cfg.convention, cfg.feedback_mode) != (t, convention, mode) for cfg in cfgs):
         raise ValueError("the configs must share the reveal time, convention and feedback mode")
     n, block = rs.n, prefix_block(rs, t)
-    # one matrix is row-major, as the route-indexed ones: solve_zero_sum's
-    # certificate takes the same bits from it as from them
-    F = np.empty((1, rs.m // block, n)) if one else _game_stack(len(cfgs), rs.m // block, n)
+    F = _game_stack(len(cfgs), rs.m // block, n)
     if mode == "pure_min":
         for g, cfg in enumerate(cfgs):
             F[g] = _prefix_min(switch_matrix(A, rs, cfg), block)

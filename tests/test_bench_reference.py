@@ -14,6 +14,7 @@ import json
 import lzma
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -51,6 +52,23 @@ def test_workload_outputs_match_the_benchmark_reference(name, tmp_path):
         assert code == 0, argv
         assert checks.check_output(argv, got, inst) == [], argv
         assert checks.compare_numbers(got, want) is None, argv
+
+
+
+def test_the_reference_comparison_skips_only_the_gap_lines():
+    # a solve's certificate gaps are solver round-off, which hsbench holds
+    # to its gap limit and not to the reference: compare_numbers accepts a
+    # text whose only change is a row or col gap, and rejects one whose only
+    # change is a digit of the value or of a mix
+    want = _reference("game8")["outputs"][0]
+    for label in ("row gap", "col gap"):
+        got = re.sub(rf"^{label}: .*$", f"{label}: 9.876e-13", want, count=1, flags=re.MULTILINE)
+        assert got != want and checks.compare_numbers(got, want) is None, label
+    lines = re.findall(r"^(?:value: |  \S+: )\d+\.\d+$", want, flags=re.MULTILINE)
+    assert len(lines) == 11  # the value, two Seeker routes and eight Hider locations
+    for line in lines:
+        got = want.replace(line, line[:-1] + ("1" if line[-1] == "0" else "0"), 1)
+        assert got != want and checks.compare_numbers(got, want) is not None, line
 
 
 # hsbench/child.py's traced run: install the tracer, then run the package

@@ -372,11 +372,11 @@ def test_support_draw_matches_the_full_cdf_search(data, tail, k, count):
     uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(points[points < 1.0].tolist()))
     u = np.array(data.draw(st.lists(uniform, min_size=1, max_size=30), label="u"))
     slot = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=len(u), max_size=len(u)), label="slot"))
-    drawn = experiments._draw(table, supports, slot, u)
+    drawn = experiments._draw_at(table, supports, slot * table.shape[1], u)
     expected = [3 + 7 * draw_full_cdf(ws[g], x) for g, x in zip(slot, u)]
     np.testing.assert_array_equal(drawn, expected)
     if count == 1:  # one support for every uniform, as a trial's first two draws
-        np.testing.assert_array_equal(experiments._draw(table, supports, 0, u), expected)
+        np.testing.assert_array_equal(experiments._draw_at(table, supports, 0, u), expected)
 
 
 @pytest.mark.parametrize("model", ["base", "restricted", "feedback"])

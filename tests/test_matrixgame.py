@@ -664,8 +664,8 @@ def test_game_values_certify_against_the_full_matrix(monkeypatch):
     real_certify = mg._certify
     solution = {}  # game -> its latest (full matrix, y, z, v, row gap, col gap)
 
-    def spy_certify(stack, scale, v, y, z):
-        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
+    def spy_certify(stack, scale, v, y, z, unique=False):
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z, unique=unique)
         for g in range(len(stack)):
             solution[g] = (stack[g], y[g], z[g], v[g], row_gap[g], col_gap[g])
         return y, z, row_gap, col_gap, ok
@@ -686,10 +686,10 @@ def test_game_values_raise_on_a_slack_full_certificate(monkeypatch):
     S = np.random.default_rng(73).uniform(-4, 4, size=(3, 300, 5))
     real_certify = mg._certify
 
-    def slack_on_full_matrix(stack, scale, v, y, z):
+    def slack_on_full_matrix(stack, scale, v, y, z, unique=False):
         # every full-matrix column gap is slack, also once HiGHS has solved
         # the games again
-        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z, unique=unique)
         return y, z, row_gap, np.ones_like(col_gap), np.zeros_like(ok)
 
     monkeypatch.setattr(mg, "_certify", slack_on_full_matrix)
@@ -705,8 +705,8 @@ def test_game_values_solve_a_slack_game_again_through_solve_games(monkeypatch):
     real_certify = mg._certify
     first = []
 
-    def slack_first_game(stack, scale, v, y, z):
-        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z)
+    def slack_first_game(stack, scale, v, y, z, unique=False):
+        y, z, row_gap, col_gap, ok = real_certify(stack, scale, v, y, z, unique=unique)
         if not first:
             first.append(len(stack))
             row_gap[0], ok[0] = 1.0, False  # game 0's first certificate is slack
@@ -807,11 +807,12 @@ def test_game_values_never_re_add_active_rows(monkeypatch):
     np.testing.assert_allclose(values, full_lp_values(S), rtol=0, atol=1e-12 * np.abs(S).max())
 
 
-def test_the_simplex_runs_one_lapack_inverse_per_stack(monkeypatch):
+def test_the_simplex_runs_no_lapack_inverse(monkeypatch):
     # the start bases' inverses are written out, every pivot updates them
-    # in place, and one LAPACK call inverts the optimal bases of the games
-    # that closed, for their solutions
+    # in place, and each game's solution is read from the inverse it closes
+    # with, which stays within 1e-12 of a fresh inverse of its optimal basis
     S = np.random.default_rng(79).uniform(-4, 4, size=(4, 400, 5))
+    G, m, k = S.shape
     real_inv, real_pivot = np.linalg.inv, mg._pivot
     inverted, starts = [], []
     monkeypatch.setattr(np.linalg, "inv", lambda B: inverted.append(B.shape) or real_inv(B))
@@ -821,12 +822,34 @@ def test_the_simplex_runs_one_lapack_inverse_per_stack(monkeypatch):
         real_pivot(inv, basis, D, p, q)
 
     monkeypatch.setattr(mg, "_pivot", spy_pivot)
-    v = mg._simplex(S, mg._scales(S))[0]
-    assert inverted == [(4, 6, 6)] and len(starts) > 5 and np.isfinite(v).all()
+    scale = mg._scales(S)
+    v, y, z = mg._simplex(S, scale)
+    assert inverted == [] and len(starts) > 5 and np.isfinite(v).all()
     basis, inv = starts[0]
-    for g in range(4):
+    for g in range(G):
         fresh = real_inv(_basis_matrix(S[g], basis[g]))
         np.testing.assert_allclose(inv[g], fresh, rtol=0, atol=1e-15 * np.abs(fresh).max())
+
+    for g in range(G):  # each game alone, as it gets the same bits there, for its optimal basis
+        bases = []
+
+        def last_basis(inv, basis, D, p, q):
+            real_pivot(inv, basis, D, p, q)
+            bases.append(basis[0].copy())
+
+        monkeypatch.setattr(mg, "_pivot", last_basis)
+        alone = mg._simplex(S[g : g + 1], scale[g : g + 1])
+        for got, want in zip((v, y, z), alone):
+            assert np.array_equal(got[g], want[0]), g
+        optimal = bases[-1]
+        fresh = real_inv(_basis_matrix(S[g], optimal))
+        rows = optimal[:k] < m
+        y_fresh = np.zeros(m)
+        y_fresh[optimal[:k][rows]] = fresh[:k, k][rows]
+        assert abs(v[g] - fresh[k, k] * scale[g]) <= 1e-12 * scale[g]
+        np.testing.assert_allclose(z[g], -fresh[k, :k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y[g], y_fresh, rtol=0, atol=1e-12)
+    assert inverted == []
 
 
 def test_game_values_send_games_past_the_pivot_cap_to_solve_games(monkeypatch):
@@ -1068,7 +1091,10 @@ def test_a_shared_stack_gives_each_game_the_same_bits_in_any_stack(monkeypatch):
 
 
 def _hider_major(S):
-    """Whether every game of the stack S keeps each column contiguous."""
+    """Whether every game of the stack S, dense or shared, keeps each column
+    contiguous."""
+    if isinstance(S, mg._SharedStack):
+        S = S[np.arange(len(S))]
     return all(np.swapaxes(S, -1, -2)[g].flags.c_contiguous for g in range(len(S)))
 
 

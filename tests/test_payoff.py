@@ -477,7 +477,7 @@ def test_the_saddle_screen_gives_first_saddles_cell(name, inst):
             games, cell = payoff._subgames(A, rs, t, prefix, block, keep, cost)
             h = prefix[block]
             S = hs.subgame_matrix(A, rs, t, h, starts[h, keep] + 1, cost)
-            assert np.asarray(games).tobytes() == S.tobytes(), (name, t)
+            assert games[np.arange(len(games))].tobytes() == S.tobytes(), (name, t)
             np.testing.assert_array_equal(cell, mg._first_saddle(S), err_msg=f"{name} t={t}")
             closed.update((cell >= 0).tolist())
     assert closed == {False, True}
@@ -547,6 +547,24 @@ def test_feedback_matrix_stack_validation(base3, rs3):
     ):
         with pytest.raises(ValueError, match="share the reveal time"):
             hs.feedback_matrix(base3, rs3, [hs.SwitchConfig(1, 0.5), other])
+
+
+def test_every_payoff_matrix_has_the_game_stack_layout():
+    # base, switch (both conventions) and feedback matrices (one config and
+    # a stack, both modes) are all stored Hider-major, as _game_stack
+    # allocates a stack: each game's Seeker axis is contiguous in every column
+    inst = hs.load_instance(INSTANCES / "six_sites.json")
+    rs = hs.enumerate_routes(inst.n)
+    A = hs.base_matrix(inst, rs)
+    matrices = {"base": A, "game stack": payoff._game_stack(3, rs.m, rs.n)}
+    for convention in payoff.CONVENTIONS:
+        matrices[f"switch {convention}"] = hs.switch_matrix(A, rs, hs.SwitchConfig(2, 1.0, convention))
+    for mode in payoff.FEEDBACK_MODES:
+        cfgs = [hs.SwitchConfig(2, c, feedback_mode=mode) for c in (0.5, 1.0)]
+        matrices[f"feedback {mode}"] = hs.feedback_matrix(A, rs, cfgs[0])
+        matrices[f"feedback {mode} stack"] = hs.feedback_matrix(A, rs, cfgs)
+    for name, M in matrices.items():
+        assert np.swapaxes(M, -1, -2).flags.c_contiguous, name
 
 
 def test_subgame_stack_takes_a_cost_per_subgame(base3, rs3):

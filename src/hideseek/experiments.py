@@ -1,23 +1,26 @@
 """Parameter sweeps, bound verification, and Monte Carlo playouts.
 
-Simulation randomness uses one Philox counter block (four 64-bit words) per
-trial, keyed by the seed: trial k always sees the same four words no
-matter how trials are split into blocks. Playouts only count how often each
-payoff cell occurs, one np.add.at per block into the cell histogram, so
-results are invariant to the block size and bit-reproducible for a fixed
-seed. Every draw looks its word up in a guide table of 2^K equal buckets
-(Chen and Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
-III.2.4), which gives the label a binary search of the mix's cdf gives, bit
-for bit (_guide). No trial is sorted or grouped by subgame.
+Simulation randomness uses one Philox counter block (four 64-bit words,
+each made a uniform) per trial, keyed by the seed: trial k always sees the
+same four uniforms no matter how trials are split into blocks, or which
+thread draws them (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11). Playouts only count how often each payoff cell occurs, one
+np.add.at per block into the cell histogram, so results are invariant to
+the block size and bit-reproducible for a fixed seed. Every draw looks its
+uniform up in a guide table of 2^K equal buckets (Chen and Asau 1974;
+Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4), which gives
+the label a binary search of the mix's cdf gives, bit for bit (_guide). No
+trial is sorted or grouped by subgame.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
+from numpy.random import Generator, Philox, SeedSequence
 
 from .instance import Instance
 from .matrixgame import _solve, check_cost, simplex_weights, solve_games
@@ -27,6 +30,7 @@ from .payoff import (
     _game_stack,
     _prefix_gap,
     _prefix_min,
+    _stacks,
     _subgames,
     _switch_tail,
     base_matrix,
@@ -341,7 +345,9 @@ def _fixed_mix_monotonicity(inst, t_list, c_list, convention, tol) -> BoundCheck
     return BoundCheck("fixed_mix_voi_monotone_in_t", True, "non-increasing")
 
 
-_BLOCK = 1 << 16  # trials per block: a 2 MB draw of words
+# trials per block: a 2 MB buffer of uniforms, two of which _cell_counts
+# holds, the block it counts and the next, which a helper thread draws
+_BLOCK = 1 << 16
 # simulate's subgame guide tables, two per possible reveal-stage subgame,
 # take at most this many bytes: 2^K buckets each, for the largest K that
 # fits. That is 2^8 buckets for the 336 subgames of n = 8 at t = 2, and 2 for
@@ -350,12 +356,26 @@ _BLOCK = 1 << 16  # trials per block: a 2 MB draw of words
 _TABLE_BYTES = 1 << 20
 
 
-def _trial_words(seed: int, start: int, count: int) -> np.ndarray:
-    """Four raw 64-bit words per trial from the trial-indexed Philox counter
-    block. Word w stands for the uniform (w >> 11) * 2^-53, the one
-    Generator(Philox(...)).random makes of it."""
-    key = SeedSequence(seed).generate_state(2, np.uint64)
-    return Philox(counter=[start, 0, 0, 0], key=key).random_raw((count, 4))
+def _uniforms(key: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Fill out, of shape (count, 4), with the uniforms of the trials start
+    to start + count - 1: four per trial, from the trial's own Philox
+    counter block under key. They depend on nothing else, so any thread
+    may draw them at any time. numpy fills out without the interpreter
+    lock."""
+    Generator(Philox(counter=[start, 0, 0, 0], key=key)).random(out=out)
+
+
+class _Helper(threading.Thread):
+    """A thread that keeps what its target raised in error, for the thread
+    that joins it to raise: no exception ends it unseen."""
+
+    error = None
+
+    def run(self):
+        try:
+            super().run()
+        except BaseException as error:  # raised again by the joining thread
+            self.error = error
 
 
 def _support(w: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,19 +433,15 @@ def _draw_at(tables: np.ndarray, supports, base, u: np.ndarray) -> np.ndarray:
     "right")], as _support defines it. Each uniform's table row is given by
     its offset base[k] = slot[k] * 2^K in the flattened tables (base may
     also be one int for every k), so that draws from the same slots share
-    it. u holds uniforms in [0, 1), or the uint64 Philox words they stand
-    for (_trial_words), which give the same labels.
+    it. u holds uniforms in [0, 1).
 
-    u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1); a
-    word's bucket is its top K bits, read as an intp in place, and a
+    u[k] falls in bucket floor(u[k] * 2^K), exactly for u in [0, 1), and a
     lookup gives its label. A trial whose bucket holds the sentinel is
-    drawn by a search of its own support's cdf, and only its word is made
-    a uniform; the few such trials are sorted by support, so each support
-    is searched once.
+    drawn by a search of its own support's cdf; the few such trials are
+    sorted by support, so each support is searched once.
     """
     scale = tables.shape[1]
-    # numpy shifts a word by 64 to 0, the one bucket of a table of 2^0
-    bucket = (u >> (65 - scale.bit_length())).view(np.intp) if u.dtype == np.uint64 else (u * scale).astype(np.intp)
+    bucket = (u * scale).astype(np.intp)
     bucket += base  # a 1-D take is faster than a 2-D gather
     drawn = tables.ravel().take(bucket)
     miss = np.flatnonzero(drawn == np.iinfo(drawn.dtype).max)
@@ -433,7 +449,7 @@ def _draw_at(tables: np.ndarray, supports, base, u: np.ndarray) -> np.ndarray:
         slots = np.broadcast_to(base, u.shape)[miss] // scale
         order = np.argsort(slots)
         miss, slots = miss[order], slots[order]
-        x = (u[miss] >> 11) * 2.0**-53 if u.dtype == np.uint64 else u[miss]
+        x = u[miss]
         bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(miss)]
         for a, b in zip(bounds, bounds[1:]):
             cdf, labels = supports[slots[a]]
@@ -453,10 +469,11 @@ def _subgame_supports(A, rs, t, c, keys):
     Each key's subgame is on its own prefix's block, not on its Held-Karp
     state's first prefix: the blocks of one state differ by a constant
     only up to round-off, and the vertex HiGHS returns can follow those
-    bits. The other subgames are solved together as solve_zero_sum solves
-    a game (matrixgame._solve with unique): one lockstep simplex, then
-    HiGHS, one subgame per call, for those whose equilibrium the simplex's
-    solution does not prove unique.
+    bits. The other subgames are solved as solve_zero_sum solves a game
+    (matrixgame._solve with unique), in feedback_matrix's stacks
+    (payoff._stacks): one lockstep simplex per stack, then HiGHS, one
+    subgame per call, for those whose equilibrium the simplex's solution
+    does not prove unique.
     """
     m, n = A.shape
     block = prefix_block(rs, t)
@@ -470,8 +487,7 @@ def _subgame_supports(A, rs, t, c, keys):
     hit = np.flatnonzero(cell >= 0)
     r, j = np.divmod(cell[hit], n - t)
     y[hit, r], z[hit, j] = 1.0, 1.0
-    lp = np.flatnonzero(cell < 0)
-    if len(lp):
+    for lp in _stacks(np.flatnonzero(cell < 0), block):
         y[lp], z[lp] = _solve(games.take(lp), unique=True)[1:3]
     del games
     codes = (h[:, None] * block + np.arange(block)) * n, targets + m * n * (targets != i[:, None])
@@ -506,13 +522,22 @@ def simulate(
     2^53 trials): memory stays bounded, and identical seeds give
     bit-identical results for any block size.
 
-    Every draw is a guide-table lookup (_draw_at), exact for every word,
+    A trial's four uniforms come from its own Philox counter block
+    (_uniforms). While one block is counted, one helper thread draws the
+    next block's into the second of two buffers that the playout allocates
+    once; the helper is joined before its buffer is read, and before
+    simulate returns or raises, and an exception it raised is raised here.
+    A block's uniforms depend on the seed and its first trial alone, so
+    neither the block size nor the threads' timing moves a bit.
+
+    Every draw is a guide-table lookup (_draw_at), exact for every uniform,
     and no table has more buckets than a block has trials. The first two
     draws give a trial's positions in the supports of y and z, whose pair
     indexes tables of whether the trial ended and of its base-matrix code,
     and in the feedback model of its subgame's slot. A subgame is built
     and solved when a trial first reaches it, all those a block of trials
-    first reaches in one shared stack, and its row and column
+    first reaches in one shared stack, solved in feedback_matrix's stacks
+    (payoff._stacks), and its row and column
     tables are filled into its own rows of the two subgame tables, whose
     bucket count fits two tables for every possible subgame into
     _TABLE_BYTES. Its row labels are route codes k*n and its column labels
@@ -541,7 +566,16 @@ def simulate(
 def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
     """simulate's playout, checked and run: the payoff of every cell that a
     trial can be paid, the float histogram of the cells the trials were
-    paid, and how many trials ended by the reveal."""
+    paid, and how many trials ended by the reveal.
+
+    The calling thread draws the first block's uniforms, and then counts
+    block k from buffer k % 2 while a helper thread (_Helper) draws block
+    k + 1 into the other buffer: at most one helper runs at a time, each
+    joined before its block is counted, and the last one before the
+    playout returns or raises. numpy draws without the interpreter lock,
+    so the draw runs beside the count. Every uniform is the one a
+    sequential draw of its block gives, so the counts are too.
+    """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if trials < 1:
@@ -593,30 +627,46 @@ def _cell_counts(A, rs, model, y, z, t, c, trials, seed):
 
     counts = np.zeros(len(values))  # a float histogram, so that counts @ values makes no copy
     ended_total = 0
-    for start in range(0, trials, _BLOCK):
-        u = _trial_words(seed, start, min(_BLOCK, trials - start))
-        pair = _draw_at(*tops[0], 0, u[:, 0]).astype(np.intp)
-        pair *= len(i)
-        pair += _draw_at(*tops[1], 0, u[:, 1])
-        ended_total += int(np.count_nonzero(pair_ended[pair]))
-        code = pair_code[pair]
-        if feedback:
-            slot = pair_slot[pair]
-            reached = np.zeros_like(built)
-            reached[slot] = True
-            new = np.flatnonzero(reached & ~built).tolist()
-            # the fresh subgames are built together, and hold all their
-            # supports until their tables are filled: only a support whose
-            # table holds the sentinel is kept, as only its trials search it
-            if new:
-                plays = zip(*_subgame_supports(A, rs, t, c, keys[new]))
-                for tables, supports, found in zip((row_tables, col_tables), (row_supports, col_supports), plays):
-                    tables[new] = _guide(found, scale, code_type)
-                    searched = (tables[new] == np.iinfo(code_type).max).any(axis=1)
-                    supports.update((k, support) for k, support, hit in zip(new, found, searched) if hit)
-            built |= reached
-            slot *= scale  # each trial's table row as its offset, which both late draws share
-            code += _draw_at(row_tables, row_supports, slot, u[:, 2])
-            code += _draw_at(col_tables, col_supports, slot, u[:, 3])
-        np.add.at(counts, code, 1.0)  # a float 1, for which add.at has a fast loop
+    key = SeedSequence(seed).generate_state(2, np.uint64)
+    buffers = np.empty((2, min(_BLOCK, trials), 4))  # block k's uniforms in buffers[k % 2]
+    draws = [(start, buffers[k % 2, : trials - start]) for k, start in enumerate(range(0, trials, _BLOCK))]
+    _uniforms(key, *draws[0])
+    helper = None
+    try:
+        for k, (_, u) in enumerate(draws):
+            if k:
+                helper.join()
+                if helper.error is not None:
+                    raise helper.error
+            if k + 1 < len(draws):
+                ahead = _Helper(target=_uniforms, args=(key, *draws[k + 1]))
+                ahead.start()
+                helper = ahead  # only a started thread is joined
+            pair = _draw_at(*tops[0], 0, u[:, 0]).astype(np.intp)
+            pair *= len(i)
+            pair += _draw_at(*tops[1], 0, u[:, 1])
+            ended_total += int(np.count_nonzero(pair_ended[pair]))
+            code = pair_code[pair]
+            if feedback:
+                slot = pair_slot[pair]
+                reached = np.zeros_like(built)
+                reached[slot] = True
+                new = np.flatnonzero(reached & ~built).tolist()
+                # the fresh subgames are built together, and hold all their
+                # supports until their tables are filled: only a support whose
+                # table holds the sentinel is kept, as only its trials search it
+                if new:
+                    plays = zip(*_subgame_supports(A, rs, t, c, keys[new]))
+                    for tables, supports, found in zip((row_tables, col_tables), (row_supports, col_supports), plays):
+                        tables[new] = _guide(found, scale, code_type)
+                        searched = (tables[new] == np.iinfo(code_type).max).any(axis=1)
+                        supports.update((g, support) for g, support, hit in zip(new, found, searched) if hit)
+                built |= reached
+                slot *= scale  # each trial's table row as its offset, which both late draws share
+                code += _draw_at(row_tables, row_supports, slot, u[:, 2])
+                code += _draw_at(col_tables, col_supports, slot, u[:, 3])
+            np.add.at(counts, code, 1.0)  # a float 1, for which add.at has a fast loop
+    finally:
+        if helper is not None:
+            helper.join()
     return values, counts, ended_total

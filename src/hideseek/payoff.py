@@ -29,10 +29,10 @@ from .routes import RouteSet, check_reveal_time, prefix_block
 CONVENTIONS = ("total", "remaining")
 FEEDBACK_MODES = ("mixed_subgame", "pure_min")
 # _subgames scans the subgames its saddle screen leaves open in dense stacks
-# of at most this many bytes, and feedback_matrix solves its LP-bound ones in
-# shared stacks of at most this many bytes of four floats per subgame and row
-# (the simplex's pricing and row maxima, the Seeker mix and a certificate
-# product): all 336 of the seed-1 n = 8 instance at t = 2 go in one.
+# of at most this many bytes, and feedback_matrix and simulate solve their
+# LP-bound ones in shared stacks of at most this many bytes of four floats
+# per subgame and row (_stacks): all 336 of the seed-1 n = 8 instance at
+# t = 2 go in one.
 _STACK_BYTES = 1 << 24
 
 
@@ -203,6 +203,15 @@ def _subgames(A: np.ndarray, rs: RouteSet, t: int, prefixes, block, keep, cost):
     return games, cell
 
 
+def _stacks(games: np.ndarray, block: int) -> list[np.ndarray]:
+    """The subgames games, of block rows each, in runs of at most
+    _STACK_BYTES of four floats per subgame and row: the simplex's pricing
+    and row maxima, the Seeker mix and a certificate product. solve_games
+    gives each game the same bits in any stack, so the runs move none."""
+    size = max(1, _STACK_BYTES // (32 * block))
+    return [games[j : j + size] for j in range(0, len(games), size)]
+
+
 def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     """Prefix-indexed payoffs when the Seeker anticipates relocation.
 
@@ -228,7 +237,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     gathered once, the subgames are screened for saddles from them, and
     the LP-bound subgames go to solve_games as shared stacks of (block,
     shift) pairs, with no copy per subgame, in stacks of at most
-    _STACK_BYTES of four floats per subgame and row. Their values are
+    _STACK_BYTES of four floats per subgame and row (_stacks). Their values are
     shifted by the difference of the prefixes' cumulative costs. A
     saddle's cell is read from A by every prefix of the state, so visited
     and saddle cells (every cell at t = n-1) are bit-identical to solving
@@ -260,10 +269,7 @@ def feedback_matrix(A: np.ndarray, rs: RouteSet, cfg) -> np.ndarray:
     c, s, i = (index.ravel() for index in np.indices((len(costs), len(rep), n - t)))
     games, cell = _subgames(A, rs, t, rep, s, i, costs[c])
     value = np.zeros(len(games))  # LP values
-    lp = np.flatnonzero(cell < 0)
-    size = max(1, _STACK_BYTES // (32 * block))  # LP-bound subgames per stack
-    for j in range(0, len(lp), size):
-        g = lp[j : j + size]
+    for g in _stacks(np.flatnonzero(cell < 0), block):
         value[g] = solve_games(games.take(g))[0]
 
     # every unvisited cell: its cost, prefix, and place among the prefix's

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import pathlib
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -394,11 +397,28 @@ def test_simulate_counts_match_the_full_cdf_search(model):
     assert hs.simulate(*args) == oracles.playout(*args)
 
 
+class _Sequential:
+    """experiments._Helper run on the calling thread: start() runs the
+    target, and join() has nothing to wait for."""
+
+    error = None
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
 @pytest.mark.parametrize("model", ["base", "restricted", "feedback"])
-def test_raw_philox_words_count_the_cells_their_uniforms_count(model, monkeypatch):
-    # drawing by a word's top bits, and searching a cdf by the uniform
-    # (w >> 11) * 2^-53 only where a bucket holds the sentinel, counts every
-    # cell as drawing by Generator.random's uniforms does, at any block size
+def test_the_pipelined_playout_counts_the_cells_a_sequential_draw_counts(model, monkeypatch):
+    # a helper thread draws block k + 1 into one buffer while block k is
+    # counted from the other; the counts are those of drawing each block's
+    # uniforms in turn, Generator(Philox(counter=[start, 0, 0, 0], key))
+    # .random((count, 4)), at any block size and with a partial last block
     inst = hs.load_instance(INSTANCES / "six_sites.json")
     rs = hs.enumerate_routes(inst.n)
     A = hs.base_matrix(inst, rs)
@@ -406,25 +426,104 @@ def test_raw_philox_words_count_the_cells_their_uniforms_count(model, monkeypatc
     game = {"base": A, "restricted": hs.switch_matrix(A, rs, cfg), "feedback": hs.feedback_matrix(A, rs, cfg)}
     sol = hs.solve_zero_sum(game[model])
     table = A if model == "feedback" else game[model]
-    args = (table, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5, 70_000, 9)
+    args = (table, rs, model, sol.row_strategy, sol.col_strategy, 2, 0.5)
+    key = SeedSequence(9).generate_state(2, np.uint64)
+    real_fill = experiments._uniforms
 
-    def trial_uniforms(seed, start, count):
-        key = SeedSequence(seed).generate_state(2, np.uint64)
-        return Generator(Philox(counter=[start, 0, 0, 0], key=key)).random((count, 4))
+    def sequential(_, start, out):
+        out[...] = Generator(Philox(counter=[start, 0, 0, 0], key=key)).random((len(out), 4))
 
-    assert np.array_equal((experiments._trial_words(9, 5, 3) >> 11) * 2.0**-53, trial_uniforms(9, 5, 3))
+    def spy(key, start, out):
+        drawn.append((start, len(out), threading.current_thread() is threading.main_thread()))
+        real_fill(key, start, out)
+
     runs = []
-    for block in (1 << 16, 3_000):
+    for block, trials in ((1 << 16, 70_000), (3_000, 70_000), (1, 301)):
         monkeypatch.setattr(experiments, "_BLOCK", block)
-        runs.append(experiments._cell_counts(*args))
         with monkeypatch.context() as mp:
-            mp.setattr(experiments, "_trial_words", trial_uniforms)
-            runs.append(experiments._cell_counts(*args))
-    for values, counts, ended in runs[1:]:
-        assert values.tobytes() == runs[0][0].tobytes()
-        assert counts.tobytes() == runs[0][1].tobytes()
-        assert ended == runs[0][2]
-    assert 0 < runs[0][2] < 70_000  # some trials end by the reveal, and some play on
+            mp.setattr(experiments, "_uniforms", sequential)
+            mp.setattr(experiments, "_Helper", _Sequential)
+            want = experiments._cell_counts(*args, trials, 9)
+        drawn = []
+        monkeypatch.setattr(experiments, "_uniforms", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the two threads as often as the interpreter can
+        try:
+            got = experiments._cell_counts(*args, trials, 9)
+        finally:
+            sys.setswitchinterval(interval)
+        # the first block on the calling thread, every later one on a helper
+        assert drawn == [(start, min(block, trials - start), start == 0) for start in range(0, trials, block)]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+        assert 0 < got[2] < trials  # some trials end by the reveal, and some play on
+        runs.append(got)
+    # and the same trials count the same cells in any block
+    assert runs[1][1].tobytes() == runs[0][1].tobytes() and runs[1][2] == runs[0][2]
+
+
+@pytest.mark.parametrize("case", ["returns", "helper_raises", "loop_raises"])
+def test_no_helper_thread_outlives_the_playout(case, demo6, rs6, monkeypatch):
+    # an exception raised by the helper's draw, or by the main loop while a
+    # helper is still drawing, reaches the caller as it was raised, and
+    # every thread the playout started has ended by then
+    t, c = 2, 0.5
+    A = hs.base_matrix(demo6, rs6)
+    sol = hs.solve_zero_sum(hs.feedback_matrix(A, rs6, hs.SwitchConfig(t, c)))
+    args = (A, rs6, "feedback", sol.row_strategy, sol.col_strategy, t, c, 5_000, 3)
+    monkeypatch.setattr(experiments, "_BLOCK", 1_000)
+    real_fill, error, helpers = experiments._uniforms, None, []
+
+    def fill(key, start, out):
+        if start:  # a block a helper draws
+            helpers.append(threading.current_thread())
+            if case == "helper_raises":
+                raise error
+            if case == "loop_raises":
+                time.sleep(0.2)  # still drawing when the main loop raises
+        real_fill(key, start, out)
+
+    def solve(*_):
+        raise error
+
+    monkeypatch.setattr(experiments, "_uniforms", fill)
+    if case == "helper_raises":
+        error = RuntimeError("the draw failed")
+    elif case == "loop_raises":
+        error = hs.SolverError("no certificate")
+        monkeypatch.setattr(experiments, "_subgame_supports", solve)
+    before = threading.active_count()
+    if error is None:
+        assert hs.simulate(*args) == oracles.playout(*args)
+    else:
+        with pytest.raises(type(error)) as raised:
+            hs.simulate(*args)
+        assert raised.value is error
+    assert threading.active_count() == before
+    assert helpers and threading.main_thread() not in helpers
+    assert not any(helper.is_alive() for helper in helpers)
+
+
+def test_the_playout_solves_its_subgames_in_bounded_stacks(demo6, rs6, monkeypatch):
+    # the LP-bound subgames a block of trials first reaches are solved in
+    # stacks of at most payoff._STACK_BYTES, which move no count
+    t, c, trials = 2, 0.5, 20_000
+    A = hs.base_matrix(demo6, rs6)
+    rng = np.random.default_rng(8)
+    y, z = rng.dirichlet(np.ones(rs6.m // hs.prefix_block(rs6, t))), rng.dirichlet(np.ones(6))
+    args = (A, rs6, "feedback", y, z, t, c, trials, 5)
+    stacks = []
+    real_solve = experiments._solve
+    monkeypatch.setattr(experiments, "_solve", lambda S, unique: stacks.append(len(S)) or real_solve(S, unique=unique))
+    whole = experiments._cell_counts(*args)
+    assert max(stacks) > 1
+    lp, stacks[:] = sum(stacks), []
+    monkeypatch.setattr(hs.payoff, "_STACK_BYTES", 1)
+    split = experiments._cell_counts(*args)
+    assert stacks == [1] * lp
+    assert split[1].tobytes() == whole[1].tobytes()
+    assert split[2] == whole[2]
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])

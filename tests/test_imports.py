@@ -2,7 +2,9 @@
 define is used, every private one is read, and so is every defaulted
 parameter of their public functions. __init__.py is left out of the first
 check: its imports are the package's public names. The CLI imports no
-scipy.optimize, and shares scipy's HiGHS extension module with it."""
+scipy.optimize, and shares scipy's HiGHS extension module with it; a
+feedback simulate, whose playout draws on a helper thread, adds no executor
+or process pool to the imports."""
 
 import ast
 import os
@@ -175,8 +177,10 @@ def test_every_public_parameter_is_set():
 
 
 # The CLI reaches HiGHS without scipy.optimize, and shares scipy's one HiGHS
-# extension module with it in either import order. Each check runs in a
-# fresh interpreter, as the tests themselves import scipy.optimize.
+# extension module with it in either import order. Its playout draws on a
+# threading helper, with neither concurrent.futures, which takes ~4 ms to
+# import, nor multiprocessing: the 70,000 trials take two blocks. Each check
+# runs in a fresh interpreter, as the tests themselves import scipy.optimize.
 
 CLI_RUN = """
 import contextlib, io, sys
@@ -186,7 +190,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert hideseek.cli.main(
         ["solve", "instances/three_sites.json", "--model", "feedback", "--t-reveal", "1"]
     ) == 0
-print(sorted({"scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.ma"} & set(sys.modules)))
+    assert hideseek.cli.main(
+        ["simulate", "instances/three_sites.json", "--model", "feedback", "--t-reveal", "1", "--trials", "70000"]
+    ) == 0
+forbidden = {"scipy.optimize", "scipy.sparse", "scipy.linalg", "numpy.ma", "concurrent.futures", "multiprocessing"}
+print(sorted(forbidden & set(sys.modules)))
 """
 
 SHARED_HIGHS = """
